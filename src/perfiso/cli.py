@@ -4,19 +4,25 @@ Commands: chartab, mu, check, enumerate, decompose, verify.  Output is
 byte-stable for identical invocations; JSON payloads carry a top-level
 "schema": 1 version field.  Exit codes: 0 for success / a perfect verdict,
 1 for a negative verdict or failed check, 2 for usage, parse and
-feasibility errors.
+feasibility errors, 3 for an internal error (such as the two perfectness
+checkers disagreeing), reported on stderr without a traceback.
+
+A ``--map`` literal that starts with "-" may be given as a separate
+argument (``--map -0,-1,-2``) or joined (``--map=-0,-1,-2``).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from typing import Sequence
 
 from .characters import char_table
 from .cyclotomic import symbolic_str
 from .isometry import (
+    InternalError,
     SignedIsometry,
     Verdict,
     is_perfect,
@@ -39,8 +45,11 @@ __all__ = ["main", "build_parser"]
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_USAGE = 2
+EXIT_INTERNAL = 3
 
 SCHEMA_VERSION = 1
+
+_NEGATIVE_LITERAL = re.compile(r"-\d")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -151,9 +160,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     direct = is_perfect(iso)
     cross = is_perfect_via_spaces(iso)
     if direct.status != cross.status:
-        raise RuntimeError(
-            f"internal error: checkers disagree ({direct.status} vs {cross.status})"
-        )
+        raise InternalError(f"checkers disagree ({direct.status} vs {cross.status})")
     if args.format == "json":
         _print_json(
             {
@@ -224,9 +231,24 @@ def cmd_decompose(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _join_map_literals(argv: Sequence[str]) -> list[str]:
+    """Join "--map" with a following literal that starts with "-".
+
+    argparse reads a separate "-0,-1,-2" as an unknown option, so it is
+    passed on as the single token "--map=-0,-1,-2".
+    """
+    joined: list[str] = []
+    for token in argv:
+        if joined and joined[-1] == "--map" and _NEGATIVE_LITERAL.match(token):
+            joined[-1] = f"--map={token}"
+        else:
+            joined.append(token)
+    return joined
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_join_map_literals(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
     except NotPerfect as exc:
@@ -235,3 +257,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except InternalError as exc:
+        print(f"error: internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL

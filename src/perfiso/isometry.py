@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from operator import itemgetter, mul
 from typing import Iterable
 
 from .characters import ClassFunction, character, indicator
@@ -33,6 +34,7 @@ __all__ = [
     "ALL_NEGATIVE",
     "MIXED",
     "NonIntegralTransform",
+    "InternalError",
     "SignedIsometry",
     "KernelTable",
     "Verdict",
@@ -66,6 +68,10 @@ class NonIntegralTransform(ArithmeticError):
         self.point = point
 
 
+class InternalError(RuntimeError):
+    """An internal consistency check failed: a defect, never a property of the input."""
+
+
 class SignedIsometry:
     """A signed bijection on character indices 0..p-1."""
 
@@ -82,6 +88,18 @@ class SignedIsometry:
         self._p = p
         self._image = image_t
         self._signs = signs_t
+
+    @classmethod
+    def _unchecked(cls, p: int, image: tuple[int, ...], signs: tuple[int, ...]) -> SignedIsometry:
+        """Build from tuples already known to be valid, skipping validation.
+
+        Only for results of group operations on valid isometries.
+        """
+        iso = object.__new__(cls)
+        iso._p = p
+        iso._image = image
+        iso._signs = signs
+        return iso
 
     @property
     def p(self) -> int:
@@ -136,11 +154,9 @@ class SignedIsometry:
         """self after other: index k goes through other first, then self."""
         if self._p != other._p:
             raise ValueError(f"mismatched moduli: p={self._p} vs p={other._p}")
-        image = tuple(self._image[i] for i in other._image)
-        signs = tuple(
-            other._signs[k] * self._signs[other._image[k]] for k in range(self._p)
-        )
-        return SignedIsometry(self._p, image, signs)
+        through = itemgetter(*other._image)  # p >= 2, so it returns a tuple
+        signs = tuple(map(mul, other._signs, through(self._signs)))
+        return SignedIsometry._unchecked(self._p, through(self._image), signs)
 
     def invert(self) -> SignedIsometry:
         image = [0] * self._p
@@ -148,10 +164,10 @@ class SignedIsometry:
         for k, i in enumerate(self._image):
             image[i] = k
             signs[i] = self._signs[k]
-        return SignedIsometry(self._p, image, signs)
+        return SignedIsometry._unchecked(self._p, tuple(image), tuple(signs))
 
     def __neg__(self) -> SignedIsometry:
-        return SignedIsometry(self._p, self._image, tuple(-s for s in self._signs))
+        return SignedIsometry._unchecked(self._p, self._image, tuple(-s for s in self._signs))
 
     def sign_profile(self) -> str:
         """One of ALL_POSITIVE, ALL_NEGATIVE, MIXED."""
@@ -202,8 +218,8 @@ def kernel_table(iso: SignedIsometry) -> KernelTable:
 
     Entry (m, n) accumulates sign[k] at the power image[k]*m + k*n (mod p)
     over all source indices k.  Entries are signed sums of p roots of unity,
-    so normalized coefficients stay within 2p in magnitude; the assertion
-    pins that exactness bound.
+    so normalized coefficients stay within 2p in magnitude; InternalError
+    is raised if an entry ever leaves that exactness bound.
     """
     p = iso.p
     image, signs = iso.image, iso.signs
@@ -216,7 +232,8 @@ def kernel_table(iso: SignedIsometry) -> KernelTable:
             for k in range(p):
                 counts[(base[k] + k * n) % p] += signs[k]
             entry = CycInt(p, counts)
-            assert all(abs(c) <= 2 * p for c in entry.coeffs)
+            if any(abs(c) > 2 * p for c in entry.coeffs):
+                raise InternalError(f"kernel entry ({m}, {n}) exceeds the coefficient bound 2p")
             row.append(entry)
         rows.append(tuple(row))
     return KernelTable(p, tuple(rows))

@@ -3,12 +3,16 @@
 Everything here deliberately avoids the library's normalized-coefficient
 arithmetic paths: multiplication expands plain integer polynomials,
 divisibility solves p*y = x by exact rational division over the reduced
-power basis, and kernel entries are rebuilt from character-table values.
+power basis, kernel entries are rebuilt from character-table values, and
+the perfectness of a raw candidate is decided from plain integer count
+vectors, one candidate at a time, with no pruning.
 """
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
+from functools import lru_cache
 from random import Random
 
 from perfiso import CycInt, SignedIsometry, char_table, generalized_character
@@ -46,6 +50,61 @@ def kernel_entry_oracle(iso: SignedIsometry, m: int, n: int) -> CycInt:
     for k in range(p):
         acc = acc + iso.signs[k] * (table.entries[iso.image[k]][m] * table.entries[k][n])
     return acc
+
+
+@lru_cache(maxsize=None)
+def _mult_table(p: int) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
+    mt = tuple(tuple(i * m % p for i in range(p)) for m in range(p))
+    mod2 = tuple(range(p)) * 2
+    return mt, mod2
+
+
+def candidate_is_perfect(p: int, image: tuple[int, ...], signs: tuple[int, ...]) -> bool:
+    """Brute-force perfectness test for a raw (image, signs) candidate.
+
+    Equivalent to ``is_perfect(SignedIsometry(p, image, signs)).ok`` but
+    works on plain integer count vectors and stops at the first offending
+    kernel entry.  For homogeneous signs the first kernel row and column
+    are forced (sign * p at (0, 0), zero elsewhere: each is a geometric sum
+    over a full set of roots of unity), so the scan starts at entry (1, 1);
+    mixed-sign candidates are scanned in full from (0, 0).
+    """
+    mt, mod2 = _mult_table(p)
+    homog = signs.count(signs[0]) == p
+    start = 1 if homog else 0
+    for m in range(start, p):
+        mrow = mt[m]
+        base = [mrow[i] for i in image]
+        for n in range(start, p):
+            krow = mt[n]
+            counts = [0] * p
+            for k in range(p):
+                counts[mod2[base[k] + krow[k]]] += signs[k]
+            last = counts[p - 1]
+            nonzero = False
+            for c in counts:
+                d = c - last
+                if d % p:
+                    return False
+                if d:
+                    nonzero = True
+            if nonzero and ((m == 0) != (n == 0)):
+                return False
+    return True
+
+
+def perfect_candidates_walk(p: int) -> list[SignedIsometry]:
+    """Every perfect signed candidate, found by testing all 2^p * p! of them.
+
+    Permutations are walked in lexicographic order and, within each, the
+    sign patterns in ``product((1, -1))`` order.
+    """
+    return [
+        SignedIsometry(p, image, signs)
+        for image in itertools.permutations(range(p))
+        for signs in itertools.product((1, -1), repeat=p)
+        if candidate_is_perfect(p, image, signs)
+    ]
 
 
 def random_cycint(rng: Random, p: int, bound: int = 0) -> CycInt:

@@ -22,6 +22,7 @@ from perfiso import (
     adjoint_transform,
     character,
     decompose,
+    enumerate_perfect,
     forward_transform,
     inner_product,
     is_perfect,
@@ -29,6 +30,7 @@ from perfiso import (
     iter_perfect,
     kernel_table,
     recompose,
+    verify_structure,
     zeta_pow,
 )
 from perfiso.cyclotomic import CycInt
@@ -41,7 +43,8 @@ from oracles import (
 SEED = 20260809
 
 PRIMES_EXHAUSTIVE = (2, 3, 5, 7)
-EXPECTED_ORDERS = {2: 4, 3: 12, 5: 40, 7: 84}
+PRIMES_REPORTED = (11, 13)
+EXPECTED_ORDERS = {2: 4, 3: 12, 5: 40, 7: 84, 11: 220, 13: 312}
 CANDIDATE_COUNTS = {2: 8, 3: 48, 5: 3840, 7: 645120}
 
 
@@ -63,7 +66,11 @@ def test_criterion_1_order_formula(exhaustive_found):
         assert len(set(found)) == len(found)
         # the scan space really was all 2^p * p! signed candidates
         assert CANDIDATE_COUNTS[p] == 2**p * len(list(itertools.permutations(range(p))))
-    _announce(1, "order_formula", "orders 4/12/40/84 at p=2/3/5/7")
+    for p in PRIMES_REPORTED:
+        report = enumerate_perfect(p, EXHAUSTIVE)
+        assert report.order == EXPECTED_ORDERS[p] == 2 * p * (p - 1)
+        assert report.all_pass() and not report.failures
+    _announce(1, "order_formula", "orders 4/12/40/84/220/312 at p=2/3/5/7/11/13")
 
 
 def test_criterion_2_homogeneous_sign(exhaustive_found):
@@ -150,6 +157,14 @@ def test_criterion_7_semidirect_law(p):
             assert decompose(composed) == expected
             assert recompose(p, expected) == composed
     _announce(7, "semidirect_law", f"all {len(found)}^2 pairs at p={p}")
+
+
+def test_criterion_7_semidirect_law_verified_at_p11():
+    report = verify_structure(11, EXHAUSTIVE)
+    assert report.order == EXPECTED_ORDERS[11]
+    assert all(value is True for value in report.checks.values())
+    assert not report.failures
+    _announce(7, "semidirect_law", "verify_structure over all 220^2 pairs at p=11")
 
 
 def test_criterion_8_cyclotomic_layer():

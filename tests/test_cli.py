@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from perfiso import FAILS_SEPARATION, Verdict, cli
 from perfiso.cli import main
 
 
@@ -132,6 +133,23 @@ def test_check_wrong_arity_exits_2(capsys):
     assert "expected 5" in err
 
 
+def test_check_checker_disagreement_exits_3(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "is_perfect_via_spaces", lambda iso: Verdict(FAILS_SEPARATION, (1, 0)))
+    code, out, err = run_cli(capsys, "check", "-p", "3", "--map", "+0,+1,+2")
+    assert code == cli.EXIT_INTERNAL == 3
+    assert out == ""
+    assert err == "error: internal error: checkers disagree (perfect vs fails_separation)\n"
+
+
+@pytest.mark.parametrize("command", ("mu", "check", "decompose"))
+@pytest.mark.parametrize("fmt", ("text", "json"))
+def test_negative_map_literal_as_separate_argument(capsys, command, fmt):
+    joined = run_cli(capsys, command, "-p", "3", "--map=-0,-1,-2", "--format", fmt)
+    separate = run_cli(capsys, command, "-p", "3", "--map", "-0,-1,-2", "--format", fmt)
+    assert joined == separate
+    assert joined[0] == 0 and joined[1] and joined[2] == ""
+
+
 def test_check_json_payload(capsys):
     code, out, _ = run_cli(
         capsys, "check", "-p", "5", "--map", "+0,+2,+1,+3,+4", "--format", "json"
@@ -191,9 +209,13 @@ def test_enumerate_p7_exhaustive(capsys):
 
 
 def test_enumerate_infeasible_p_exits_2(capsys):
-    code, out, err = run_cli(capsys, "enumerate", "-p", "13", "--mode", "exhaustive")
-    assert code == 2
-    assert "infeasible" in err and "p <= 7" in err
+    # 29 is the first prime above the bound
+    for command in ("enumerate", "verify"):
+        for mode in ("exhaustive", "positive_then_negate"):
+            code, out, err = run_cli(capsys, command, "-p", "29", "--mode", mode)
+            assert code == 2
+            assert out == ""
+            assert "infeasible" in err and "p <= 23" in err
 
 
 def test_verify_p2_text(capsys):

@@ -5,6 +5,7 @@ from random import Random
 
 import pytest
 
+from perfiso import isometry
 from perfiso import (
     ALL_NEGATIVE,
     ALL_POSITIVE,
@@ -28,6 +29,7 @@ from perfiso import (
     kernel_table,
     zeta_pow,
 )
+from perfiso.isometry import InternalError
 from oracles import (
     divisible_by_p_oracle,
     kernel_entry_oracle,
@@ -97,6 +99,28 @@ def test_compose_and_invert():
             assert combined.signs[k] == sign_o * iso.signs[img_o]
 
 
+def test_group_operations_return_valid_isometries():
+    # compose, invert and negation skip re-validation; rebuild each result
+    # through the validating constructor and check it pointwise
+    rng = Random(SEED + 1)
+    for p in (2, 3, 5, 7):
+        for _ in range(25):
+            iso = random_isometry(rng, p)
+            other = random_isometry(rng, p)
+            combined = iso.compose(other)
+            inverse = iso.invert()
+            for out in (combined, inverse, -iso):
+                assert type(out.image) is tuple and type(out.signs) is tuple
+                assert out == SignedIsometry(p, out.image, out.signs)
+                assert hash(out) == hash(SignedIsometry(p, out.image, out.signs))
+            for k in range(p):
+                assert combined.image[k] == iso.image[other.image[k]]
+                assert combined.signs[k] == other.signs[k] * iso.signs[other.image[k]]
+                assert inverse.image[iso.image[k]] == k
+                assert inverse.signs[iso.image[k]] == iso.signs[k]
+                assert (-iso).signs[k] == -iso.signs[k]
+
+
 def test_compose_sign_flip_examples():
     p = 2
     shift = SignedIsometry(p, (1, 0), (1, 1))
@@ -138,6 +162,14 @@ def test_shift_kernel_scales_identity_rows():
         scale = zeta_pow(p, m * a)
         for n in range(p):
             assert kt.entries[m][n] == scale * kt_id.entries[m][n]
+
+
+def test_kernel_table_coefficient_bound_is_checked(monkeypatch):
+    # a real check, not an assert, so it also holds under python -O
+    real = isometry.CycInt
+    monkeypatch.setattr(isometry, "CycInt", lambda p, counts: real(p, [9 * c for c in counts]))
+    with pytest.raises(InternalError, match=r"kernel entry \(0, 0\) exceeds"):
+        kernel_table(SignedIsometry.identity(3))
 
 
 def test_negated_identity_kernel():

@@ -9,6 +9,7 @@ from perfiso import (
     AffineCoords,
     CHECK_KEYS,
     EXHAUSTIVE,
+    MODES,
     NotPerfect,
     PERFECT,
     POSITIVE_THEN_NEGATE,
@@ -24,7 +25,7 @@ from perfiso import (
     recompose,
     verify_structure,
 )
-from perfiso.pigroup import _candidate_is_perfect
+from oracles import candidate_is_perfect, perfect_candidates_walk
 
 SEED = 20260809
 
@@ -90,14 +91,14 @@ def test_generators_are_perfect(p):
 
 
 # ---------------------------------------------------------------------------
-# fast candidate checker agrees with the kernel checker
+# brute-force candidate oracle agrees with the kernel checker
 
 
 @pytest.mark.parametrize("p", (2, 3))
 def test_fast_checker_matches_is_perfect_exhaustively(p):
     for image in itertools.permutations(range(p)):
         for signs in itertools.product((1, -1), repeat=p):
-            fast = _candidate_is_perfect(p, image, signs)
+            fast = candidate_is_perfect(p, image, signs)
             full = is_perfect(SignedIsometry(p, image, signs)).status == PERFECT
             assert fast == full
 
@@ -109,14 +110,14 @@ def test_fast_checker_matches_is_perfect_random(p):
         image = list(range(p))
         rng.shuffle(image)
         signs = tuple(rng.choice((1, -1)) for _ in range(p))
-        fast = _candidate_is_perfect(p, tuple(image), signs)
+        fast = candidate_is_perfect(p, tuple(image), signs)
         full = is_perfect(SignedIsometry(p, image, signs)).status == PERFECT
         assert fast == full
 
 
 @pytest.mark.parametrize("p", (5, 7))
 def test_fast_checker_matches_on_homogeneous_candidates(p):
-    # the banded scan used for homogeneous signs is the enumeration hot path
+    # the banded scan used for homogeneous signs is the oracle's fast path
     rng = Random(SEED + 7 * p)
     candidates = []
     for _ in range(200):
@@ -129,7 +130,7 @@ def test_fast_checker_matches_on_homogeneous_candidates(p):
                 candidates.append(recompose(p, AffineCoords(eps, a, u)).image)
     for image in candidates:
         for signs in ((1,) * p, (-1,) * p):
-            fast = _candidate_is_perfect(p, image, signs)
+            fast = candidate_is_perfect(p, image, signs)
             full = is_perfect(SignedIsometry(p, image, signs)).status == PERFECT
             assert fast == full
 
@@ -167,15 +168,24 @@ def test_modes_agree(p):
         )
 
 
+@pytest.mark.parametrize("p", (2, 3, 5, 7))
+def test_search_matches_brute_force_walk(p):
+    # every one of the 2^p * p! signed candidates is decided by the oracle
+    walk = perfect_candidates_walk(p)
+    assert len(walk) == 2 * p * (p - 1)
+    for mode in MODES:
+        assert list(iter_perfect(p, mode)) == walk
+
+
 def test_feasibility_bounds():
-    assert feasible_bound(EXHAUSTIVE) == 7
-    assert feasible_bound(POSITIVE_THEN_NEGATE) == 11
-    with pytest.raises(ValueError):
-        list(iter_perfect(11, EXHAUSTIVE))
-    with pytest.raises(ValueError):
-        list(iter_perfect(13, POSITIVE_THEN_NEGATE))
-    with pytest.raises(ValueError):
-        enumerate_perfect(13, EXHAUSTIVE)
+    for mode in MODES:
+        assert feasible_bound(mode) == 23
+        with pytest.raises(ValueError, match="infeasible.*p <= 23"):
+            list(iter_perfect(29, mode))
+    with pytest.raises(ValueError, match="p <= 23"):
+        enumerate_perfect(29, EXHAUSTIVE)
+    with pytest.raises(ValueError, match="p <= 23"):
+        verify_structure(29, POSITIVE_THEN_NEGATE)
     with pytest.raises(ValueError):
         feasible_bound("bogus")
 
