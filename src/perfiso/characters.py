@@ -24,9 +24,6 @@ __all__ = [
     "indicator",
     "generalized_character",
     "inner_product",
-    "mult_index",
-    "aut_twist_index",
-    "p_regular",
 ]
 
 
@@ -142,32 +139,3 @@ def inner_product(x: ClassFunction, y: ClassFunction) -> CycInt:
         )
     return quotient
 
-
-def mult_index(p: int, a: int, k: int) -> int:
-    """Index of the product of characters a and k: (a + k) mod p."""
-    p = require_prime(p)
-    if not (0 <= a < p and 0 <= k < p):
-        raise ValueError(f"indices must lie in 0..{p - 1}, got a={a}, k={k}")
-    return (a + k) % p
-
-
-def aut_twist_index(p: int, u: int, k: int) -> int:
-    """Index of character k twisted by the automorphism g -> g^u.
-
-    Twisting evaluates at the inverse automorphism, so index k lands on
-    k * u^-1 mod p.
-    """
-    p = require_prime(p)
-    if u % p == 0:
-        raise ValueError(f"u must be a unit mod {p}, got {u}")
-    if not 0 <= k < p:
-        raise ValueError(f"index must lie in 0..{p - 1}, got {k}")
-    return (k * pow(u, -1, p)) % p
-
-
-def p_regular(p: int, b: int) -> bool:
-    """Whether element g^b has order prime to p; only the identity does."""
-    p = require_prime(p)
-    if not 0 <= b < p:
-        raise ValueError(f"element index must lie in 0..{p - 1}, got {b}")
-    return b == 0

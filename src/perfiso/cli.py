@@ -62,7 +62,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--seed",
         type=int,
         default=0,
-        help="seed reserved for randomized cross-checks (accepted on every command)",
+        help="accepted on every command for script compatibility; no command uses it",
     )
 
     parser = argparse.ArgumentParser(

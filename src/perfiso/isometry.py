@@ -4,7 +4,8 @@ Every isometry of the lattice spanned by the irreducible characters is a
 signed bijection: index k goes to sign[k] times the character image[k].
 Each such map I owns an exact p x p kernel, entry (m, n) being the sum over
 k of sign[k] * zeta^(image[k]*m + k*n).  The kernel drives two linear
-transforms (one per coordinate) and the two perfectness criteria:
+transforms, one per coordinate; the adjoint is the forward transform of the
+transposed kernel.  It also carries the two perfectness criteria:
 
   * integrality  - every kernel entry divisible by p (the common centralizer
     order in an abelian group of order p);
@@ -20,7 +21,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from operator import itemgetter, mul
+from operator import index, itemgetter, mul
 from typing import Iterable
 
 from .characters import ClassFunction, character, indicator
@@ -42,7 +43,6 @@ __all__ = [
     "forward_transform",
     "forward_transform_raw",
     "adjoint_transform",
-    "adjoint_transform_raw",
     "check_integrality",
     "check_separation",
     "is_perfect",
@@ -79,8 +79,8 @@ class SignedIsometry:
 
     def __init__(self, p: int, image: Iterable[int], signs: Iterable[int]) -> None:
         p = require_prime(p)
-        image_t = tuple(int(i) for i in image)
-        signs_t = tuple(int(s) for s in signs)
+        image_t = tuple(map(index, image))
+        signs_t = tuple(map(index, signs))
         if len(image_t) != p or sorted(image_t) != list(range(p)):
             raise ValueError(f"image must be a permutation of 0..{p - 1}, got {image_t}")
         if len(signs_t) != p or any(s not in (1, -1) for s in signs_t):
@@ -122,7 +122,8 @@ class SignedIsometry:
         """Parse a literal like "+2,+0,+1".
 
         Position k carries the signed image of index k; signs are mandatory
-        and whitespace is ignored.
+        and whitespace is ignored.  Leading zeros are accepted ("+01" is
+        index 1), since the index they spell is unambiguous.
         """
         p = require_prime(p)
         compact = "".join(str(text).split())
@@ -244,6 +245,11 @@ def _require_compatible(kt: KernelTable, f: ClassFunction) -> None:
         raise ValueError(f"mismatched moduli: p={kt.p} vs p={f.p}")
 
 
+def _transposed(kt: KernelTable) -> KernelTable:
+    """The kernel with its two coordinates swapped: entry [m][n] is kt's [n][m]."""
+    return KernelTable(kt.p, tuple(zip(*kt.entries)))
+
+
 def forward_transform_raw(
     kt: KernelTable, beta: ClassFunction
 ) -> tuple[tuple[CycInt, ...], tuple[bool, ...]]:
@@ -281,32 +287,13 @@ def forward_transform(kt: KernelTable, beta: ClassFunction) -> ClassFunction:
     return ClassFunction(kt.p, tuple(values))
 
 
-def adjoint_transform_raw(
-    kt: KernelTable, alpha: ClassFunction
-) -> tuple[tuple[CycInt, ...], tuple[bool, ...]]:
-    """Mirror of forward_transform_raw with the kernel coordinates swapped."""
-    _require_compatible(kt, alpha)
-    p = kt.p
-    sums = []
-    flags = []
-    for n in range(p):
-        acc = CycInt.zero(p)
-        for m in range(p):
-            acc = acc + kt.entries[(p - m) % p][n] * alpha.values[m]
-        sums.append(acc)
-        flags.append(acc.is_multiple_of_p)
-    return tuple(sums), tuple(flags)
-
-
 def adjoint_transform(kt: KernelTable, alpha: ClassFunction) -> ClassFunction:
-    """Apply the kernel to an image-side class function, exactly."""
-    sums, flags = adjoint_transform_raw(kt, alpha)
-    values = []
-    for n, (s, ok) in enumerate(zip(sums, flags)):
-        if not ok:
-            raise NonIntegralTransform(n)
-        values.append(s.divide_exact_by_p())
-    return ClassFunction(kt.p, tuple(values))
+    """Apply the kernel to an image-side class function, exactly.
+
+    This is the forward transform of the transposed kernel: output index n
+    carries the sum over m of entry (-m, n) times alpha(g^m), divided by p.
+    """
+    return forward_transform(_transposed(kt), alpha)
 
 
 def check_integrality(kt: KernelTable) -> tuple[int, int] | None:
@@ -353,23 +340,21 @@ def is_perfect_via_spaces(iso: SignedIsometry) -> Verdict:
     """
     kt = kernel_table(iso)
     p = kt.p
+    # The adjoint is the forward transform of the transposed kernel, whose
+    # entry indices read in reverse.
+    sides = ((kt, False), (_transposed(kt), True))
     for j in range(p):
         delta = indicator(p, j)
-        _, flags = forward_transform_raw(kt, delta)
-        for m, ok in enumerate(flags):
-            if not ok:
-                return Verdict(FAILS_INTEGRALITY, (m, (p - j) % p))
-        _, flags = adjoint_transform_raw(kt, delta)
-        for n, ok in enumerate(flags):
-            if not ok:
-                return Verdict(FAILS_INTEGRALITY, ((p - j) % p, n))
+        for side, swapped in sides:
+            _, flags = forward_transform_raw(side, delta)
+            for m, ok in enumerate(flags):
+                if not ok:
+                    witness = (m, (p - j) % p)
+                    return Verdict(FAILS_INTEGRALITY, witness[::-1] if swapped else witness)
     delta = indicator(p, 0)
-    sums, _ = forward_transform_raw(kt, delta)
-    for m in range(1, p):
-        if sums[m]:
-            return Verdict(FAILS_SEPARATION, (m, 0))
-    sums, _ = adjoint_transform_raw(kt, delta)
-    for n in range(1, p):
-        if sums[n]:
-            return Verdict(FAILS_SEPARATION, (0, n))
+    for side, swapped in sides:
+        sums, _ = forward_transform_raw(side, delta)
+        for m in range(1, p):
+            if sums[m]:
+                return Verdict(FAILS_SEPARATION, (0, m) if swapped else (m, 0))
     return Verdict(PERFECT)

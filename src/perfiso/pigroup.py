@@ -147,8 +147,8 @@ def gen_linear(p: int, a: int) -> SignedIsometry:
 def gen_aut(p: int, u: int) -> SignedIsometry:
     """All-positive unit scaling k -> (u * k) mod p.
 
-    This is the isometry induced by the automorphism g -> g^(u^-1); in
-    index terms it inverts aut_twist_index(p, u, .).
+    This is the isometry induced by the automorphism g -> g^(u^-1): twisting
+    character k by g -> g^u gives character k * u^-1, and this map undoes it.
     """
     p = require_prime(p)
     if u % p == 0:

@@ -8,14 +8,11 @@ from perfiso import (
     CycInt,
     ClassFunction,
     NonIntegralInnerProduct,
-    aut_twist_index,
     char_table,
     character,
     generalized_character,
     indicator,
     inner_product,
-    mult_index,
-    p_regular,
     zeta_pow,
 )
 
@@ -88,15 +85,9 @@ def test_mult_index_matches_pointwise_products(p):
     t = char_table(p)
     for a in range(p):
         for k in range(p):
-            idx = mult_index(p, a, k)
+            idx = (a + k) % p
             for b in range(p):
                 assert t.entries[a][b] * t.entries[k][b] == t.entries[idx][b]
-
-
-def test_mult_index_examples():
-    assert mult_index(5, 2, 4) == 1
-    assert mult_index(7, 0, 4) == 4
-    assert mult_index(3, 2, 2) == 1
 
 
 @pytest.mark.parametrize("p", PRIMES)
@@ -105,38 +96,9 @@ def test_aut_twist_matches_pointwise_twist(p):
     for u in range(1, p):
         uinv = pow(u, -1, p)
         for k in range(p):
-            idx = aut_twist_index(p, u, k)
+            idx = k * uinv % p
             for b in range(p):
                 assert t.entries[idx][b] == t.entries[k][(b * uinv) % p]
-
-
-def test_aut_twist_examples():
-    assert aut_twist_index(5, 2, 1) == 3
-    assert aut_twist_index(7, 1, 5) == 5
-    assert aut_twist_index(7, 3, 0) == 0
-
-
-@pytest.mark.parametrize("p", PRIMES)
-def test_aut_twist_is_bijection_fixing_zero(p):
-    for u in range(1, p):
-        images = [aut_twist_index(p, u, k) for k in range(p)]
-        assert sorted(images) == list(range(p))
-        assert images[0] == 0
-
-
-def test_aut_twist_rejects_non_unit():
-    with pytest.raises(ValueError):
-        aut_twist_index(5, 0, 1)
-    with pytest.raises(ValueError):
-        aut_twist_index(5, 10, 1)
-
-
-def test_p_regular():
-    assert p_regular(5, 0)
-    assert not p_regular(5, 1)
-    assert not p_regular(5, 4)
-    with pytest.raises(ValueError):
-        p_regular(5, 5)
 
 
 @pytest.mark.parametrize("p", (3, 5))

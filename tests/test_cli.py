@@ -1,11 +1,14 @@
 """CLI behaviour: golden outputs, exit codes, JSON schema, determinism."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import perfiso
 from perfiso import FAILS_SEPARATION, Verdict, cli
 from perfiso.cli import main
 
@@ -162,6 +165,12 @@ def test_check_json_payload(capsys):
     assert payload["verdict"]["witness"] is not None
 
 
+def test_check_accepts_leading_zero_indices(capsys):
+    code, out, _ = run_cli(capsys, "check", "-p", "3", "--map=+0,+01,+2", "--format", "json")
+    assert code == 0
+    assert '"map": "+0,+1,+2"' in out
+
+
 # ---------------------------------------------------------------------------
 # enumerate / verify
 
@@ -308,10 +317,15 @@ def test_unknown_command_exits_2():
 
 
 def test_module_entry_point_runs():
+    # The child imports the same perfiso as this test, also when only
+    # pytest's own pythonpath setting put it on sys.path.
+    src = str(Path(perfiso.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run(
         [sys.executable, "-m", "perfiso", "chartab", "-p", "2"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert proc.stdout == "1 1\n1 -1\n"

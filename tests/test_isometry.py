@@ -79,6 +79,11 @@ def test_constructor_validation():
         SignedIsometry(3, (0, 1, 2), (1, 1, 2))
     with pytest.raises(ValueError):
         SignedIsometry(4, (0, 1, 2, 3), (1, 1, 1, 1))
+    # floats are rejected, not truncated to the identity
+    with pytest.raises(TypeError):
+        SignedIsometry(3, [0.0, 1.9, 2.2], [1, 1.0, 1])
+    with pytest.raises(TypeError):
+        SignedIsometry(3, (0, 1, 2), (1, 1.0, 1))
 
 
 def test_compose_and_invert():
