@@ -13,8 +13,8 @@ transposed kernel.  It also carries the two perfectness criteria:
     non-identity element.
 
 ``is_perfect`` tests the kernel entries directly; ``is_perfect_via_spaces``
-re-derives the same verdict from the behaviour of the two transforms on the
-indicator basis, giving an independent cross-check.
+re-derives the same verdict from the forward transform on the indicator
+basis, giving an independent cross-check.
 """
 
 from __future__ import annotations
@@ -250,26 +250,21 @@ def _transposed(kt: KernelTable) -> KernelTable:
     return KernelTable(kt.p, tuple(zip(*kt.entries)))
 
 
-def forward_transform_raw(
-    kt: KernelTable, beta: ClassFunction
-) -> tuple[tuple[CycInt, ...], tuple[bool, ...]]:
-    """Un-divided forward sums plus per-entry divisibility flags.
+def forward_transform_raw(kt: KernelTable, beta: ClassFunction) -> tuple[CycInt, ...]:
+    """Un-divided forward sums; the exact transform divides each by p.
 
-    Output index m carries the sum over n of entry (m, -n) times beta(g^n);
-    the exact transform divides each sum by p.
+    Output index m carries the sum over n of entry (m, -n) times beta(g^n).
     """
     _require_compatible(kt, beta)
     p = kt.p
     sums = []
-    flags = []
     for m in range(p):
         row = kt.entries[m]
         acc = CycInt.zero(p)
         for n in range(p):
             acc = acc + row[(p - n) % p] * beta.values[n]
         sums.append(acc)
-        flags.append(acc.is_multiple_of_p)
-    return tuple(sums), tuple(flags)
+    return tuple(sums)
 
 
 def forward_transform(kt: KernelTable, beta: ClassFunction) -> ClassFunction:
@@ -278,12 +273,12 @@ def forward_transform(kt: KernelTable, beta: ClassFunction) -> ClassFunction:
     Raises NonIntegralTransform at the first output index whose sum is not
     divisible by p.
     """
-    sums, flags = forward_transform_raw(kt, beta)
     values = []
-    for m, (s, ok) in enumerate(zip(sums, flags)):
-        if not ok:
+    for m, s in enumerate(forward_transform_raw(kt, beta)):
+        quotient = s.divide_exact_by_p()
+        if quotient is None:
             raise NonIntegralTransform(m)
-        values.append(s.divide_exact_by_p())
+        values.append(quotient)
     return ClassFunction(kt.p, tuple(values))
 
 
@@ -327,34 +322,37 @@ def is_perfect(iso: SignedIsometry) -> Verdict:
 
 
 def is_perfect_via_spaces(iso: SignedIsometry) -> Verdict:
-    """Perfectness via the transforms' behaviour on the indicator basis.
+    """Perfectness via the forward transform on the indicator basis.
 
     Integral-valued class functions are integer combinations of indicators,
-    so both transforms preserve integrality exactly when every indicator
-    image has all sums divisible by p.  The only class functions supported
-    on elements of order prime to p are multiples of the identity indicator,
-    so separation holds exactly when both transforms keep that indicator
-    supported at the identity.  Witnesses are reported as kernel-entry
-    indices; the scan order differs from is_perfect, so a failing witness
-    may name a different offending entry.
+    and those supported on elements of order prime to p are the multiples
+    of the identity indicator.  So integrality holds exactly when every
+    indicator image has all sums divisible by p, and separation exactly
+    when the identity indicator's image stays at the identity.  The adjoint
+    (transposed) side would add nothing, not even another witness:
+
+      * The forward sums of indicator(p, j) are column -j of the kernel, so
+        the p images read every entry and decide integrality alone.
+      * For m, n != 0, entries (m, 0) and (0, n) weight each p-th root of
+        unity by one sign, so they vanish exactly when the signs are equal:
+        column 0 is zero off the identity iff row 0 is.
+      * A scan of both sides (column -j, then row -j, for each j) never
+        fails first on a row.  With equal signs row 0 and column 0 pass,
+        and entry (m, n) fails iff k -> image[k] + c*k, c = n/m, is neither
+        injective nor constant (see pigroup.iter_perfect); column -j and
+        row -j each meet every c, so both fail or neither.  With mixed
+        signs and p odd, entry (0, 0) = sum_k sign[k] is odd and below p in
+        size, so it fails first; with p = 2 every entry is even, and entry
+        (1, 0) fails separation.  Witnesses may differ from is_perfect's.
     """
     kt = kernel_table(iso)
     p = kt.p
-    # The adjoint is the forward transform of the transposed kernel, whose
-    # entry indices read in reverse.
-    sides = ((kt, False), (_transposed(kt), True))
     for j in range(p):
-        delta = indicator(p, j)
-        for side, swapped in sides:
-            _, flags = forward_transform_raw(side, delta)
-            for m, ok in enumerate(flags):
-                if not ok:
-                    witness = (m, (p - j) % p)
-                    return Verdict(FAILS_INTEGRALITY, witness[::-1] if swapped else witness)
-    delta = indicator(p, 0)
-    for side, swapped in sides:
-        sums, _ = forward_transform_raw(side, delta)
-        for m in range(1, p):
-            if sums[m]:
-                return Verdict(FAILS_SEPARATION, (0, m) if swapped else (m, 0))
+        for m, s in enumerate(forward_transform_raw(kt, indicator(p, j))):
+            if not s.is_multiple_of_p:
+                return Verdict(FAILS_INTEGRALITY, (m, (p - j) % p))
+    sums = forward_transform_raw(kt, indicator(p, 0))
+    for m in range(1, p):
+        if sums[m]:
+            return Verdict(FAILS_SEPARATION, (m, 0))
     return Verdict(PERFECT)
