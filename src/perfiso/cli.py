@@ -4,8 +4,9 @@ Commands: chartab, mu, check, enumerate, decompose, verify.  Output is
 byte-stable for identical invocations; JSON payloads carry a top-level
 "schema": 1 version field.  Exit codes: 0 for success / a perfect verdict,
 1 for a negative verdict or failed check, 2 for usage, parse and
-feasibility errors, 3 for an internal error (such as the two perfectness
-checkers disagreeing), reported on stderr without a traceback.
+feasibility errors (every command rejects p > MAX_P before the primality
+test), 3 for an internal error (such as the two perfectness checkers
+disagreeing), reported on stderr without a traceback.
 
 A ``--map`` literal that starts with "-" may be given as a separate
 argument (``--map -0,-1,-2``) or joined (``--map=-0,-1,-2``).
@@ -48,6 +49,7 @@ EXIT_USAGE = 2
 EXIT_INTERNAL = 3
 
 SCHEMA_VERSION = 1
+MAX_P = 101  # the target scale: check takes about 45 s at p = 101 on 2 vCPUs
 
 _NEGATIVE_LITERAL = re.compile(r"-\d")
 
@@ -250,6 +252,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(_join_map_literals(sys.argv[1:] if argv is None else argv))
     try:
+        if args.p > MAX_P:
+            raise ValueError(f"p={args.p} is out of range; the bound is p <= {MAX_P}")
         return args.func(args)
     except NotPerfect as exc:
         print(f"error: {exc}", file=sys.stderr)

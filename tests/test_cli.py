@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import perfiso
-from perfiso import FAILS_SEPARATION, Verdict, cli
+from perfiso import FAILS_SEPARATION, Verdict, cli, cyclotomic
 from perfiso.cli import main
 
 
@@ -225,6 +225,22 @@ def test_enumerate_infeasible_p_exits_2(capsys):
             assert code == 2
             assert out == ""
             assert "infeasible" in err and "p <= 23" in err
+
+
+@pytest.mark.parametrize("p", ("103", "100000000000000000039"))
+def test_p_above_cli_bound_exits_2_before_any_work(capsys, monkeypatch, p):
+    # both are prime; the bound must reject them before the primality test,
+    # whose trial division would run for hours at 10^20
+    def no_work(n):
+        raise AssertionError(f"primality of {n} tested")
+
+    monkeypatch.setattr(cyclotomic, "is_prime", no_work)
+    for command in ("chartab", "mu", "check", "enumerate", "decompose", "verify"):
+        extra = ("--map=+0",) if command in ("mu", "check", "decompose") else ()
+        code, out, err = run_cli(capsys, command, "-p", p, *extra)
+        assert code == 2
+        assert out == ""
+        assert "p <= 101" in err
 
 
 def test_verify_p2_text(capsys):

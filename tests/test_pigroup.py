@@ -5,6 +5,7 @@ from random import Random
 
 import pytest
 
+from perfiso import pigroup
 from perfiso import (
     AffineCoords,
     CHECK_KEYS,
@@ -25,6 +26,7 @@ from perfiso import (
     recompose,
     verify_structure,
 )
+from perfiso.cli import main
 from oracles import candidate_is_perfect, perfect_candidates_walk
 
 SEED = 20260809
@@ -254,6 +256,57 @@ def test_verify_structure_all_checks_pass(p):
     assert all(report.checks[key] is True for key in CHECK_KEYS)
     assert report.all_pass()
     assert not report.failures
+
+
+def _verify_failure_case(name):
+    """A p = 5 element list that verify should reject, with the expected
+    checks (in CHECK_KEYS order) and failure lines."""
+    group = list(iter_perfect(5))
+    if name == "missing":
+        shift = gen_linear(5, 1)
+        found = [iso for iso in group if iso != shift]
+        escapes = [
+            f"composition escapes the set: {lhs.as_literal()} o {rhs.as_literal()}"
+            for lhs in found
+            for rhs in found
+            if lhs.compose(rhs) == shift
+        ]
+        assert len(escapes) == 38  # one rhs for each lhs but the identity
+        failures = [
+            "affine isometry not enumerated: +1,+2,+3,+4,+0",
+            "inverse escapes the set: +4,+0,+1,+2,+3",
+            *escapes,
+        ]
+        return found, (True, False, False, True, False), failures
+    if name == "swapped_affine":
+        # k -> 1 + 2k with the images of 1 and 2 swapped; an involution
+        extra = "+1,+0,+3,+2,+4"
+        failures = [f"non-affine perfect isometry: {extra}"]
+        checks = (True, False, False, False, False)
+    else:
+        extra = "+0,+1,+2,+3,-4"
+        failures = [
+            f"non-affine perfect isometry: {extra}",
+            f"mixed-sign perfect isometry: {extra}",
+        ]
+        checks = (False, False, False, False, False)
+    failures.append("composition law skipped: some element is non-affine")
+    return group + [SignedIsometry.from_literal(5, extra)], checks, failures
+
+
+@pytest.mark.parametrize("name", ("missing", "swapped_affine", "mixed_sign"))
+def test_verify_structure_failure_diagnostics(monkeypatch, capsys, name):
+    found, checks, failures = _verify_failure_case(name)
+    monkeypatch.setattr(pigroup, "iter_perfect", lambda p, mode: iter(found))
+    report = verify_structure(5)
+    assert report.order == len(found)
+    assert tuple(report.checks[key] for key in CHECK_KEYS) == checks
+    assert report.failures == failures
+    assert not report.all_pass()
+
+    assert main(["verify", "-p", "5"]) == 1
+    out = capsys.readouterr().out
+    assert out.endswith("".join(f"  ! {line}\n" for line in failures))
 
 
 def test_affine_composition_law_example():

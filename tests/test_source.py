@@ -1,0 +1,20 @@
+"""Checks on the library source itself."""
+
+import ast
+from pathlib import Path
+
+import perfiso
+
+SOURCES = sorted(Path(perfiso.__file__).parent.glob("*.py"))
+
+
+def test_library_has_no_assert():
+    # invariants are real checks that raise, so they survive python -O
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert len(SOURCES) >= 7
+    assert found == []
