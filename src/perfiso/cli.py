@@ -49,7 +49,7 @@ EXIT_USAGE = 2
 EXIT_INTERNAL = 3
 
 SCHEMA_VERSION = 1
-MAX_P = 101  # the target scale: check takes about 26 s and mu 20 s here on 2 vCPUs
+MAX_P = 101  # the target scale; at p = 101, check takes about 26 s and mu 20 s (2 vCPUs)
 
 _NEGATIVE_LITERAL = re.compile(r"-\d")
 

@@ -230,7 +230,7 @@ def test_enumerate_infeasible_p_exits_2(capsys):
 @pytest.mark.parametrize("p", ("103", "100000000000000000039"))
 def test_p_above_cli_bound_exits_2_before_any_work(capsys, monkeypatch, p):
     # both are prime; the bound must reject them before the primality test,
-    # whose trial division would run for hours at 10^20
+    # whose trial division grows with sqrt(p) and takes minutes at 10^20
     def no_work(n):
         raise AssertionError(f"primality of {n} tested")
 
