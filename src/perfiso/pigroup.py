@@ -343,13 +343,16 @@ def _structural_checks(
 
     try:
         coord_of = {iso: decompose(iso) for iso in found}
+        composable = found
     except NotPerfect:
+        # the law needs coordinates; the checks after it do not, so they still run
+        coord_of, composable = {}, []
+        semidirect = False
         failures.append("composition law skipped: some element is non-affine")
-        return False, False
 
-    for lhs in found:
+    for lhs in composable:
         cl = coord_of[lhs]
-        for rhs in found:
+        for rhs in composable:
             composed = coord_of.get(lhs.compose(rhs))
             if composed is None:
                 semidirect = False

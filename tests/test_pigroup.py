@@ -282,14 +282,14 @@ def _verify_failure_case(name):
         # k -> 1 + 2k with the images of 1 and 2 swapped; an involution
         extra = "+1,+0,+3,+2,+4"
         failures = [f"non-affine perfect isometry: {extra}"]
-        checks = (True, False, False, False, False)
+        checks = (True, False, False, True, False)
     else:
         extra = "+0,+1,+2,+3,-4"
         failures = [
             f"non-affine perfect isometry: {extra}",
             f"mixed-sign perfect isometry: {extra}",
         ]
-        checks = (False, False, False, False, False)
+        checks = (False, False, False, True, False)
     failures.append("composition law skipped: some element is non-affine")
     return group + [SignedIsometry.from_literal(5, extra)], checks, failures
 
