@@ -62,6 +62,21 @@ class CycInt:
         self._p = p
         self._coeffs = tuple(c)
 
+    @classmethod
+    def _trusted(cls, p: int, coeffs: list[int]) -> CycInt:
+        """Build from p ints of a valid prime p, skipping validation.
+
+        Only for results of ring operations on valid elements; the last
+        entry is still normalized to zero.
+        """
+        last = coeffs[-1]
+        if last:
+            coeffs = [x - last for x in coeffs]
+        x = object.__new__(cls)
+        x._p = p
+        x._coeffs = tuple(coeffs)
+        return x
+
     @property
     def p(self) -> int:
         return self._p
@@ -99,7 +114,7 @@ class CycInt:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return CycInt(self._p, [a + b for a, b in zip(self._coeffs, o._coeffs)])
+        return CycInt._trusted(self._p, [a + b for a, b in zip(self._coeffs, o._coeffs)])
 
     __radd__ = __add__
 
@@ -107,13 +122,13 @@ class CycInt:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return CycInt(self._p, [a - b for a, b in zip(self._coeffs, o._coeffs)])
+        return CycInt._trusted(self._p, [a - b for a, b in zip(self._coeffs, o._coeffs)])
 
     def __rsub__(self, other: int | CycInt) -> CycInt:
         return (-self) + other
 
     def __neg__(self) -> CycInt:
-        return CycInt(self._p, [-a for a in self._coeffs])
+        return CycInt._trusted(self._p, [-a for a in self._coeffs])
 
     def __mul__(self, other: int | CycInt) -> CycInt:
         o = self._coerce(other)
@@ -127,7 +142,7 @@ class CycInt:
             for j, yj in enumerate(o._coeffs):
                 if yj:
                     out[(i + j) % p] += xi * yj
-        return CycInt(p, out)
+        return CycInt._trusted(p, out)
 
     __rmul__ = __mul__
 
@@ -154,7 +169,7 @@ class CycInt:
         p = self._p
         if any(c % p for c in self._coeffs):
             return None
-        return CycInt(p, [c // p for c in self._coeffs])
+        return CycInt._trusted(p, [c // p for c in self._coeffs])
 
     @property
     def is_multiple_of_p(self) -> bool:
@@ -189,25 +204,32 @@ def zeta_pow(p: int, k: int) -> CycInt:
 
 
 def symbolic_str(x: CycInt) -> str:
-    """Compact rendering used by the CLI.
+    """Compact rendering used by the CLI, in O(p) from the normalized coefficients.
 
     Plain integers print bare, single roots print as "z^k" (optionally
     signed), single-term multiples as "c*z^k", and anything else falls back
     to the full normalized coefficient list.
+
+    The normalized form is unique, so the roots of unity are read off the
+    coefficients: for k < p - 1, +-zeta^k is +-e_k (one nonzero entry, +-1
+    at k), and zeta^(p-1) = -(1 + zeta + ... + zeta^(p-2)) is (-1, ..., -1, 0),
+    its negation (1, ..., 1, 0).  For p > 2 that head has p - 1 >= 2 nonzero
+    entries, so no single-term element is +-zeta^(p-1).  For p = 2 the head
+    is the single entry at k = 0: zeta = -1 is (-1, 0) and prints as "-1",
+    which the single-term rule gives first.
     """
-    p = x.p
-    for k in range(p):
-        zk = zeta_pow(p, k)
-        if x == zk:
-            return "1" if k == 0 else ("z" if k == 1 else f"z^{k}")
-        if x == -zk:
-            return "-1" if k == 0 else ("-z" if k == 1 else f"-z^{k}")
-    nonzero = [(k, c) for k, c in enumerate(x.coeffs) if c]
+    c = x.coeffs
+    nonzero = [(k, v) for k, v in enumerate(c) if v]
     if not nonzero:
         return "0"
     if len(nonzero) == 1:
-        k, c = nonzero[0]
+        k, v = nonzero[0]
         if k == 0:
-            return str(c)
-        return f"{c}*z" if k == 1 else f"{c}*z^{k}"
-    return "(" + ",".join(str(c) for c in x.coeffs) + ")"
+            return str(v)
+        zk = "z" if k == 1 else f"z^{k}"
+        if v in (1, -1):
+            return zk if v == 1 else f"-{zk}"
+        return f"{v}*{zk}"
+    if c[0] in (1, -1) and c.count(c[0]) == len(c) - 1:  # the last entry is 0
+        return f"-z^{len(c) - 1}" if c[0] == 1 else f"z^{len(c) - 1}"
+    return "(" + ",".join(str(v) for v in c) + ")"

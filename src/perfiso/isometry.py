@@ -233,7 +233,7 @@ def kernel_table(iso: SignedIsometry) -> KernelTable:
             for k in range(p):
                 counts[(base[k] + k * n) % p] += signs[k]
             entry = CycInt(p, counts)
-            if any(abs(c) > 2 * p for c in entry.coeffs):
+            if max(entry.coeffs) > 2 * p or min(entry.coeffs) < -2 * p:
                 raise InternalError(f"kernel entry ({m}, {n}) exceeds the coefficient bound 2p")
             row.append(entry)
         rows.append(tuple(row))
@@ -254,15 +254,20 @@ def forward_transform_raw(kt: KernelTable, beta: ClassFunction) -> tuple[CycInt,
     """Un-divided forward sums; the exact transform divides each by p.
 
     Output index m carries the sum over n of entry (m, -n) times beta(g^n).
+    Only the nonzero values of beta enter the sums, and a value of 1 adds
+    its entry without a product, so the image of an indicator reads one
+    kernel column and multiplies nothing.
     """
     _require_compatible(kt, beta)
     p = kt.p
+    one = CycInt.one(p)
+    terms = [((p - n) % p, None if v == one else v) for n, v in enumerate(beta.values) if v]
+    zero = CycInt.zero(p)
     sums = []
-    for m in range(p):
-        row = kt.entries[m]
-        acc = CycInt.zero(p)
-        for n in range(p):
-            acc = acc + row[(p - n) % p] * beta.values[n]
+    for row in kt.entries:
+        acc = zero
+        for col, v in terms:
+            acc = acc + (row[col] if v is None else row[col] * v)
         sums.append(acc)
     return tuple(sums)
 

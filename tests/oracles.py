@@ -3,9 +3,11 @@
 Everything here deliberately avoids the library's normalized-coefficient
 arithmetic paths: multiplication expands plain integer polynomials,
 divisibility solves p*y = x by exact rational division over the reduced
-power basis, kernel entries are rebuilt from character-table values, and
-the perfectness of a raw candidate is decided from plain integer count
-vectors, one candidate at a time, with no pruning.
+power basis, kernel entries are rebuilt from character-table values, the
+perfectness of a raw candidate is decided from plain integer count
+vectors, one candidate at a time, with no pruning, forward sums run over
+every element with plain integer products, and roots of unity are
+recognized by comparing against each of +-zeta^k in turn.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from fractions import Fraction
 from functools import lru_cache
 from random import Random
 
-from perfiso import CycInt, SignedIsometry, char_table, generalized_character
+from perfiso import CycInt, SignedIsometry, char_table, generalized_character, zeta_pow
 
 
 def poly_mul_reduced(p: int, xs: list[int], ys: list[int]) -> tuple[int, ...]:
@@ -40,6 +42,47 @@ def divisible_by_p_oracle(p: int, raw_coeffs: list[int]) -> bool:
     top = raw_coeffs[p - 1]
     reduced = [Fraction(c - top) for c in raw_coeffs[: p - 1]]
     return all((r / p).denominator == 1 for r in reduced)
+
+
+def symbolic_str_scan(x: CycInt) -> str:
+    """The CLI rendering, found by comparing x with each of +-zeta^k, k = 0 first."""
+    p = x.p
+    for k in range(p):
+        zk = zeta_pow(p, k)
+        if x == zk:
+            return "1" if k == 0 else ("z" if k == 1 else f"z^{k}")
+        if x == -zk:
+            return "-1" if k == 0 else ("-z" if k == 1 else f"-z^{k}")
+    nonzero = [(k, c) for k, c in enumerate(x.coeffs) if c]
+    if not nonzero:
+        return "0"
+    if len(nonzero) == 1:
+        k, c = nonzero[0]
+        if k == 0:
+            return str(c)
+        return f"{c}*z" if k == 1 else f"{c}*z^{k}"
+    return "(" + ",".join(str(c) for c in x.coeffs) + ")"
+
+
+def forward_sums_dense(kt, beta) -> list[tuple[int, ...]]:
+    """Normalized coefficients of sum over every n of entry (m, -n) * beta(g^n).
+
+    Each product is expanded in Z[X]/(X^p - 1) on plain integers and the
+    sum is normalized once at the end; zero values of beta are not skipped.
+    """
+    p = kt.p
+    out = []
+    for row in kt.entries:
+        raw = [0] * p
+        for n in range(p):
+            a = row[(p - n) % p].coeffs
+            b = [(j, y) for j, y in enumerate(beta.values[n].coeffs) if y]
+            for i, x in enumerate(a):
+                for j, y in b:
+                    raw[(i + j) % p] += x * y
+        last = raw[-1]
+        out.append(tuple(c - last for c in raw))
+    return out
 
 
 def kernel_entry_oracle(iso: SignedIsometry, m: int, n: int) -> CycInt:

@@ -6,11 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from perfiso import CycInt, is_prime, require_prime, symbolic_str, zeta_pow
-from oracles import divisible_by_p_oracle, poly_mul_reduced, random_cycint
+from perfiso import CycInt, cyclotomic, is_prime, require_prime, symbolic_str, zeta_pow
+from oracles import divisible_by_p_oracle, poly_mul_reduced, random_cycint, symbolic_str_scan
 
 PRIMES = (2, 3, 5, 7)
 PRIMES_LARGE = (2, 3, 5, 7, 11, 13)
+PRIMES_RENDER = (2, 3, 5, 7, 23, 53)
 SEED = 20260809
 
 
@@ -197,3 +198,63 @@ def test_symbolic_rendering():
     assert symbolic_str(zeta_pow(2, 1)) == "-1"
     assert symbolic_str(CycInt(5, [0, 0, 4, 0, 0])) == "4*z^2"
     assert symbolic_str(CycInt(5, [1, 2, 0, 0, 0])) == "(1,2,0,0,0)"
+
+
+def _rendering_cases(p):
+    rng = Random(SEED + p)
+    head = [1] * (p - 1) + [0]
+    yield CycInt(p, head)
+    yield CycInt(p, [-c for c in head])
+    yield CycInt(p, [2 * c for c in head])
+    for n in range(-3 * p, 3 * p + 1):
+        yield CycInt.from_int(p, n)
+    for k in range(p):
+        for c in (1, -1, 2, -2, 7, -p):
+            yield c * zeta_pow(p, k)
+    for _ in range(100):
+        yield random_cycint(rng, p, bound=2)
+        sparse = [0] * p
+        for _ in range(rng.randint(1, 3)):
+            sparse[rng.randrange(p)] = rng.randint(-3, 3)
+        yield CycInt(p, sparse)
+
+
+@pytest.mark.parametrize("p", PRIMES_RENDER)
+def test_symbolic_rendering_matches_root_scan_oracle(p):
+    for x in _rendering_cases(p):
+        assert symbolic_str(x) == symbolic_str_scan(x), x
+
+
+def test_symbolic_rendering_scans_no_roots(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("symbolic_str compared against roots of unity")
+
+    cases = [x for p in PRIMES_RENDER for x in _rendering_cases(p)]
+    monkeypatch.setattr(cyclotomic, "zeta_pow", forbidden)
+    monkeypatch.setattr(CycInt, "__eq__", forbidden)
+    monkeypatch.setattr(CycInt, "__neg__", forbidden)
+    for x in cases:
+        symbolic_str(x)
+
+
+def _assert_valid(x, p):
+    # what the public constructor would build from the same coefficients
+    assert type(x) is CycInt and x.p == p
+    assert type(x.coeffs) is tuple and len(x.coeffs) == p
+    assert all(type(c) is int for c in x.coeffs)
+    assert x.coeffs[-1] == 0
+    assert CycInt(p, x.coeffs).coeffs == x.coeffs
+
+
+@pytest.mark.parametrize("p", PRIMES_LARGE)
+def test_ring_results_are_validated_normal_forms(p):
+    rng = Random(SEED + p)
+    for _ in range(60):
+        x = random_cycint(rng, p)
+        y = random_cycint(rng, p)
+        for result in (x + y, x - y, -x, x * y, x + 3, 3 - x, 2 * x, (p * x).divide_exact_by_p()):
+            _assert_valid(result, p)
+    # results whose last entry is nonzero before normalization
+    top = zeta_pow(p, p - 1)
+    for result in (top + top, top - 2 * top, -top, zeta_pow(p, p - 2) * zeta_pow(p, 1)):
+        _assert_valid(result, p)

@@ -9,6 +9,7 @@ from perfiso import isometry
 from perfiso import (
     ALL_NEGATIVE,
     ALL_POSITIVE,
+    ClassFunction,
     CycInt,
     FAILS_INTEGRALITY,
     KernelTable,
@@ -32,7 +33,9 @@ from perfiso import (
 from perfiso.isometry import InternalError
 from oracles import (
     divisible_by_p_oracle,
+    forward_sums_dense,
     kernel_entry_oracle,
+    random_cycint,
     random_generalized_character,
     random_isometry,
 )
@@ -250,6 +253,46 @@ def test_transform_raises_on_non_integral_values():
     sums = forward_transform_raw(kt, indicator(p, 0))
     assert sums == (CycInt.one(p),) * p
     assert not any(s.is_multiple_of_p for s in sums)
+
+
+def _random_class_function(rng, p):
+    # a mix of zero, unit and general values
+    pool = (CycInt.zero(p), CycInt.one(p), -CycInt.one(p))
+    return ClassFunction(
+        p,
+        tuple(rng.choice(pool) if rng.random() < 0.6 else random_cycint(rng, p) for _ in range(p)),
+    )
+
+
+@pytest.mark.parametrize("p", (2, 3, 5, 23))
+def test_forward_sums_match_dense_oracle(p):
+    rng = Random(SEED + p)
+    isos = [random_isometry(rng, p), SignedIsometry(p, [(1 - k) % p for k in range(p)], (1,) * p)]
+    for iso in isos:
+        kt = kernel_table(iso)
+        betas = [indicator(p, j) for j in range(p)]
+        betas += [_random_class_function(rng, p) for _ in range(4)]
+        betas.append(ClassFunction(p, (CycInt.zero(p),) * p))
+        for beta in betas:
+            got = [s.coeffs for s in forward_transform_raw(kt, beta)]
+            assert got == forward_sums_dense(kt, beta)
+
+
+def test_cross_check_cost_is_at_most_quadratic_in_products(monkeypatch):
+    # a deterministic bound on the work, in place of a timing test: the
+    # accept path reads every indicator image, each one kernel column
+    p = 23
+    iso = SignedIsometry(p, [(1 + 2 * k) % p for k in range(p)], (1,) * p)
+    calls = []
+    real_mul = CycInt.__mul__
+
+    def counting_mul(self, other):
+        calls.append(1)
+        return real_mul(self, other)
+
+    monkeypatch.setattr(CycInt, "__mul__", counting_mul)
+    assert is_perfect_via_spaces(iso).ok
+    assert len(calls) <= p * p
 
 
 @pytest.mark.parametrize("p", (3, 5))

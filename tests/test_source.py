@@ -18,3 +18,15 @@ def test_library_has_no_assert():
     ]
     assert len(SOURCES) >= 7
     assert found == []
+
+
+def test_trusted_constructor_stays_in_the_ring_module():
+    # CycInt._trusted skips validation, so only ring operations may use it
+    tests = sorted(Path(__file__).parent.glob("*.py"))
+    found = [
+        path.name
+        for path in SOURCES + tests
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Attribute) and node.attr == "_trusted"
+    ]
+    assert set(found) == {"cyclotomic.py"}
