@@ -7,6 +7,10 @@ map at p = 2 (``+0,-1``) fails separation.  At p >= 5 it is the affine map
 with the images of 1 and 2 swapped, which fails integrality; at p = 3 every
 permutation is affine, so one sign is flipped instead.
 
+At scale, ``mu`` and ``check`` run at p = 23 and 53 on the affine map, its
+negation, the swapped-affine map and a random signed map (drawn once from
+``random.Random(p)``: a shuffle, then one sign per index).
+
 Regenerate the table only for a deliberate output change:
 ``python tests/test_golden.py`` prints it.
 """
@@ -28,6 +32,27 @@ MAPS = {
     5: ("+1,+3,+0,+2,+4", "-1,-3,-0,-2,-4", "+1,+0,+3,+2,+4"),
     7: ("+1,+3,+5,+0,+2,+4,+6", "-1,-3,-5,-0,-2,-4,-6", "+1,+5,+3,+0,+2,+4,+6"),
 }
+RANDOM_SIGNED = {
+    23: "-14,-17,+1,+8,+5,-6,+19,+10,-16,-20,-7,-4,+3,-15,+21,-11,-12,+13,+22,+18,-0,+2,+9",
+    53: (
+        "+9,+19,+5,+21,+49,+0,-51,-15,-34,-43,+26,+47,-17,-18,+46,+41,+27,-38,-52,+42,"
+        "-12,+25,-35,-20,+24,-37,+11,-31,+4,-7,+6,-28,-14,+44,-36,+40,-3,+16,-8,+22,"
+        "-10,+2,+1,-50,-23,-33,+48,+30,+45,-32,+29,+13,-39"
+    ),
+}
+
+
+def _scale_maps(p):
+    """Affine k -> 1 + 2k, its negation, it with the images of 1 and 2 swapped, a random map."""
+    image = [(1 + 2 * k) % p for k in range(p)]
+    swapped = list(image)
+    swapped[1], swapped[2] = swapped[2], swapped[1]
+    return (
+        ",".join(f"+{i}" for i in image),
+        ",".join(f"-{i}" for i in image),
+        ",".join(f"+{i}" for i in swapped),
+        RANDOM_SIGNED[p],
+    )
 
 
 def _cases():
@@ -39,6 +64,11 @@ def _cases():
                     yield (command, "-p", str(p), "--mode", mode, "--format", fmt)
             for command in ("mu", "check", "decompose"):
                 for literal in maps:
+                    yield (command, "-p", str(p), f"--map={literal}", "--format", fmt)
+    for p in RANDOM_SIGNED:
+        for fmt in FORMATS:
+            for command in ("mu", "check"):
+                for literal in _scale_maps(p):
                     yield (command, "-p", str(p), f"--map={literal}", "--format", fmt)
 
 
@@ -162,6 +192,38 @@ GOLDEN = {
     'decompose -p 7 --map=+1,+3,+5,+0,+2,+4,+6 --format json': (0, 'f3c73cbb6b72e263472ffb2df9d7118e75b45a5b23541027933693cf0ad5f476'),
     'decompose -p 7 --map=-1,-3,-5,-0,-2,-4,-6 --format json': (0, '023bebc077296591ec011f1bba4d8d511e966a6e2b4d2dc3599faeecd363f76d'),
     'decompose -p 7 --map=+1,+5,+3,+0,+2,+4,+6 --format json': (1, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    'mu -p 23 --map=+1,+3,+5,+7,+9,+11,+13,+15,+17,+19,+21,+0,+2,+4,+6,+8,+10,+12,+14,+16,+18,+20,+22 --format text': (0, '9a1ff35efc69d4f462650de425e2e706653948626e987becc48be6c5762241e2'),
+    'mu -p 23 --map=-1,-3,-5,-7,-9,-11,-13,-15,-17,-19,-21,-0,-2,-4,-6,-8,-10,-12,-14,-16,-18,-20,-22 --format text': (0, 'dbefd19c98d551da46a548f7097d65ec006076444b122b1d954c91dcd03a4435'),
+    'mu -p 23 --map=+1,+5,+3,+7,+9,+11,+13,+15,+17,+19,+21,+0,+2,+4,+6,+8,+10,+12,+14,+16,+18,+20,+22 --format text': (0, 'f7ab272fb0573142e3ce795452d6f91df15a26f51fa8913a81d647d753c33720'),
+    'mu -p 23 --map=-14,-17,+1,+8,+5,-6,+19,+10,-16,-20,-7,-4,+3,-15,+21,-11,-12,+13,+22,+18,-0,+2,+9 --format text': (0, 'f2e693a0e325f8860322684bc8c1f4531b3e986e29189d7aa3a30e2b30ccddd1'),
+    'check -p 23 --map=+1,+3,+5,+7,+9,+11,+13,+15,+17,+19,+21,+0,+2,+4,+6,+8,+10,+12,+14,+16,+18,+20,+22 --format text': (0, 'ee10ad9d9e708cfdb987912aa8cbd1f927cddff09e6715a28bc33fb457536fa1'),
+    'check -p 23 --map=-1,-3,-5,-7,-9,-11,-13,-15,-17,-19,-21,-0,-2,-4,-6,-8,-10,-12,-14,-16,-18,-20,-22 --format text': (0, 'ee10ad9d9e708cfdb987912aa8cbd1f927cddff09e6715a28bc33fb457536fa1'),
+    'check -p 23 --map=+1,+5,+3,+7,+9,+11,+13,+15,+17,+19,+21,+0,+2,+4,+6,+8,+10,+12,+14,+16,+18,+20,+22 --format text': (1, 'c9c199f2f8ecbbda8c1dc9c89b097f57bc2e798aad08ddd554e773b794d5f533'),
+    'check -p 23 --map=-14,-17,+1,+8,+5,-6,+19,+10,-16,-20,-7,-4,+3,-15,+21,-11,-12,+13,+22,+18,-0,+2,+9 --format text': (1, 'a852ddf9771d272a29cfafb17848e02f493cc8c91c4595f4eab54ca0e1a95ce3'),
+    'mu -p 23 --map=+1,+3,+5,+7,+9,+11,+13,+15,+17,+19,+21,+0,+2,+4,+6,+8,+10,+12,+14,+16,+18,+20,+22 --format json': (0, '4c0994755faec527120d1844376f44ad20ba3be10a15342479e25022e919faa2'),
+    'mu -p 23 --map=-1,-3,-5,-7,-9,-11,-13,-15,-17,-19,-21,-0,-2,-4,-6,-8,-10,-12,-14,-16,-18,-20,-22 --format json': (0, '2356c585ba5757c8f56df78de0a59c0acb3376a2937af811984a9480989a4f9f'),
+    'mu -p 23 --map=+1,+5,+3,+7,+9,+11,+13,+15,+17,+19,+21,+0,+2,+4,+6,+8,+10,+12,+14,+16,+18,+20,+22 --format json': (0, '7b057b8589f7bf7279adb1c852b8499b99a5603aa68712de15d0725c43feba02'),
+    'mu -p 23 --map=-14,-17,+1,+8,+5,-6,+19,+10,-16,-20,-7,-4,+3,-15,+21,-11,-12,+13,+22,+18,-0,+2,+9 --format json': (0, '4acf5868b1dd4a00ffae199b30bca4e84dc3a77a404bd488b8c37042840d9fee'),
+    'check -p 23 --map=+1,+3,+5,+7,+9,+11,+13,+15,+17,+19,+21,+0,+2,+4,+6,+8,+10,+12,+14,+16,+18,+20,+22 --format json': (0, '6b4f089110efaed7ee0f22f41540e806171938b52e118c654a9f20812a250e0e'),
+    'check -p 23 --map=-1,-3,-5,-7,-9,-11,-13,-15,-17,-19,-21,-0,-2,-4,-6,-8,-10,-12,-14,-16,-18,-20,-22 --format json': (0, '81ec5fffac5a9f5ed2feec843224a9f4e623f209fde7e9287ce929cd60754376'),
+    'check -p 23 --map=+1,+5,+3,+7,+9,+11,+13,+15,+17,+19,+21,+0,+2,+4,+6,+8,+10,+12,+14,+16,+18,+20,+22 --format json': (1, '91b854decc74ce34dd8c2f066ce2d4c7daa277964a6b1eeb7622c239156aedea'),
+    'check -p 23 --map=-14,-17,+1,+8,+5,-6,+19,+10,-16,-20,-7,-4,+3,-15,+21,-11,-12,+13,+22,+18,-0,+2,+9 --format json': (1, 'f8382207d84e5e459bfa89d7db40ae4a7be8926a3faca1f4c6b029e27087949c'),
+    'mu -p 53 --map=+1,+3,+5,+7,+9,+11,+13,+15,+17,+19,+21,+23,+25,+27,+29,+31,+33,+35,+37,+39,+41,+43,+45,+47,+49,+51,+0,+2,+4,+6,+8,+10,+12,+14,+16,+18,+20,+22,+24,+26,+28,+30,+32,+34,+36,+38,+40,+42,+44,+46,+48,+50,+52 --format text': (0, '9db3991bdbdaf0b241b006ef9938b660c6c36a4e6b933f05628c64be6d17f357'),
+    'mu -p 53 --map=-1,-3,-5,-7,-9,-11,-13,-15,-17,-19,-21,-23,-25,-27,-29,-31,-33,-35,-37,-39,-41,-43,-45,-47,-49,-51,-0,-2,-4,-6,-8,-10,-12,-14,-16,-18,-20,-22,-24,-26,-28,-30,-32,-34,-36,-38,-40,-42,-44,-46,-48,-50,-52 --format text': (0, '8bc1fd8ee8010b5cfe1d8ac0594b7706346febf02349f7de8cfec8f2cdcc7e78'),
+    'mu -p 53 --map=+1,+5,+3,+7,+9,+11,+13,+15,+17,+19,+21,+23,+25,+27,+29,+31,+33,+35,+37,+39,+41,+43,+45,+47,+49,+51,+0,+2,+4,+6,+8,+10,+12,+14,+16,+18,+20,+22,+24,+26,+28,+30,+32,+34,+36,+38,+40,+42,+44,+46,+48,+50,+52 --format text': (0, '338e67ea3182a1e78761f4025aba66a8963c64b8ad5a425b436b8f06dfaffee5'),
+    'mu -p 53 --map=+9,+19,+5,+21,+49,+0,-51,-15,-34,-43,+26,+47,-17,-18,+46,+41,+27,-38,-52,+42,-12,+25,-35,-20,+24,-37,+11,-31,+4,-7,+6,-28,-14,+44,-36,+40,-3,+16,-8,+22,-10,+2,+1,-50,-23,-33,+48,+30,+45,-32,+29,+13,-39 --format text': (0, 'e72392e35fbf3d7b1c0dec77101031cf3a2abc76fd2112a4f2e2072babd6ff26'),
+    'check -p 53 --map=+1,+3,+5,+7,+9,+11,+13,+15,+17,+19,+21,+23,+25,+27,+29,+31,+33,+35,+37,+39,+41,+43,+45,+47,+49,+51,+0,+2,+4,+6,+8,+10,+12,+14,+16,+18,+20,+22,+24,+26,+28,+30,+32,+34,+36,+38,+40,+42,+44,+46,+48,+50,+52 --format text': (0, 'ee10ad9d9e708cfdb987912aa8cbd1f927cddff09e6715a28bc33fb457536fa1'),
+    'check -p 53 --map=-1,-3,-5,-7,-9,-11,-13,-15,-17,-19,-21,-23,-25,-27,-29,-31,-33,-35,-37,-39,-41,-43,-45,-47,-49,-51,-0,-2,-4,-6,-8,-10,-12,-14,-16,-18,-20,-22,-24,-26,-28,-30,-32,-34,-36,-38,-40,-42,-44,-46,-48,-50,-52 --format text': (0, 'ee10ad9d9e708cfdb987912aa8cbd1f927cddff09e6715a28bc33fb457536fa1'),
+    'check -p 53 --map=+1,+5,+3,+7,+9,+11,+13,+15,+17,+19,+21,+23,+25,+27,+29,+31,+33,+35,+37,+39,+41,+43,+45,+47,+49,+51,+0,+2,+4,+6,+8,+10,+12,+14,+16,+18,+20,+22,+24,+26,+28,+30,+32,+34,+36,+38,+40,+42,+44,+46,+48,+50,+52 --format text': (1, 'b1f2e047fb3fd045127be6814728d2df92b22f7d2c769d2c8767d1ab47ceca5e'),
+    'check -p 53 --map=+9,+19,+5,+21,+49,+0,-51,-15,-34,-43,+26,+47,-17,-18,+46,+41,+27,-38,-52,+42,-12,+25,-35,-20,+24,-37,+11,-31,+4,-7,+6,-28,-14,+44,-36,+40,-3,+16,-8,+22,-10,+2,+1,-50,-23,-33,+48,+30,+45,-32,+29,+13,-39 --format text': (1, 'a852ddf9771d272a29cfafb17848e02f493cc8c91c4595f4eab54ca0e1a95ce3'),
+    'mu -p 53 --map=+1,+3,+5,+7,+9,+11,+13,+15,+17,+19,+21,+23,+25,+27,+29,+31,+33,+35,+37,+39,+41,+43,+45,+47,+49,+51,+0,+2,+4,+6,+8,+10,+12,+14,+16,+18,+20,+22,+24,+26,+28,+30,+32,+34,+36,+38,+40,+42,+44,+46,+48,+50,+52 --format json': (0, 'fe2a399c97d95be688465cb5966c1c3e89637d536c2bdea7a5fdc29d52e72701'),
+    'mu -p 53 --map=-1,-3,-5,-7,-9,-11,-13,-15,-17,-19,-21,-23,-25,-27,-29,-31,-33,-35,-37,-39,-41,-43,-45,-47,-49,-51,-0,-2,-4,-6,-8,-10,-12,-14,-16,-18,-20,-22,-24,-26,-28,-30,-32,-34,-36,-38,-40,-42,-44,-46,-48,-50,-52 --format json': (0, '8e8fb4f3357e5d56671108c9182da20102580cf3bd9f28a019ce2d34d68a6086'),
+    'mu -p 53 --map=+1,+5,+3,+7,+9,+11,+13,+15,+17,+19,+21,+23,+25,+27,+29,+31,+33,+35,+37,+39,+41,+43,+45,+47,+49,+51,+0,+2,+4,+6,+8,+10,+12,+14,+16,+18,+20,+22,+24,+26,+28,+30,+32,+34,+36,+38,+40,+42,+44,+46,+48,+50,+52 --format json': (0, '618155c7666b449c1a634752e41bafe777ce4beca87cbf09932bf0c18c2fc415'),
+    'mu -p 53 --map=+9,+19,+5,+21,+49,+0,-51,-15,-34,-43,+26,+47,-17,-18,+46,+41,+27,-38,-52,+42,-12,+25,-35,-20,+24,-37,+11,-31,+4,-7,+6,-28,-14,+44,-36,+40,-3,+16,-8,+22,-10,+2,+1,-50,-23,-33,+48,+30,+45,-32,+29,+13,-39 --format json': (0, '805b88ccf80d09a371318f6b41fb26758170f637ad127ed5fb694e29aa44f157'),
+    'check -p 53 --map=+1,+3,+5,+7,+9,+11,+13,+15,+17,+19,+21,+23,+25,+27,+29,+31,+33,+35,+37,+39,+41,+43,+45,+47,+49,+51,+0,+2,+4,+6,+8,+10,+12,+14,+16,+18,+20,+22,+24,+26,+28,+30,+32,+34,+36,+38,+40,+42,+44,+46,+48,+50,+52 --format json': (0, '99b78754fe3f95e31e3de5dcb29ec4aa8bf806e06ffa4f5f3c5e749bd9397c03'),
+    'check -p 53 --map=-1,-3,-5,-7,-9,-11,-13,-15,-17,-19,-21,-23,-25,-27,-29,-31,-33,-35,-37,-39,-41,-43,-45,-47,-49,-51,-0,-2,-4,-6,-8,-10,-12,-14,-16,-18,-20,-22,-24,-26,-28,-30,-32,-34,-36,-38,-40,-42,-44,-46,-48,-50,-52 --format json': (0, '9f2dbde1911b30e4c4a144dabeddf93db8c315b4ff82db626f6f041b00dc49cf'),
+    'check -p 53 --map=+1,+5,+3,+7,+9,+11,+13,+15,+17,+19,+21,+23,+25,+27,+29,+31,+33,+35,+37,+39,+41,+43,+45,+47,+49,+51,+0,+2,+4,+6,+8,+10,+12,+14,+16,+18,+20,+22,+24,+26,+28,+30,+32,+34,+36,+38,+40,+42,+44,+46,+48,+50,+52 --format json': (1, '3e70657013ecd87d258334273e37b1e69e78bf1cac53f4a96f7eb6180fb33fcd'),
+    'check -p 53 --map=+9,+19,+5,+21,+49,+0,-51,-15,-34,-43,+26,+47,-17,-18,+46,+41,+27,-38,-52,+42,-12,+25,-35,-20,+24,-37,+11,-31,+4,-7,+6,-28,-14,+44,-36,+40,-3,+16,-8,+22,-10,+2,+1,-50,-23,-33,+48,+30,+45,-32,+29,+13,-39 --format json': (1, 'fe386dfd77be324666078b304cd1fd699ee080b6b9710337ab21962e5a58da01'),
 }
 
 CASES = list(_cases())
