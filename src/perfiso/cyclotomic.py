@@ -11,8 +11,9 @@ point enters this module.
 
 from __future__ import annotations
 
-from operator import index as _as_int
-from typing import Iterable
+from functools import lru_cache
+from operator import index as _as_int, itemgetter
+from typing import Iterable, Sequence
 
 __all__ = [
     "CycInt",
@@ -63,7 +64,7 @@ class CycInt:
         self._coeffs = tuple(c)
 
     @classmethod
-    def _trusted(cls, p: int, coeffs: list[int]) -> CycInt:
+    def _trusted(cls, p: int, coeffs: Sequence[int]) -> CycInt:
         """Build from p ints of a valid prime p, skipping validation.
 
         Only for results of ring operations on valid elements; the last
@@ -166,14 +167,29 @@ class CycInt:
         divisibility by p; all entries congruent mod p forces them all
         congruent to the (zero) last entry.
         """
-        p = self._p
-        if any(c % p for c in self._coeffs):
+        if not self.is_multiple_of_p:
             return None
+        p = self._p
         return CycInt._trusted(p, [c // p for c in self._coeffs])
 
     @property
     def is_multiple_of_p(self) -> bool:
-        return not any(c % self._p for c in self._coeffs)
+        p = self._p
+        return not any(c % p for c in set(self._coeffs))
+
+    def galois(self, m: int) -> CycInt:
+        """The image under sigma_m, the automorphism of Z[zeta] sending zeta to zeta^m.
+
+        m is read mod p and must be prime to p.  sigma_m sends zeta^k to
+        zeta^(mk), so coefficient k moves to position mk mod p, and the
+        result is renormalized.  It is a ring automorphism fixing Z, so it
+        maps p*Z[zeta] onto itself and only zero to zero.
+        """
+        p = self._p
+        m = _as_int(m) % p
+        if not m:
+            raise ValueError(f"galois exponent must be prime to p={p}")
+        return CycInt._trusted(p, _galois_gather(p, m)(self._coeffs))
 
     def __str__(self) -> str:
         terms: list[str] = []
@@ -193,6 +209,13 @@ class CycInt:
 
     def __repr__(self) -> str:
         return f"CycInt(p={self._p}, coeffs={self._coeffs})"
+
+
+@lru_cache(maxsize=256)
+def _galois_gather(p: int, m: int) -> itemgetter:
+    """Reads position j of sigma_m's image from coefficient j/m (mod p)."""
+    inv = pow(m, -1, p)
+    return itemgetter(*[j * inv % p for j in range(p)])  # p >= 2: returns a tuple
 
 
 def zeta_pow(p: int, k: int) -> CycInt:

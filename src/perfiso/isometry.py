@@ -3,25 +3,29 @@
 Every isometry of the lattice spanned by the irreducible characters is a
 signed bijection: index k goes to sign[k] times the character image[k].
 Each such map I owns an exact p x p kernel, entry (m, n) being the sum over
-k of sign[k] * zeta^(image[k]*m + k*n).  The kernel drives two linear
-transforms, one per coordinate; the adjoint is the forward transform of the
-transposed kernel.  It also carries the two perfectness criteria:
+k of sign[k] * zeta^(image[k]*m + k*n).  Rows 0 and 1 are counted; every
+other row is the image of row 1 under the Galois action of Aut(C_p), which
+sends zeta to zeta^m.  The kernel drives two linear transforms, one per
+coordinate; the adjoint is the forward transform of the transposed kernel.
+It also carries the two perfectness criteria:
 
   * integrality  - every kernel entry divisible by p (the common centralizer
     order in an abelian group of order p);
   * separation   - nonzero entries never pair the identity with a
     non-identity element.
 
-``is_perfect`` tests the kernel entries directly; ``is_perfect_via_spaces``
-re-derives the same verdict from the forward transform on the indicator
-basis, giving an independent cross-check.
+``is_perfect`` counts and scans rows 0 and 1 only, which decide both
+criteria and the first failing entry; ``is_perfect_via_spaces`` builds the
+full kernel and re-derives the verdict from the forward transform on the
+indicator basis, so it also checks the Galois-derived rows.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from operator import index, itemgetter, mul
+from functools import reduce
+from operator import add, index, itemgetter, mul
 from typing import Iterable
 
 from .characters import ClassFunction, character, indicator
@@ -43,8 +47,6 @@ __all__ = [
     "forward_transform",
     "forward_transform_raw",
     "adjoint_transform",
-    "check_integrality",
-    "check_separation",
     "is_perfect",
     "is_perfect_via_spaces",
 ]
@@ -214,29 +216,45 @@ class Verdict:
         return self.status == PERFECT
 
 
+def _counted_row(iso: SignedIsometry, m: int) -> tuple[CycInt, ...]:
+    """Row m of the kernel by the count loop: sign[k] lands at power image[k]*m + k*n."""
+    p = iso.p
+    image, signs = iso.image, iso.signs
+    base = [image[k] * m % p for k in range(p)]
+    row = []
+    for n in range(p):
+        counts = [0] * p
+        for k in range(p):
+            counts[(base[k] + k * n) % p] += signs[k]
+        row.append(_bounded(CycInt(p, counts), m, n))
+    return tuple(row)
+
+
+def _bounded(entry: CycInt, m: int, n: int) -> CycInt:
+    p = entry.p
+    if max(entry.coeffs) > 2 * p or min(entry.coeffs) < -2 * p:
+        raise InternalError(f"kernel entry ({m}, {n}) exceeds the coefficient bound 2p")
+    return entry
+
+
 def kernel_table(iso: SignedIsometry) -> KernelTable:
     """Build the kernel attached to a signed isometry.
 
     Entry (m, n) accumulates sign[k] at the power image[k]*m + k*n (mod p)
-    over all source indices k.  Entries are signed sums of p roots of unity,
-    so normalized coefficients stay within 2p in magnitude; InternalError
-    is raised if an entry ever leaves that exactness bound.
+    over all source indices k.  Rows 0 and 1 are counted that way; every
+    other row comes from row 1 by the Galois action of Aut(C_p).  For m
+    prime to p, sigma_m (zeta -> zeta^m) sends entry (1, n') to the sum of
+    sign[k] * zeta^(image[k]*m + k*n'*m), which is entry (m, n'*m); so
+    entry (m, n) = sigma_m(entry (1, n/m)).  Entries are signed sums of p
+    roots of unity, so normalized coefficients stay within 2p in magnitude;
+    InternalError is raised if any entry ever leaves that exactness bound.
     """
     p = iso.p
-    image, signs = iso.image, iso.signs
-    rows = []
-    for m in range(p):
-        base = [image[k] * m % p for k in range(p)]
-        row = []
-        for n in range(p):
-            counts = [0] * p
-            for k in range(p):
-                counts[(base[k] + k * n) % p] += signs[k]
-            entry = CycInt(p, counts)
-            if max(entry.coeffs) > 2 * p or min(entry.coeffs) < -2 * p:
-                raise InternalError(f"kernel entry ({m}, {n}) exceeds the coefficient bound 2p")
-            row.append(entry)
-        rows.append(tuple(row))
+    rows = [_counted_row(iso, 0), _counted_row(iso, 1)]
+    row1 = rows[1]
+    for m in range(2, p):
+        inv = pow(m, -1, p)
+        rows.append(tuple(_bounded(row1[n * inv % p].galois(m), m, n) for n in range(p)))
     return KernelTable(p, tuple(rows))
 
 
@@ -254,22 +272,20 @@ def forward_transform_raw(kt: KernelTable, beta: ClassFunction) -> tuple[CycInt,
     """Un-divided forward sums; the exact transform divides each by p.
 
     Output index m carries the sum over n of entry (m, -n) times beta(g^n).
-    Only the nonzero values of beta enter the sums, and a value of 1 adds
-    its entry without a product, so the image of an indicator reads one
-    kernel column and multiplies nothing.
+    Only the nonzero values of beta enter the sums, each sum starts from
+    its first term, and a value of 1 adds its entry without a product, so
+    the image of an indicator is one kernel column, with no arithmetic.
     """
     _require_compatible(kt, beta)
     p = kt.p
     one = CycInt.one(p)
     terms = [((p - n) % p, None if v == one else v) for n, v in enumerate(beta.values) if v]
-    zero = CycInt.zero(p)
-    sums = []
-    for row in kt.entries:
-        acc = zero
-        for col, v in terms:
-            acc = acc + (row[col] if v is None else row[col] * v)
-        sums.append(acc)
-    return tuple(sums)
+    if not terms:
+        return (CycInt.zero(p),) * p
+    return tuple(
+        reduce(add, [row[col] if v is None else row[col] * v for col, v in terms])
+        for row in kt.entries
+    )
 
 
 def forward_transform(kt: KernelTable, beta: ClassFunction) -> ClassFunction:
@@ -296,33 +312,29 @@ def adjoint_transform(kt: KernelTable, alpha: ClassFunction) -> ClassFunction:
     return forward_transform(_transposed(kt), alpha)
 
 
-def check_integrality(kt: KernelTable) -> tuple[int, int] | None:
-    """First kernel entry (row-major) not divisible by p, or None if all pass."""
-    for m in range(kt.p):
-        for n in range(kt.p):
-            if not kt.entries[m][n].is_multiple_of_p:
-                return (m, n)
-    return None
-
-
-def check_separation(kt: KernelTable) -> tuple[int, int] | None:
-    """First nonzero entry (row-major) pairing identity with non-identity, or None."""
-    for m in range(kt.p):
-        for n in range(kt.p):
-            if kt.entries[m][n] and ((m == 0) != (n == 0)):
-                return (m, n)
-    return None
-
-
 def is_perfect(iso: SignedIsometry) -> Verdict:
-    """Perfectness of the isometry's kernel; integrality is checked first."""
-    kt = kernel_table(iso)
-    witness = check_integrality(kt)
-    if witness is not None:
-        return Verdict(FAILS_INTEGRALITY, witness)
-    witness = check_separation(kt)
-    if witness is not None:
-        return Verdict(FAILS_SEPARATION, witness)
+    """Perfectness of the isometry's kernel; integrality is checked first.
+
+    Only rows 0 and 1 are counted and scanned, and the verdict and witness
+    are those of a row-major scan of the whole kernel, integrality first.
+    For m >= 2, entry (m, n) = sigma_m(entry (1, n/m)) (see kernel_table),
+    and sigma_m is a ring automorphism of Z[zeta] fixing Z: it maps
+    p*Z[zeta] onto itself and only zero to zero.  So an entry of row m is
+    divisible by p, or nonzero, exactly when its preimage in row 1 is, and
+    row m fails integrality iff row 1 does.  A row m >= 1 can fail
+    separation only at (m, 0), which is nonzero iff (1, 0) is.  Every
+    failure in a row m >= 2 thus has one in row 1 before it, and the first
+    row-major failure of either kind lies in row 0 or row 1.
+    """
+    rows = (_counted_row(iso, 0), _counted_row(iso, 1))
+    for m, row in enumerate(rows):
+        for n, entry in enumerate(row):
+            if not entry.is_multiple_of_p:
+                return Verdict(FAILS_INTEGRALITY, (m, n))
+    for m, row in enumerate(rows):
+        for n, entry in enumerate(row):
+            if entry and ((m == 0) != (n == 0)):
+                return Verdict(FAILS_SEPARATION, (m, n))
     return Verdict(PERFECT)
 
 
@@ -333,8 +345,11 @@ def is_perfect_via_spaces(iso: SignedIsometry) -> Verdict:
     and those supported on elements of order prime to p are the multiples
     of the identity indicator.  So integrality holds exactly when every
     indicator image has all sums divisible by p, and separation exactly
-    when the identity indicator's image stays at the identity.  The adjoint
-    (transposed) side would add nothing, not even another witness:
+    when the identity indicator's image stays at the identity.  The images
+    read every entry of the full kernel, rows derived by the Galois action
+    included, so this checker also tests those rows against is_perfect,
+    which counts rows 0 and 1 itself.  The adjoint (transposed) side would
+    add nothing, not even another witness:
 
       * The forward sums of indicator(p, j) are column -j of the kernel, so
         the p images read every entry and decide integrality alone.
@@ -352,12 +367,12 @@ def is_perfect_via_spaces(iso: SignedIsometry) -> Verdict:
     """
     kt = kernel_table(iso)
     p = kt.p
-    for j in range(p):
-        for m, s in enumerate(forward_transform_raw(kt, indicator(p, j))):
+    images = [forward_transform_raw(kt, indicator(p, j)) for j in range(p)]
+    for j, sums in enumerate(images):
+        for m, s in enumerate(sums):
             if not s.is_multiple_of_p:
                 return Verdict(FAILS_INTEGRALITY, (m, (p - j) % p))
-    sums = forward_transform_raw(kt, indicator(p, 0))
     for m in range(1, p):
-        if sums[m]:
+        if images[0][m]:
             return Verdict(FAILS_SEPARATION, (m, 0))
     return Verdict(PERFECT)

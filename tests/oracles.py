@@ -6,8 +6,10 @@ divisibility solves p*y = x by exact rational division over the reduced
 power basis, kernel entries are rebuilt from character-table values, the
 perfectness of a raw candidate is decided from plain integer count
 vectors, one candidate at a time, with no pruning, forward sums run over
-every element with plain integer products, and roots of unity are
-recognized by comparing against each of +-zeta^k in turn.
+every element with plain integer products, roots of unity are
+recognized by comparing against each of +-zeta^k in turn, and the dense
+kernel counts every entry, with no Galois action, for a row-major scan
+of every entry.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from fractions import Fraction
 from functools import lru_cache
 from random import Random
 
-from perfiso import CycInt, SignedIsometry, char_table, generalized_character, zeta_pow
+from perfiso import CycInt, KernelTable, SignedIsometry, char_table, generalized_character, zeta_pow
 
 
 def poly_mul_reduced(p: int, xs: list[int], ys: list[int]) -> tuple[int, ...]:
@@ -93,6 +95,40 @@ def kernel_entry_oracle(iso: SignedIsometry, m: int, n: int) -> CycInt:
     for k in range(p):
         acc = acc + iso.signs[k] * (table.entries[iso.image[k]][m] * table.entries[k][n])
     return acc
+
+
+def kernel_table_dense(iso: SignedIsometry) -> KernelTable:
+    """The kernel with every entry counted: sign[k] at power image[k]*m + k*n."""
+    p = iso.p
+    image, signs = iso.image, iso.signs
+    rows = []
+    for m in range(p):
+        row = []
+        for n in range(p):
+            counts = [0] * p
+            for k in range(p):
+                counts[(image[k] * m + k * n) % p] += signs[k]
+            row.append(CycInt(p, counts))
+        rows.append(tuple(row))
+    return KernelTable(p, tuple(rows))
+
+
+def check_integrality(kt: KernelTable) -> tuple[int, int] | None:
+    """First kernel entry (row-major) not divisible by p, or None if all pass."""
+    for m, row in enumerate(kt.entries):
+        for n, entry in enumerate(row):
+            if not divisible_by_p_oracle(kt.p, list(entry.coeffs)):
+                return (m, n)
+    return None
+
+
+def check_separation(kt: KernelTable) -> tuple[int, int] | None:
+    """First nonzero entry (row-major) pairing identity with non-identity, or None."""
+    for m, row in enumerate(kt.entries):
+        for n, entry in enumerate(row):
+            if any(entry.coeffs) and ((m == 0) != (n == 0)):
+                return (m, n)
+    return None
 
 
 @lru_cache(maxsize=None)

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import perfiso
-from perfiso import FAILS_SEPARATION, Verdict, cli, cyclotomic
+from perfiso import FAILS_SEPARATION, Verdict, cli, cyclotomic, isometry
 from perfiso.cli import main
 
 
@@ -142,6 +142,38 @@ def test_check_checker_disagreement_exits_3(capsys, monkeypatch):
     assert code == cli.EXIT_INTERNAL == 3
     assert out == ""
     assert err == "error: internal error: checkers disagree (perfect vs fails_separation)\n"
+
+
+@pytest.mark.parametrize("literal", ("+1,+3,+5,+7,+9,+0,+2,+4,+6,+8,+10", "+1,+5,+3,+7,+9,+0,+2,+4,+6,+8,+10"))
+def test_check_builds_one_kernel_and_counts_two_rows(capsys, monkeypatch, literal):
+    kernels, rows = [], []
+    real_kernel, real_row = isometry.kernel_table, isometry._counted_row
+
+    def counting_kernel(iso):
+        kernels.append(iso)
+        return real_kernel(iso)
+
+    def counting_row(iso, m):
+        rows.append(m)
+        return real_row(iso, m)
+
+    monkeypatch.setattr(isometry, "kernel_table", counting_kernel)
+    monkeypatch.setattr(cli, "kernel_table", counting_kernel)
+    monkeypatch.setattr(isometry, "_counted_row", counting_row)
+    code, out, _ = run_cli(capsys, "check", "-p", "11", f"--map={literal}")
+    assert code in (0, 1) and out.startswith("verdict: ")
+    assert len(kernels) == 1
+    assert sorted(rows) == [0, 0, 1, 1]  # is_perfect and kernel_table each count rows 0 and 1
+
+
+def test_check_galois_defect_exits_3(capsys, monkeypatch):
+    # a wrong Galois action leaves rows 0 and 1, and so is_perfect, intact;
+    # the cross-check reads the derived rows and disagrees
+    monkeypatch.setattr(cyclotomic.CycInt, "galois", lambda self, m: self + 1)
+    code, out, err = run_cli(capsys, "check", "-p", "5", "--map=+1,+3,+0,+2,+4")
+    assert code == cli.EXIT_INTERNAL == 3
+    assert out == ""
+    assert err == "error: internal error: checkers disagree (perfect vs fails_integrality)\n"
 
 
 @pytest.mark.parametrize("command", ("mu", "check", "decompose"))

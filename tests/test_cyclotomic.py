@@ -258,3 +258,73 @@ def test_ring_results_are_validated_normal_forms(p):
     top = zeta_pow(p, p - 1)
     for result in (top + top, top - 2 * top, -top, zeta_pow(p, p - 2) * zeta_pow(p, 1)):
         _assert_valid(result, p)
+
+
+# ---------------------------------------------------------------------------
+# Galois action: sigma_m sends zeta to zeta^m
+
+
+@pytest.mark.parametrize("p", PRIMES_RENDER)
+def test_galois_identity_and_roots_of_unity(p):
+    rng = Random(SEED + p)
+    for _ in range(20):
+        x = random_cycint(rng, p)
+        assert x.galois(1) == x
+        assert x.galois(p + 1) == x
+    for m in range(1, p):
+        for k in range(p):
+            assert zeta_pow(p, k).galois(m) == zeta_pow(p, m * k)
+    assert zeta_pow(p, 1).galois(-1) == zeta_pow(p, p - 1)
+
+
+@pytest.mark.parametrize("p", PRIMES_LARGE)
+def test_galois_composition_is_multiplication_of_exponents(p):
+    rng = Random(SEED + p)
+    for _ in range(10):
+        x = random_cycint(rng, p)
+        for a in range(1, p):
+            for b in range(1, p):
+                assert x.galois(b).galois(a) == x.galois(a * b % p)
+
+
+@pytest.mark.parametrize("p", PRIMES_RENDER)
+def test_galois_is_a_ring_homomorphism(p):
+    rng = Random(SEED + p)
+    for _ in range(15):
+        x = random_cycint(rng, p)
+        y = random_cycint(rng, p)
+        m = rng.randrange(1, p)
+        assert (x + y).galois(m) == x.galois(m) + y.galois(m)
+        assert (x - y).galois(m) == x.galois(m) - y.galois(m)
+        assert (x * y).galois(m).coeffs == poly_mul_reduced(
+            p, list(x.galois(m).coeffs), list(y.galois(m).coeffs)
+        )
+        assert (x + 5).galois(m) == x.galois(m) + 5
+
+
+@pytest.mark.parametrize("p", PRIMES_LARGE)
+def test_galois_preserves_zero_and_divisibility(p):
+    rng = Random(SEED + p)
+    assert not CycInt.zero(p).galois(rng.randrange(1, p))
+    for i in range(200):
+        raw = [rng.randint(-2 * p, 2 * p) for _ in range(p)]
+        if i % 3 == 0:
+            raw = [p * c for c in raw]
+        elif i % 3 == 1:
+            raw = [c - c % p for c in raw]
+            raw[rng.randrange(p)] += rng.choice((-1, 1))
+        x = CycInt(p, raw)
+        for m in range(1, p):
+            y = x.galois(m)
+            _assert_valid(y, p)
+            assert bool(y) == bool(x)
+            assert y.is_multiple_of_p == x.is_multiple_of_p
+            assert y.is_multiple_of_p == divisible_by_p_oracle(p, list(y.coeffs))
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_galois_rejects_exponents_divisible_by_p(p):
+    x = zeta_pow(p, 1)
+    for m in (0, p, -p, 3 * p):
+        with pytest.raises(ValueError, match="prime to p"):
+            x.galois(m)

@@ -12,15 +12,15 @@ from perfiso import (
     ClassFunction,
     CycInt,
     FAILS_INTEGRALITY,
+    FAILS_SEPARATION,
     KernelTable,
     MIXED,
     NonIntegralTransform,
     PERFECT,
     SignedIsometry,
+    Verdict,
     adjoint_transform,
     character,
-    check_integrality,
-    check_separation,
     forward_transform,
     forward_transform_raw,
     indicator,
@@ -32,21 +32,35 @@ from perfiso import (
 )
 from perfiso.isometry import InternalError
 from oracles import (
+    check_integrality,
+    check_separation,
     divisible_by_p_oracle,
     forward_sums_dense,
     kernel_entry_oracle,
+    kernel_table_dense,
     random_cycint,
     random_generalized_character,
     random_isometry,
 )
 
 SEED = 20260809
+DENSE_PRIMES = (2, 3, 5, 7, 11, 13, 23)
 
 
 def all_signed_isometries(p):
     for image in itertools.permutations(range(p)):
         for signs in itertools.product((1, -1), repeat=p):
             yield SignedIsometry(p, image, signs)
+
+
+def affine_family(p, a, u):
+    """k -> a + u*k (u prime to p), its negation and, for p >= 5, it with the images of 1 and 2 swapped."""
+    image = [(a + u * k) % p for k in range(p)]
+    maps = [SignedIsometry(p, image, (1,) * p), SignedIsometry(p, image, (-1,) * p)]
+    if p >= 5:
+        image[1], image[2] = image[2], image[1]
+        maps.append(SignedIsometry(p, image, (1,) * p))
+    return maps
 
 
 # ---------------------------------------------------------------------------
@@ -194,6 +208,15 @@ def test_kernel_matches_character_table_oracle(p):
         for m in range(p):
             for n in range(p):
                 assert kt.entries[m][n] == kernel_entry_oracle(iso, m, n)
+
+
+@pytest.mark.parametrize("p", DENSE_PRIMES)
+def test_kernel_table_matches_dense_oracle(p):
+    # 12 random signed maps per prime (84 in all), then the affine family
+    rng = Random(SEED + 7 * p)
+    isos = [random_isometry(rng, p) for _ in range(12)] + affine_family(p, 1, p - 1)
+    for iso in isos:
+        assert kernel_table(iso).entries == kernel_table_dense(iso).entries, iso
 
 
 # ---------------------------------------------------------------------------
@@ -355,6 +378,48 @@ def test_separation_witness_on_handcrafted_kernel():
     kt = KernelTable(p, entries)
     assert check_integrality(kt) is None
     assert check_separation(kt) == (0, 1)
+
+
+def _full_scan_verdict(iso):
+    kt = kernel_table_dense(iso)
+    witness = check_integrality(kt)
+    if witness is not None:
+        return Verdict(FAILS_INTEGRALITY, witness)
+    witness = check_separation(kt)
+    if witness is not None:
+        return Verdict(FAILS_SEPARATION, witness)
+    return Verdict(PERFECT)
+
+
+@pytest.mark.parametrize("p", (2, 3, 5, 7, 11, 13))
+def test_two_row_verdict_and_witness_match_full_row_major_scan(p):
+    rng = Random(SEED + 11 * p)
+    isos = list(all_signed_isometries(2)) if p == 2 else []
+    for _ in range(30):
+        isos.append(random_isometry(rng, p))
+        image = list(range(p))
+        rng.shuffle(image)
+        isos.append(SignedIsometry(p, image, (rng.choice((1, -1)),) * p))
+    for a, u in ((0, 1), (1, p - 1), (p - 1, (p + 1) // 2)):
+        for iso in affine_family(p, a, u):
+            isos.append(iso)
+            flipped = list(iso.signs)
+            flipped[rng.randrange(p)] *= -1
+            isos.append(SignedIsometry(p, iso.image, flipped))
+    statuses = set()
+    for iso in isos:
+        verdict = is_perfect(iso)
+        assert verdict == _full_scan_verdict(iso), iso
+        statuses.add(verdict.status)
+    # at p = 2 every entry is even; for odd p only integrality fails (see is_perfect_via_spaces)
+    assert statuses == {PERFECT, FAILS_SEPARATION if p == 2 else FAILS_INTEGRALITY}
+
+
+def test_two_row_witness_can_lie_in_row_one():
+    iso = SignedIsometry.from_literal(7, "+1,+5,+3,+0,+2,+4,+6")
+    verdict = is_perfect(iso)
+    assert verdict.witness[0] == 1
+    assert verdict == _full_scan_verdict(iso)
 
 
 def test_mixed_sign_fails():
