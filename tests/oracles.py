@@ -7,9 +7,9 @@ power basis, kernel entries are rebuilt from character-table values, the
 perfectness of a raw candidate is decided from plain integer count
 vectors, one candidate at a time, with no pruning, forward sums run over
 every element with plain integer products, roots of unity are
-recognized by comparing against each of +-zeta^k in turn, and the dense
-kernel counts every entry, with no Galois action, for a row-major scan
-of every entry.
+recognized by comparing against each of +-zeta^k in turn, the dense
+kernel counts every entry without the Galois action, and the integrality
+and separation scans read every entry in row-major order.
 """
 
 from __future__ import annotations
