@@ -9,15 +9,13 @@ kernel evaluations and inner products.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .cyclotomic import CycInt, require_prime, zeta_pow
 
 __all__ = [
     "NonIntegralInnerProduct",
-    "CharTable",
     "ClassFunction",
     "char_table",
     "character",
@@ -31,43 +29,48 @@ class NonIntegralInnerProduct(ArithmeticError):
     """Raised when an inner-product sum is not divisible by the group order."""
 
 
-@dataclass(frozen=True)
-class CharTable:
-    """Exact p x p character table; entries[a][b] is character a at element b."""
-
-    p: int
-    entries: tuple[tuple[CycInt, ...], ...]
-
-    def character(self, a: int) -> ClassFunction:
-        """Row a as a class function."""
-        return ClassFunction(self.p, self.entries[a % self.p])
-
-
 @lru_cache(maxsize=None)
-def char_table(p: int) -> CharTable:
-    """Build (and cache) the character table: entry [a][b] equals zeta^(a*b)."""
+def char_table(p: int) -> tuple[tuple[CycInt, ...], ...]:
+    """Build (and cache) the p x p character table: row a, entry b is zeta^(a*b)."""
     p = require_prime(p)
-    rows = tuple(
+    return tuple(
         tuple(zeta_pow(p, a * b) for b in range(p)) for a in range(p)
     )
-    return CharTable(p, rows)
 
 
-@dataclass(frozen=True)
 class ClassFunction:
     """Exact values of a class function at elements g^0 .. g^(p-1)."""
 
-    p: int
-    values: tuple[CycInt, ...]
+    __slots__ = ("_p", "_values")
 
-    def __post_init__(self) -> None:
-        require_prime(self.p)
-        values = tuple(self.values)
-        if len(values) != self.p:
-            raise ValueError(f"expected {self.p} values, got {len(values)}")
-        if any(not isinstance(v, CycInt) or v.p != self.p for v in values):
+    def __init__(self, p: int, values: Iterable[CycInt]) -> None:
+        require_prime(p)
+        values = tuple(values)
+        if len(values) != p:
+            raise ValueError(f"expected {p} values, got {len(values)}")
+        if any(not isinstance(v, CycInt) or v.p != p for v in values):
             raise ValueError("values must be CycInt elements with matching p")
-        object.__setattr__(self, "values", values)
+        self._p = p
+        self._values = values
+
+    @property
+    def p(self) -> int:
+        return self._p
+
+    @property
+    def values(self) -> tuple[CycInt, ...]:
+        return self._values
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, ClassFunction):
+            return NotImplemented
+        return self._p == other._p and self._values == other._values
+
+    def __hash__(self) -> int:
+        return hash((self._p, self._values))
+
+    def __repr__(self) -> str:
+        return f"ClassFunction(p={self._p}, values={self._values!r})"
 
     def _require_same_p(self, other: ClassFunction) -> None:
         if self.p != other.p:
@@ -94,7 +97,7 @@ class ClassFunction:
 
 def character(p: int, a: int) -> ClassFunction:
     """The irreducible character with index a."""
-    return char_table(p).character(a)
+    return ClassFunction(p, char_table(p)[a % p])
 
 
 def indicator(p: int, j: int) -> ClassFunction:

@@ -122,8 +122,7 @@ def _grid(entries) -> list[list[str]]:
 
 
 def cmd_chartab(args: argparse.Namespace) -> int:
-    table = char_table(args.p)
-    grid = _grid(table.entries)
+    grid = _grid(char_table(args.p))
     if args.format == "json":
         _print_json({"schema": SCHEMA_VERSION, "p": args.p, "entries": grid})
     else:

@@ -242,11 +242,12 @@ def symbolic_str(x: CycInt) -> str:
     which the single-term rule gives first.
     """
     c = x.coeffs
-    nonzero = [(k, v) for k, v in enumerate(c) if v]
-    if not nonzero:
+    zeros = c.count(0)
+    if zeros == len(c):
         return "0"
-    if len(nonzero) == 1:
-        k, v = nonzero[0]
+    if zeros == len(c) - 1:
+        k = next(k for k, v in enumerate(c) if v)
+        v = c[k]
         if k == 0:
             return str(v)
         zk = "z" if k == 1 else f"z^{k}"

@@ -5,9 +5,9 @@ signed bijection: index k goes to sign[k] times the character image[k].
 Each such map I owns an exact p x p kernel, entry (m, n) being the sum over
 k of sign[k] * zeta^(image[k]*m + k*n).  Rows 0 and 1 are counted; every
 other row is the image of row 1 under the Galois action of Aut(C_p), which
-sends zeta to zeta^m.  The kernel drives two linear transforms, one per
-coordinate; the adjoint is the forward transform of the transposed kernel.
-It also carries the two perfectness criteria:
+sends zeta to zeta^m.  The kernel drives the forward transform, from
+source-side to image-side class functions.  It also carries the two
+perfectness criteria:
 
   * integrality  - every kernel entry divisible by p (the common centralizer
     order in an abelian group of order p);
@@ -23,10 +23,9 @@ indicator basis, so it also checks the Galois-derived rows.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import reduce
 from operator import add, index, itemgetter, mul
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .characters import ClassFunction, character, indicator
 from .cyclotomic import CycInt, require_prime
@@ -45,8 +44,6 @@ __all__ = [
     "Verdict",
     "kernel_table",
     "forward_transform",
-    "forward_transform_raw",
-    "adjoint_transform",
     "is_perfect",
     "is_perfect_via_spaces",
 ]
@@ -196,16 +193,14 @@ class SignedIsometry:
         return f"SignedIsometry(p={self._p}, literal={self.as_literal()!r})"
 
 
-@dataclass(frozen=True)
-class KernelTable:
+class KernelTable(NamedTuple):
     """Exact p x p kernel; entry [m][n] pairs element m (image side) with n (source side)."""
 
     p: int
     entries: tuple[tuple[CycInt, ...], ...]
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     """Outcome of a perfectness check; witness is a kernel-entry index on failure."""
 
     status: str
@@ -263,11 +258,6 @@ def _require_compatible(kt: KernelTable, f: ClassFunction) -> None:
         raise ValueError(f"mismatched moduli: p={kt.p} vs p={f.p}")
 
 
-def _transposed(kt: KernelTable) -> KernelTable:
-    """The kernel with its two coordinates swapped: entry [m][n] is kt's [n][m]."""
-    return KernelTable(kt.p, tuple(zip(*kt.entries)))
-
-
 def forward_transform_raw(kt: KernelTable, beta: ClassFunction) -> tuple[CycInt, ...]:
     """Un-divided forward sums; the exact transform divides each by p.
 
@@ -301,15 +291,6 @@ def forward_transform(kt: KernelTable, beta: ClassFunction) -> ClassFunction:
             raise NonIntegralTransform(m)
         values.append(quotient)
     return ClassFunction(kt.p, tuple(values))
-
-
-def adjoint_transform(kt: KernelTable, alpha: ClassFunction) -> ClassFunction:
-    """Apply the kernel to an image-side class function, exactly.
-
-    This is the forward transform of the transposed kernel: output index n
-    carries the sum over m of entry (-m, n) times alpha(g^m), divided by p.
-    """
-    return forward_transform(_transposed(kt), alpha)
 
 
 def is_perfect(iso: SignedIsometry) -> Verdict:

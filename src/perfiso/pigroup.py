@@ -32,8 +32,7 @@ reports.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .cyclotomic import require_prime
 from .isometry import ALL_POSITIVE, MIXED, SignedIsometry
@@ -54,7 +53,6 @@ __all__ = [
     "iter_perfect",
     "enumerate_perfect",
     "verify_structure",
-    "feasible_bound",
 ]
 
 EXHAUSTIVE = "exhaustive"
@@ -81,8 +79,7 @@ class NotPerfect(Exception):
     """The isometry is not of the affine perfect form."""
 
 
-@dataclass(frozen=True, order=True)
-class AffineCoords:
+class AffineCoords(NamedTuple):
     """Coordinates (eps, a, u) of the isometry k -> eps * (a + u*k)."""
 
     eps: int
@@ -90,8 +87,7 @@ class AffineCoords:
     u: int
 
 
-@dataclass
-class PIGroupReport:
+class PIGroupReport(NamedTuple):
     """Enumeration outcome plus named check results.
 
     ``checks`` always carries the five keys in CHECK_KEYS; a value of None
@@ -103,7 +99,7 @@ class PIGroupReport:
     order: int
     elements: list[AffineCoords]
     checks: dict[str, bool | None]
-    failures: list[str] = field(default_factory=list)
+    failures: list[str]
 
     def all_pass(self) -> bool:
         """True when no evaluated check failed."""
@@ -121,18 +117,12 @@ class PIGroupReport:
         return out
 
 
-def feasible_bound(mode: str) -> int:
-    """Largest p accepted by iter_perfect; the same for every mode."""
+def _require_feasible(p: int, mode: str) -> None:
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
-    return _MAX_P
-
-
-def _require_feasible(p: int, mode: str) -> None:
-    bound = feasible_bound(mode)
-    if p > bound:
+    if p > _MAX_P:
         raise ValueError(
-            f"enumeration at p={p} is infeasible in mode {mode}; the bound is p <= {bound}"
+            f"enumeration at p={p} is infeasible in mode {mode}; the bound is p <= {_MAX_P}"
         )
 
 

@@ -8,8 +8,9 @@ perfectness of a raw candidate is decided from plain integer count
 vectors, one candidate at a time, with no pruning, forward sums run over
 every element with plain integer products, roots of unity are
 recognized by comparing against each of +-zeta^k in turn, the dense
-kernel counts every entry without the Galois action, and the integrality
-and separation scans read every entry in row-major order.
+kernel counts every entry without the Galois action, the integrality
+and separation scans read every entry in row-major order, and the
+adjoint takes the dense forward sums of the transposed kernel.
 """
 
 from __future__ import annotations
@@ -19,7 +20,15 @@ from fractions import Fraction
 from functools import lru_cache
 from random import Random
 
-from perfiso import CycInt, KernelTable, SignedIsometry, char_table, generalized_character, zeta_pow
+from perfiso import (
+    ClassFunction,
+    CycInt,
+    KernelTable,
+    SignedIsometry,
+    char_table,
+    generalized_character,
+    zeta_pow,
+)
 
 
 def poly_mul_reduced(p: int, xs: list[int], ys: list[int]) -> tuple[int, ...]:
@@ -87,13 +96,28 @@ def forward_sums_dense(kt, beta) -> list[tuple[int, ...]]:
     return out
 
 
+def adjoint_transform(kt: KernelTable, alpha: ClassFunction) -> ClassFunction:
+    """The kernel applied to an image-side class function, exactly.
+
+    Output index n is the sum over every m of entry (-m, n) times
+    alpha(g^m), divided by p: the dense forward sums of the transposed
+    kernel.  Raises ArithmeticError when a sum is not divisible by p.
+    """
+    p = kt.p
+    sums = forward_sums_dense(KernelTable(p, tuple(zip(*kt.entries))), alpha)
+    for n, s in enumerate(sums):
+        if not divisible_by_p_oracle(p, list(s)):
+            raise ArithmeticError(f"adjoint sum at index {n} is not divisible by p")
+    return ClassFunction(p, tuple(CycInt(p, [c // p for c in s]) for s in sums))
+
+
 def kernel_entry_oracle(iso: SignedIsometry, m: int, n: int) -> CycInt:
     """Kernel entry (m, n) rebuilt from character-table values and ring products."""
     p = iso.p
     table = char_table(p)
     acc = CycInt.zero(p)
     for k in range(p):
-        acc = acc + iso.signs[k] * (table.entries[iso.image[k]][m] * table.entries[k][n])
+        acc = acc + iso.signs[k] * (table[iso.image[k]][m] * table[k][n])
     return acc
 
 

@@ -19,7 +19,6 @@ from perfiso import (
     EXHAUSTIVE,
     MIXED,
     SignedIsometry,
-    adjoint_transform,
     character,
     decompose,
     enumerate_perfect,
@@ -35,6 +34,7 @@ from perfiso import (
 )
 from perfiso.cyclotomic import CycInt
 from oracles import (
+    adjoint_transform,
     divisible_by_p_oracle,
     random_generalized_character,
     random_isometry,

@@ -22,26 +22,26 @@ SEED = 20260809
 
 def test_table_p2():
     t = char_table(2)
-    assert t.entries[0] == (CycInt.one(2), CycInt.one(2))
-    assert t.entries[1] == (CycInt.one(2), CycInt.from_int(2, -1))
+    assert t[0] == (CycInt.one(2), CycInt.one(2))
+    assert t[1] == (CycInt.one(2), CycInt.from_int(2, -1))
 
 
 def test_table_entry_wraps_exponent():
-    assert char_table(3).entries[2][2] == zeta_pow(3, 1)
+    assert char_table(3)[2][2] == zeta_pow(3, 1)
 
 
 def test_table_row_one_is_zeta_powers():
     t = char_table(5)
     for m in range(5):
-        assert t.entries[1][m] == zeta_pow(5, m)
+        assert t[1][m] == zeta_pow(5, m)
 
 
 @pytest.mark.parametrize("p", PRIMES)
 def test_trivial_row_and_degree_column(p):
     t = char_table(p)
     one = CycInt.one(p)
-    assert all(v == one for v in t.entries[0])
-    assert all(t.entries[a][0] == one for a in range(p))
+    assert all(v == one for v in t[0])
+    assert all(t[a][0] == one for a in range(p))
 
 
 @pytest.mark.parametrize("p", PRIMES)
@@ -59,7 +59,7 @@ def test_column_orthogonality(p):
         for b2 in range(p):
             total = CycInt.zero(p)
             for a in range(p):
-                total = total + t.entries[a][b] * t.entries[a][(p - b2) % p]
+                total = total + t[a][b] * t[a][(p - b2) % p]
             assert total == CycInt.from_int(p, p if b == b2 else 0)
 
 
@@ -87,7 +87,7 @@ def test_mult_index_matches_pointwise_products(p):
         for k in range(p):
             idx = (a + k) % p
             for b in range(p):
-                assert t.entries[a][b] * t.entries[k][b] == t.entries[idx][b]
+                assert t[a][b] * t[k][b] == t[idx][b]
 
 
 @pytest.mark.parametrize("p", PRIMES)
@@ -98,7 +98,7 @@ def test_aut_twist_matches_pointwise_twist(p):
         for k in range(p):
             idx = k * uinv % p
             for b in range(p):
-                assert t.entries[idx][b] == t.entries[k][(b * uinv) % p]
+                assert t[idx][b] == t[k][(b * uinv) % p]
 
 
 @pytest.mark.parametrize("p", (3, 5))
@@ -126,3 +126,10 @@ def test_class_function_validation():
         ClassFunction(3, (CycInt.one(3),))
     with pytest.raises(ValueError):
         ClassFunction(3, (CycInt.one(3), CycInt.one(5), CycInt.one(3)))
+    cf = character(3, 1)
+    assert cf == character(3, 4) and hash(cf) == hash(character(3, 4))
+    assert 3 * cf == cf + cf + cf
+    with pytest.raises(TypeError):
+        cf * 3
+    with pytest.raises(AttributeError):
+        cf.p = 5

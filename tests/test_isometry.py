@@ -19,10 +19,8 @@ from perfiso import (
     PERFECT,
     SignedIsometry,
     Verdict,
-    adjoint_transform,
     character,
     forward_transform,
-    forward_transform_raw,
     indicator,
     inner_product,
     is_perfect,
@@ -30,8 +28,9 @@ from perfiso import (
     kernel_table,
     zeta_pow,
 )
-from perfiso.isometry import InternalError
+from perfiso.isometry import InternalError, forward_transform_raw
 from oracles import (
+    adjoint_transform,
     check_integrality,
     check_separation,
     divisible_by_p_oracle,

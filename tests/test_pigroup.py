@@ -17,7 +17,6 @@ from perfiso import (
     SignedIsometry,
     decompose,
     enumerate_perfect,
-    feasible_bound,
     gen_aut,
     gen_linear,
     gen_negid,
@@ -181,15 +180,15 @@ def test_search_matches_brute_force_walk(p):
 
 def test_feasibility_bounds():
     for mode in MODES:
-        assert feasible_bound(mode) == 23
+        assert next(iter_perfect(23, mode)) == SignedIsometry.identity(23)
         with pytest.raises(ValueError, match="infeasible.*p <= 23"):
             list(iter_perfect(29, mode))
     with pytest.raises(ValueError, match="p <= 23"):
         enumerate_perfect(29, EXHAUSTIVE)
     with pytest.raises(ValueError, match="p <= 23"):
         verify_structure(29, POSITIVE_THEN_NEGATE)
-    with pytest.raises(ValueError):
-        feasible_bound("bogus")
+    with pytest.raises(ValueError, match="unknown mode 'bogus'"):
+        list(iter_perfect(5, "bogus"))
 
 
 def test_iter_perfect_rejects_non_prime():

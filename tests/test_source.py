@@ -4,6 +4,7 @@ import ast
 from pathlib import Path
 
 import perfiso
+from perfiso import characters, cyclotomic, isometry, pigroup
 
 SOURCES = sorted(Path(perfiso.__file__).parent.glob("*.py"))
 
@@ -30,3 +31,24 @@ def test_trusted_constructor_stays_in_the_ring_module():
         if isinstance(node, ast.Attribute) and node.attr == "_trusted"
     ]
     assert set(found) == {"cyclotomic.py"}
+
+
+def test_library_imports_no_dataclasses():
+    # dataclasses imports inspect, a cost every CLI child would pay at startup
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if (isinstance(node, ast.Import) and any(a.name == "dataclasses" for a in node.names))
+        or (isinstance(node, ast.ImportFrom) and node.module == "dataclasses")
+    ]
+    assert found == []
+
+
+def test_package_exports_match_modules():
+    layers = (cyclotomic, characters, isometry, pigroup)
+    assert sorted(perfiso.__all__) == sorted({name for mod in layers for name in mod.__all__})
+    assert len(perfiso.__all__) == len(set(perfiso.__all__))
+    for mod in layers:
+        for name in mod.__all__:
+            assert getattr(perfiso, name) is getattr(mod, name), name
