@@ -9,8 +9,9 @@ vectors, one candidate at a time, with no pruning, forward sums run over
 every element with plain integer products, roots of unity are
 recognized by comparing against each of +-zeta^k in turn, the dense
 kernel counts every entry without the Galois action, the integrality
-and separation scans read every entry in row-major order, and the
-adjoint takes the dense forward sums of the transposed kernel.
+and separation scans read every entry in row-major order, the
+adjoint takes the dense forward sums of the transposed kernel, and the
+structure verdicts compose every pair of plain image/sign tuples.
 """
 
 from __future__ import annotations
@@ -208,6 +209,76 @@ def perfect_candidates_walk(p: int) -> list[SignedIsometry]:
         for signs in itertools.product((1, -1), repeat=p)
         if candidate_is_perfect(p, image, signs)
     ]
+
+
+def _compose_plain(lhs, rhs):
+    """lhs after rhs, on plain (image, signs) pairs: k goes through rhs first."""
+    (li, ls), (ri, rs) = lhs, rhs
+    return tuple(li[j] for j in ri), tuple(s * ls[j] for j, s in zip(ri, rs))
+
+
+def _closed_form_coords(p: int, elem) -> tuple[int, int, int] | None:
+    """(eps, a, u) when elem is k -> eps * (a + u*k), else None."""
+    image, signs = elem
+    eps, a, u = signs[0], image[0], (image[1] - image[0]) % p
+    if signs == (eps,) * p and image == tuple((a + u * k) % p for k in range(p)):
+        return eps, a, u
+    return None
+
+
+def structure_verdicts(p: int, found: list[SignedIsometry]) -> tuple[bool, bool]:
+    """The semidirect_law and negid_central verdicts of verify, from every pair.
+
+    semidirect_law: every inverse lies in the set, every element has affine
+    coordinates, every ordered pair composes into the set with coordinates
+    (eps*eps', a + u*a', u*u'), scaling by u conjugates the shift by a to the
+    shift by a*u, and the two families meet only in the identity.
+    negid_central: negation is a non-trivial involution commuting with every
+    element.  Elements are plain (image, signs) tuples throughout.
+    """
+    elems = [(iso.image, iso.signs) for iso in found]
+    members = set(elems)
+    ones = (1,) * p
+    identity = (tuple(range(p)), ones)
+
+    def inverse(elem):
+        image, signs = elem
+        back = sorted(range(p), key=image.__getitem__)
+        return tuple(back), tuple(signs[k] for k in back)
+
+    semidirect = all(inverse(e) in members for e in elems)
+    coord_of = {e: _closed_form_coords(p, e) for e in elems}
+    if None in coord_of.values():
+        semidirect = False
+    else:
+        for x in elems:
+            ex, ax, ux = coord_of[x]
+            for y in elems:
+                ey, ay, uy = coord_of[y]
+                got = coord_of.get(_compose_plain(x, y))
+                if got != (ex * ey, (ax + ux * ay) % p, ux * uy % p):
+                    semidirect = False
+
+    def shift(a):
+        return tuple((a + k) % p for k in range(p)), ones
+
+    def scale(u):
+        return tuple(u * k % p for k in range(p)), ones
+
+    for a in range(p):
+        for u in range(1, p):
+            conj = _compose_plain(_compose_plain(scale(u), shift(a)), scale(pow(u, -1, p)))
+            if conj != shift(a * u % p):
+                semidirect = False
+    shifts = {shift(a) for a in range(p)}
+    if shifts & {scale(u) for u in range(1, p)} != {identity}:
+        semidirect = False
+
+    negid = (tuple(range(p)), (-1,) * p)
+    negid_central = _compose_plain(negid, negid) == identity and negid != identity
+    if any(_compose_plain(negid, e) != _compose_plain(e, negid) for e in elems):
+        negid_central = False
+    return semidirect, negid_central
 
 
 def random_cycint(rng: Random, p: int, bound: int = 0) -> CycInt:

@@ -253,13 +253,13 @@ def test_enumerate_p7_exhaustive(capsys):
 
 
 def test_enumerate_infeasible_p_exits_2(capsys):
-    # 29 is the first prime above the bound
+    # 59 is the first prime above the bound
     for command in ("enumerate", "verify"):
         for mode in ("exhaustive", "positive_then_negate"):
-            code, out, err = run_cli(capsys, command, "-p", "29", "--mode", mode)
+            code, out, err = run_cli(capsys, command, "-p", "59", "--mode", mode)
             assert code == 2
             assert out == ""
-            assert "infeasible" in err and "p <= 23" in err
+            assert "infeasible" in err and "p <= 53" in err
 
 
 @pytest.mark.parametrize("p", ("103", "100000000000000000039"))

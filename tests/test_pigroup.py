@@ -26,7 +26,7 @@ from perfiso import (
     verify_structure,
 )
 from perfiso.cli import main
-from oracles import candidate_is_perfect, perfect_candidates_walk
+from oracles import candidate_is_perfect, perfect_candidates_walk, structure_verdicts
 
 SEED = 20260809
 
@@ -179,14 +179,15 @@ def test_search_matches_brute_force_walk(p):
 
 
 def test_feasibility_bounds():
+    # 59 is the first prime above the bound
     for mode in MODES:
-        assert next(iter_perfect(23, mode)) == SignedIsometry.identity(23)
-        with pytest.raises(ValueError, match="infeasible.*p <= 23"):
-            list(iter_perfect(29, mode))
-    with pytest.raises(ValueError, match="p <= 23"):
-        enumerate_perfect(29, EXHAUSTIVE)
-    with pytest.raises(ValueError, match="p <= 23"):
-        verify_structure(29, POSITIVE_THEN_NEGATE)
+        assert next(iter_perfect(53, mode)) == SignedIsometry.identity(53)
+        with pytest.raises(ValueError, match="infeasible.*p <= 53"):
+            list(iter_perfect(59, mode))
+    with pytest.raises(ValueError, match="p <= 53"):
+        enumerate_perfect(59, EXHAUSTIVE)
+    with pytest.raises(ValueError, match="p <= 53"):
+        verify_structure(59, POSITIVE_THEN_NEGATE)
     with pytest.raises(ValueError, match="unknown mode 'bogus'"):
         list(iter_perfect(5, "bogus"))
 
@@ -248,7 +249,7 @@ def test_recomposition_matches_generator_composition():
 # structure verification
 
 
-@pytest.mark.parametrize("p", (2, 3, 5))
+@pytest.mark.parametrize("p", (2, 3, 5, 29))
 def test_verify_structure_all_checks_pass(p):
     report = verify_structure(p)
     assert report.order == 2 * p * (p - 1)
@@ -306,6 +307,87 @@ def test_verify_structure_failure_diagnostics(monkeypatch, capsys, name):
     assert main(["verify", "-p", "5"]) == 1
     out = capsys.readouterr().out
     assert out.endswith("".join(f"  ! {line}\n" for line in failures))
+
+
+def _structure_verdicts_of(report):
+    return report.checks["semidirect_law"], report.checks["negid_central"]
+
+
+@pytest.mark.parametrize("p", (2, 3, 5, 7, 11, 13))
+@pytest.mark.parametrize("mode", MODES)
+def test_verify_structure_matches_all_pairs_oracle(p, mode):
+    found = list(iter_perfect(p, mode))
+    assert _structure_verdicts_of(verify_structure(p, mode)) == structure_verdicts(p, found)
+
+
+@pytest.mark.parametrize("name", ("missing", "swapped_affine", "mixed_sign"))
+def test_verify_structure_matches_oracle_on_injected_groups(monkeypatch, name):
+    found, _, _ = _verify_failure_case(name)
+    monkeypatch.setattr(pigroup, "iter_perfect", lambda p, mode: iter(found))
+    assert _structure_verdicts_of(verify_structure(5)) == structure_verdicts(5, found)
+
+
+@pytest.mark.parametrize("p", (5, 7))
+def test_closed_proper_subgroup_keeps_the_law(monkeypatch, p):
+    # the shifts and their negations are closed, so the law holds on every
+    # pair, but the generator walk cannot cover them: verify falls back to
+    # the all-pairs check and must still pass the law
+    found = [iso for a in range(p) for iso in (gen_linear(p, a), -gen_linear(p, a))]
+    coord_of = {iso: decompose(iso) for iso in found}
+    assert not pigroup._law_on_generators(p, coord_of)
+    monkeypatch.setattr(pigroup, "iter_perfect", lambda p, mode: iter(found))
+    report = verify_structure(p)
+    assert _structure_verdicts_of(report) == structure_verdicts(p, found) == (True, True)
+    assert report.checks["affine_completeness"] is False
+    assert report.checks["order_formula"] is False
+    assert not any("composition" in line for line in report.failures)
+
+
+def test_duplicated_element_keeps_the_law(monkeypatch):
+    group = list(iter_perfect(5))
+    found = group + [group[7]]
+    monkeypatch.setattr(pigroup, "iter_perfect", lambda p, mode: iter(found))
+    report = verify_structure(5)
+    assert _structure_verdicts_of(report) == structure_verdicts(5, found) == (True, True)
+    assert report.checks["order_formula"] is False
+    assert not report.failures
+
+
+def test_generator_check_accepts_the_group():
+    for p in (2, 3, 5, 7):
+        found = list(iter_perfect(p))
+        assert pigroup._law_on_generators(p, {iso: decompose(iso) for iso in found})
+
+
+def test_verify_structure_composes_linearly_many_times(monkeypatch):
+    # the all-pairs law alone makes |G|^2 = 4 p^2 (p-1)^2 compositions
+    p = 13
+    compose = SignedIsometry.compose
+    calls = 0
+
+    def counting(self, other):
+        nonlocal calls
+        calls += 1
+        return compose(self, other)
+
+    monkeypatch.setattr(SignedIsometry, "compose", counting)
+    assert verify_structure(p).all_pass()
+    assert calls <= 20 * p * (p - 1)
+
+
+def test_primitive_root_is_least_of_full_order():
+    def order(g, p):
+        n, x = 1, g % p
+        while x != 1:
+            x, n = x * g % p, n + 1
+        return n
+
+    primes = [q for q in range(2, 102) if all(q % r for r in range(2, q))]
+    assert len(primes) == 26 and primes[0] == 2 and primes[-1] == 101
+    for p in primes:
+        g = pigroup._primitive_root(p)
+        assert order(g, p) == p - 1
+        assert all(order(h, p) < p - 1 for h in range(1, g))
 
 
 def test_affine_composition_law_example():
