@@ -323,24 +323,10 @@ def enumerate_perfect(p: int, mode: str = POSITIVE_THEN_NEGATE) -> PIGroupReport
 
 
 def _primitive_root(p: int) -> int:
-    """The least g in 1..p-1 whose powers run through every unit mod p.
-
-    g has order p - 1 exactly when g^((p-1)/q) != 1 (mod p) for every prime
-    q dividing p - 1; the primes are found by trial division.  At p = 2 the
-    unit group is trivial and g = 1.
-    """
-    primes = []
-    rest, q = p - 1, 2
-    while q * q <= rest:
-        if rest % q == 0:
-            primes.append(q)
-            while rest % q == 0:
-                rest //= q
-        q += 1
-    if rest > 1:
-        primes.append(rest)
+    """The least g in 1..p-1 whose powers g, g^2, ..., g^(p-1) are every unit
+    mod p (g = 1 at p = 2, where the unit group is trivial)."""
     for g in range(1, p):
-        if all(pow(g, (p - 1) // q, p) != 1 for q in primes):
+        if len({pow(g, k, p) for k in range(1, p)}) == p - 1:
             return g
     raise InternalError(f"no primitive root mod {p}")
 
