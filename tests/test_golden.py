@@ -7,9 +7,10 @@ map at p = 2 (``+0,-1``) fails separation.  At p >= 5 it is the affine map
 with the images of 1 and 2 swapped, which fails integrality; at p = 3 every
 permutation is affine, so one sign is flipped instead.
 
-At scale, ``mu`` and ``check`` run at p = 23 and 53 on the affine map, its
-negation, the swapped-affine map and a random signed map (drawn once from
-``random.Random(p)``: a shuffle, then one sign per index).
+At scale, ``mu``, ``check`` and ``decompose`` run at p = 23 and 53 on the
+affine map, its negation, the swapped-affine map and a random signed map
+(drawn once from ``random.Random(p)``: a shuffle, then one sign per index),
+and ``enumerate`` and ``verify`` run at p = 13 in both modes.
 
 Regenerate the table only for a deliberate output change:
 ``python tests/test_golden.py`` prints it.
@@ -25,6 +26,7 @@ from perfiso.cli import main
 
 FORMATS = ("text", "json")
 MODES = ("positive_then_negate", "exhaustive")
+SEARCH_P = 13
 # p -> (perfect affine map k -> 1 + 2k, its negation, a non-perfect map)
 MAPS = {
     2: ("+1,+0", "-1,-0", "+0,-1"),
@@ -67,9 +69,13 @@ def _cases():
                     yield (command, "-p", str(p), f"--map={literal}", "--format", fmt)
     for p in RANDOM_SIGNED:
         for fmt in FORMATS:
-            for command in ("mu", "check"):
+            for command in ("mu", "check", "decompose"):
                 for literal in _scale_maps(p):
                     yield (command, "-p", str(p), f"--map={literal}", "--format", fmt)
+    for fmt in FORMATS:
+        for command in ("enumerate", "verify"):
+            for mode in MODES:
+                yield (command, "-p", str(SEARCH_P), "--mode", mode, "--format", fmt)
 
 
 def _run(argv):
@@ -200,6 +206,10 @@ GOLDEN = {
     'check -p 23 --map=-1,-3,-5,-7,-9,-11,-13,-15,-17,-19,-21,-0,-2,-4,-6,-8,-10,-12,-14,-16,-18,-20,-22 --format text': (0, 'ee10ad9d9e708cfdb987912aa8cbd1f927cddff09e6715a28bc33fb457536fa1'),
     'check -p 23 --map=+1,+5,+3,+7,+9,+11,+13,+15,+17,+19,+21,+0,+2,+4,+6,+8,+10,+12,+14,+16,+18,+20,+22 --format text': (1, 'c9c199f2f8ecbbda8c1dc9c89b097f57bc2e798aad08ddd554e773b794d5f533'),
     'check -p 23 --map=-14,-17,+1,+8,+5,-6,+19,+10,-16,-20,-7,-4,+3,-15,+21,-11,-12,+13,+22,+18,-0,+2,+9 --format text': (1, 'a852ddf9771d272a29cfafb17848e02f493cc8c91c4595f4eab54ca0e1a95ce3'),
+    'decompose -p 23 --map=+1,+3,+5,+7,+9,+11,+13,+15,+17,+19,+21,+0,+2,+4,+6,+8,+10,+12,+14,+16,+18,+20,+22 --format text': (0, '67e76efc9a6d2d8b241212d44ddb2254f6fe01d7b75a3982336367961fa125ac'),
+    'decompose -p 23 --map=-1,-3,-5,-7,-9,-11,-13,-15,-17,-19,-21,-0,-2,-4,-6,-8,-10,-12,-14,-16,-18,-20,-22 --format text': (0, 'f6e2f140e3dec2b516ba0c61d9ffcaadd2cb799f5e999fa40e2d3d3b76ef5a67'),
+    'decompose -p 23 --map=+1,+5,+3,+7,+9,+11,+13,+15,+17,+19,+21,+0,+2,+4,+6,+8,+10,+12,+14,+16,+18,+20,+22 --format text': (1, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    'decompose -p 23 --map=-14,-17,+1,+8,+5,-6,+19,+10,-16,-20,-7,-4,+3,-15,+21,-11,-12,+13,+22,+18,-0,+2,+9 --format text': (1, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
     'mu -p 23 --map=+1,+3,+5,+7,+9,+11,+13,+15,+17,+19,+21,+0,+2,+4,+6,+8,+10,+12,+14,+16,+18,+20,+22 --format json': (0, '4c0994755faec527120d1844376f44ad20ba3be10a15342479e25022e919faa2'),
     'mu -p 23 --map=-1,-3,-5,-7,-9,-11,-13,-15,-17,-19,-21,-0,-2,-4,-6,-8,-10,-12,-14,-16,-18,-20,-22 --format json': (0, '2356c585ba5757c8f56df78de0a59c0acb3376a2937af811984a9480989a4f9f'),
     'mu -p 23 --map=+1,+5,+3,+7,+9,+11,+13,+15,+17,+19,+21,+0,+2,+4,+6,+8,+10,+12,+14,+16,+18,+20,+22 --format json': (0, '7b057b8589f7bf7279adb1c852b8499b99a5603aa68712de15d0725c43feba02'),
@@ -208,6 +218,10 @@ GOLDEN = {
     'check -p 23 --map=-1,-3,-5,-7,-9,-11,-13,-15,-17,-19,-21,-0,-2,-4,-6,-8,-10,-12,-14,-16,-18,-20,-22 --format json': (0, '81ec5fffac5a9f5ed2feec843224a9f4e623f209fde7e9287ce929cd60754376'),
     'check -p 23 --map=+1,+5,+3,+7,+9,+11,+13,+15,+17,+19,+21,+0,+2,+4,+6,+8,+10,+12,+14,+16,+18,+20,+22 --format json': (1, '91b854decc74ce34dd8c2f066ce2d4c7daa277964a6b1eeb7622c239156aedea'),
     'check -p 23 --map=-14,-17,+1,+8,+5,-6,+19,+10,-16,-20,-7,-4,+3,-15,+21,-11,-12,+13,+22,+18,-0,+2,+9 --format json': (1, 'f8382207d84e5e459bfa89d7db40ae4a7be8926a3faca1f4c6b029e27087949c'),
+    'decompose -p 23 --map=+1,+3,+5,+7,+9,+11,+13,+15,+17,+19,+21,+0,+2,+4,+6,+8,+10,+12,+14,+16,+18,+20,+22 --format json': (0, 'd2fcd82bd3c43f55fefe004fa7b19828c06c1edbf5c177bdd4d36181d087edc3'),
+    'decompose -p 23 --map=-1,-3,-5,-7,-9,-11,-13,-15,-17,-19,-21,-0,-2,-4,-6,-8,-10,-12,-14,-16,-18,-20,-22 --format json': (0, '34a7b8d915b7c02cd9594766cd98bc40fc2518a8dbc90df5572915d612a38269'),
+    'decompose -p 23 --map=+1,+5,+3,+7,+9,+11,+13,+15,+17,+19,+21,+0,+2,+4,+6,+8,+10,+12,+14,+16,+18,+20,+22 --format json': (1, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    'decompose -p 23 --map=-14,-17,+1,+8,+5,-6,+19,+10,-16,-20,-7,-4,+3,-15,+21,-11,-12,+13,+22,+18,-0,+2,+9 --format json': (1, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
     'mu -p 53 --map=+1,+3,+5,+7,+9,+11,+13,+15,+17,+19,+21,+23,+25,+27,+29,+31,+33,+35,+37,+39,+41,+43,+45,+47,+49,+51,+0,+2,+4,+6,+8,+10,+12,+14,+16,+18,+20,+22,+24,+26,+28,+30,+32,+34,+36,+38,+40,+42,+44,+46,+48,+50,+52 --format text': (0, '9db3991bdbdaf0b241b006ef9938b660c6c36a4e6b933f05628c64be6d17f357'),
     'mu -p 53 --map=-1,-3,-5,-7,-9,-11,-13,-15,-17,-19,-21,-23,-25,-27,-29,-31,-33,-35,-37,-39,-41,-43,-45,-47,-49,-51,-0,-2,-4,-6,-8,-10,-12,-14,-16,-18,-20,-22,-24,-26,-28,-30,-32,-34,-36,-38,-40,-42,-44,-46,-48,-50,-52 --format text': (0, '8bc1fd8ee8010b5cfe1d8ac0594b7706346febf02349f7de8cfec8f2cdcc7e78'),
     'mu -p 53 --map=+1,+5,+3,+7,+9,+11,+13,+15,+17,+19,+21,+23,+25,+27,+29,+31,+33,+35,+37,+39,+41,+43,+45,+47,+49,+51,+0,+2,+4,+6,+8,+10,+12,+14,+16,+18,+20,+22,+24,+26,+28,+30,+32,+34,+36,+38,+40,+42,+44,+46,+48,+50,+52 --format text': (0, '338e67ea3182a1e78761f4025aba66a8963c64b8ad5a425b436b8f06dfaffee5'),
@@ -216,6 +230,10 @@ GOLDEN = {
     'check -p 53 --map=-1,-3,-5,-7,-9,-11,-13,-15,-17,-19,-21,-23,-25,-27,-29,-31,-33,-35,-37,-39,-41,-43,-45,-47,-49,-51,-0,-2,-4,-6,-8,-10,-12,-14,-16,-18,-20,-22,-24,-26,-28,-30,-32,-34,-36,-38,-40,-42,-44,-46,-48,-50,-52 --format text': (0, 'ee10ad9d9e708cfdb987912aa8cbd1f927cddff09e6715a28bc33fb457536fa1'),
     'check -p 53 --map=+1,+5,+3,+7,+9,+11,+13,+15,+17,+19,+21,+23,+25,+27,+29,+31,+33,+35,+37,+39,+41,+43,+45,+47,+49,+51,+0,+2,+4,+6,+8,+10,+12,+14,+16,+18,+20,+22,+24,+26,+28,+30,+32,+34,+36,+38,+40,+42,+44,+46,+48,+50,+52 --format text': (1, 'b1f2e047fb3fd045127be6814728d2df92b22f7d2c769d2c8767d1ab47ceca5e'),
     'check -p 53 --map=+9,+19,+5,+21,+49,+0,-51,-15,-34,-43,+26,+47,-17,-18,+46,+41,+27,-38,-52,+42,-12,+25,-35,-20,+24,-37,+11,-31,+4,-7,+6,-28,-14,+44,-36,+40,-3,+16,-8,+22,-10,+2,+1,-50,-23,-33,+48,+30,+45,-32,+29,+13,-39 --format text': (1, 'a852ddf9771d272a29cfafb17848e02f493cc8c91c4595f4eab54ca0e1a95ce3'),
+    'decompose -p 53 --map=+1,+3,+5,+7,+9,+11,+13,+15,+17,+19,+21,+23,+25,+27,+29,+31,+33,+35,+37,+39,+41,+43,+45,+47,+49,+51,+0,+2,+4,+6,+8,+10,+12,+14,+16,+18,+20,+22,+24,+26,+28,+30,+32,+34,+36,+38,+40,+42,+44,+46,+48,+50,+52 --format text': (0, '67e76efc9a6d2d8b241212d44ddb2254f6fe01d7b75a3982336367961fa125ac'),
+    'decompose -p 53 --map=-1,-3,-5,-7,-9,-11,-13,-15,-17,-19,-21,-23,-25,-27,-29,-31,-33,-35,-37,-39,-41,-43,-45,-47,-49,-51,-0,-2,-4,-6,-8,-10,-12,-14,-16,-18,-20,-22,-24,-26,-28,-30,-32,-34,-36,-38,-40,-42,-44,-46,-48,-50,-52 --format text': (0, 'f6e2f140e3dec2b516ba0c61d9ffcaadd2cb799f5e999fa40e2d3d3b76ef5a67'),
+    'decompose -p 53 --map=+1,+5,+3,+7,+9,+11,+13,+15,+17,+19,+21,+23,+25,+27,+29,+31,+33,+35,+37,+39,+41,+43,+45,+47,+49,+51,+0,+2,+4,+6,+8,+10,+12,+14,+16,+18,+20,+22,+24,+26,+28,+30,+32,+34,+36,+38,+40,+42,+44,+46,+48,+50,+52 --format text': (1, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    'decompose -p 53 --map=+9,+19,+5,+21,+49,+0,-51,-15,-34,-43,+26,+47,-17,-18,+46,+41,+27,-38,-52,+42,-12,+25,-35,-20,+24,-37,+11,-31,+4,-7,+6,-28,-14,+44,-36,+40,-3,+16,-8,+22,-10,+2,+1,-50,-23,-33,+48,+30,+45,-32,+29,+13,-39 --format text': (1, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
     'mu -p 53 --map=+1,+3,+5,+7,+9,+11,+13,+15,+17,+19,+21,+23,+25,+27,+29,+31,+33,+35,+37,+39,+41,+43,+45,+47,+49,+51,+0,+2,+4,+6,+8,+10,+12,+14,+16,+18,+20,+22,+24,+26,+28,+30,+32,+34,+36,+38,+40,+42,+44,+46,+48,+50,+52 --format json': (0, 'fe2a399c97d95be688465cb5966c1c3e89637d536c2bdea7a5fdc29d52e72701'),
     'mu -p 53 --map=-1,-3,-5,-7,-9,-11,-13,-15,-17,-19,-21,-23,-25,-27,-29,-31,-33,-35,-37,-39,-41,-43,-45,-47,-49,-51,-0,-2,-4,-6,-8,-10,-12,-14,-16,-18,-20,-22,-24,-26,-28,-30,-32,-34,-36,-38,-40,-42,-44,-46,-48,-50,-52 --format json': (0, '8e8fb4f3357e5d56671108c9182da20102580cf3bd9f28a019ce2d34d68a6086'),
     'mu -p 53 --map=+1,+5,+3,+7,+9,+11,+13,+15,+17,+19,+21,+23,+25,+27,+29,+31,+33,+35,+37,+39,+41,+43,+45,+47,+49,+51,+0,+2,+4,+6,+8,+10,+12,+14,+16,+18,+20,+22,+24,+26,+28,+30,+32,+34,+36,+38,+40,+42,+44,+46,+48,+50,+52 --format json': (0, '618155c7666b449c1a634752e41bafe777ce4beca87cbf09932bf0c18c2fc415'),
@@ -224,6 +242,18 @@ GOLDEN = {
     'check -p 53 --map=-1,-3,-5,-7,-9,-11,-13,-15,-17,-19,-21,-23,-25,-27,-29,-31,-33,-35,-37,-39,-41,-43,-45,-47,-49,-51,-0,-2,-4,-6,-8,-10,-12,-14,-16,-18,-20,-22,-24,-26,-28,-30,-32,-34,-36,-38,-40,-42,-44,-46,-48,-50,-52 --format json': (0, '9f2dbde1911b30e4c4a144dabeddf93db8c315b4ff82db626f6f041b00dc49cf'),
     'check -p 53 --map=+1,+5,+3,+7,+9,+11,+13,+15,+17,+19,+21,+23,+25,+27,+29,+31,+33,+35,+37,+39,+41,+43,+45,+47,+49,+51,+0,+2,+4,+6,+8,+10,+12,+14,+16,+18,+20,+22,+24,+26,+28,+30,+32,+34,+36,+38,+40,+42,+44,+46,+48,+50,+52 --format json': (1, '3e70657013ecd87d258334273e37b1e69e78bf1cac53f4a96f7eb6180fb33fcd'),
     'check -p 53 --map=+9,+19,+5,+21,+49,+0,-51,-15,-34,-43,+26,+47,-17,-18,+46,+41,+27,-38,-52,+42,-12,+25,-35,-20,+24,-37,+11,-31,+4,-7,+6,-28,-14,+44,-36,+40,-3,+16,-8,+22,-10,+2,+1,-50,-23,-33,+48,+30,+45,-32,+29,+13,-39 --format json': (1, 'fe386dfd77be324666078b304cd1fd699ee080b6b9710337ab21962e5a58da01'),
+    'decompose -p 53 --map=+1,+3,+5,+7,+9,+11,+13,+15,+17,+19,+21,+23,+25,+27,+29,+31,+33,+35,+37,+39,+41,+43,+45,+47,+49,+51,+0,+2,+4,+6,+8,+10,+12,+14,+16,+18,+20,+22,+24,+26,+28,+30,+32,+34,+36,+38,+40,+42,+44,+46,+48,+50,+52 --format json': (0, 'c6603af0e765637e7f32dc9866362e5fd9a870c4d048636921cf29b4a82fc8ae'),
+    'decompose -p 53 --map=-1,-3,-5,-7,-9,-11,-13,-15,-17,-19,-21,-23,-25,-27,-29,-31,-33,-35,-37,-39,-41,-43,-45,-47,-49,-51,-0,-2,-4,-6,-8,-10,-12,-14,-16,-18,-20,-22,-24,-26,-28,-30,-32,-34,-36,-38,-40,-42,-44,-46,-48,-50,-52 --format json': (0, '1c9a9387ad87d530e812613d9eec4c0b79601c31665fae279cf974f27c7fc8c5'),
+    'decompose -p 53 --map=+1,+5,+3,+7,+9,+11,+13,+15,+17,+19,+21,+23,+25,+27,+29,+31,+33,+35,+37,+39,+41,+43,+45,+47,+49,+51,+0,+2,+4,+6,+8,+10,+12,+14,+16,+18,+20,+22,+24,+26,+28,+30,+32,+34,+36,+38,+40,+42,+44,+46,+48,+50,+52 --format json': (1, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    'decompose -p 53 --map=+9,+19,+5,+21,+49,+0,-51,-15,-34,-43,+26,+47,-17,-18,+46,+41,+27,-38,-52,+42,-12,+25,-35,-20,+24,-37,+11,-31,+4,-7,+6,-28,-14,+44,-36,+40,-3,+16,-8,+22,-10,+2,+1,-50,-23,-33,+48,+30,+45,-32,+29,+13,-39 --format json': (1, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    'enumerate -p 13 --mode positive_then_negate --format text': (0, '76561969c8ce802c80d0a6f7686e2a80b3d406f51d2c34e7e9834ca90364edb3'),
+    'enumerate -p 13 --mode exhaustive --format text': (0, '76561969c8ce802c80d0a6f7686e2a80b3d406f51d2c34e7e9834ca90364edb3'),
+    'verify -p 13 --mode positive_then_negate --format text': (0, '9b0221627db546331fa38281616866cf05837d91663faa29859bd3a06620f331'),
+    'verify -p 13 --mode exhaustive --format text': (0, '9b0221627db546331fa38281616866cf05837d91663faa29859bd3a06620f331'),
+    'enumerate -p 13 --mode positive_then_negate --format json': (0, '375839e0586cb6be0e71ffce1d3e5118fdce0707d77e063456434bd086742bfd'),
+    'enumerate -p 13 --mode exhaustive --format json': (0, '375839e0586cb6be0e71ffce1d3e5118fdce0707d77e063456434bd086742bfd'),
+    'verify -p 13 --mode positive_then_negate --format json': (0, 'c4ff86a5cc017686f1771fd9d4c272ccea0112b6e2a2539b3f1fe64bc9c726e3'),
+    'verify -p 13 --mode exhaustive --format json': (0, 'c4ff86a5cc017686f1771fd9d4c272ccea0112b6e2a2539b3f1fe64bc9c726e3'),
 }
 
 CASES = list(_cases())
