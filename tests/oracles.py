@@ -232,7 +232,11 @@ def structure_verdicts(p: int, found: list[SignedIsometry]) -> tuple[bool, bool]
     semidirect_law: every inverse lies in the set, every element has affine
     coordinates, every ordered pair composes into the set with coordinates
     (eps*eps', a + u*a', u*u'), scaling by u conjugates the shift by a to the
-    shift by a*u, and the two families meet only in the identity.
+    shift by a*u, and the two families meet only in the identity.  The last
+    two conditions are on shifts and scalings built here, not on the set, so
+    they hold at every prime and never change the verdict; verify leaves them
+    out (the law on the set implies both for its own elements), and this
+    reference keeps them.
     negid_central: negation is a non-trivial involution commuting with every
     element.  Elements are plain (image, signs) tuples throughout.
     """

@@ -222,6 +222,11 @@ def test_recompose_validation():
         recompose(5, AffineCoords(1, 0, 0))
     with pytest.raises(ValueError):
         recompose(5, AffineCoords(1, 5, 1))
+    # u must lie in 1..p-1 like a in 0..p-1: reducing u = 6 to 1 would give
+    # the identity, whose coordinates are not (1, 0, 6)
+    for u in (6, -1):
+        with pytest.raises(ValueError, match="u must lie in 1..4"):
+            recompose(5, AffineCoords(1, 0, u))
 
 
 @pytest.mark.parametrize("p", (2, 3, 5))
@@ -359,6 +364,23 @@ def test_generator_check_accepts_the_group():
         assert pigroup._law_on_generators(p, {iso: decompose(iso) for iso in found})
 
 
+def test_verify_structure_validates_few_maps(monkeypatch):
+    # the search validates its p(p-1) all-positive hits; decomposing reads
+    # coordinates without building maps, which leaves at most 2p more
+    p = 13
+    init = SignedIsometry.__init__
+    calls = 0
+
+    def counting(self, *args, **kwargs):
+        nonlocal calls
+        calls += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(SignedIsometry, "__init__", counting)
+    assert verify_structure(p).all_pass()
+    assert calls <= p * (p - 1) + 2 * p
+
+
 def test_verify_structure_composes_linearly_many_times(monkeypatch):
     # the all-pairs law alone makes |G|^2 = 4 p^2 (p-1)^2 compositions
     p = 13
@@ -400,12 +422,20 @@ def test_affine_composition_law_example():
 
 
 def test_conjugation_relation_on_generators():
-    for p in (3, 5, 7):
+    for p in (2, 3, 5, 7, 53):
         for a in range(p):
             for u in range(1, p):
                 scale = gen_aut(p, u)
                 conjugated = scale.compose(gen_linear(p, a)).compose(scale.invert())
                 assert conjugated == gen_linear(p, (a * u) % p)
+
+
+def test_shifts_and_scalings_meet_only_in_the_identity():
+    for p in (2, 3, 5, 7, 53):
+        shifts = {gen_linear(p, a) for a in range(p)}
+        scalings = {gen_aut(p, u) for u in range(1, p)}
+        assert len(shifts) == p and len(scalings) == p - 1
+        assert shifts & scalings == {SignedIsometry.identity(p)}
 
 
 def test_report_json_dict_shape():
