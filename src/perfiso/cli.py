@@ -1,12 +1,16 @@
 """Deterministic command-line front end.
 
-Commands: chartab, mu, check, enumerate, decompose, verify.  Output is
-byte-stable for identical invocations; JSON payloads carry a top-level
-"schema": 1 version field.  Exit codes: 0 for success / a perfect verdict,
-1 for a negative verdict or failed check, 2 for usage, parse and
-feasibility errors (every command rejects p > MAX_P before the primality
-test), 3 for an internal error (such as the two perfectness checkers
-disagreeing), reported on stderr without a traceback.
+Commands: chartab, mu, check, enumerate, decompose, verify.  Each command is
+a function of the parsed arguments that returns ``(ok, payload, lines)``:
+the positive verdict, the JSON keys that follow ``"schema"`` and ``"p"``,
+and the text output.  ``main`` alone writes stdout, once, after the command
+has returned, so an error exit leaves stdout empty.  Output is byte-stable
+for identical invocations; JSON payloads carry a top-level "schema": 1
+version field.  Exit codes: 0 for success / a perfect verdict, 1 for a
+negative verdict or failed check, 2 for usage, parse and feasibility errors
+(every command rejects p > MAX_P before the primality test), 3 for an
+internal error (such as the two perfectness checkers disagreeing), reported
+on stderr without a traceback.
 
 A ``--map`` literal that starts with "-" may be given as a separate
 argument (``--map -0,-1,-2``) or joined (``--map=-0,-1,-2``).
@@ -33,8 +37,8 @@ from .isometry import (
 from .pigroup import (
     CHECK_KEYS,
     MODES,
+    AffineCoords,
     NotPerfect,
-    PIGroupReport,
     POSITIVE_THEN_NEGATE,
     decompose,
     enumerate_perfect,
@@ -51,7 +55,7 @@ EXIT_INTERNAL = 3
 SCHEMA_VERSION = 1
 MAX_P = 101  # the target scale; at p = 101, check takes about 0.25 s, mu and chartab 0.2 s (2 vCPUs)
 
-_NEGATIVE_LITERAL = re.compile(r"-\d")
+_NEGATIVE_LITERAL = re.compile(r"-[0-9]")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -73,80 +77,40 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("chartab", parents=[common], help="print the character table")
-    sp.set_defaults(func=cmd_chartab)
-
-    sp = sub.add_parser(
-        "mu", parents=[common], help="print the pairing kernel of an isometry"
-    )
-    sp.add_argument("--map", required=True, help='isometry literal, e.g. "+2,+0,+1"')
-    sp.set_defaults(func=cmd_mu)
-
-    sp = sub.add_parser(
-        "check", parents=[common], help="test an isometry for perfectness"
-    )
-    sp.add_argument("--map", required=True, help='isometry literal, e.g. "+0,+1,+2"')
-    sp.set_defaults(func=cmd_check)
-
-    sp = sub.add_parser(
-        "enumerate", parents=[common], help="enumerate all perfect isometries"
-    )
-    sp.add_argument(
-        "--mode", choices=MODES, default=POSITIVE_THEN_NEGATE, help="enumeration mode"
-    )
-    sp.set_defaults(func=cmd_enumerate)
-
-    sp = sub.add_parser(
-        "decompose", parents=[common], help="affine coordinates of a perfect isometry"
-    )
-    sp.add_argument("--map", required=True, help='isometry literal, e.g. "+1,+3,+0,+2,+4"')
-    sp.set_defaults(func=cmd_decompose)
-
-    sp = sub.add_parser(
-        "verify", parents=[common], help="enumerate and verify the group structure"
-    )
-    sp.add_argument(
-        "--mode", choices=MODES, default=POSITIVE_THEN_NEGATE, help="enumeration mode"
-    )
-    sp.set_defaults(func=cmd_verify)
+    examples = {"mu": "+2,+0,+1", "check": "+0,+1,+2", "decompose": "+1,+3,+0,+2,+4"}
+    builds = {"enumerate": enumerate_perfect, "verify": verify_structure}
+    for name, func, help_text in (
+        ("chartab", cmd_chartab, "print the character table"),
+        ("mu", cmd_mu, "print the pairing kernel of an isometry"),
+        ("check", cmd_check, "test an isometry for perfectness"),
+        ("enumerate", cmd_report, "enumerate all perfect isometries"),
+        ("decompose", cmd_decompose, "affine coordinates of a perfect isometry"),
+        ("verify", cmd_report, "enumerate and verify the group structure"),
+    ):
+        sp = sub.add_parser(name, parents=[common], help=help_text)
+        if name in examples:
+            sp.add_argument(
+                "--map", required=True, help=f'isometry literal, e.g. "{examples[name]}"'
+            )
+        if name in builds:
+            sp.add_argument(
+                "--mode", choices=MODES, default=POSITIVE_THEN_NEGATE, help="enumeration mode"
+            )
+        sp.set_defaults(func=func, build=builds.get(name))
 
     return parser
 
 
-def _print_json(payload: dict) -> None:
-    print(json.dumps(payload, indent=2))
+_Result = tuple[bool, dict, list[str]]
 
 
-def _grid(entries) -> list[list[str]]:
-    return [[symbolic_str(e) for e in row] for row in entries]
+def _grid(entries) -> tuple[dict, list[str]]:
+    grid = [[symbolic_str(e) for e in row] for row in entries]
+    return {"entries": grid}, [" ".join(row) for row in grid]
 
 
-def cmd_chartab(args: argparse.Namespace) -> int:
-    grid = _grid(char_table(args.p))
-    if args.format == "json":
-        _print_json({"schema": SCHEMA_VERSION, "p": args.p, "entries": grid})
-    else:
-        for row in grid:
-            print(" ".join(row))
-    return EXIT_OK
-
-
-def cmd_mu(args: argparse.Namespace) -> int:
-    iso = SignedIsometry.from_literal(args.p, args.map)
-    grid = _grid(kernel_table(iso).entries)
-    if args.format == "json":
-        _print_json(
-            {
-                "schema": SCHEMA_VERSION,
-                "p": args.p,
-                "map": iso.as_literal(),
-                "entries": grid,
-            }
-        )
-    else:
-        for row in grid:
-            print(" ".join(row))
-    return EXIT_OK
+def _coords_text(c: AffineCoords) -> str:
+    return f"({'+' if c.eps > 0 else '-'}1, a={c.a}, u={c.u})"
 
 
 def _verdict_json(verdict: Verdict) -> dict:
@@ -156,80 +120,59 @@ def _verdict_json(verdict: Verdict) -> dict:
     }
 
 
-def cmd_check(args: argparse.Namespace) -> int:
+def cmd_chartab(args: argparse.Namespace) -> _Result:
+    payload, lines = _grid(char_table(args.p))
+    return True, payload, lines
+
+
+def cmd_mu(args: argparse.Namespace) -> _Result:
+    iso = SignedIsometry.from_literal(args.p, args.map)
+    payload, lines = _grid(kernel_table(iso).entries)
+    return True, {"map": iso.as_literal(), **payload}, lines
+
+
+def cmd_check(args: argparse.Namespace) -> _Result:
     iso = SignedIsometry.from_literal(args.p, args.map)
     direct = is_perfect(iso)
     cross = is_perfect_via_spaces(iso)
     if direct.status != cross.status:
         raise InternalError(f"checkers disagree ({direct.status} vs {cross.status})")
-    if args.format == "json":
-        _print_json(
-            {
-                "schema": SCHEMA_VERSION,
-                "p": args.p,
-                "map": iso.as_literal(),
-                "verdict": _verdict_json(direct),
-                "cross_check": _verdict_json(cross),
-                "agree": True,
-            }
-        )
-    else:
-        print(f"verdict: {direct.status}")
-        if direct.witness:
-            print(f"witness: ({direct.witness[0]}, {direct.witness[1]})")
-        print(f"cross_check: {cross.status}")
-        if cross.witness:
-            print(f"cross_check_witness: ({cross.witness[0]}, {cross.witness[1]})")
-    return EXIT_OK if direct.ok else EXIT_NEGATIVE
+    payload = {
+        "map": iso.as_literal(),
+        "verdict": _verdict_json(direct),
+        "cross_check": _verdict_json(cross),
+        "agree": True,
+    }
+    lines = [f"verdict: {direct.status}"]
+    if direct.witness:
+        lines.append(f"witness: ({direct.witness[0]}, {direct.witness[1]})")
+    lines.append(f"cross_check: {cross.status}")
+    if cross.witness:
+        lines.append(f"cross_check_witness: ({cross.witness[0]}, {cross.witness[1]})")
+    return direct.ok, payload, lines
 
 
-def _print_report(report: PIGroupReport, fmt: str) -> None:
-    if fmt == "json":
-        _print_json({"schema": SCHEMA_VERSION, **report.to_json_dict()})
-        return
-    print(f"p: {report.p}")
-    print(f"order: {report.order}")
-    print("elements:")
-    for c in report.elements:
-        print(f"  ({'+' if c.eps > 0 else '-'}1, a={c.a}, u={c.u})")
-    print("checks:")
-    for key in CHECK_KEYS:
-        value = report.checks[key]
-        shown = "not_checked" if value is None else ("pass" if value else "FAIL")
-        print(f"  {key}: {shown}")
-    for line in report.failures:
-        print(f"  ! {line}")
-
-
-def cmd_enumerate(args: argparse.Namespace) -> int:
-    report = enumerate_perfect(args.p, args.mode)
-    _print_report(report, args.format)
-    return EXIT_OK if report.all_pass() else EXIT_NEGATIVE
-
-
-def cmd_verify(args: argparse.Namespace) -> int:
-    report = verify_structure(args.p, args.mode)
-    _print_report(report, args.format)
-    return EXIT_OK if report.all_pass() else EXIT_NEGATIVE
-
-
-def cmd_decompose(args: argparse.Namespace) -> int:
+def cmd_decompose(args: argparse.Namespace) -> _Result:
     iso = SignedIsometry.from_literal(args.p, args.map)
-    coords = decompose(iso)
-    if args.format == "json":
-        _print_json(
-            {
-                "schema": SCHEMA_VERSION,
-                "p": args.p,
-                "map": iso.as_literal(),
-                "eps": coords.eps,
-                "a": coords.a,
-                "u": coords.u,
-            }
-        )
-    else:
-        print(f"({'+' if coords.eps > 0 else '-'}1, a={coords.a}, u={coords.u})")
-    return EXIT_OK
+    c = decompose(iso)
+    payload = {"map": iso.as_literal(), "eps": c.eps, "a": c.a, "u": c.u}
+    return True, payload, [_coords_text(c)]
+
+
+def cmd_report(args: argparse.Namespace) -> _Result:
+    """enumerate or verify: ``args.build`` is the library call that makes the report."""
+    report = args.build(args.p, args.mode)
+    shown = {None: "not_checked", True: "pass", False: "FAIL"}
+    lines = [
+        f"p: {report.p}",
+        f"order: {report.order}",
+        "elements:",
+        *(f"  {_coords_text(c)}" for c in report.elements),
+        "checks:",
+        *(f"  {key}: {shown[report.checks[key]]}" for key in CHECK_KEYS),
+        *(f"  ! {line}" for line in report.failures),
+    ]
+    return report.all_pass(), report.to_json_dict(), lines
 
 
 def _join_map_literals(argv: Sequence[str]) -> list[str]:
@@ -253,7 +196,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         if args.p > MAX_P:
             raise ValueError(f"p={args.p} is out of range; the bound is p <= {MAX_P}")
-        return args.func(args)
+        ok, payload, lines = args.func(args)
     except NotPerfect as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NEGATIVE
@@ -263,3 +206,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except InternalError as exc:
         print(f"error: internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
+    if args.format == "json":
+        # a report's own "p" key takes the envelope's place and has the same value
+        print(json.dumps({"schema": SCHEMA_VERSION, "p": args.p, **payload}, indent=2))
+    else:
+        print("\n".join(lines))
+    return EXIT_OK if ok else EXIT_NEGATIVE

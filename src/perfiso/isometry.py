@@ -56,7 +56,7 @@ ALL_POSITIVE = "all_positive"
 ALL_NEGATIVE = "all_negative"
 MIXED = "mixed"
 
-_LITERAL_TOKEN = re.compile(r"[+-]\d+")
+_LITERAL_TOKEN = re.compile(r"[+-][0-9]+")
 
 
 class NonIntegralTransform(ArithmeticError):

@@ -348,13 +348,31 @@ def test_decompose_json(capsys):
 def test_decompose_non_perfect_exits_1(capsys):
     code, out, err = run_cli(capsys, "decompose", "-p", "5", "--map", "+0,+2,+1,+3,+4")
     assert code == 1
+    assert out == ""
     assert "not an affine map" in err
 
 
-def test_decompose_parse_error_exits_2(capsys):
-    code, _, err = run_cli(capsys, "decompose", "-p", "5", "--map", "0,1,2,3,4")
+@pytest.mark.parametrize("command", ("mu", "check", "decompose"))
+def test_map_parse_error_exits_2(capsys, command):
+    code, out, err = run_cli(capsys, command, "-p", "5", "--map", "0,1,2,3,4")
     assert code == 2
+    assert out == ""
     assert "signed index" in err
+
+
+@pytest.mark.parametrize("command", ("mu", "check", "decompose"))
+@pytest.mark.parametrize("digit", ("\u0662", "\uff12"))  # two: Arabic-Indic, fullwidth
+@pytest.mark.parametrize("sign", ("+", "-"))
+@pytest.mark.parametrize("joined", (True, False), ids=("joined", "separate"))
+def test_non_ascii_digits_exit_2(capsys, command, digit, sign, joined):
+    literal = f"{sign}{digit},{sign}0,{sign}1"
+    argv = [command, "-p", "3", *([f"--map={literal}"] if joined else ["--map", literal])]
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse reads a separate "-<digit>" as an option
+        code = exc.code
+    assert code == 2
+    assert capsys.readouterr().out == ""
 
 
 # ---------------------------------------------------------------------------

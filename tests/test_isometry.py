@@ -81,7 +81,17 @@ def test_literal_whitespace_ignored():
 
 @pytest.mark.parametrize(
     "text",
-    ["+0,+1", "+0,+1,+2,+0", "0,1,2", "+0,+1,+5", "+0,+0,+1", "", "+0,,+1"],
+    [
+        "+0,+1",
+        "+0,+1,+2,+0",
+        "0,1,2",
+        "+0,+1,+5",
+        "+0,+0,+1",
+        "",
+        "+0,,+1",
+        "+\u0662,+0,+1",  # ARABIC-INDIC DIGIT TWO
+        "-0,-\uff11,-2",  # FULLWIDTH DIGIT ONE
+    ],
 )
 def test_bad_literals_rejected(text):
     with pytest.raises(ValueError):

@@ -78,9 +78,12 @@ def test_gen_aut_is_injective_homomorphism(p):
 def test_gen_negid():
     p = 5
     neg = gen_negid(p)
-    assert neg.compose(neg) == SignedIsometry.identity(p)
     assert is_perfect(neg).status == PERFECT
     assert neg.sign_profile() == "all_negative"
+    # verify takes this involution for granted; it reads nothing of the enumerated set
+    for p in (2, 3, 5, 7, 53):
+        neg, identity = gen_negid(p), SignedIsometry.identity(p)
+        assert neg.compose(neg) == identity and neg != identity
 
 
 @pytest.mark.parametrize("p", (2, 3, 5, 7))

@@ -4,7 +4,7 @@ import ast
 from pathlib import Path
 
 import perfiso
-from perfiso import characters, cyclotomic, isometry, pigroup
+from perfiso import characters, cli, cyclotomic, isometry, pigroup
 
 SOURCES = sorted(Path(perfiso.__file__).parent.glob("*.py"))
 
@@ -52,3 +52,20 @@ def test_package_exports_match_modules():
     for mod in layers:
         for name in mod.__all__:
             assert getattr(perfiso, name) is getattr(mod, name), name
+
+
+def test_cli_writes_stdout_only_in_main():
+    # commands return their output; main prints it once, so an error exit prints nothing
+    tree = ast.parse(Path(cli.__file__).read_text())
+    (main,) = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "main"]
+    inside_main = {id(node) for node in ast.walk(main)}
+    found = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "print"
+        and id(node) not in inside_main
+        and not any(kw.arg == "file" for kw in node.keywords)
+    ]
+    assert found == []
