@@ -10,7 +10,8 @@ permutation is affine, so one sign is flipped instead.
 At scale, ``mu``, ``check`` and ``decompose`` run at p = 23 and 53 on the
 affine map, its negation, the swapped-affine map and a random signed map
 (drawn once from ``random.Random(p)``: a shuffle, then one sign per index),
-and ``enumerate`` and ``verify`` run at p = 13 in both modes.
+``enumerate`` and ``verify`` run at p = 13 in both modes, and ``verify``
+runs at p = 53 in both modes.
 
 Regenerate the table only for a deliberate output change:
 ``python tests/test_golden.py`` prints it.
@@ -27,6 +28,7 @@ from perfiso.cli import main
 FORMATS = ("text", "json")
 MODES = ("positive_then_negate", "exhaustive")
 SEARCH_P = 13
+VERIFY_P = 53
 # p -> (perfect affine map k -> 1 + 2k, its negation, a non-perfect map)
 MAPS = {
     2: ("+1,+0", "-1,-0", "+0,-1"),
@@ -76,6 +78,9 @@ def _cases():
         for command in ("enumerate", "verify"):
             for mode in MODES:
                 yield (command, "-p", str(SEARCH_P), "--mode", mode, "--format", fmt)
+    for fmt in FORMATS:
+        for mode in MODES:
+            yield ("verify", "-p", str(VERIFY_P), "--mode", mode, "--format", fmt)
 
 
 def _run(argv):
@@ -254,6 +259,10 @@ GOLDEN = {
     'enumerate -p 13 --mode exhaustive --format json': (0, '375839e0586cb6be0e71ffce1d3e5118fdce0707d77e063456434bd086742bfd'),
     'verify -p 13 --mode positive_then_negate --format json': (0, 'c4ff86a5cc017686f1771fd9d4c272ccea0112b6e2a2539b3f1fe64bc9c726e3'),
     'verify -p 13 --mode exhaustive --format json': (0, 'c4ff86a5cc017686f1771fd9d4c272ccea0112b6e2a2539b3f1fe64bc9c726e3'),
+    'verify -p 53 --mode positive_then_negate --format text': (0, 'd0e0de82fea0b128f17822d53505472a94c779805a177d2b6d97663d3be30c39'),
+    'verify -p 53 --mode exhaustive --format text': (0, 'd0e0de82fea0b128f17822d53505472a94c779805a177d2b6d97663d3be30c39'),
+    'verify -p 53 --mode positive_then_negate --format json': (0, 'f998a0cbd349158391f8900b9d60a4998187444fe0d7cc5fcc4470462288aef2'),
+    'verify -p 53 --mode exhaustive --format json': (0, 'f998a0cbd349158391f8900b9d60a4998187444fe0d7cc5fcc4470462288aef2'),
 }
 
 CASES = list(_cases())
