@@ -10,8 +10,10 @@ every element with plain integer products, roots of unity are
 recognized by comparing against each of +-zeta^k in turn, the dense
 kernel counts every entry without the Galois action, the integrality
 and separation scans read every entry in row-major order, the
-adjoint takes the dense forward sums of the transposed kernel, and the
-structure verdicts compose every pair of plain image/sign tuples.
+adjoint takes the dense forward sums of the transposed kernel, the
+perfect images come from a search of the whole permutation tree with no
+normal form, and the structure verdicts compose every pair of plain
+image/sign tuples.
 """
 
 from __future__ import annotations
@@ -211,6 +213,44 @@ def perfect_candidates_walk(p: int) -> list[SignedIsometry]:
     ]
 
 
+def perfect_images_full_search(p: int) -> list[tuple[int, ...]]:
+    """The permutations whose maps k -> image[k] + c*k (mod p), c = 1..p-1,
+    are each injective or constant, in lexicographic order, found by a
+    depth-first search over the whole permutation tree (no normal form).
+
+    Each c keeps the bitmask of the values image[k] + c*k over the placed k,
+    and a branch is cut once some c is neither injective (d + 1 values on
+    d + 1 points) nor constant (one value).
+    """
+    bits = [1 << w for w in range(p)] * 2
+    steps = [[c * d % p for c in range(1, p)] for d in range(p)]
+    image: list[int] = []
+    found: list[tuple[int, ...]] = []
+
+    def extend(masks: list[int], used: int) -> None:
+        d = len(image)
+        if d == p:
+            found.append(tuple(image))
+            return
+        for v in range(p):
+            if used >> v & 1:
+                continue
+            grown = []
+            for mask, step in zip(masks, steps[d]):
+                mask |= bits[v + step]
+                size = mask.bit_count()
+                if size != 1 and size != d + 1:
+                    break
+                grown.append(mask)
+            else:
+                image.append(v)
+                extend(grown, used | bits[v])
+                image.pop()
+
+    extend([0] * (p - 1), 0)
+    return found
+
+
 def _compose_plain(lhs, rhs):
     """lhs after rhs, on plain (image, signs) pairs: k goes through rhs first."""
     (li, ls), (ri, rs) = lhs, rhs
@@ -237,8 +277,10 @@ def structure_verdicts(p: int, found: list[SignedIsometry]) -> tuple[bool, bool]
     they hold at every prime and never change the verdict; verify leaves them
     out (the law on the set implies both for its own elements), and this
     reference keeps them.
-    negid_central: negation is a non-trivial involution commuting with every
-    element.  Elements are plain (image, signs) tuples throughout.
+    negid_central: negation is a non-trivial involution and lies in the set.
+    It commutes with every signed map, so commuting with the elements can
+    never fail and is left to the tests.  Elements are plain (image, signs)
+    tuples throughout.
     """
     elems = [(iso.image, iso.signs) for iso in found]
     members = set(elems)
@@ -280,7 +322,7 @@ def structure_verdicts(p: int, found: list[SignedIsometry]) -> tuple[bool, bool]
 
     negid = (tuple(range(p)), (-1,) * p)
     negid_central = _compose_plain(negid, negid) == identity and negid != identity
-    if any(_compose_plain(negid, e) != _compose_plain(e, negid) for e in elems):
+    if negid not in members:
         negid_central = False
     return semidirect, negid_central
 

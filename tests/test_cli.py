@@ -188,6 +188,28 @@ def test_negative_map_literal_as_separate_argument(capsys, command, fmt):
     assert joined[0] == 0 and joined[1] and joined[2] == ""
 
 
+@pytest.mark.parametrize("command", ("mu", "check", "decompose"))
+@pytest.mark.parametrize("literal", ("-x,-1,-2", "-0,-1"))
+def test_malformed_negative_literal_as_separate_argument(capsys, command, literal):
+    # the literal parser, not argparse, judges a separate literal
+    joined = run_cli(capsys, command, "-p", "3", f"--map={literal}")
+    separate = run_cli(capsys, command, "-p", "3", "--map", literal)
+    assert joined == separate
+    code, out, err = joined
+    assert code == 2 and out == ""
+    assert err.startswith("error: literal has") or err.startswith("error: bad literal entry")
+
+
+@pytest.mark.parametrize("argv", (("--map", "-p", "3"), ("-p", "3", "--map", "--format", "json")))
+def test_map_before_an_option_still_lacks_its_argument(capsys, argv):
+    with pytest.raises(SystemExit) as info:
+        main(["check", *argv])
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "argument --map: expected one argument" in captured.err
+
+
 def test_check_json_payload(capsys):
     code, out, _ = run_cli(
         capsys, "check", "-p", "5", "--map", "+0,+2,+1,+3,+4", "--format", "json"
@@ -252,14 +274,14 @@ def test_enumerate_p7_exhaustive(capsys):
     assert len(payload["elements"]) == 84
 
 
-def test_enumerate_infeasible_p_exits_2(capsys):
-    # 59 is the first prime above the bound
-    for command in ("enumerate", "verify"):
-        for mode in ("exhaustive", "positive_then_negate"):
-            code, out, err = run_cli(capsys, command, "-p", "59", "--mode", mode)
-            assert code == 2
-            assert out == ""
-            assert "infeasible" in err and "p <= 53" in err
+def test_verify_at_the_cli_bound(capsys):
+    # enumerate and verify share the bound of every other command
+    code, out, err = run_cli(capsys, "verify", "-p", str(cli.MAX_P), "--format", "json")
+    assert code == 0 and err == ""
+    payload = json.loads(out)
+    assert payload["order"] == 2 * 101 * 100 == 20200
+    assert payload["checks"] == dict.fromkeys(perfiso.CHECK_KEYS, True)
+    assert "failures" not in payload
 
 
 @pytest.mark.parametrize("p", ("103", "100000000000000000039"))
@@ -367,12 +389,10 @@ def test_map_parse_error_exits_2(capsys, command):
 def test_non_ascii_digits_exit_2(capsys, command, digit, sign, joined):
     literal = f"{sign}{digit},{sign}0,{sign}1"
     argv = [command, "-p", "3", *([f"--map={literal}"] if joined else ["--map", literal])]
-    try:
-        code = main(argv)
-    except SystemExit as exc:  # argparse reads a separate "-<digit>" as an option
-        code = exc.code
-    assert code == 2
-    assert capsys.readouterr().out == ""
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: bad literal entry {sign + digit!r}; expected a signed index like +2\n"
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,13 @@ from perfiso import (
     verify_structure,
 )
 from perfiso.cli import main
-from oracles import candidate_is_perfect, perfect_candidates_walk, structure_verdicts
+from oracles import (
+    candidate_is_perfect,
+    perfect_candidates_walk,
+    perfect_images_full_search,
+    random_isometry,
+    structure_verdicts,
+)
 
 SEED = 20260809
 
@@ -84,6 +90,18 @@ def test_gen_negid():
     for p in (2, 3, 5, 7, 53):
         neg, identity = gen_negid(p), SignedIsometry.identity(p)
         assert neg.compose(neg) == identity and neg != identity
+
+
+@pytest.mark.parametrize("p", (2, 3, 5, 7, 53))
+def test_negation_commutes_with_every_signed_map(p):
+    # verify takes this for granted too: both composites keep the image and
+    # negate every sign, whatever the map and its signs
+    rng = Random(SEED + 3 * p)
+    neg = gen_negid(p)
+    maps = [random_isometry(rng, p) for _ in range(50)]
+    assert any(iso.sign_profile() == "mixed" for iso in maps)
+    for iso in maps + [SignedIsometry.identity(p), neg]:
+        assert neg.compose(iso) == iso.compose(neg) == -iso
 
 
 @pytest.mark.parametrize("p", (2, 3, 5, 7))
@@ -181,16 +199,47 @@ def test_search_matches_brute_force_walk(p):
         assert list(iter_perfect(p, mode)) == walk
 
 
-def test_feasibility_bounds():
-    # 59 is the first prime above the bound
+PRIMES_TO_29 = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)
+
+
+@pytest.mark.parametrize("p", PRIMES_TO_29)
+def test_subtree_search_matches_full_search(p):
+    # the prefix-(0, 1) subtree and its affine orbit give the whole tree's hits
+    images = perfect_images_full_search(p)
+    assert pigroup._perfect_images(p) == images
+    hits = [SignedIsometry(p, image, (1,) * p) for image in images]
+    walk = [iso for hit in hits for iso in (hit, -hit)]
     for mode in MODES:
-        assert next(iter_perfect(53, mode)) == SignedIsometry.identity(53)
-        with pytest.raises(ValueError, match="infeasible.*p <= 53"):
-            list(iter_perfect(59, mode))
-    with pytest.raises(ValueError, match="p <= 53"):
-        enumerate_perfect(59, EXHAUSTIVE)
-    with pytest.raises(ValueError, match="p <= 53"):
-        verify_structure(59, POSITIVE_THEN_NEGATE)
+        assert list(iter_perfect(p, mode)) == walk
+
+
+@pytest.mark.parametrize("p", (5, 7, 11, 13))
+def test_rule_is_invariant_under_value_affine_maps(p):
+    # the lemma behind the subtree search, on the oracle: x passes exactly
+    # when k -> u*x[k] + a does, and x is the image of its prefix-(0, 1) form
+    rng = Random(SEED + 11 * p)
+    ones = (1,) * p
+    images = []
+    for _ in range(6):
+        image = list(range(p))
+        rng.shuffle(image)
+        images.append(tuple(image))
+    for _ in range(3):
+        images.append(recompose(p, AffineCoords(1, rng.randrange(p), rng.randrange(1, p))).image)
+    for x in images:
+        passes = candidate_is_perfect(p, x, ones)
+        for u in range(1, p):
+            for a in range(p):
+                moved = tuple((u * v + a) % p for v in x)
+                assert candidate_is_perfect(p, moved, ones) == passes
+        u, a = (x[1] - x[0]) % p, x[0]
+        form = tuple((v - a) * pow(u, -1, p) % p for v in x)
+        assert form[:2] == (0, 1)
+        assert tuple((u * v + a) % p for v in form) == x
+    assert sum(candidate_is_perfect(p, x, ones) for x in images) >= 3
+
+
+def test_iter_perfect_rejects_unknown_mode():
     with pytest.raises(ValueError, match="unknown mode 'bogus'"):
         list(iter_perfect(5, "bogus"))
 
@@ -351,6 +400,15 @@ def test_closed_proper_subgroup_keeps_the_law(monkeypatch, p):
     assert not any("composition" in line for line in report.failures)
 
 
+def test_missing_negation_fails_negid_central(monkeypatch):
+    negid = gen_negid(5)
+    found = [iso for iso in iter_perfect(5) if iso != negid]
+    monkeypatch.setattr(pigroup, "iter_perfect", lambda p, mode: iter(found))
+    report = verify_structure(5)
+    assert _structure_verdicts_of(report) == structure_verdicts(5, found) == (False, False)
+    assert report.failures[-1] == "negation not enumerated: -0,-1,-2,-3,-4"
+
+
 def test_duplicated_element_keeps_the_law(monkeypatch):
     group = list(iter_perfect(5))
     found = group + [group[7]]
@@ -397,7 +455,22 @@ def test_verify_structure_composes_linearly_many_times(monkeypatch):
 
     monkeypatch.setattr(SignedIsometry, "compose", counting)
     assert verify_structure(p).all_pass()
-    assert calls <= 20 * p * (p - 1)
+    assert calls <= 6 * p * (p - 1)  # the generator walk's 3|G|
+
+
+def test_verify_structure_inverts_nothing_when_the_law_passes(monkeypatch):
+    # closure under composition already holds every inverse
+    invert = SignedIsometry.invert
+    calls = 0
+
+    def counting(self):
+        nonlocal calls
+        calls += 1
+        return invert(self)
+
+    monkeypatch.setattr(SignedIsometry, "invert", counting)
+    assert verify_structure(13).all_pass()
+    assert calls == 0
 
 
 def test_primitive_root_is_least_of_full_order():
