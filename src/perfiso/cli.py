@@ -53,7 +53,7 @@ EXIT_USAGE = 2
 EXIT_INTERNAL = 3
 
 SCHEMA_VERSION = 1
-# the target scale; at p = 101, end to end on 2 vCPUs, verify takes about 2.7 s,
+# the target scale; at p = 101, end to end on 2 vCPUs, verify takes about 1.7 s,
 # enumerate 1.3 s, check 0.25 s, mu and chartab 0.2 s
 MAX_P = 101
 

@@ -29,9 +29,9 @@ leaf, the identity, at each.  Both modes run the same search:
     adjoins their negations (negating an isometry negates its kernel, which
     changes neither divisibility nor the zero pattern).
 
-Both produce identical reports.  The structure checks of ``verify`` cost
-O(p^3), as they check the composition law on three generators
-(_law_on_generators).
+Both produce identical reports.  When the set holds every affine map, the
+structure checks of ``verify`` read the composition law off the affine
+coordinates and compose no maps (_structural_checks proves this exact).
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from __future__ import annotations
 from typing import Iterator, NamedTuple
 
 from .cyclotomic import require_prime
-from .isometry import ALL_POSITIVE, MIXED, InternalError, SignedIsometry
+from .isometry import ALL_POSITIVE, MIXED, SignedIsometry
 
 __all__ = [
     "EXHAUSTIVE",
@@ -285,20 +285,23 @@ def iter_perfect(p: int, mode: str = POSITIVE_THEN_NEGATE) -> Iterator[SignedIso
 
 def _base_report(
     p: int, found: list[SignedIsometry], failures: list[str]
-) -> tuple[PIGroupReport, dict[SignedIsometry, AffineCoords] | None]:
+) -> tuple[PIGroupReport, list[AffineCoords] | None]:
     """The report without the structural checks, and the coordinates of
-    every element (None when some element does not decompose)."""
-    coord_of: dict[SignedIsometry, AffineCoords] = {}
-    decomposable = True
+    every element in the order of ``found`` (None when some element does not
+    decompose)."""
+    coords: list[AffineCoords] = []
+    rejected = []
     for iso in found:
         try:
-            coord_of[iso] = decompose(iso)
+            coords.append(decompose(iso))
         except NotPerfect:
-            decomposable = False
+            rejected.append(iso)
             failures.append(f"non-affine perfect isometry: {iso.as_literal()}")
+    decomposable = not rejected
 
+    # decompose rejects every mixed map, so only the rejected can be mixed
     homogeneous = True
-    for iso in found:
+    for iso in rejected:
         if iso.sign_profile() == MIXED:
             homogeneous = False
             failures.append(f"mixed-sign perfect isometry: {iso.as_literal()}")
@@ -309,7 +312,7 @@ def _base_report(
     expected = {
         AffineCoords(eps, a, u) for eps in (-1, 1) for a in range(p) for u in range(1, p)
     }
-    missing = expected - set(coord_of.values())
+    missing = expected - set(coords)
     affine = decomposable and not missing
     if decomposable:
         for literal in sorted(recompose(p, c).as_literal() for c in missing):
@@ -325,11 +328,11 @@ def _base_report(
     report = PIGroupReport(
         p=p,
         order=len(found),
-        elements=sorted(coord_of[iso] for iso in found if iso in coord_of),
+        elements=sorted(coords),
         checks=checks,
         failures=failures,
     )
-    return report, coord_of if decomposable else None
+    return report, coords if decomposable else None
 
 
 def enumerate_perfect(p: int, mode: str = POSITIVE_THEN_NEGATE) -> PIGroupReport:
@@ -338,116 +341,38 @@ def enumerate_perfect(p: int, mode: str = POSITIVE_THEN_NEGATE) -> PIGroupReport
     return _base_report(p, found, [])[0]
 
 
-def _primitive_root(p: int) -> int:
-    """The least g in 1..p-1 whose powers g, g^2, ..., g^(p-1) are every unit
-    mod p (g = 1 at p = 2, where the unit group is trivial)."""
-    for g in range(1, p):
-        if len({pow(g, k, p) for k in range(1, p)}) == p - 1:
-            return g
-    raise InternalError(f"no primitive root mod {p}")
-
-
 def _law(p: int, cl: AffineCoords, cr: AffineCoords) -> AffineCoords:
     """Coordinates of (eps, a, u) o (eps', a', u') = (eps*eps', a + u*a', u*u')."""
     return AffineCoords(cl.eps * cr.eps, (cl.a + cl.u * cr.a) % p, (cl.u * cr.u) % p)
 
 
-def _law_on_generators(p: int, coord_of: dict[SignedIsometry, AffineCoords]) -> bool:
-    """True when the set F of keys satisfies the affine composition law for
-    all pairs: x o y lies in F with coordinates _law(coord(x), coord(y)).
-
-    S is {shift k -> k + 1, scaling by a primitive root g, negation}.  A
-    breadth-first walk from the identity, under left multiplication by S,
-    checks at every reached x and s in S that s o x lies in F with
-    coordinates _law(coord(s), coord(x)); it returns True only when the walk
-    reaches every element of F, so the check then holds at every x in F.
-    That costs 3|F| compositions, against |F|^2 for all pairs.
-
-    Proof that True implies the law for all pairs.  Every x in F is reached
-    by a word x = s_1 o (s_2 o ... (s_n o id)), and we show, by induction on
-    n, that for all y in F, x o y lies in F with coordinates
-    _law(coord(x), coord(y)).  For n = 0, x = id, id o y = y, and
-    coord(id) = (1, 0, 1) is the neutral element of the law.  For n > 0,
-    x = s o x' with x' reached by a shorter word, and coord(x) =
-    _law(coord(s), coord(x')) by the check at x'.  By associativity of
-    composition x o y = s o (x' o y); by induction x' o y lies in F with
-    coordinates _law(coord(x'), coord(y)), so by the check at x' o y the
-    composite lies in F with coordinates
-    _law(coord(s), _law(coord(x'), coord(y))) =
-    _law(_law(coord(s), coord(x')), coord(y)) = _law(coord(x), coord(y)),
-    because the law is associative: _law(c, c') are the coordinates of the
-    map with coordinates c after the map with coordinates c', and
-    composition of maps is associative.
-
-    False proves nothing by itself (F may be a closed proper subgroup, which
-    the walk cannot cover), so callers then run the all-pairs check.
-    """
-    identity = SignedIsometry.identity(p)
-    if identity not in coord_of:
-        return False
-    g = _primitive_root(p)
-    gens = [
-        (recompose(p, c), c)
-        for c in (AffineCoords(1, 1, 1), AffineCoords(1, 0, g), AffineCoords(-1, 0, 1))
-    ]
-    reached = {identity}
-    queue = [identity]
-    for x in queue:  # the queue grows while it is walked: breadth-first order
-        cx = coord_of[x]
-        for s, cs in gens:
-            sx = s.compose(x)
-            if coord_of.get(sx) != _law(p, cs, cx):
-                return False
-            if sx not in reached:
-                reached.add(sx)
-                queue.append(sx)
-    return len(reached) == len(coord_of)
-
-
-def _law_on_all_pairs(
-    p: int,
-    found: list[SignedIsometry],
-    coord_of: dict[SignedIsometry, AffineCoords],
-    failures: list[str],
-) -> bool:
-    """The composition law on every ordered pair, with a line per failure."""
-    ok = True
-    for lhs in found:
-        cl = coord_of[lhs]
-        for rhs in found:
-            composed = coord_of.get(lhs.compose(rhs))
-            if composed is None:
-                ok = False
-                failures.append(
-                    f"composition escapes the set: {lhs.as_literal()} o {rhs.as_literal()}"
-                )
-            elif composed != _law(p, cl, coord_of[rhs]):
-                ok = False
-                failures.append(
-                    f"composition law fails: {lhs.as_literal()} o {rhs.as_literal()}"
-                )
-    return ok
-
-
 def _structural_checks(
     p: int,
     found: list[SignedIsometry],
-    coord_of: dict[SignedIsometry, AffineCoords] | None,
+    coords: list[AffineCoords] | None,
+    complete: bool,
     failures: list[str],
 ) -> tuple[bool, bool]:
     """Closure under inverses and the affine composition law (folded into
     one semidirect verdict) plus the presence of negation.  Failures append
     a line naming the offending element or pair.
 
-    The law is checked on the generators first (_law_on_generators).  When
-    that passes, the law holds on every pair, so the set is closed under
-    composition, and a finite set of bijections closed under composition
-    holds every inverse: x has finite order n, and its inverse x^(n-1) is
-    the identity (n = 1) or a product of copies of x.  Only when the walk
-    does not pass, or cannot run because some element is non-affine, do
-    the inverse loop and then the all-pairs check run, so the verdict and
-    the failure lines are always those of the inverse loop followed by the
-    all-pairs check.
+    The law is read off the set C of coordinates.  Each element recomposes
+    from its coordinates and recompose is injective, so a fact about C is a
+    fact about the set.  The map with coordinates (eps, a, u) after the map
+    with coordinates (eps', a', u') sends k to
+    eps*(a + u*(eps'*(a' + u'*k))) = eps*eps'*((a + u*a') + u*u'*k), the
+    map with coordinates _law(c, c'), and the inverse of (eps, a, u) is
+    (eps, -a/u, 1/u).  When ``complete`` (affine_completeness holds), C is
+    the whole affine group, which holds both, so the verdict passes with no
+    map composed or inverted.
+
+    Otherwise the inverse loop runs on the maps, and then the law on every
+    ordered pair of coordinates: by the identity, lhs o rhs lies in the set
+    exactly when _law(coord(lhs), coord(rhs)) is in C, and decompose then
+    reads exactly those coordinates off it, so membership is the whole law.
+    The law needs coordinates; when some element is non-affine it is
+    skipped and fails.
 
     Inverses and the law are the whole semidirect verdict.  The law says
     that the coordinates of the enumerated maps multiply as in
@@ -463,18 +388,25 @@ def _structural_checks(
     negation verdict.
     """
     semidirect = True
-    if coord_of is None or not _law_on_generators(p, coord_of):
+    if not complete:
         found_set = set(found)
         for iso in found:
             if iso.invert() not in found_set:
                 semidirect = False
                 failures.append(f"inverse escapes the set: {iso.as_literal()}")
-        if coord_of is None:
+        if coords is None:
             # the law needs coordinates; the negation check does not, so it still runs
             semidirect = False
             failures.append("composition law skipped: some element is non-affine")
-        elif not _law_on_all_pairs(p, found, coord_of, failures):
-            semidirect = False
+        else:
+            members = set(coords)
+            for lhs, cl in zip(found, coords):
+                for rhs, cr in zip(found, coords):
+                    if _law(p, cl, cr) not in members:
+                        semidirect = False
+                        failures.append(
+                            f"composition escapes the set: {lhs.as_literal()} o {rhs.as_literal()}"
+                        )
 
     negid = gen_negid(p)
     negid_central = negid in found
@@ -488,8 +420,10 @@ def verify_structure(p: int, mode: str = POSITIVE_THEN_NEGATE) -> PIGroupReport:
     """Enumerate and additionally verify the group structure of the result."""
     p = require_prime(p)
     found = list(iter_perfect(p, mode))
-    report, coord_of = _base_report(p, found, [])
-    semidirect, negid_central = _structural_checks(p, found, coord_of, report.failures)
+    report, coords = _base_report(p, found, [])
+    semidirect, negid_central = _structural_checks(
+        p, found, coords, report.checks[CHECK_AFFINE], report.failures
+    )
     report.checks[CHECK_SEMIDIRECT] = semidirect
     report.checks[CHECK_NEGID] = negid_central
     return report

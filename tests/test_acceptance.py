@@ -167,7 +167,7 @@ def test_criterion_7_semidirect_law_verified_at_p11():
     _announce(
         7,
         "semidirect_law",
-        "verify_structure at p=11: the law on 3 generators x 220 elements, all 220 reached",
+        "verify_structure at p=11: all 220 affine maps enumerated, so the law holds",
     )
 
 

@@ -387,17 +387,53 @@ def test_verify_structure_matches_oracle_on_injected_groups(monkeypatch, name):
 @pytest.mark.parametrize("p", (5, 7))
 def test_closed_proper_subgroup_keeps_the_law(monkeypatch, p):
     # the shifts and their negations are closed, so the law holds on every
-    # pair, but the generator walk cannot cover them: verify falls back to
-    # the all-pairs check and must still pass the law
+    # pair, but they are not every affine map: verify runs the all-pairs
+    # check and must still pass the law
     found = [iso for a in range(p) for iso in (gen_linear(p, a), -gen_linear(p, a))]
-    coord_of = {iso: decompose(iso) for iso in found}
-    assert not pigroup._law_on_generators(p, coord_of)
     monkeypatch.setattr(pigroup, "iter_perfect", lambda p, mode: iter(found))
     report = verify_structure(p)
     assert _structure_verdicts_of(report) == structure_verdicts(p, found) == (True, True)
     assert report.checks["affine_completeness"] is False
     assert report.checks["order_formula"] is False
     assert not any("composition" in line for line in report.failures)
+
+
+def _injected_set(name):
+    """A p, a set that is not every affine map, so verify checks the law on
+    all pairs of coordinates, and the expected structure verdicts."""
+    if name == "scalings_and_negations":
+        # {(+-1, 0, u)} is a subgroup: closed, so the law passes
+        p = 7
+        found = [iso for u in range(1, p) for iso in (gen_aut(p, u), -gen_aut(p, u))]
+        return p, found, (True, True)
+    # the shifts plus one scaling and its inverse: a shift after the scaling
+    # is no shift and no scaling, so the composition escapes
+    p = 5
+    found = [gen_linear(p, a) for a in range(p)] + [gen_aut(p, 2), gen_aut(p, 3)]
+    return p, found, (False, False)
+
+
+@pytest.mark.parametrize("name", ("scalings_and_negations", "shifts_and_one_scaling"))
+def test_verify_structure_all_pairs_on_coordinates(monkeypatch, name):
+    p, found, verdicts = _injected_set(name)
+    monkeypatch.setattr(pigroup, "iter_perfect", lambda p, mode: iter(found))
+    report = verify_structure(p)
+    assert _structure_verdicts_of(report) == structure_verdicts(p, found) == verdicts
+    missing = sorted(iso.as_literal() for iso in iter_perfect(p) if iso not in found)
+    escapes = [
+        f"composition escapes the set: {lhs.as_literal()} o {rhs.as_literal()}"
+        for lhs in found
+        for rhs in found
+        if lhs.compose(rhs) not in found
+    ]
+    assert bool(escapes) is not verdicts[0]
+    negid = gen_negid(p)
+    absent = [] if negid in found else [f"negation not enumerated: {negid.as_literal()}"]
+    assert report.failures == [
+        *(f"affine isometry not enumerated: {literal}" for literal in missing),
+        *escapes,
+        *absent,
+    ]
 
 
 def test_missing_negation_fails_negid_central(monkeypatch):
@@ -419,12 +455,6 @@ def test_duplicated_element_keeps_the_law(monkeypatch):
     assert not report.failures
 
 
-def test_generator_check_accepts_the_group():
-    for p in (2, 3, 5, 7):
-        found = list(iter_perfect(p))
-        assert pigroup._law_on_generators(p, {iso: decompose(iso) for iso in found})
-
-
 def test_verify_structure_validates_few_maps(monkeypatch):
     # the search validates its p(p-1) all-positive hits; decomposing reads
     # coordinates without building maps, which leaves at most 2p more
@@ -443,7 +473,7 @@ def test_verify_structure_validates_few_maps(monkeypatch):
 
 
 def test_verify_structure_composes_linearly_many_times(monkeypatch):
-    # the all-pairs law alone makes |G|^2 = 4 p^2 (p-1)^2 compositions
+    # the whole affine group holds the law on its coordinates: no map is composed
     p = 13
     compose = SignedIsometry.compose
     calls = 0
@@ -455,7 +485,7 @@ def test_verify_structure_composes_linearly_many_times(monkeypatch):
 
     monkeypatch.setattr(SignedIsometry, "compose", counting)
     assert verify_structure(p).all_pass()
-    assert calls <= 6 * p * (p - 1)  # the generator walk's 3|G|
+    assert calls == 0
 
 
 def test_verify_structure_inverts_nothing_when_the_law_passes(monkeypatch):
@@ -473,19 +503,35 @@ def test_verify_structure_inverts_nothing_when_the_law_passes(monkeypatch):
     assert calls == 0
 
 
-def test_primitive_root_is_least_of_full_order():
-    def order(g, p):
-        n, x = 1, g % p
-        while x != 1:
-            x, n = x * g % p, n + 1
-        return n
+def _all_coords(p):
+    return [AffineCoords(e, a, u) for e in (1, -1) for a in range(p) for u in range(1, p)]
 
-    primes = [q for q in range(2, 102) if all(q % r for r in range(2, q))]
-    assert len(primes) == 26 and primes[0] == 2 and primes[-1] == 101
-    for p in primes:
-        g = pigroup._primitive_root(p)
-        assert order(g, p) == p - 1
-        assert all(order(h, p) < p - 1 for h in range(1, g))
+
+def _coord_pairs(p):
+    """Every ordered pair of coordinates at small p, 2000 seeded pairs above."""
+    coords = _all_coords(p)
+    if p <= 7:
+        return list(itertools.product(coords, repeat=2))
+    rng = Random(SEED + p)
+    return [(rng.choice(coords), rng.choice(coords)) for _ in range(2000)]
+
+
+@pytest.mark.parametrize("p", (2, 3, 5, 7, 53, 101))
+def test_law_is_the_composition_of_affine_maps(p):
+    # verify reads the law off coordinates; this is the identity that makes it exact
+    for cl, cr in _coord_pairs(p):
+        assert recompose(p, cl).compose(recompose(p, cr)) == recompose(p, pigroup._law(p, cl, cr))
+
+
+@pytest.mark.parametrize("p", (2, 3, 5, 7, 53, 101))
+def test_inverse_of_an_affine_map_is_affine(p):
+    coords = _all_coords(p)
+    if p > 7:
+        coords = Random(SEED + p).sample(coords, 2000)
+    for c in coords:
+        inv_u = pow(c.u, -1, p)
+        expected = AffineCoords(c.eps, -c.a * inv_u % p, inv_u)
+        assert recompose(p, c).invert() == recompose(p, expected)
 
 
 def test_affine_composition_law_example():

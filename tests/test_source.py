@@ -1,6 +1,7 @@
 """Checks on the library source itself."""
 
 import ast
+import inspect
 from pathlib import Path
 
 import perfiso
@@ -69,3 +70,22 @@ def test_cli_writes_stdout_only_in_main():
         and not any(kw.arg == "file" for kw in node.keywords)
     ]
     assert found == []
+
+
+def test_benchmark_trace_names_exist():
+    # the benchmark's per-layer mode wraps these names; dropping one breaks it
+    spans = Path(__file__).parent.parent / "perfbench" / "spans.py"
+    (leaf,) = [
+        node.value
+        for node in ast.parse(spans.read_text()).body
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "LEAF_METHODS" for t in node.targets)
+    ]
+    methods = ast.literal_eval(leaf)
+    assert methods
+    assert [m for m in methods if m not in cyclotomic.CycInt.__dict__] == []
+    assert callable(characters.generalized_character)
+    assert callable(characters.inner_product)
+    params = list(inspect.signature(pigroup.iter_perfect).parameters.values())
+    assert params[1].name == "mode"
+    assert params[1].kind is inspect.Parameter.POSITIONAL_OR_KEYWORD
