@@ -7,11 +7,11 @@ map at p = 2 (``+0,-1``) fails separation.  At p >= 5 it is the affine map
 with the images of 1 and 2 swapped, which fails integrality; at p = 3 every
 permutation is affine, so one sign is flipped instead.
 
-At scale, ``mu``, ``check`` and ``decompose`` run at p = 23 and 53 on the
-affine map, its negation, the swapped-affine map and a random signed map
-(drawn once from ``random.Random(p)``: a shuffle, then one sign per index),
-``enumerate`` and ``verify`` run at p = 13 in both modes, and ``verify``
-runs at p = 53 in both modes.
+At scale, ``chartab`` runs at p = 23 and 53, and ``mu``, ``check`` and
+``decompose`` run there on the affine map, its negation, the swapped-affine
+map and a random signed map (drawn once from ``random.Random(p)``: a
+shuffle, then one sign per index); ``enumerate`` and ``verify`` run at
+p = 13 in both modes, and ``verify`` runs at p = 53 in both modes.
 
 Regenerate the table only for a deliberate output change:
 ``python tests/test_golden.py`` prints it.
@@ -71,6 +71,7 @@ def _cases():
                     yield (command, "-p", str(p), f"--map={literal}", "--format", fmt)
     for p in RANDOM_SIGNED:
         for fmt in FORMATS:
+            yield ("chartab", "-p", str(p), "--format", fmt)
             for command in ("mu", "check", "decompose"):
                 for literal in _scale_maps(p):
                     yield (command, "-p", str(p), f"--map={literal}", "--format", fmt)
@@ -203,6 +204,7 @@ GOLDEN = {
     'decompose -p 7 --map=+1,+3,+5,+0,+2,+4,+6 --format json': (0, 'f3c73cbb6b72e263472ffb2df9d7118e75b45a5b23541027933693cf0ad5f476'),
     'decompose -p 7 --map=-1,-3,-5,-0,-2,-4,-6 --format json': (0, '023bebc077296591ec011f1bba4d8d511e966a6e2b4d2dc3599faeecd363f76d'),
     'decompose -p 7 --map=+1,+5,+3,+0,+2,+4,+6 --format json': (1, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    'chartab -p 23 --format text': (0, '2251dfea0f2a89a9e031874034112cf8a8833734e13d23b1acea4cd791f007ca'),
     'mu -p 23 --map=+1,+3,+5,+7,+9,+11,+13,+15,+17,+19,+21,+0,+2,+4,+6,+8,+10,+12,+14,+16,+18,+20,+22 --format text': (0, '9a1ff35efc69d4f462650de425e2e706653948626e987becc48be6c5762241e2'),
     'mu -p 23 --map=-1,-3,-5,-7,-9,-11,-13,-15,-17,-19,-21,-0,-2,-4,-6,-8,-10,-12,-14,-16,-18,-20,-22 --format text': (0, 'dbefd19c98d551da46a548f7097d65ec006076444b122b1d954c91dcd03a4435'),
     'mu -p 23 --map=+1,+5,+3,+7,+9,+11,+13,+15,+17,+19,+21,+0,+2,+4,+6,+8,+10,+12,+14,+16,+18,+20,+22 --format text': (0, 'f7ab272fb0573142e3ce795452d6f91df15a26f51fa8913a81d647d753c33720'),
@@ -215,6 +217,7 @@ GOLDEN = {
     'decompose -p 23 --map=-1,-3,-5,-7,-9,-11,-13,-15,-17,-19,-21,-0,-2,-4,-6,-8,-10,-12,-14,-16,-18,-20,-22 --format text': (0, 'f6e2f140e3dec2b516ba0c61d9ffcaadd2cb799f5e999fa40e2d3d3b76ef5a67'),
     'decompose -p 23 --map=+1,+5,+3,+7,+9,+11,+13,+15,+17,+19,+21,+0,+2,+4,+6,+8,+10,+12,+14,+16,+18,+20,+22 --format text': (1, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
     'decompose -p 23 --map=-14,-17,+1,+8,+5,-6,+19,+10,-16,-20,-7,-4,+3,-15,+21,-11,-12,+13,+22,+18,-0,+2,+9 --format text': (1, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    'chartab -p 23 --format json': (0, '0bdb6d20510315c2576e6491f5f2bf2bdf9d21944444459fb7f4f2daacd2e1ed'),
     'mu -p 23 --map=+1,+3,+5,+7,+9,+11,+13,+15,+17,+19,+21,+0,+2,+4,+6,+8,+10,+12,+14,+16,+18,+20,+22 --format json': (0, '4c0994755faec527120d1844376f44ad20ba3be10a15342479e25022e919faa2'),
     'mu -p 23 --map=-1,-3,-5,-7,-9,-11,-13,-15,-17,-19,-21,-0,-2,-4,-6,-8,-10,-12,-14,-16,-18,-20,-22 --format json': (0, '2356c585ba5757c8f56df78de0a59c0acb3376a2937af811984a9480989a4f9f'),
     'mu -p 23 --map=+1,+5,+3,+7,+9,+11,+13,+15,+17,+19,+21,+0,+2,+4,+6,+8,+10,+12,+14,+16,+18,+20,+22 --format json': (0, '7b057b8589f7bf7279adb1c852b8499b99a5603aa68712de15d0725c43feba02'),
@@ -227,6 +230,7 @@ GOLDEN = {
     'decompose -p 23 --map=-1,-3,-5,-7,-9,-11,-13,-15,-17,-19,-21,-0,-2,-4,-6,-8,-10,-12,-14,-16,-18,-20,-22 --format json': (0, '34a7b8d915b7c02cd9594766cd98bc40fc2518a8dbc90df5572915d612a38269'),
     'decompose -p 23 --map=+1,+5,+3,+7,+9,+11,+13,+15,+17,+19,+21,+0,+2,+4,+6,+8,+10,+12,+14,+16,+18,+20,+22 --format json': (1, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
     'decompose -p 23 --map=-14,-17,+1,+8,+5,-6,+19,+10,-16,-20,-7,-4,+3,-15,+21,-11,-12,+13,+22,+18,-0,+2,+9 --format json': (1, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    'chartab -p 53 --format text': (0, '6fee6ec75f2d0bd5922d4fd8eb92c4c0c0b4980df394506ba55afe52865479cf'),
     'mu -p 53 --map=+1,+3,+5,+7,+9,+11,+13,+15,+17,+19,+21,+23,+25,+27,+29,+31,+33,+35,+37,+39,+41,+43,+45,+47,+49,+51,+0,+2,+4,+6,+8,+10,+12,+14,+16,+18,+20,+22,+24,+26,+28,+30,+32,+34,+36,+38,+40,+42,+44,+46,+48,+50,+52 --format text': (0, '9db3991bdbdaf0b241b006ef9938b660c6c36a4e6b933f05628c64be6d17f357'),
     'mu -p 53 --map=-1,-3,-5,-7,-9,-11,-13,-15,-17,-19,-21,-23,-25,-27,-29,-31,-33,-35,-37,-39,-41,-43,-45,-47,-49,-51,-0,-2,-4,-6,-8,-10,-12,-14,-16,-18,-20,-22,-24,-26,-28,-30,-32,-34,-36,-38,-40,-42,-44,-46,-48,-50,-52 --format text': (0, '8bc1fd8ee8010b5cfe1d8ac0594b7706346febf02349f7de8cfec8f2cdcc7e78'),
     'mu -p 53 --map=+1,+5,+3,+7,+9,+11,+13,+15,+17,+19,+21,+23,+25,+27,+29,+31,+33,+35,+37,+39,+41,+43,+45,+47,+49,+51,+0,+2,+4,+6,+8,+10,+12,+14,+16,+18,+20,+22,+24,+26,+28,+30,+32,+34,+36,+38,+40,+42,+44,+46,+48,+50,+52 --format text': (0, '338e67ea3182a1e78761f4025aba66a8963c64b8ad5a425b436b8f06dfaffee5'),
@@ -239,6 +243,7 @@ GOLDEN = {
     'decompose -p 53 --map=-1,-3,-5,-7,-9,-11,-13,-15,-17,-19,-21,-23,-25,-27,-29,-31,-33,-35,-37,-39,-41,-43,-45,-47,-49,-51,-0,-2,-4,-6,-8,-10,-12,-14,-16,-18,-20,-22,-24,-26,-28,-30,-32,-34,-36,-38,-40,-42,-44,-46,-48,-50,-52 --format text': (0, 'f6e2f140e3dec2b516ba0c61d9ffcaadd2cb799f5e999fa40e2d3d3b76ef5a67'),
     'decompose -p 53 --map=+1,+5,+3,+7,+9,+11,+13,+15,+17,+19,+21,+23,+25,+27,+29,+31,+33,+35,+37,+39,+41,+43,+45,+47,+49,+51,+0,+2,+4,+6,+8,+10,+12,+14,+16,+18,+20,+22,+24,+26,+28,+30,+32,+34,+36,+38,+40,+42,+44,+46,+48,+50,+52 --format text': (1, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
     'decompose -p 53 --map=+9,+19,+5,+21,+49,+0,-51,-15,-34,-43,+26,+47,-17,-18,+46,+41,+27,-38,-52,+42,-12,+25,-35,-20,+24,-37,+11,-31,+4,-7,+6,-28,-14,+44,-36,+40,-3,+16,-8,+22,-10,+2,+1,-50,-23,-33,+48,+30,+45,-32,+29,+13,-39 --format text': (1, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    'chartab -p 53 --format json': (0, '1dc375407cb8f5a417e6aedc53758d7d79cad825b2c05ffac915c86a51656b37'),
     'mu -p 53 --map=+1,+3,+5,+7,+9,+11,+13,+15,+17,+19,+21,+23,+25,+27,+29,+31,+33,+35,+37,+39,+41,+43,+45,+47,+49,+51,+0,+2,+4,+6,+8,+10,+12,+14,+16,+18,+20,+22,+24,+26,+28,+30,+32,+34,+36,+38,+40,+42,+44,+46,+48,+50,+52 --format json': (0, 'fe2a399c97d95be688465cb5966c1c3e89637d536c2bdea7a5fdc29d52e72701'),
     'mu -p 53 --map=-1,-3,-5,-7,-9,-11,-13,-15,-17,-19,-21,-23,-25,-27,-29,-31,-33,-35,-37,-39,-41,-43,-45,-47,-49,-51,-0,-2,-4,-6,-8,-10,-12,-14,-16,-18,-20,-22,-24,-26,-28,-30,-32,-34,-36,-38,-40,-42,-44,-46,-48,-50,-52 --format json': (0, '8e8fb4f3357e5d56671108c9182da20102580cf3bd9f28a019ce2d34d68a6086'),
     'mu -p 53 --map=+1,+5,+3,+7,+9,+11,+13,+15,+17,+19,+21,+23,+25,+27,+29,+31,+33,+35,+37,+39,+41,+43,+45,+47,+49,+51,+0,+2,+4,+6,+8,+10,+12,+14,+16,+18,+20,+22,+24,+26,+28,+30,+32,+34,+36,+38,+40,+42,+44,+46,+48,+50,+52 --format json': (0, '618155c7666b449c1a634752e41bafe777ce4beca87cbf09932bf0c18c2fc415'),
