@@ -31,11 +31,15 @@ class NonIntegralInnerProduct(ArithmeticError):
 
 @lru_cache(maxsize=None)
 def char_table(p: int) -> tuple[tuple[CycInt, ...], ...]:
-    """Build (and cache) the p x p character table: row a, entry b is zeta^(a*b)."""
+    """Build (and cache) the p x p character table: row a, entry b is zeta^(a*b).
+
+    The table holds only the p values zeta^k, so each is built once and
+    entry (a, b) is the shared object for k = a*b mod p; CycInt is
+    immutable, so sharing is safe.
+    """
     p = require_prime(p)
-    return tuple(
-        tuple(zeta_pow(p, a * b) for b in range(p)) for a in range(p)
-    )
+    powers = [zeta_pow(p, k) for k in range(p)]
+    return tuple(tuple(powers[a * b % p] for b in range(p)) for a in range(p))
 
 
 class ClassFunction:

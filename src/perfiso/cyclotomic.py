@@ -240,20 +240,24 @@ def symbolic_str(x: CycInt) -> str:
     entries, so no single-term element is +-zeta^(p-1).  For p = 2 the head
     is the single entry at k = 0: zeta = -1 is (-1, 0) and prints as "-1",
     which the single-term rule gives first.
+
+    Every scan runs in C on the coefficient tuple: with one nonzero entry,
+    the sum of the entries is that entry, and its first index is its place.
     """
-    c = x.coeffs
+    c = x._coeffs
+    p = len(c)
     zeros = c.count(0)
-    if zeros == len(c):
+    if zeros == p:
         return "0"
-    if zeros == len(c) - 1:
-        k = next(k for k, v in enumerate(c) if v)
-        v = c[k]
+    if zeros == p - 1:
+        v = sum(c)
+        k = c.index(v)
         if k == 0:
             return str(v)
         zk = "z" if k == 1 else f"z^{k}"
         if v in (1, -1):
             return zk if v == 1 else f"-{zk}"
         return f"{v}*{zk}"
-    if c[0] in (1, -1) and c.count(c[0]) == len(c) - 1:  # the last entry is 0
-        return f"-z^{len(c) - 1}" if c[0] == 1 else f"z^{len(c) - 1}"
-    return "(" + ",".join(str(v) for v in c) + ")"
+    if c[0] in (1, -1) and c.count(c[0]) == p - 1:  # the last entry is 0
+        return f"-z^{p - 1}" if c[0] == 1 else f"z^{p - 1}"
+    return "(" + ",".join([str(v) for v in c]) + ")"

@@ -226,8 +226,8 @@ def _counted_row(iso: SignedIsometry, m: int) -> tuple[CycInt, ...]:
 
 
 def _bounded(entry: CycInt, m: int, n: int) -> CycInt:
-    p = entry.p
-    if max(entry.coeffs) > 2 * p or min(entry.coeffs) < -2 * p:
+    c, bound = entry.coeffs, 2 * entry.p
+    if max(c) > bound or min(c) < -bound:
         raise InternalError(f"kernel entry ({m}, {n}) exceeds the coefficient bound 2p")
     return entry
 
@@ -240,16 +240,30 @@ def kernel_table(iso: SignedIsometry) -> KernelTable:
     other row comes from row 1 by the Galois action of Aut(C_p).  For m
     prime to p, sigma_m (zeta -> zeta^m) sends entry (1, n') to the sum of
     sign[k] * zeta^(image[k]*m + k*n'*m), which is entry (m, n'*m); so
-    entry (m, n) = sigma_m(entry (1, n/m)).  Entries are signed sums of p
-    roots of unity, so normalized coefficients stay within 2p in magnitude;
-    InternalError is raised if any entry ever leaves that exactness bound.
+    entry (m, n) = sigma_m(entry (1, n/m)).  sigma_m is a ring automorphism,
+    so sigma_m(0) = 0: a zero entry of row 1 is carried into each derived
+    row as the same object, with no Galois call.  A perfect map is affine,
+    and its row 1 has one nonzero entry, so its derived rows cost one
+    Galois image each.  Entries are signed sums of p roots of unity, so
+    normalized coefficients stay within 2p in magnitude; every counted
+    entry and every nonzero derived entry is checked against that
+    exactness bound, and InternalError is raised if one ever leaves it.
     """
     p = iso.p
     rows = [_counted_row(iso, 0), _counted_row(iso, 1)]
     row1 = rows[1]
+    zero: list[int] = []
+    nonzero: list[int] = []
+    for n, entry in enumerate(row1):
+        (nonzero if entry else zero).append(n)
     for m in range(2, p):
-        inv = pow(m, -1, p)
-        rows.append(tuple(_bounded(row1[n * inv % p].galois(m), m, n) for n in range(p)))
+        row: list = [None] * p  # n -> n*m permutes 0..p-1: every slot is filled
+        for n in zero:
+            row[n * m % p] = row1[n]
+        for n in nonzero:
+            j = n * m % p
+            row[j] = _bounded(row1[n].galois(m), m, j)
+        rows.append(tuple(row))
     return KernelTable(p, tuple(rows))
 
 
@@ -328,9 +342,11 @@ def is_perfect_via_spaces(iso: SignedIsometry) -> Verdict:
     indicator image has all sums divisible by p, and separation exactly
     when the identity indicator's image stays at the identity.  The images
     read every entry of the full kernel, rows derived by the Galois action
-    included, so this checker also tests those rows against is_perfect,
-    which counts rows 0 and 1 itself.  The adjoint (transposed) side would
-    add nothing, not even another witness:
+    included: kernel_table carries the zero entries of row 1 into them, and
+    each nonzero entry there is a Galois image checked against the
+    coefficient bound.  So this checker also tests those rows against
+    is_perfect, which counts rows 0 and 1 itself.  The adjoint (transposed)
+    side would add nothing, not even another witness:
 
       * The forward sums of indicator(p, j) are column -j of the kernel, so
         the p images read every entry and decide integrality alone.

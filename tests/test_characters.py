@@ -4,6 +4,7 @@ from random import Random
 
 import pytest
 
+from perfiso import characters
 from perfiso import (
     CycInt,
     ClassFunction,
@@ -28,6 +29,26 @@ def test_table_p2():
 
 def test_table_entry_wraps_exponent():
     assert char_table(3)[2][2] == zeta_pow(3, 1)
+
+
+def test_table_builds_each_power_once(monkeypatch):
+    # the table holds only the p values zeta^k: p constructions, not p*p
+    p = 53
+    calls = []
+
+    def counting(q, k):
+        calls.append(k)
+        return zeta_pow(q, k)
+
+    monkeypatch.setattr(characters, "zeta_pow", counting)
+    char_table.cache_clear()
+    try:
+        table = char_table(p)
+    finally:
+        char_table.cache_clear()
+    assert sorted(calls) == list(range(p))
+    assert len({id(entry) for row in table for entry in row}) == p
+    assert all(table[a][b] == zeta_pow(p, a * b) for a in range(p) for b in range(p))
 
 
 def test_table_row_one_is_zeta_powers():

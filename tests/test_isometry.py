@@ -228,6 +228,57 @@ def test_kernel_table_matches_dense_oracle(p):
         assert kernel_table(iso).entries == kernel_table_dense(iso).entries, iso
 
 
+def _count_galois(monkeypatch):
+    calls = []
+    real = CycInt.galois
+
+    def counting(self, m):
+        calls.append(m)
+        return real(self, m)
+
+    monkeypatch.setattr(CycInt, "galois", counting)
+    return calls
+
+
+def test_affine_kernel_derives_one_entry_per_row(monkeypatch):
+    # sigma_m(0) = 0: the zero entries of row 1 are carried, not mapped, and
+    # an affine map's row 1 has one nonzero entry
+    p = 23
+    iso = SignedIsometry(p, [(1 + 2 * k) % p for k in range(p)], (1,) * p)
+    calls = _count_galois(monkeypatch)
+    kt = kernel_table(iso)
+    assert len(calls) == p - 2
+    assert kt.entries == kernel_table_dense(iso).entries
+    row1 = kt.entries[1]
+    for m in range(2, p):
+        for n in range(p):
+            if not row1[n]:
+                assert kt.entries[m][n * m % p] is row1[n]
+
+
+@pytest.mark.parametrize("p", (23, 53))
+def test_kernel_derives_each_nonzero_entry_of_row_one(monkeypatch, p):
+    # random signed maps (dense rows) and the swapped-affine map (zeros and nonzeros mixed)
+    rng = Random(SEED + 11 * p)
+    isos = [random_isometry(rng, p) for _ in range(2)] + affine_family(p, 1, 2)[2:]
+    calls = _count_galois(monkeypatch)
+    for iso in isos:
+        calls.clear()
+        kt = kernel_table(iso)
+        assert len(calls) == (p - 2) * sum(1 for entry in kt.entries[1] if entry)
+        assert kt.entries == kernel_table_dense(iso).entries, iso
+
+
+def test_kernel_table_bound_is_checked_on_derived_entries(monkeypatch):
+    # the one nonzero entry of row 1, p*zeta at n = 21, lands at (2, 42 mod 23)
+    p = 23
+    iso = SignedIsometry(p, [(1 + 2 * k) % p for k in range(p)], (1,) * p)
+    real = CycInt.galois
+    monkeypatch.setattr(CycInt, "galois", lambda self, m: real(self, m) * 3)
+    with pytest.raises(InternalError, match=r"kernel entry \(2, 19\) exceeds"):
+        kernel_table(iso)
+
+
 # ---------------------------------------------------------------------------
 # transforms
 

@@ -46,6 +46,28 @@ def test_library_imports_no_dataclasses():
     assert found == []
 
 
+def test_cli_imports_json_only_for_json_output():
+    # json is imported on the --format json path: at module level, it is a
+    # cost every CLI child would pay at startup, text runs included
+    tree = ast.parse(Path(cli.__file__).read_text())
+    in_functions = {
+        id(node)
+        for func in ast.walk(tree)
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in ast.walk(func)
+    }
+    found = [
+        node.lineno
+        for node in ast.walk(tree)
+        if id(node) not in in_functions
+        and (
+            (isinstance(node, ast.Import) and any(a.name == "json" for a in node.names))
+            or (isinstance(node, ast.ImportFrom) and node.module == "json")
+        )
+    ]
+    assert found == []
+
+
 def test_package_exports_match_modules():
     layers = (cyclotomic, characters, isometry, pigroup)
     assert sorted(perfiso.__all__) == sorted({name for mod in layers for name in mod.__all__})
