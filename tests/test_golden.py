@@ -11,7 +11,8 @@ At scale, ``chartab`` runs at p = 23 and 53, and ``mu``, ``check`` and
 ``decompose`` run there on the affine map, its negation, the swapped-affine
 map and a random signed map (drawn once from ``random.Random(p)``: a
 shuffle, then one sign per index); ``enumerate`` and ``verify`` run at
-p = 13 in both modes, and ``verify`` runs at p = 53 in both modes.
+p = 13 in both modes, and ``verify`` runs at p = 53 in both modes.  In the
+default mode, ``enumerate`` runs at p = 53 and ``verify`` at p = 101.
 
 Regenerate the table only for a deliberate output change:
 ``python tests/test_golden.py`` prints it.
@@ -29,6 +30,7 @@ FORMATS = ("text", "json")
 MODES = ("positive_then_negate", "exhaustive")
 SEARCH_P = 13
 VERIFY_P = 53
+SCALE_P = 101
 # p -> (perfect affine map k -> 1 + 2k, its negation, a non-perfect map)
 MAPS = {
     2: ("+1,+0", "-1,-0", "+0,-1"),
@@ -82,6 +84,9 @@ def _cases():
     for fmt in FORMATS:
         for mode in MODES:
             yield ("verify", "-p", str(VERIFY_P), "--mode", mode, "--format", fmt)
+    for fmt in FORMATS:
+        yield ("enumerate", "-p", str(VERIFY_P), "--format", fmt)
+        yield ("verify", "-p", str(SCALE_P), "--format", fmt)
 
 
 def _run(argv):
@@ -268,6 +273,10 @@ GOLDEN = {
     'verify -p 53 --mode exhaustive --format text': (0, 'd0e0de82fea0b128f17822d53505472a94c779805a177d2b6d97663d3be30c39'),
     'verify -p 53 --mode positive_then_negate --format json': (0, 'f998a0cbd349158391f8900b9d60a4998187444fe0d7cc5fcc4470462288aef2'),
     'verify -p 53 --mode exhaustive --format json': (0, 'f998a0cbd349158391f8900b9d60a4998187444fe0d7cc5fcc4470462288aef2'),
+    'enumerate -p 53 --format text': (0, '7bee6d48ad237883af80532ad99049175f38193eb9d8a202e98ffb0e1891d77f'),
+    'verify -p 101 --format text': (0, '870b6d67f2baa3f8afb16ac21f2e14d33ddec3538ac3a2f5ee0d888de31fdf60'),
+    'enumerate -p 53 --format json': (0, 'c7405b1e3f195b63221f7a4f120272f9a0f5ff0ac7edb4f93bd2a6214bce06dc'),
+    'verify -p 101 --format json': (0, '6705ada6c0dd2092c35824706466a1bdd5efdc08286ab5c2a6c811ef2bf3ceaa'),
 }
 
 CASES = list(_cases())
