@@ -52,8 +52,8 @@ EXIT_USAGE = 2
 EXIT_INTERNAL = 3
 
 SCHEMA_VERSION = 1
-# the target scale; at p = 101, end to end on 2 vCPUs (median of 5), verify and
-# enumerate take about 1.1 s, chartab 0.13 s, and check and mu of an affine map
+# the target scale; at p = 101, end to end on 2 vCPUs (median of 7), verify and
+# enumerate take about 0.6 s, chartab 0.13 s, and check and mu of an affine map
 # 0.16 and 0.11 s (0.27 and 0.48 s for a random signed map, whose mu prints
 # 10,201 coefficient lists)
 MAX_P = 101

@@ -92,7 +92,9 @@ class SignedIsometry:
     def _unchecked(cls, p: int, image: tuple[int, ...], signs: tuple[int, ...]) -> SignedIsometry:
         """Build from tuples already known to be valid, skipping validation.
 
-        Only for results of group operations on valid isometries.
+        Only for results of group operations on valid isometries, and for
+        the orbit images of pigroup.iter_perfect, which its docstring proves
+        are permutations.
         """
         iso = object.__new__(cls)
         iso._p = p

@@ -31,7 +31,7 @@ leaf, the identity, at each.  Both modes run the same search:
 
 Both produce identical reports.  When the set holds every affine map, the
 structure checks of ``verify`` read the composition law off the affine
-coordinates and compose no maps (_structural_checks proves this exact).
+coordinates and compose no maps (_report proves this exact).
 """
 
 from __future__ import annotations
@@ -272,73 +272,21 @@ def iter_perfect(p: int, mode: str = POSITIVE_THEN_NEGATE) -> Iterator[SignedIso
     besides the two it yields.  The order is that of a lexicographic walk
     over permutations, and within each over sign patterns in
     ``itertools.product((1, -1))`` order, keeping the perfect candidates.
+
+    Each hit and its negation are built without validation, sharing one
+    all-positive and one all-negative sign tuple.  Each image is a
+    permutation: a leaf of the search places every value of 0..p-1 exactly
+    once (a value is placed only when its bit is clear in ``used``, and the
+    leaf has depth p), and w -> u*w + a is a bijection of Z/p for a unit u,
+    so it maps a permutation to a permutation.
     """
     p = require_prime(p)
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
-    positive = (1,) * p
+    positive, negative = (1,) * p, (-1,) * p
     for image in _perfect_images(p):
-        hit = SignedIsometry(p, image, positive)
-        yield hit
-        yield -hit
-
-
-def _base_report(
-    p: int, found: list[SignedIsometry], failures: list[str]
-) -> tuple[PIGroupReport, list[AffineCoords] | None]:
-    """The report without the structural checks, and the coordinates of
-    every element in the order of ``found`` (None when some element does not
-    decompose)."""
-    coords: list[AffineCoords] = []
-    rejected = []
-    for iso in found:
-        try:
-            coords.append(decompose(iso))
-        except NotPerfect:
-            rejected.append(iso)
-            failures.append(f"non-affine perfect isometry: {iso.as_literal()}")
-    decomposable = not rejected
-
-    # decompose rejects every mixed map, so only the rejected can be mixed
-    homogeneous = True
-    for iso in rejected:
-        if iso.sign_profile() == MIXED:
-            homogeneous = False
-            failures.append(f"mixed-sign perfect isometry: {iso.as_literal()}")
-
-    # each element recomposes from its coordinates and recompose is injective,
-    # so comparing coordinates compares the maps; only the missing ones are
-    # recomposed, for their literals
-    expected = {
-        AffineCoords(eps, a, u) for eps in (-1, 1) for a in range(p) for u in range(1, p)
-    }
-    missing = expected - set(coords)
-    affine = decomposable and not missing
-    if decomposable:
-        for literal in sorted(recompose(p, c).as_literal() for c in missing):
-            failures.append(f"affine isometry not enumerated: {literal}")
-
-    checks: dict[str, bool | None] = {
-        CHECK_HOMOGENEOUS: homogeneous,
-        CHECK_AFFINE: affine,
-        CHECK_SEMIDIRECT: None,
-        CHECK_NEGID: None,
-        CHECK_ORDER: len(found) == 2 * p * (p - 1),
-    }
-    report = PIGroupReport(
-        p=p,
-        order=len(found),
-        elements=sorted(coords),
-        checks=checks,
-        failures=failures,
-    )
-    return report, coords if decomposable else None
-
-
-def enumerate_perfect(p: int, mode: str = POSITIVE_THEN_NEGATE) -> PIGroupReport:
-    """Enumerate the whole group and report order, elements and basic checks."""
-    found = list(iter_perfect(p, mode))
-    return _base_report(p, found, [])[0]
+        yield SignedIsometry._unchecked(p, image, positive)
+        yield SignedIsometry._unchecked(p, image, negative)
 
 
 def _law(p: int, cl: AffineCoords, cr: AffineCoords) -> AffineCoords:
@@ -346,32 +294,31 @@ def _law(p: int, cl: AffineCoords, cr: AffineCoords) -> AffineCoords:
     return AffineCoords(cl.eps * cr.eps, (cl.a + cl.u * cr.a) % p, (cl.u * cr.u) % p)
 
 
-def _structural_checks(
-    p: int,
-    found: list[SignedIsometry],
-    coords: list[AffineCoords] | None,
-    complete: bool,
-    failures: list[str],
-) -> tuple[bool, bool]:
-    """Closure under inverses and the affine composition law (folded into
-    one semidirect verdict) plus the presence of negation.  Failures append
-    a line naming the offending element or pair.
+def _report(p: int, mode: str, structure: bool) -> PIGroupReport:
+    """Enumerate, decompose every element and run the basic checks; with
+    ``structure``, also the semidirect and negation checks.  Each failure
+    adds a line naming the offending element or pair.
 
-    The law is read off the set C of coordinates.  Each element recomposes
-    from its coordinates and recompose is injective, so a fact about C is a
-    fact about the set.  The map with coordinates (eps, a, u) after the map
-    with coordinates (eps', a', u') sends k to
-    eps*(a + u*(eps'*(a' + u'*k))) = eps*eps'*((a + u*a') + u*u'*k), the
-    map with coordinates _law(c, c'), and the inverse of (eps, a, u) is
-    (eps, -a/u, 1/u).  When ``complete`` (affine_completeness holds), C is
-    the whole affine group, which holds both, so the verdict passes with no
-    map composed or inverted.
+    Completeness is a count.  decompose returns only eps in {1, -1}, a in
+    0..p-1 and u in 1..p-1 (u != 0 as the image is a permutation): one of
+    exactly 2p(p-1) coordinates.  Each element recomposes from its
+    coordinates and recompose is injective, so a fact about the set C of
+    coordinates is a fact about the maps.  When every element decomposes,
+    the set therefore holds every affine map exactly when C has 2p(p-1)
+    distinct values.  Only when one is missing are all coordinates walked,
+    to name it.
 
-    Otherwise the inverse loop runs on the maps, and then the law on every
-    ordered pair of coordinates: by the identity, lhs o rhs lies in the set
+    The map with coordinates (eps, a, u) after the map with coordinates
+    (eps', a', u') sends k to eps*(a + u*(eps'*(a' + u'*k))) =
+    eps*eps'*((a + u*a') + u*u'*k), the map with coordinates _law(c, c'),
+    and the inverse of (eps, a, u) is (eps, -a/u, 1/u).  When
+    affine_completeness holds, C is the whole affine group, which holds
+    both, so the semidirect verdict passes with no map composed or
+    inverted.  Otherwise the inverse loop runs on the maps, and then the
+    law on every ordered pair of coordinates: lhs o rhs lies in the set
     exactly when _law(coord(lhs), coord(rhs)) is in C, and decompose then
-    reads exactly those coordinates off it, so membership is the whole law.
-    The law needs coordinates; when some element is non-affine it is
+    reads exactly those coordinates off it, so membership is the whole
+    law.  The law needs coordinates; when some element is non-affine it is
     skipped and fails.
 
     Inverses and the law are the whole semidirect verdict.  The law says
@@ -387,43 +334,70 @@ def _structural_checks(
     negation, which makes {+-1} a factor of the group: that is the whole
     negation verdict.
     """
-    semidirect = True
-    if not complete:
-        found_set = set(found)
-        for iso in found:
-            if iso.invert() not in found_set:
+    found = list(iter_perfect(p, mode))
+    failures: list[str] = []
+    coords: list[AffineCoords] = []
+    rejected = []
+    for iso in found:
+        try:
+            coords.append(decompose(iso))
+        except NotPerfect:
+            rejected.append(iso)
+            failures.append(f"non-affine perfect isometry: {iso.as_literal()}")
+    # decompose rejects every mixed map, so only the rejected can be mixed
+    mixed = [iso for iso in rejected if iso.sign_profile() == MIXED]
+    failures.extend(f"mixed-sign perfect isometry: {iso.as_literal()}" for iso in mixed)
+
+    order = 2 * p * (p - 1)
+    members = set(coords)
+    affine = not rejected and len(members) == order
+    if not rejected and not affine:
+        every = (AffineCoords(e, a, u) for e in (-1, 1) for a in range(p) for u in range(1, p))
+        missing = sorted(recompose(p, c).as_literal() for c in every if c not in members)
+        failures.extend(f"affine isometry not enumerated: {literal}" for literal in missing)
+
+    semidirect = negid_central = None
+    if structure:
+        semidirect = True
+        if not affine:
+            found_set = set(found)
+            for iso in found:
+                if iso.invert() not in found_set:
+                    semidirect = False
+                    failures.append(f"inverse escapes the set: {iso.as_literal()}")
+            if rejected:
+                # the law needs coordinates; the negation check does not, so it still runs
                 semidirect = False
-                failures.append(f"inverse escapes the set: {iso.as_literal()}")
-        if coords is None:
-            # the law needs coordinates; the negation check does not, so it still runs
-            semidirect = False
-            failures.append("composition law skipped: some element is non-affine")
-        else:
-            members = set(coords)
-            for lhs, cl in zip(found, coords):
-                for rhs, cr in zip(found, coords):
-                    if _law(p, cl, cr) not in members:
-                        semidirect = False
-                        failures.append(
-                            f"composition escapes the set: {lhs.as_literal()} o {rhs.as_literal()}"
-                        )
+                failures.append("composition law skipped: some element is non-affine")
+            else:
+                escapes = [
+                    f"composition escapes the set: {lhs.as_literal()} o {rhs.as_literal()}"
+                    for lhs, cl in zip(found, coords)
+                    for rhs, cr in zip(found, coords)
+                    if _law(p, cl, cr) not in members
+                ]
+                semidirect = semidirect and not escapes
+                failures.extend(escapes)
+        negid = gen_negid(p)
+        negid_central = negid in found
+        if not negid_central:
+            failures.append(f"negation not enumerated: {negid.as_literal()}")
 
-    negid = gen_negid(p)
-    negid_central = negid in found
-    if not negid_central:
-        failures.append(f"negation not enumerated: {negid.as_literal()}")
+    checks: dict[str, bool | None] = {
+        CHECK_HOMOGENEOUS: not mixed,
+        CHECK_AFFINE: affine,
+        CHECK_SEMIDIRECT: semidirect,
+        CHECK_NEGID: negid_central,
+        CHECK_ORDER: len(found) == order,
+    }
+    return PIGroupReport(p, len(found), sorted(coords), checks, failures)
 
-    return semidirect, negid_central
+
+def enumerate_perfect(p: int, mode: str = POSITIVE_THEN_NEGATE) -> PIGroupReport:
+    """Enumerate the whole group and report order, elements and basic checks."""
+    return _report(p, mode, structure=False)
 
 
 def verify_structure(p: int, mode: str = POSITIVE_THEN_NEGATE) -> PIGroupReport:
     """Enumerate and additionally verify the group structure of the result."""
-    p = require_prime(p)
-    found = list(iter_perfect(p, mode))
-    report, coords = _base_report(p, found, [])
-    semidirect, negid_central = _structural_checks(
-        p, found, coords, report.checks[CHECK_AFFINE], report.failures
-    )
-    report.checks[CHECK_SEMIDIRECT] = semidirect
-    report.checks[CHECK_NEGID] = negid_central
-    return report
+    return _report(p, mode, structure=True)

@@ -300,6 +300,14 @@ def test_p_above_cli_bound_exits_2_before_any_work(capsys, monkeypatch, p):
         assert "p <= 101" in err
 
 
+@pytest.mark.parametrize("command,p", (("enumerate", "9"), ("verify", "4")))
+def test_report_commands_reject_non_prime(capsys, command, p):
+    code, out, err = run_cli(capsys, command, "-p", p)
+    assert code == 2
+    assert out == ""
+    assert "p must be prime" in err
+
+
 def test_verify_p2_text(capsys):
     code, out, _ = run_cli(capsys, "verify", "-p", "2")
     assert code == 0

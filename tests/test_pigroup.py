@@ -249,6 +249,12 @@ def test_iter_perfect_rejects_non_prime():
         list(iter_perfect(6, EXHAUSTIVE))
 
 
+@pytest.mark.parametrize("build,p", ((enumerate_perfect, 9), (verify_structure, 4)))
+def test_reports_reject_non_prime(build, p):
+    with pytest.raises(ValueError, match=f"p must be prime, got {p}"):
+        build(p)
+
+
 # ---------------------------------------------------------------------------
 # affine coordinates
 
@@ -445,6 +451,22 @@ def test_missing_negation_fails_negid_central(monkeypatch):
     assert report.failures[-1] == "negation not enumerated: -0,-1,-2,-3,-4"
 
 
+def test_replaced_element_fails_completeness_by_count(monkeypatch):
+    # the set keeps its size, so order_formula passes; completeness counts
+    # distinct coordinates, so the copy does not stand in for the dropped map
+    group = list(iter_perfect(5))
+    dropped = gen_linear(5, 1)
+    found = [group[0] if iso == dropped else iso for iso in group]
+    assert len(found) == len(group) and dropped not in found
+    monkeypatch.setattr(pigroup, "iter_perfect", lambda p, mode: iter(found))
+    for report in (enumerate_perfect(5), verify_structure(5)):
+        assert report.checks["order_formula"] is True
+        assert report.checks["affine_completeness"] is False
+        named = [line for line in report.failures if line.startswith("affine isometry not")]
+        assert named == [f"affine isometry not enumerated: {dropped.as_literal()}"]
+    assert _structure_verdicts_of(report) == structure_verdicts(5, found) == (False, True)
+
+
 def test_duplicated_element_keeps_the_law(monkeypatch):
     group = list(iter_perfect(5))
     found = group + [group[7]]
@@ -456,8 +478,8 @@ def test_duplicated_element_keeps_the_law(monkeypatch):
 
 
 def test_verify_structure_validates_few_maps(monkeypatch):
-    # the search validates its p(p-1) all-positive hits; decomposing reads
-    # coordinates without building maps, which leaves at most 2p more
+    # the orbit images are permutations by construction and decomposing
+    # builds no map: the one validated map is the identity inside gen_negid
     p = 13
     init = SignedIsometry.__init__
     calls = 0
@@ -469,7 +491,10 @@ def test_verify_structure_validates_few_maps(monkeypatch):
 
     monkeypatch.setattr(SignedIsometry, "__init__", counting)
     assert verify_structure(p).all_pass()
-    assert calls <= p * (p - 1) + 2 * p
+    assert calls == 1
+    calls = 0
+    assert enumerate_perfect(p).all_pass()
+    assert calls == 0
 
 
 def test_verify_structure_composes_linearly_many_times(monkeypatch):

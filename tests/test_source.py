@@ -34,6 +34,20 @@ def test_trusted_constructor_stays_in_the_ring_module():
     assert set(found) == {"cyclotomic.py"}
 
 
+def test_unchecked_constructor_stays_with_the_group_operations():
+    # SignedIsometry._unchecked skips validation, so only the group operations
+    # and iter_perfect, whose orbit images are permutations by construction, may use it
+    tests = sorted(Path(__file__).parent.glob("*.py"))
+    found = {
+        (path.name, getattr(top, "name", None))
+        for path in SOURCES + tests
+        for top in ast.parse(path.read_text(), filename=str(path)).body
+        for node in ast.walk(top)
+        if isinstance(node, ast.Attribute) and node.attr == "_unchecked"
+    }
+    assert found == {("isometry.py", "SignedIsometry"), ("pigroup.py", "iter_perfect")}
+
+
 def test_library_imports_no_dataclasses():
     # dataclasses imports inspect, a cost every CLI child would pay at startup
     found = [
