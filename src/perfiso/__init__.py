@@ -1,93 +1,12 @@
 """Exact-arithmetic toolkit for perfect self-isometries of the prime-order cyclic block."""
 
-from .characters import (
-    ClassFunction,
-    NonIntegralInnerProduct,
-    char_table,
-    character,
-    generalized_character,
-    indicator,
-    inner_product,
-)
-from .cyclotomic import CycInt, is_prime, require_prime, symbolic_str, zeta_pow
-from .isometry import (
-    ALL_NEGATIVE,
-    ALL_POSITIVE,
-    FAILS_INTEGRALITY,
-    FAILS_SEPARATION,
-    InternalError,
-    KernelTable,
-    MIXED,
-    NonIntegralTransform,
-    PERFECT,
-    SignedIsometry,
-    Verdict,
-    forward_transform,
-    is_perfect,
-    is_perfect_via_spaces,
-    kernel_table,
-)
-from .pigroup import (
-    AffineCoords,
-    CHECK_KEYS,
-    EXHAUSTIVE,
-    MODES,
-    NotPerfect,
-    PIGroupReport,
-    POSITIVE_THEN_NEGATE,
-    decompose,
-    enumerate_perfect,
-    gen_aut,
-    gen_linear,
-    gen_negid,
-    iter_perfect,
-    recompose,
-    verify_structure,
-)
+from . import characters, cyclotomic, isometry, pigroup
+from .cyclotomic import *
+from .characters import *
+from .isometry import *
+from .pigroup import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CycInt",
-    "is_prime",
-    "require_prime",
-    "zeta_pow",
-    "symbolic_str",
-    "ClassFunction",
-    "NonIntegralInnerProduct",
-    "char_table",
-    "character",
-    "indicator",
-    "generalized_character",
-    "inner_product",
-    "PERFECT",
-    "FAILS_INTEGRALITY",
-    "FAILS_SEPARATION",
-    "ALL_POSITIVE",
-    "ALL_NEGATIVE",
-    "MIXED",
-    "NonIntegralTransform",
-    "InternalError",
-    "SignedIsometry",
-    "KernelTable",
-    "Verdict",
-    "kernel_table",
-    "forward_transform",
-    "is_perfect",
-    "is_perfect_via_spaces",
-    "EXHAUSTIVE",
-    "POSITIVE_THEN_NEGATE",
-    "MODES",
-    "CHECK_KEYS",
-    "NotPerfect",
-    "AffineCoords",
-    "PIGroupReport",
-    "gen_linear",
-    "gen_aut",
-    "gen_negid",
-    "recompose",
-    "decompose",
-    "iter_perfect",
-    "enumerate_perfect",
-    "verify_structure",
-]
+# each public name is declared once, in the __all__ of its module
+__all__ = [*cyclotomic.__all__, *characters.__all__, *isometry.__all__, *pigroup.__all__]

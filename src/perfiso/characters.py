@@ -12,7 +12,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Iterable, Sequence
 
-from .cyclotomic import CycInt, require_prime, zeta_pow
+from .cyclotomic import CycInt, require_prime, symbolic_str, zeta_pow
 
 __all__ = [
     "NonIntegralInnerProduct",
@@ -76,25 +76,6 @@ class ClassFunction:
     def __repr__(self) -> str:
         return f"ClassFunction(p={self._p}, values={self._values!r})"
 
-    def _require_same_p(self, other: ClassFunction) -> None:
-        if self.p != other.p:
-            raise ValueError(f"mismatched moduli: p={self.p} vs p={other.p}")
-
-    def __add__(self, other: ClassFunction) -> ClassFunction:
-        self._require_same_p(other)
-        return ClassFunction(
-            self.p, tuple(a + b for a, b in zip(self.values, other.values))
-        )
-
-    def __sub__(self, other: ClassFunction) -> ClassFunction:
-        self._require_same_p(other)
-        return ClassFunction(
-            self.p, tuple(a - b for a, b in zip(self.values, other.values))
-        )
-
-    def __neg__(self) -> ClassFunction:
-        return ClassFunction(self.p, tuple(-v for v in self.values))
-
     def __rmul__(self, scalar: int) -> ClassFunction:
         return ClassFunction(self.p, tuple(scalar * v for v in self.values))
 
@@ -134,15 +115,16 @@ def inner_product(x: ClassFunction, y: ClassFunction) -> CycInt:
     class functions.  Raises NonIntegralInnerProduct when the sum is not
     divisible by p.
     """
-    x._require_same_p(y)
     p = x.p
+    if p != y.p:
+        raise ValueError(f"mismatched moduli: p={p} vs p={y.p}")
     total = CycInt.zero(p)
     for b in range(p):
         total = total + x.values[b] * y.values[(p - b) % p]
     quotient = total.divide_exact_by_p()
     if quotient is None:
         raise NonIntegralInnerProduct(
-            f"inner-product sum {total} is not divisible by p={p}"
+            f"inner-product sum {symbolic_str(total)} is not divisible by p={p}"
         )
     return quotient
 

@@ -53,7 +53,7 @@ EXIT_INTERNAL = 3
 
 SCHEMA_VERSION = 1
 # the target scale; at p = 101, end to end on 2 vCPUs (median of 7), verify and
-# enumerate take about 0.6 s, chartab 0.13 s, and check and mu of an affine map
+# enumerate take about 0.45 s, chartab 0.13 s, and check and mu of an affine map
 # 0.16 and 0.11 s (0.27 and 0.48 s for a random signed map, whose mu prints
 # 10,201 coefficient lists)
 MAX_P = 101
@@ -94,6 +94,7 @@ def build_parser() -> argparse.ArgumentParser:
                 "--map", required=True, help=f'isometry literal, e.g. "{examples[name]}"'
             )
         if name in builds:
+            # accepted for script compatibility: both modes run one search
             sp.add_argument(
                 "--mode", choices=MODES, default=POSITIVE_THEN_NEGATE, help="enumeration mode"
             )
@@ -162,7 +163,7 @@ def cmd_decompose(args: argparse.Namespace) -> _Result:
 
 def cmd_report(args: argparse.Namespace) -> _Result:
     """enumerate or verify: ``args.build`` is the library call that makes the report."""
-    report = args.build(args.p, args.mode)
+    report = args.build(args.p)
     shown = {None: "not_checked", True: "pass", False: "FAIL"}
     lines = [
         f"p: {report.p}",

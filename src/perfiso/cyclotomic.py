@@ -191,22 +191,6 @@ class CycInt:
             raise ValueError(f"galois exponent must be prime to p={p}")
         return CycInt._trusted(p, _galois_gather(p, m)(self._coeffs))
 
-    def __str__(self) -> str:
-        terms: list[str] = []
-        for k, c in enumerate(self._coeffs):
-            if not c:
-                continue
-            if k == 0:
-                body = str(abs(c))
-            else:
-                zk = "z" if k == 1 else f"z^{k}"
-                body = zk if abs(c) == 1 else f"{abs(c)}*{zk}"
-            if not terms:
-                terms.append(body if c > 0 else f"-{body}")
-            else:
-                terms.append(f"+ {body}" if c > 0 else f"- {body}")
-        return " ".join(terms) if terms else "0"
-
     def __repr__(self) -> str:
         return f"CycInt(p={self._p}, coeffs={self._coeffs})"
 

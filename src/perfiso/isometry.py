@@ -124,21 +124,26 @@ class SignedIsometry:
 
         Position k carries the signed image of index k; signs are mandatory
         and whitespace is ignored.  Leading zeros are accepted ("+01" is
-        index 1), since the index they spell is unambiguous.
+        index 1), since the index they spell is unambiguous.  Once they are
+        stripped, an index with more digits than p - 1 is out of range and
+        is rejected before int() reads it, so no index meets the
+        interpreter's limit on the length of integer strings.
         """
         p = require_prime(p)
         compact = "".join(str(text).split())
         tokens = compact.split(",") if compact else []
         if len(tokens) != p:
             raise ValueError(f"literal has {len(tokens)} entries, expected {p}")
+        width = len(str(p - 1))
         image: list[int] = []
         signs: list[int] = []
         for tok in tokens:
             if not _LITERAL_TOKEN.fullmatch(tok):
                 raise ValueError(f"bad literal entry {tok!r}; expected a signed index like +2")
-            idx = int(tok[1:])
+            digits = tok[1:].lstrip("0") or "0"
+            idx = int(digits) if len(digits) <= width else p
             if idx >= p:
-                raise ValueError(f"index {idx} out of range for p={p}")
+                raise ValueError(f"index {digits} out of range for p={p}")
             signs.append(1 if tok[0] == "+" else -1)
             image.append(idx)
         return cls(p, image, signs)

@@ -29,17 +29,19 @@ leaf, the identity, at each.  Both modes run the same search:
     adjoins their negations (negating an isometry negates its kernel, which
     changes neither divisibility nor the zero pattern).
 
-Both produce identical reports.  When the set holds every affine map, the
-structure checks of ``verify`` read the composition law off the affine
-coordinates and compose no maps (_report proves this exact).
+Both yield the same list, so enumerate_perfect and verify_structure take
+no mode.  When the set holds every affine map, the structure checks of
+``verify`` read the composition law off the affine coordinates and
+compose no maps (_report proves this exact).
 """
 
 from __future__ import annotations
 
+from operator import sub
 from typing import Iterator, NamedTuple
 
 from .cyclotomic import require_prime
-from .isometry import ALL_POSITIVE, MIXED, SignedIsometry
+from .isometry import MIXED, SignedIsometry
 
 __all__ = [
     "EXHAUSTIVE",
@@ -158,20 +160,24 @@ def recompose(p: int, coords: AffineCoords) -> SignedIsometry:
 def decompose(iso: SignedIsometry) -> AffineCoords:
     """Unique affine coordinates of a perfect isometry.
 
-    The sign profile fixes eps, the image of index 0 fixes a, and the step
-    from index 0 to index 1 fixes u (nonzero, as the image is a
-    permutation).  The image is then compared in full with k -> a + u*k;
-    any mismatch means the input was not a perfect isometry and raises
-    NotPerfect.
+    The signs fix eps, the image of index 0 fixes a, and the step from
+    index 0 to index 1 fixes u (nonzero, as the image is a permutation).
+    Mixed signs raise NotPerfect, and so, after them, does an image other
+    than k -> a + u*k.
+
+    The image is that map exactly when every step image[k+1] - image[k] is
+    congruent to u mod p (by induction on k from image[0] = a).  Every
+    entry lies in 0..p-1, so a step lies in -(p-1)..p-1, and the only
+    integers there congruent to u are u and u - p.
     """
-    profile = iso.sign_profile()
-    if profile == MIXED:
-        raise NotPerfect(f"mixed sign profile: {iso.as_literal()}")
-    eps = 1 if profile == ALL_POSITIVE else -1
     p = iso.p
-    a = iso.image[0]
-    u = (iso.image[1] - a) % p
-    if iso.image != tuple((a + u * k) % p for k in range(p)):
+    signs, image = iso.signs, iso.image
+    eps = signs[0]
+    if signs.count(eps) != p:
+        raise NotPerfect(f"mixed sign profile: {iso.as_literal()}")
+    a = image[0]
+    u = (image[1] - a) % p
+    if not set(map(sub, image[1:], image)) <= {u, u - p}:
         raise NotPerfect(f"not an affine map: {iso.as_literal()}")
     return AffineCoords(eps, a, u)
 
@@ -279,6 +285,9 @@ def iter_perfect(p: int, mode: str = POSITIVE_THEN_NEGATE) -> Iterator[SignedIso
     once (a value is placed only when its bit is clear in ``used``, and the
     leaf has depth p), and w -> u*w + a is a bijection of Z/p for a unit u,
     so it maps a permutation to a permutation.
+
+    ``mode`` is checked and otherwise unused; it stays only because the
+    benchmark calls ``iter_perfect(7, mode)``, and the library never passes it.
     """
     p = require_prime(p)
     if mode not in MODES:
@@ -294,7 +303,7 @@ def _law(p: int, cl: AffineCoords, cr: AffineCoords) -> AffineCoords:
     return AffineCoords(cl.eps * cr.eps, (cl.a + cl.u * cr.a) % p, (cl.u * cr.u) % p)
 
 
-def _report(p: int, mode: str, structure: bool) -> PIGroupReport:
+def _report(p: int, structure: bool) -> PIGroupReport:
     """Enumerate, decompose every element and run the basic checks; with
     ``structure``, also the semidirect and negation checks.  Each failure
     adds a line naming the offending element or pair.
@@ -334,7 +343,7 @@ def _report(p: int, mode: str, structure: bool) -> PIGroupReport:
     negation, which makes {+-1} a factor of the group: that is the whole
     negation verdict.
     """
-    found = list(iter_perfect(p, mode))
+    found = list(iter_perfect(p))
     failures: list[str] = []
     coords: list[AffineCoords] = []
     rejected = []
@@ -393,11 +402,11 @@ def _report(p: int, mode: str, structure: bool) -> PIGroupReport:
     return PIGroupReport(p, len(found), sorted(coords), checks, failures)
 
 
-def enumerate_perfect(p: int, mode: str = POSITIVE_THEN_NEGATE) -> PIGroupReport:
+def enumerate_perfect(p: int) -> PIGroupReport:
     """Enumerate the whole group and report order, elements and basic checks."""
-    return _report(p, mode, structure=False)
+    return _report(p, structure=False)
 
 
-def verify_structure(p: int, mode: str = POSITIVE_THEN_NEGATE) -> PIGroupReport:
+def verify_structure(p: int) -> PIGroupReport:
     """Enumerate and additionally verify the group structure of the result."""
-    return _report(p, mode, structure=True)
+    return _report(p, structure=True)

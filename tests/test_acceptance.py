@@ -67,7 +67,7 @@ def test_criterion_1_order_formula(exhaustive_found):
         # the scan space really was all 2^p * p! signed candidates
         assert CANDIDATE_COUNTS[p] == 2**p * len(list(itertools.permutations(range(p))))
     for p in PRIMES_REPORTED:
-        report = enumerate_perfect(p, EXHAUSTIVE)
+        report = enumerate_perfect(p)
         assert report.order == EXPECTED_ORDERS[p] == 2 * p * (p - 1)
         assert report.all_pass() and not report.failures
     _announce(1, "order_formula", "orders 4/12/40/84/220/312 at p=2/3/5/7/11/13")
@@ -160,7 +160,7 @@ def test_criterion_7_semidirect_law(p):
 
 
 def test_criterion_7_semidirect_law_verified_at_p11():
-    report = verify_structure(11, EXHAUSTIVE)
+    report = verify_structure(11)
     assert report.order == EXPECTED_ORDERS[11]
     assert all(value is True for value in report.checks.values())
     assert not report.failures

@@ -228,6 +228,19 @@ def test_check_accepts_leading_zero_indices(capsys):
     assert '"map": "+0,+1,+2"' in out
 
 
+@pytest.mark.parametrize("digits", ("0" * 5000 + "2", "9" * 5000), ids=("zeros", "nines"))
+def test_check_long_literal_indices(capsys, digits):
+    # more digits than int() reads by default (4300): leading zeros are
+    # stripped, and an index longer than p - 1 is out of range unread
+    code, out, err = run_cli(capsys, "check", "-p", "3", f"--map=+0,+1,+{digits}", "--format", "json")
+    if digits.startswith("0"):
+        assert (code, err) == (0, "")
+        assert '"map": "+0,+1,+2"' in out
+    else:
+        assert (code, out) == (2, "")
+        assert err == f"error: index {digits} out of range for p=3\n"
+
+
 # ---------------------------------------------------------------------------
 # enumerate / verify
 

@@ -183,12 +183,6 @@ def test_equality_and_hash_on_normal_forms():
     assert a == 1 and b == 1
 
 
-def test_str_rendering():
-    assert str(CycInt.zero(3)) == "0"
-    assert str(CycInt(5, [2, -1, 0, 3, 0])) == "2 - z + 3*z^3"
-    assert str(CycInt(3, [-1, -1, 0])) == "-1 - z"
-
-
 def test_symbolic_rendering():
     assert symbolic_str(CycInt.zero(5)) == "0"
     assert symbolic_str(CycInt.from_int(5, -3)) == "-3"

@@ -98,6 +98,20 @@ def test_bad_literals_rejected(text):
         SignedIsometry.from_literal(3, text)
 
 
+def test_long_literal_indices():
+    # more digits than int() reads by default (4300): leading zeros are
+    # stripped, and an index longer than p - 1 is out of range unread
+    zeros = SignedIsometry.from_literal(3, "+0,+1,+" + "0" * 5000 + "2")
+    assert zeros == SignedIsometry.identity(3)
+    with pytest.raises(ValueError, match="^index 9{5000} out of range for p=3$"):
+        SignedIsometry.from_literal(3, "+0,+1,+" + "9" * 5000)
+    # as long as p - 1 once stripped: read, then compared with p
+    rest = "".join(f",+{k}" for k in range(10))
+    assert SignedIsometry.from_literal(11, "+00010" + rest).image[0] == 10
+    with pytest.raises(ValueError, match="^index 11 out of range for p=11$"):
+        SignedIsometry.from_literal(11, "+011" + rest)
+
+
 def test_constructor_validation():
     with pytest.raises(ValueError):
         SignedIsometry(3, (0, 1, 1), (1, 1, 1))
@@ -323,7 +337,7 @@ def test_adjoint_transform_sign_flip():
     p = 3
     kt = kernel_table(-SignedIsometry.identity(p))
     chi0 = character(p, 0)
-    assert adjoint_transform(kt, chi0) == -chi0
+    assert adjoint_transform(kt, chi0) == -1 * chi0
 
 
 def test_transform_raises_on_non_integral_values():

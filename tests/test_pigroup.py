@@ -164,9 +164,8 @@ def test_fast_checker_matches_on_homogeneous_candidates(p):
 @pytest.mark.parametrize(
     "p,expected_order", [(2, 4), (3, 12), (5, 40)]
 )
-@pytest.mark.parametrize("mode", (EXHAUSTIVE, POSITIVE_THEN_NEGATE))
-def test_enumeration_orders(p, expected_order, mode):
-    report = enumerate_perfect(p, mode)
+def test_enumeration_orders(p, expected_order):
+    report = enumerate_perfect(p)
     assert report.order == expected_order
     assert report.checks["order_formula"] is True
     assert report.checks["homogeneous_sign"] is True
@@ -179,15 +178,9 @@ def test_enumeration_orders(p, expected_order, mode):
 
 @pytest.mark.parametrize("p", (2, 3, 5, 7))
 def test_modes_agree(p):
-    a = enumerate_perfect(p, EXHAUSTIVE)
-    b = enumerate_perfect(p, POSITIVE_THEN_NEGATE)
-    assert a.elements == b.elements
-    assert a.order == b.order
-    assert a.checks == b.checks
-    if p <= 5:
-        assert set(iter_perfect(p, EXHAUSTIVE)) == set(
-            iter_perfect(p, POSITIVE_THEN_NEGATE)
-        )
+    # one search serves both modes, so the reports take no mode
+    assert list(iter_perfect(p, EXHAUSTIVE)) == list(iter_perfect(p, POSITIVE_THEN_NEGATE))
+    assert list(iter_perfect(p)) == list(iter_perfect(p, EXHAUSTIVE))
 
 
 @pytest.mark.parametrize("p", (2, 3, 5, 7))
@@ -271,6 +264,25 @@ def test_decompose_rejects_non_affine_and_mixed():
         decompose(SignedIsometry.from_literal(5, "+0,+2,+1,+3,+4"))
     with pytest.raises(NotPerfect):
         decompose(SignedIsometry(3, (0, 1, 2), (1, -1, 1)))
+
+
+@pytest.mark.parametrize("p", (2, 3, 5))
+def test_decompose_matches_closed_form_on_every_signed_map(p):
+    # mixed signs are named first, then a non-affine image; every other map
+    # is k -> eps*(a + u*k) with a = image[0] and u = image[1] - image[0]
+    for image in itertools.permutations(range(p)):
+        a, u = image[0], (image[1] - image[0]) % p
+        affine = image == tuple((a + u * k) % p for k in range(p))
+        for signs in itertools.product((1, -1), repeat=p):
+            iso = SignedIsometry(p, image, signs)
+            if len(set(signs)) > 1:
+                with pytest.raises(NotPerfect, match="^mixed sign profile: "):
+                    decompose(iso)
+            elif not affine:
+                with pytest.raises(NotPerfect, match="^not an affine map: "):
+                    decompose(iso)
+            else:
+                assert decompose(iso) == AffineCoords(signs[0], a, u)
 
 
 def test_recompose_validation():
@@ -360,7 +372,7 @@ def _verify_failure_case(name):
 @pytest.mark.parametrize("name", ("missing", "swapped_affine", "mixed_sign"))
 def test_verify_structure_failure_diagnostics(monkeypatch, capsys, name):
     found, checks, failures = _verify_failure_case(name)
-    monkeypatch.setattr(pigroup, "iter_perfect", lambda p, mode: iter(found))
+    monkeypatch.setattr(pigroup, "iter_perfect", lambda p: iter(found))
     report = verify_structure(5)
     assert report.order == len(found)
     assert tuple(report.checks[key] for key in CHECK_KEYS) == checks
@@ -380,13 +392,13 @@ def _structure_verdicts_of(report):
 @pytest.mark.parametrize("mode", MODES)
 def test_verify_structure_matches_all_pairs_oracle(p, mode):
     found = list(iter_perfect(p, mode))
-    assert _structure_verdicts_of(verify_structure(p, mode)) == structure_verdicts(p, found)
+    assert _structure_verdicts_of(verify_structure(p)) == structure_verdicts(p, found)
 
 
 @pytest.mark.parametrize("name", ("missing", "swapped_affine", "mixed_sign"))
 def test_verify_structure_matches_oracle_on_injected_groups(monkeypatch, name):
     found, _, _ = _verify_failure_case(name)
-    monkeypatch.setattr(pigroup, "iter_perfect", lambda p, mode: iter(found))
+    monkeypatch.setattr(pigroup, "iter_perfect", lambda p: iter(found))
     assert _structure_verdicts_of(verify_structure(5)) == structure_verdicts(5, found)
 
 
@@ -396,7 +408,7 @@ def test_closed_proper_subgroup_keeps_the_law(monkeypatch, p):
     # pair, but they are not every affine map: verify runs the all-pairs
     # check and must still pass the law
     found = [iso for a in range(p) for iso in (gen_linear(p, a), -gen_linear(p, a))]
-    monkeypatch.setattr(pigroup, "iter_perfect", lambda p, mode: iter(found))
+    monkeypatch.setattr(pigroup, "iter_perfect", lambda p: iter(found))
     report = verify_structure(p)
     assert _structure_verdicts_of(report) == structure_verdicts(p, found) == (True, True)
     assert report.checks["affine_completeness"] is False
@@ -422,7 +434,7 @@ def _injected_set(name):
 @pytest.mark.parametrize("name", ("scalings_and_negations", "shifts_and_one_scaling"))
 def test_verify_structure_all_pairs_on_coordinates(monkeypatch, name):
     p, found, verdicts = _injected_set(name)
-    monkeypatch.setattr(pigroup, "iter_perfect", lambda p, mode: iter(found))
+    monkeypatch.setattr(pigroup, "iter_perfect", lambda p: iter(found))
     report = verify_structure(p)
     assert _structure_verdicts_of(report) == structure_verdicts(p, found) == verdicts
     missing = sorted(iso.as_literal() for iso in iter_perfect(p) if iso not in found)
@@ -445,7 +457,7 @@ def test_verify_structure_all_pairs_on_coordinates(monkeypatch, name):
 def test_missing_negation_fails_negid_central(monkeypatch):
     negid = gen_negid(5)
     found = [iso for iso in iter_perfect(5) if iso != negid]
-    monkeypatch.setattr(pigroup, "iter_perfect", lambda p, mode: iter(found))
+    monkeypatch.setattr(pigroup, "iter_perfect", lambda p: iter(found))
     report = verify_structure(5)
     assert _structure_verdicts_of(report) == structure_verdicts(5, found) == (False, False)
     assert report.failures[-1] == "negation not enumerated: -0,-1,-2,-3,-4"
@@ -458,7 +470,7 @@ def test_replaced_element_fails_completeness_by_count(monkeypatch):
     dropped = gen_linear(5, 1)
     found = [group[0] if iso == dropped else iso for iso in group]
     assert len(found) == len(group) and dropped not in found
-    monkeypatch.setattr(pigroup, "iter_perfect", lambda p, mode: iter(found))
+    monkeypatch.setattr(pigroup, "iter_perfect", lambda p: iter(found))
     for report in (enumerate_perfect(5), verify_structure(5)):
         assert report.checks["order_formula"] is True
         assert report.checks["affine_completeness"] is False
@@ -470,7 +482,7 @@ def test_replaced_element_fails_completeness_by_count(monkeypatch):
 def test_duplicated_element_keeps_the_law(monkeypatch):
     group = list(iter_perfect(5))
     found = group + [group[7]]
-    monkeypatch.setattr(pigroup, "iter_perfect", lambda p, mode: iter(found))
+    monkeypatch.setattr(pigroup, "iter_perfect", lambda p: iter(found))
     report = verify_structure(5)
     assert _structure_verdicts_of(report) == structure_verdicts(5, found) == (True, True)
     assert report.checks["order_formula"] is False
@@ -586,7 +598,7 @@ def test_shifts_and_scalings_meet_only_in_the_identity():
 
 
 def test_report_json_dict_shape():
-    report = enumerate_perfect(3, EXHAUSTIVE)
+    report = enumerate_perfect(3)
     payload = report.to_json_dict()
     assert set(payload) == {"p", "order", "elements", "checks"}
     assert tuple(payload["checks"]) == CHECK_KEYS

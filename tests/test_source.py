@@ -1,6 +1,7 @@
 """Checks on the library source itself."""
 
 import ast
+import functools
 import inspect
 from pathlib import Path
 
@@ -125,3 +126,52 @@ def test_benchmark_trace_names_exist():
     params = list(inspect.signature(pigroup.iter_perfect).parameters.values())
     assert params[1].name == "mode"
     assert params[1].kind is inspect.Parameter.POSITIONAL_OR_KEYWORD
+
+    # every name perfbench/layers.py reads through a module alias or CycInt
+    # exists, one attribute deeper included, and each of its calls binds
+    layers = spans.with_name("layers.py")
+    roots = {
+        "cyc": cyclotomic,
+        "chars": characters,
+        "iso_m": isometry,
+        "pig": pigroup,
+        "CycInt": cyclotomic.CycInt,
+    }
+
+    def path_of(node):
+        """The dotted names of an attribute chain on a root, or None."""
+        names = []
+        while isinstance(node, ast.Attribute):
+            names.insert(0, node.attr)
+            node = node.value
+        if isinstance(node, ast.Name) and node.id in roots:
+            return [node.id, *names]
+        return None
+
+    tree = ast.parse(layers.read_text())
+    read, missing = set(), []
+    for node in ast.walk(tree):
+        path = path_of(node) if isinstance(node, ast.Attribute) else None
+        if path:
+            obj = roots[path[0]]
+            for depth, name in enumerate(path[1:], 2):
+                if not hasattr(obj, name):
+                    missing.append(".".join(path[:depth]))
+                    break
+                obj = getattr(obj, name)
+            read.add(".".join(path))
+    assert missing == []
+    assert {"iso_m.SignedIsometry.from_literal", "chars.char_table.cache_clear"} <= read
+    assert {"iso_m.forward_transform", "chars.indicator", "pig.enumerate_perfect"} <= read
+
+    bound = set()
+    for node in ast.walk(tree):
+        path = path_of(node.func) if isinstance(node, ast.Call) else None
+        if not path or any(isinstance(a, ast.Starred) for a in node.args):
+            continue  # an unpacked call's arity is not in the source
+        obj = functools.reduce(getattr, path[1:], roots[path[0]])
+        if inspect.isfunction(obj) or inspect.ismethod(obj) or isinstance(obj, type):
+            inspect.signature(obj).bind(*node.args, **{kw.arg: kw.value for kw in node.keywords})
+            bound.add(".".join(path))
+    # the report functions take p alone, positionally
+    assert {"pig.enumerate_perfect", "pig.verify_structure", "pig.iter_perfect"} <= bound
