@@ -12,7 +12,8 @@ At scale, ``chartab`` runs at p = 23 and 53, and ``mu``, ``check`` and
 map and a random signed map (drawn once from ``random.Random(p)``: a
 shuffle, then one sign per index); ``enumerate`` and ``verify`` run at
 p = 13 in both modes, and ``verify`` runs at p = 53 in both modes.  In the
-default mode, ``enumerate`` runs at p = 53 and ``verify`` at p = 101.
+default mode, ``enumerate`` runs at p = 53 and ``verify`` at p = 101, and
+``check`` runs at p = 101 on the same four kinds of map as at p = 23 and 53.
 
 Regenerate the table only for a deliberate output change:
 ``python tests/test_golden.py`` prints it.
@@ -31,6 +32,7 @@ MODES = ("positive_then_negate", "exhaustive")
 SEARCH_P = 13
 VERIFY_P = 53
 SCALE_P = 101
+CERTIFY_P = (23, 53)
 # p -> (perfect affine map k -> 1 + 2k, its negation, a non-perfect map)
 MAPS = {
     2: ("+1,+0", "-1,-0", "+0,-1"),
@@ -44,6 +46,14 @@ RANDOM_SIGNED = {
         "+9,+19,+5,+21,+49,+0,-51,-15,-34,-43,+26,+47,-17,-18,+46,+41,+27,-38,-52,+42,"
         "-12,+25,-35,-20,+24,-37,+11,-31,+4,-7,+6,-28,-14,+44,-36,+40,-3,+16,-8,+22,"
         "-10,+2,+1,-50,-23,-33,+48,+30,+45,-32,+29,+13,-39"
+    ),
+    101: (
+        "+52,+90,-35,+3,+72,+44,-10,-91,-7,+98,+83,-49,-73,+78,+57,-39,-19,+97,-37,+66,"
+        "-43,-5,+15,-18,+81,-33,+40,+21,-12,+31,+75,+53,-67,-80,+61,-2,+94,-89,-16,+48,"
+        "-100,-23,+1,+22,-95,-34,-13,-29,-0,+70,+88,+47,+58,+4,+65,+93,-76,+50,-25,+17,"
+        "-79,+71,-63,+86,+14,-87,-38,-96,-55,-8,+26,-54,+51,-30,-41,+60,+82,+46,-68,"
+        "-85,-11,+20,-99,+32,+9,-56,+42,+92,-62,-36,-28,+77,-27,+64,+84,-6,+59,+45,-69,"
+        "-24,+74"
     ),
 }
 
@@ -71,7 +81,7 @@ def _cases():
             for command in ("mu", "check", "decompose"):
                 for literal in maps:
                     yield (command, "-p", str(p), f"--map={literal}", "--format", fmt)
-    for p in RANDOM_SIGNED:
+    for p in CERTIFY_P:
         for fmt in FORMATS:
             yield ("chartab", "-p", str(p), "--format", fmt)
             for command in ("mu", "check", "decompose"):
@@ -87,6 +97,9 @@ def _cases():
     for fmt in FORMATS:
         yield ("enumerate", "-p", str(VERIFY_P), "--format", fmt)
         yield ("verify", "-p", str(SCALE_P), "--format", fmt)
+    for fmt in FORMATS:
+        for literal in _scale_maps(SCALE_P):
+            yield ("check", "-p", str(SCALE_P), f"--map={literal}", "--format", fmt)
 
 
 def _run(argv):
@@ -277,6 +290,14 @@ GOLDEN = {
     'verify -p 101 --format text': (0, '870b6d67f2baa3f8afb16ac21f2e14d33ddec3538ac3a2f5ee0d888de31fdf60'),
     'enumerate -p 53 --format json': (0, 'c7405b1e3f195b63221f7a4f120272f9a0f5ff0ac7edb4f93bd2a6214bce06dc'),
     'verify -p 101 --format json': (0, '6705ada6c0dd2092c35824706466a1bdd5efdc08286ab5c2a6c811ef2bf3ceaa'),
+    'check -p 101 --map=+1,+3,+5,+7,+9,+11,+13,+15,+17,+19,+21,+23,+25,+27,+29,+31,+33,+35,+37,+39,+41,+43,+45,+47,+49,+51,+53,+55,+57,+59,+61,+63,+65,+67,+69,+71,+73,+75,+77,+79,+81,+83,+85,+87,+89,+91,+93,+95,+97,+99,+0,+2,+4,+6,+8,+10,+12,+14,+16,+18,+20,+22,+24,+26,+28,+30,+32,+34,+36,+38,+40,+42,+44,+46,+48,+50,+52,+54,+56,+58,+60,+62,+64,+66,+68,+70,+72,+74,+76,+78,+80,+82,+84,+86,+88,+90,+92,+94,+96,+98,+100 --format text': (0, 'ee10ad9d9e708cfdb987912aa8cbd1f927cddff09e6715a28bc33fb457536fa1'),
+    'check -p 101 --map=-1,-3,-5,-7,-9,-11,-13,-15,-17,-19,-21,-23,-25,-27,-29,-31,-33,-35,-37,-39,-41,-43,-45,-47,-49,-51,-53,-55,-57,-59,-61,-63,-65,-67,-69,-71,-73,-75,-77,-79,-81,-83,-85,-87,-89,-91,-93,-95,-97,-99,-0,-2,-4,-6,-8,-10,-12,-14,-16,-18,-20,-22,-24,-26,-28,-30,-32,-34,-36,-38,-40,-42,-44,-46,-48,-50,-52,-54,-56,-58,-60,-62,-64,-66,-68,-70,-72,-74,-76,-78,-80,-82,-84,-86,-88,-90,-92,-94,-96,-98,-100 --format text': (0, 'ee10ad9d9e708cfdb987912aa8cbd1f927cddff09e6715a28bc33fb457536fa1'),
+    'check -p 101 --map=+1,+5,+3,+7,+9,+11,+13,+15,+17,+19,+21,+23,+25,+27,+29,+31,+33,+35,+37,+39,+41,+43,+45,+47,+49,+51,+53,+55,+57,+59,+61,+63,+65,+67,+69,+71,+73,+75,+77,+79,+81,+83,+85,+87,+89,+91,+93,+95,+97,+99,+0,+2,+4,+6,+8,+10,+12,+14,+16,+18,+20,+22,+24,+26,+28,+30,+32,+34,+36,+38,+40,+42,+44,+46,+48,+50,+52,+54,+56,+58,+60,+62,+64,+66,+68,+70,+72,+74,+76,+78,+80,+82,+84,+86,+88,+90,+92,+94,+96,+98,+100 --format text': (1, '0741c719142b95a75ddd7361466bb6d2a4760dc17be28efdd83f0f35725e72f0'),
+    'check -p 101 --map=+52,+90,-35,+3,+72,+44,-10,-91,-7,+98,+83,-49,-73,+78,+57,-39,-19,+97,-37,+66,-43,-5,+15,-18,+81,-33,+40,+21,-12,+31,+75,+53,-67,-80,+61,-2,+94,-89,-16,+48,-100,-23,+1,+22,-95,-34,-13,-29,-0,+70,+88,+47,+58,+4,+65,+93,-76,+50,-25,+17,-79,+71,-63,+86,+14,-87,-38,-96,-55,-8,+26,-54,+51,-30,-41,+60,+82,+46,-68,-85,-11,+20,-99,+32,+9,-56,+42,+92,-62,-36,-28,+77,-27,+64,+84,-6,+59,+45,-69,-24,+74 --format text': (1, 'a852ddf9771d272a29cfafb17848e02f493cc8c91c4595f4eab54ca0e1a95ce3'),
+    'check -p 101 --map=+1,+3,+5,+7,+9,+11,+13,+15,+17,+19,+21,+23,+25,+27,+29,+31,+33,+35,+37,+39,+41,+43,+45,+47,+49,+51,+53,+55,+57,+59,+61,+63,+65,+67,+69,+71,+73,+75,+77,+79,+81,+83,+85,+87,+89,+91,+93,+95,+97,+99,+0,+2,+4,+6,+8,+10,+12,+14,+16,+18,+20,+22,+24,+26,+28,+30,+32,+34,+36,+38,+40,+42,+44,+46,+48,+50,+52,+54,+56,+58,+60,+62,+64,+66,+68,+70,+72,+74,+76,+78,+80,+82,+84,+86,+88,+90,+92,+94,+96,+98,+100 --format json': (0, 'a960164fd025931d48e8ef1eaeea89be4540a63a234ba15e46403499f686e735'),
+    'check -p 101 --map=-1,-3,-5,-7,-9,-11,-13,-15,-17,-19,-21,-23,-25,-27,-29,-31,-33,-35,-37,-39,-41,-43,-45,-47,-49,-51,-53,-55,-57,-59,-61,-63,-65,-67,-69,-71,-73,-75,-77,-79,-81,-83,-85,-87,-89,-91,-93,-95,-97,-99,-0,-2,-4,-6,-8,-10,-12,-14,-16,-18,-20,-22,-24,-26,-28,-30,-32,-34,-36,-38,-40,-42,-44,-46,-48,-50,-52,-54,-56,-58,-60,-62,-64,-66,-68,-70,-72,-74,-76,-78,-80,-82,-84,-86,-88,-90,-92,-94,-96,-98,-100 --format json': (0, '586bda34b60fbd7c4dec67a40f22be4465d770fa46373d0a6ed370a31112bcfd'),
+    'check -p 101 --map=+1,+5,+3,+7,+9,+11,+13,+15,+17,+19,+21,+23,+25,+27,+29,+31,+33,+35,+37,+39,+41,+43,+45,+47,+49,+51,+53,+55,+57,+59,+61,+63,+65,+67,+69,+71,+73,+75,+77,+79,+81,+83,+85,+87,+89,+91,+93,+95,+97,+99,+0,+2,+4,+6,+8,+10,+12,+14,+16,+18,+20,+22,+24,+26,+28,+30,+32,+34,+36,+38,+40,+42,+44,+46,+48,+50,+52,+54,+56,+58,+60,+62,+64,+66,+68,+70,+72,+74,+76,+78,+80,+82,+84,+86,+88,+90,+92,+94,+96,+98,+100 --format json': (1, '8013b7d0436d31b86967c2b580d0c7ccdec67d564a934038c8339f6065010809'),
+    'check -p 101 --map=+52,+90,-35,+3,+72,+44,-10,-91,-7,+98,+83,-49,-73,+78,+57,-39,-19,+97,-37,+66,-43,-5,+15,-18,+81,-33,+40,+21,-12,+31,+75,+53,-67,-80,+61,-2,+94,-89,-16,+48,-100,-23,+1,+22,-95,-34,-13,-29,-0,+70,+88,+47,+58,+4,+65,+93,-76,+50,-25,+17,-79,+71,-63,+86,+14,-87,-38,-96,-55,-8,+26,-54,+51,-30,-41,+60,+82,+46,-68,-85,-11,+20,-99,+32,+9,-56,+42,+92,-62,-36,-28,+77,-27,+64,+84,-6,+59,+45,-69,-24,+74 --format json': (1, 'def1f34d14fe1c205e2ac885ec4908d00b7d4e9f9b40c6320cd2ab43e30f125a'),
 }
 
 CASES = list(_cases())
