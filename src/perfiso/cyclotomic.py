@@ -174,8 +174,8 @@ class CycInt:
 
     @property
     def is_multiple_of_p(self) -> bool:
-        p = self._p
-        return not any(c % p for c in set(self._coeffs))
+        # c % p for each nonzero coefficient c, with no Python-level loop
+        return not any(map(self._p.__rmod__, filter(None, self._coeffs)))
 
     def galois(self, m: int) -> CycInt:
         """The image under sigma_m, the automorphism of Z[zeta] sending zeta to zeta^m.

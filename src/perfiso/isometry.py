@@ -15,9 +15,11 @@ perfectness criteria:
     non-identity element.
 
 ``is_perfect`` counts and scans rows 0 and 1 only, which decide both
-criteria and the first failing entry; ``is_perfect_via_spaces`` builds the
-full kernel and re-derives the verdict from the forward transform on the
-indicator basis, so it also checks the Galois-derived rows.
+criteria and the first failing entry; ``is_perfect_via_spaces`` re-derives
+the verdict from the forward transform on the indicator basis, whose images
+are the kernel's columns.  It derives each column from rows 0 and 1 only
+when its scan reaches it and stops at the first failing entry, so it builds
+no full kernel, yet checks every Galois-derived entry it reads.
 """
 
 from __future__ import annotations
@@ -25,9 +27,9 @@ from __future__ import annotations
 import re
 from functools import reduce
 from operator import add, index, itemgetter, mul
-from typing import Iterable, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
-from .characters import ClassFunction, character, indicator
+from .characters import ClassFunction, character
 from .cyclotomic import CycInt, require_prime
 
 __all__ = [
@@ -347,16 +349,27 @@ def is_perfect_via_spaces(iso: SignedIsometry) -> Verdict:
     and those supported on elements of order prime to p are the multiples
     of the identity indicator.  So integrality holds exactly when every
     indicator image has all sums divisible by p, and separation exactly
-    when the identity indicator's image stays at the identity.  The images
-    read every entry of the full kernel, rows derived by the Galois action
-    included: kernel_table carries the zero entries of row 1 into them, and
-    each nonzero entry there is a Galois image checked against the
-    coefficient bound.  So this checker also tests those rows against
-    is_perfect, which counts rows 0 and 1 itself.  The adjoint (transposed)
-    side would add nothing, not even another witness:
+    when the identity indicator's image stays at the identity.  The forward
+    sums of indicator(p, j) are column -j of the kernel, so the images are
+    read here as columns, j = 0, 1, ..., each derived from the counted rows
+    0 and 1 only when the scan reaches it.  The images read every entry of
+    the kernel, the rows derived by the Galois action included, so this
+    checker also tests those rows against is_perfect, which counts rows 0
+    and 1 itself.  The scan order (column -j for j = 0, 1, ..., entries in
+    row order, integrality on every column before separation on column 0) is
+    that of a scan of all p images built first, so stopping at the first
+    failing entry gives the same verdict and witness.  A zero entry is
+    divisible by p, so it is skipped by its truth value.  A map that fails
+    stops in column 0 or -1: with mixed signs at (0, 0) or, for p = 2, at
+    (1, 0) (see below); with equal signs column 0 passes, and some entry
+    (1, n), n != 0, fails (is_perfect), which column -1 reads as the
+    preimage of entry (-1/n, -1).  Column 0 is derived again for
+    separation; once integrality holds, entry (1, 0) is zero for odd p (the
+    signs are equal, see below) and p = 2 has no derived rows, so that
+    costs no Galois image.  The adjoint (transposed) side would add
+    nothing, not even another witness:
 
-      * The forward sums of indicator(p, j) are column -j of the kernel, so
-        the p images read every entry and decide integrality alone.
+      * The p columns hold every entry and decide integrality alone.
       * For m, n != 0, entries (m, 0) and (0, n) weight each p-th root of
         unity by one sign, so they vanish exactly when the signs are equal:
         column 0 is zero off the identity iff row 0 is.
@@ -369,14 +382,30 @@ def is_perfect_via_spaces(iso: SignedIsometry) -> Verdict:
         size, so it fails first; with p = 2 every entry is even, and entry
         (1, 0) fails separation.  Witnesses may differ from is_perfect's.
     """
-    kt = kernel_table(iso)
-    p = kt.p
-    images = [forward_transform_raw(kt, indicator(p, j)) for j in range(p)]
-    for j, sums in enumerate(images):
-        for m, s in enumerate(sums):
-            if not s.is_multiple_of_p:
-                return Verdict(FAILS_INTEGRALITY, (m, (p - j) % p))
-    for m in range(1, p):
-        if images[0][m]:
+    p = iso.p
+    row0, row1 = _counted_row(iso, 0), _counted_row(iso, 1)
+    live = [bool(entry) for entry in row1]
+    inverse = [pow(m, -1, p) if m else 0 for m in range(p)]
+
+    def nonzero_column(c: int) -> Iterator[tuple[int, CycInt]]:
+        # (m, entry (m, c)) for the nonzero entries, in row order; entry
+        # (m, c) for m >= 2 is sigma_m(entry (1, c/m)) (see kernel_table),
+        # and sigma_m sends only zero to zero, so a zero entry of row 1 is
+        # passed over with no Galois call
+        for m, entry in enumerate((row0[c], row1[c])):
+            if entry:
+                yield m, entry
+        for m in range(2, p):
+            n = c * inverse[m] % p
+            if live[n]:
+                yield m, _bounded(row1[n].galois(m), m, c)
+
+    for j in range(p):
+        c = -j % p
+        for m, entry in nonzero_column(c):
+            if not entry.is_multiple_of_p:
+                return Verdict(FAILS_INTEGRALITY, (m, c))
+    for m, _ in nonzero_column(0):
+        if m:
             return Verdict(FAILS_SEPARATION, (m, 0))
     return Verdict(PERFECT)

@@ -10,10 +10,11 @@ every element with plain integer products, roots of unity are
 recognized by comparing against each of +-zeta^k in turn, the dense
 kernel counts every entry without the Galois action, the integrality
 and separation scans read every entry in row-major order, the
-adjoint takes the dense forward sums of the transposed kernel, the
-perfect images come from a search of the whole permutation tree with no
-normal form, and the structure verdicts compose every pair of plain
-image/sign tuples.
+cross-check reads all p indicator columns of the dense kernel only
+after every one is built, the adjoint takes the dense forward sums of
+the transposed kernel, the perfect images come from a search of the
+whole permutation tree with no normal form, and the structure verdicts
+compose every pair of plain image/sign tuples.
 """
 
 from __future__ import annotations
@@ -24,10 +25,14 @@ from functools import lru_cache
 from random import Random
 
 from perfiso import (
+    FAILS_INTEGRALITY,
+    FAILS_SEPARATION,
+    PERFECT,
     ClassFunction,
     CycInt,
     KernelTable,
     SignedIsometry,
+    Verdict,
     char_table,
     generalized_character,
     zeta_pow,
@@ -138,6 +143,28 @@ def kernel_table_dense(iso: SignedIsometry) -> KernelTable:
             row.append(CycInt(p, counts))
         rows.append(tuple(row))
     return KernelTable(p, tuple(rows))
+
+
+def cross_check_dense(iso: SignedIsometry) -> Verdict:
+    """The verdict of is_perfect_via_spaces, from the dense kernel built in full.
+
+    The forward sums of indicator(p, j) are column -j of the kernel, so the
+    p indicator images are its p columns, all taken before any is read.
+    The scan is the cross-check's: columns j = 0, 1, ... in turn, entries
+    in row order, integrality on every column by the rational division
+    oracle (zero entries are divisible), then separation on column 0.
+    """
+    kt = kernel_table_dense(iso)
+    p = kt.p
+    images = [[row[-j % p] for row in kt.entries] for j in range(p)]
+    for j, column in enumerate(images):
+        for m, entry in enumerate(column):
+            if any(entry.coeffs) and not divisible_by_p_oracle(p, list(entry.coeffs)):
+                return Verdict(FAILS_INTEGRALITY, (m, -j % p))
+    for m in range(1, p):
+        if any(images[0][m].coeffs):
+            return Verdict(FAILS_SEPARATION, (m, 0))
+    return Verdict(PERFECT)
 
 
 def check_integrality(kt: KernelTable) -> tuple[int, int] | None:

@@ -148,13 +148,20 @@ def test_check_checker_disagreement_exits_3(capsys, monkeypatch):
     "literal, expected",
     (("+1,+3,+5,+7,+9,+0,+2,+4,+6,+8,+10", 0), ("+1,+5,+3,+7,+9,+0,+2,+4,+6,+8,+10", 1)),
 )
-def test_check_builds_one_kernel_and_counts_two_rows(capsys, monkeypatch, literal, expected):
-    kernels, rows = [], []
-    real_kernel, real_row = isometry.kernel_table, isometry._counted_row
+def test_check_builds_no_kernel_and_counts_two_rows(capsys, monkeypatch, literal, expected):
+    # the cross-check derives kernel columns from rows 0 and 1 as its scan
+    # reaches them; only mu builds the whole kernel
+    built, rows = [], []
+    real_kernel, real_raw = isometry.kernel_table, isometry.forward_transform_raw
+    real_row = isometry._counted_row
 
     def counting_kernel(iso):
-        kernels.append(iso)
+        built.append("kernel_table")
         return real_kernel(iso)
+
+    def counting_raw(kt, beta):
+        built.append("forward_transform_raw")
+        return real_raw(kt, beta)
 
     def counting_row(iso, m):
         rows.append(m)
@@ -162,11 +169,12 @@ def test_check_builds_one_kernel_and_counts_two_rows(capsys, monkeypatch, litera
 
     monkeypatch.setattr(isometry, "kernel_table", counting_kernel)
     monkeypatch.setattr(cli, "kernel_table", counting_kernel)
+    monkeypatch.setattr(isometry, "forward_transform_raw", counting_raw)
     monkeypatch.setattr(isometry, "_counted_row", counting_row)
     code, out, _ = run_cli(capsys, "check", "-p", "11", f"--map={literal}")
     assert code == expected and out.startswith("verdict: ")
-    assert len(kernels) == 1
-    assert sorted(rows) == [0, 0, 1, 1]  # is_perfect and kernel_table each count rows 0 and 1
+    assert built == []
+    assert sorted(rows) == [0, 0, 1, 1]  # is_perfect and the cross-check each count rows 0 and 1
 
 
 def test_check_galois_defect_exits_3(capsys, monkeypatch):
@@ -177,6 +185,17 @@ def test_check_galois_defect_exits_3(capsys, monkeypatch):
     assert code == cli.EXIT_INTERNAL == 3
     assert out == ""
     assert err == "error: internal error: checkers disagree (perfect vs fails_integrality)\n"
+
+
+def test_check_derived_entry_out_of_bound_exits_3(capsys, monkeypatch):
+    # k -> 1 + 2k: row 1 is nonzero only at n = 3, which column -1 = 4 reaches
+    # at m = 4/3 = 3; is_perfect derives nothing, so only the cross-check raises
+    real = cyclotomic.CycInt.galois
+    monkeypatch.setattr(cyclotomic.CycInt, "galois", lambda self, m: real(self, m) * 3)
+    code, out, err = run_cli(capsys, "check", "-p", "5", "--map=+1,+3,+0,+2,+4")
+    assert code == cli.EXIT_INTERNAL == 3
+    assert out == ""
+    assert err == "error: internal error: kernel entry (3, 4) exceeds the coefficient bound 2p\n"
 
 
 @pytest.mark.parametrize("command", ("mu", "check", "decompose"))

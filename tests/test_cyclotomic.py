@@ -145,9 +145,17 @@ def test_multiplication_matches_polynomial_oracle(p, data):
 @pytest.mark.parametrize("p", PRIMES_LARGE)
 def test_divisibility_agrees_with_rational_oracle(p):
     rng = Random(SEED + p)
+    # edge cases first: zero, a constant (zero in normalized form), negative
+    # coefficients, multiples of p above 2p, and one stray unit among zeros
+    # or multiples, first and last
+    edges = [[0] * p, [7] * p, [-p] * p, [-p] + [0] * (p - 1), [0] * (p - 1) + [-3 * p]]
+    edges += [[5 * p, -7 * p] + [0] * (p - 2), [0] * (p - 1) + [1], [-1] + [0] * (p - 1)]
+    edges += [[3 * p] * (p - 1) + [3 * p + 1], [-1] + [3 * p] * (p - 1)]
     agreements = 0
-    for i in range(1200):
-        if i % 4 == 0:
+    for i in range(1200 + len(edges)):
+        if i < len(edges):
+            raw = edges[i]
+        elif i % 4 == 0:
             raw = [p * rng.randint(-6, 6) for _ in range(p)]
         elif i % 4 == 1:
             raw = [p * rng.randint(-6, 6) for _ in range(p)]
@@ -155,8 +163,9 @@ def test_divisibility_agrees_with_rational_oracle(p):
         else:
             raw = [rng.randint(-3 * p, 3 * p) for _ in range(p)]
         x = CycInt(p, raw)
-        got = x.divide_exact_by_p() is not None
-        assert got == divisible_by_p_oracle(p, raw)
+        expected = divisible_by_p_oracle(p, raw)
+        assert (x.divide_exact_by_p() is not None) == expected
+        assert x.is_multiple_of_p == expected
         agreements += 1
     assert agreements >= 1000
 

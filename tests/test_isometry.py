@@ -33,6 +33,7 @@ from oracles import (
     adjoint_transform,
     check_integrality,
     check_separation,
+    cross_check_dense,
     divisible_by_p_oracle,
     forward_sums_dense,
     kernel_entry_oracle,
@@ -390,6 +391,82 @@ def test_cross_check_cost_is_at_most_quadratic_in_products(monkeypatch):
     monkeypatch.setattr(CycInt, "__mul__", counting_mul)
     assert is_perfect_via_spaces(iso).ok
     assert len(calls) <= p * p
+
+
+def _split_scaling(p):
+    """k -> a*k on the nonzero squares, b*k on the rest, for the first a < b
+    with chi(a) = chi(b) and chi(a - 1) = chi(b - 1) != 0 (chi the quadratic
+    character).  It is a permutation and not affine.  k -> image[k] + c*k is
+    the same kind of map with a + c and b + c, so it passes at c = 0 and
+    c = -1 and fails at some other c: the cross-check passes column 0 and
+    entry (1, -1), and its witness lies in a derived row of column -1."""
+    def chi(x):
+        return pow(x, (p - 1) // 2, p)
+
+    a, b = next(
+        (a, b)
+        for a in range(2, p)
+        for b in range(a + 1, p)
+        if chi(a) == chi(b) and chi(a - 1) == chi(b - 1) != 0
+    )
+    return SignedIsometry(p, [(a if chi(k) == 1 else b) * k % p for k in range(p)], (1,) * p)
+
+
+def _cross_check_maps(p):
+    """Affine k -> 1 + 2k, its negation, it swapped at 1 and 2, it with one
+    sign flipped, the split scaling, and 20 random signed maps, every other
+    one with a single sign."""
+    rng = Random(SEED + 13 * p)
+    isos = affine_family(p, 1, 2)
+    mixed = list(isos[0].signs)
+    mixed[rng.randrange(p)] = -1
+    isos += [SignedIsometry(p, isos[0].image, mixed), _split_scaling(p)]
+    for i in range(20):
+        iso = random_isometry(rng, p)
+        isos.append(iso if i % 2 else SignedIsometry(p, iso.image, (iso.signs[0],) * p))
+    return isos
+
+
+@pytest.mark.parametrize("p", (7, 11, 13, 23, 53, 101))
+def test_lazy_cross_check_matches_dense_oracle(p):
+    # status and witness of the column scan equal those of a scan of the
+    # whole kernel, built entry by entry before any column is read
+    statuses, rows = set(), set()
+    for iso in _cross_check_maps(p):
+        verdict = is_perfect_via_spaces(iso)
+        assert verdict == cross_check_dense(iso), iso
+        statuses.add(verdict.status)
+        if verdict.witness:
+            rows.add(min(verdict.witness[0], 2))
+    assert statuses == {PERFECT, FAILS_INTEGRALITY}
+    assert rows == {0, 1, 2}  # witnesses in both counted rows and in a derived one
+
+
+@pytest.mark.parametrize("p", (7, 101))
+def test_cross_check_galois_calls(monkeypatch, p):
+    # a reject stops in column 0 or -1, and an affine map's row 1 has one
+    # nonzero entry, so each derived row costs it one Galois image
+    affine, _, swapped = affine_family(p, 1, 2)
+    calls = _count_galois(monkeypatch)
+    for iso in (swapped, _split_scaling(p), random_isometry(Random(p), p)):
+        calls.clear()
+        assert not is_perfect_via_spaces(iso).ok
+        assert len(calls) <= 2 * (p - 2)
+    calls.clear()
+    assert is_perfect_via_spaces(affine).ok
+    assert len(calls) == p - 2
+
+
+def test_cross_check_bound_is_checked_on_derived_entries(monkeypatch):
+    # the one nonzero entry of row 1, p*zeta at n = 21, is first reached in
+    # column -1 = 22, at row m = 22/21 = 12 (mod 23)
+    p = 23
+    iso = SignedIsometry(p, [(1 + 2 * k) % p for k in range(p)], (1,) * p)
+    real = CycInt.galois
+    monkeypatch.setattr(CycInt, "galois", lambda self, m: real(self, m) * 3)
+    with pytest.raises(InternalError, match=r"kernel entry \(12, 22\) exceeds"):
+        is_perfect_via_spaces(iso)
+    assert is_perfect(iso).ok  # counts rows 0 and 1 only: no Galois image
 
 
 @pytest.mark.parametrize("p", (3, 5))
