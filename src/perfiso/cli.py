@@ -15,13 +15,22 @@ on stderr without a traceback.
 A ``--map`` literal that starts with "-" may be given as a separate
 argument (``--map -0,-1,-2``) or joined (``--map=-0,-1,-2``); both forms
 reach the same literal parser, so a malformed one gets the same message.
+
+One command table, ``_commands()``, is read by ``build_parser`` and by
+``_parse_plain``.  A plain call (the command, then each of its options once,
+with well-formed values) is parsed from the table alone, to the namespace
+argparse would build; help, usage errors, abbreviations and every other argv
+go to the argparse parser, which is imported and built only for them.  A
+reader that closes stdout early ends the output, not the verdict: the exit
+code is the command's own, and nothing is printed on stderr.
 """
 
 from __future__ import annotations
 
-import argparse
+import os
 import sys
-from typing import Sequence
+from types import SimpleNamespace
+from typing import TYPE_CHECKING, Sequence
 
 from .characters import char_table
 from .cyclotomic import symbolic_str
@@ -44,6 +53,11 @@ from .pigroup import (
     verify_structure,
 )
 
+if TYPE_CHECKING:
+    import argparse
+
+    Args = argparse.Namespace | SimpleNamespace
+
 __all__ = ["main", "build_parser"]
 
 EXIT_OK = 0
@@ -58,13 +72,40 @@ SCHEMA_VERSION = 1
 # coefficient lists; a bare interpreter start is about 0.06 s)
 MAX_P = 101
 
+FORMATS = ("text", "json")
+
+
+def _commands() -> dict[str, tuple]:
+    """The command table: name -> (handler, help, library call, --map example, takes --mode).
+
+    build_parser and _parse_plain both read it.  It is built on each call, so
+    the library calls it holds are this module's names at that moment, a
+    traced or patched one included.  The library call is the one that makes
+    the report of enumerate and verify (see cmd_report); a command without
+    --map has no example.
+    """
+    return {
+        "chartab": (cmd_chartab, "print the character table", None, None, False),
+        "mu": (cmd_mu, "print the pairing kernel of an isometry", None, "+2,+0,+1", False),
+        "check": (cmd_check, "test an isometry for perfectness", None, "+0,+1,+2", False),
+        "enumerate": (
+            cmd_report, "enumerate all perfect isometries", enumerate_perfect, None, True
+        ),
+        "decompose": (
+            cmd_decompose, "affine coordinates of a perfect isometry", None, "+1,+3,+0,+2,+4", False
+        ),
+        "verify": (
+            cmd_report, "enumerate and verify the group structure", verify_structure, None, True
+        ),
+    }
+
 
 def build_parser() -> argparse.ArgumentParser:
+    import argparse  # only here: a plain call is parsed by _parse_plain without it
+
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("-p", type=int, required=True, help="prime order of the group")
-    common.add_argument(
-        "--format", choices=("text", "json"), default="text", help="output format"
-    )
+    common.add_argument("--format", choices=FORMATS, default="text", help="output format")
     common.add_argument(
         "--seed",
         type=int,
@@ -78,29 +119,72 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    examples = {"mu": "+2,+0,+1", "check": "+0,+1,+2", "decompose": "+1,+3,+0,+2,+4"}
-    builds = {"enumerate": enumerate_perfect, "verify": verify_structure}
-    for name, func, help_text in (
-        ("chartab", cmd_chartab, "print the character table"),
-        ("mu", cmd_mu, "print the pairing kernel of an isometry"),
-        ("check", cmd_check, "test an isometry for perfectness"),
-        ("enumerate", cmd_report, "enumerate all perfect isometries"),
-        ("decompose", cmd_decompose, "affine coordinates of a perfect isometry"),
-        ("verify", cmd_report, "enumerate and verify the group structure"),
-    ):
+    for name, (func, help_text, build, example, modes) in _commands().items():
         sp = sub.add_parser(name, parents=[common], help=help_text)
-        if name in examples:
-            sp.add_argument(
-                "--map", required=True, help=f'isometry literal, e.g. "{examples[name]}"'
-            )
-        if name in builds:
+        if example:
+            sp.add_argument("--map", required=True, help=f'isometry literal, e.g. "{example}"')
+        if modes:
             # accepted for script compatibility: both modes run one search
             sp.add_argument(
                 "--mode", choices=MODES, default=POSITIVE_THEN_NEGATE, help="enumeration mode"
             )
-        sp.set_defaults(func=func, build=builds.get(name))
+        sp.set_defaults(func=func, build=build)
 
     return parser
+
+
+def _parse_plain(argv: list[str]) -> SimpleNamespace | None:
+    """The namespace build_parser() gives a plain call; None for any other argv.
+
+    A plain call is the command, then each of its options at most once, as
+    "--opt value", "--opt=value" or "-p value": -p and --seed in ASCII
+    digits, --format and --mode one of their choices exactly, no separate
+    value that starts with "-", and -p present, and --map too where the
+    command has it.  argparse reads such an argv to the same namespace.
+    Anything else, help, abbreviations, "-p7", a repeated option and every
+    usage error among it, gets None, so argparse alone prints help and
+    usage messages and picks their exit codes.
+    """
+    entry = _commands().get(argv[0]) if argv else None
+    if entry is None:
+        return None
+    func, _, build, example, modes = entry
+    names = {"-p", "--format", "--seed"}
+    if example:
+        names.add("--map")
+    if modes:
+        names.add("--mode")
+    values: dict[str, str] = {}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        name, joined, value = token.partition("=")
+        if not (joined and name[:2] == "--"):
+            name, value = token, next(tokens, None)
+            if value is None or value[:1] == "-":
+                return None
+        # argparse drops a value of "--" ("--map=--" gives an empty list)
+        if name not in names or name in values or value == "--":
+            return None
+        values[name] = value
+    if "-p" not in values or (example and "--map" not in values):
+        return None
+    numbers = [values["-p"], values.get("--seed", "0")]
+    fmt = values.get("--format", "text")
+    mode = values.get("--mode", POSITIVE_THEN_NEGATE)
+    if not all(n.isascii() and n.isdigit() for n in numbers):
+        return None
+    if fmt not in FORMATS or mode not in MODES:
+        return None
+    try:
+        p, seed = map(int, numbers)
+    except ValueError:  # more digits than int() reads; argparse rejects them too
+        return None
+    args = SimpleNamespace(command=argv[0], p=p, format=fmt, seed=seed, func=func, build=build)
+    if example:
+        args.map = values["--map"]
+    if modes:
+        args.mode = mode
+    return args
 
 
 _Result = tuple[bool, dict, list[str]]
@@ -122,18 +206,18 @@ def _verdict_json(verdict: Verdict) -> dict:
     }
 
 
-def cmd_chartab(args: argparse.Namespace) -> _Result:
+def cmd_chartab(args: Args) -> _Result:
     payload, lines = _grid(char_table(args.p))
     return True, payload, lines
 
 
-def cmd_mu(args: argparse.Namespace) -> _Result:
+def cmd_mu(args: Args) -> _Result:
     iso = SignedIsometry.from_literal(args.p, args.map)
     payload, lines = _grid(kernel_table(iso).entries)
     return True, {"map": iso.as_literal(), **payload}, lines
 
 
-def cmd_check(args: argparse.Namespace) -> _Result:
+def cmd_check(args: Args) -> _Result:
     iso = SignedIsometry.from_literal(args.p, args.map)
     direct = is_perfect(iso)
     cross = is_perfect_via_spaces(iso)
@@ -154,14 +238,14 @@ def cmd_check(args: argparse.Namespace) -> _Result:
     return direct.ok, payload, lines
 
 
-def cmd_decompose(args: argparse.Namespace) -> _Result:
+def cmd_decompose(args: Args) -> _Result:
     iso = SignedIsometry.from_literal(args.p, args.map)
     c = decompose(iso)
     payload = {"map": iso.as_literal(), "eps": c.eps, "a": c.a, "u": c.u}
     return True, payload, [_coords_text(c)]
 
 
-def cmd_report(args: argparse.Namespace) -> _Result:
+def cmd_report(args: Args) -> _Result:
     """enumerate or verify: ``args.build`` is the library call that makes the report."""
     report = args.build(args.p)
     shown = {None: "not_checked", True: "pass", False: "FAIL"}
@@ -196,8 +280,10 @@ def _join_map_literals(argv: Sequence[str]) -> list[str]:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(_join_map_literals(sys.argv[1:] if argv is None else argv))
+    argv = _join_map_literals(sys.argv[1:] if argv is None else argv)
+    args = _parse_plain(argv)
+    if args is None:
+        args = build_parser().parse_args(argv)
     try:
         if args.p > MAX_P:
             raise ValueError(f"p={args.p} is out of range; the bound is p <= {MAX_P}")
@@ -215,7 +301,15 @@ def main(argv: Sequence[str] | None = None) -> int:
         import json  # only here: text runs do not pay for importing it
 
         # a report's own "p" key takes the envelope's place and has the same value
-        print(json.dumps({"schema": SCHEMA_VERSION, "p": args.p, **payload}, indent=2))
+        text = json.dumps({"schema": SCHEMA_VERSION, "p": args.p, **payload}, indent=2)
     else:
-        print("\n".join(lines))
+        text = "\n".join(lines)
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        # the reader stopped early, and the verdict stands; stdout now goes
+        # to devnull, so the interpreter's final flush does not fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     return EXIT_OK if ok else EXIT_NEGATIVE

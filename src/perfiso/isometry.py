@@ -25,7 +25,7 @@ no full kernel, yet checks every Galois-derived entry it reads.
 from __future__ import annotations
 
 import re
-from functools import reduce
+from functools import lru_cache, reduce
 from operator import add, index, itemgetter, mul
 from typing import Iterable, Iterator, NamedTuple
 
@@ -234,6 +234,12 @@ def _counted_row(iso: SignedIsometry, m: int) -> tuple[CycInt, ...]:
     return tuple(row)
 
 
+@lru_cache(maxsize=1)
+def _counted_rows(iso: SignedIsometry) -> tuple[tuple[CycInt, ...], tuple[CycInt, ...]]:
+    """Rows 0 and 1, counted once for the two checkers of the same map."""
+    return _counted_row(iso, 0), _counted_row(iso, 1)
+
+
 def _bounded(entry: CycInt, m: int, n: int) -> CycInt:
     c, bound = entry.coeffs, 2 * entry.p
     if max(c) > bound or min(c) < -bound:
@@ -330,7 +336,7 @@ def is_perfect(iso: SignedIsometry) -> Verdict:
     failure in a row m >= 2 thus has one in row 1 before it, and the first
     row-major failure of either kind lies in row 0 or row 1.
     """
-    rows = (_counted_row(iso, 0), _counted_row(iso, 1))
+    rows = _counted_rows(iso)
     for m, row in enumerate(rows):
         for n, entry in enumerate(row):
             if not entry.is_multiple_of_p:
@@ -354,8 +360,8 @@ def is_perfect_via_spaces(iso: SignedIsometry) -> Verdict:
     read here as columns, j = 0, 1, ..., each derived from the counted rows
     0 and 1 only when the scan reaches it.  The images read every entry of
     the kernel, the rows derived by the Galois action included, so this
-    checker also tests those rows against is_perfect, which counts rows 0
-    and 1 itself.  The scan order (column -j for j = 0, 1, ..., entries in
+    checker also tests those rows against is_perfect, which reads the same
+    rows 0 and 1.  The scan order (column -j for j = 0, 1, ..., entries in
     row order, integrality on every column before separation on column 0) is
     that of a scan of all p images built first, so stopping at the first
     failing entry gives the same verdict and witness.  A zero entry is
@@ -383,7 +389,7 @@ def is_perfect_via_spaces(iso: SignedIsometry) -> Verdict:
         (1, 0) fails separation.  Witnesses may differ from is_perfect's.
     """
     p = iso.p
-    row0, row1 = _counted_row(iso, 0), _counted_row(iso, 1)
+    row0, row1 = _counted_rows(iso)
     live = [bool(entry) for entry in row1]
     inverse = [pow(m, -1, p) if m else 0 for m in range(p)]
 

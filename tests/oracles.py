@@ -10,8 +10,8 @@ every element with plain integer products, roots of unity are
 recognized by comparing against each of +-zeta^k in turn, the dense
 kernel counts every entry without the Galois action, the integrality
 and separation scans read every entry in row-major order, the
-cross-check reads all p indicator columns of the dense kernel only
-after every one is built, the adjoint takes the dense forward sums of
+cross-check counts each indicator column the same way when its scan
+reaches it, the adjoint takes the dense forward sums of
 the transposed kernel, the perfect images come from a search of the
 whole permutation tree with no normal form, and the structure verdicts
 compose every pair of plain image/sign tuples.
@@ -129,40 +129,45 @@ def kernel_entry_oracle(iso: SignedIsometry, m: int, n: int) -> CycInt:
     return acc
 
 
-def kernel_table_dense(iso: SignedIsometry) -> KernelTable:
-    """The kernel with every entry counted: sign[k] at power image[k]*m + k*n."""
+def _counted_entry(iso: SignedIsometry, m: int, n: int) -> CycInt:
+    """Kernel entry (m, n) by its definition: sign[k] at power image[k]*m + k*n."""
     p = iso.p
-    image, signs = iso.image, iso.signs
-    rows = []
-    for m in range(p):
-        row = []
-        for n in range(p):
-            counts = [0] * p
-            for k in range(p):
-                counts[(image[k] * m + k * n) % p] += signs[k]
-            row.append(CycInt(p, counts))
-        rows.append(tuple(row))
-    return KernelTable(p, tuple(rows))
+    counts = [0] * p
+    for k in range(p):
+        counts[(iso.image[k] * m + k * n) % p] += iso.signs[k]
+    return CycInt(p, counts)
+
+
+def kernel_table_dense(iso: SignedIsometry) -> KernelTable:
+    """The kernel with every entry counted by its definition."""
+    p = iso.p
+    return KernelTable(
+        p, tuple(tuple(_counted_entry(iso, m, n) for n in range(p)) for m in range(p))
+    )
 
 
 def cross_check_dense(iso: SignedIsometry) -> Verdict:
-    """The verdict of is_perfect_via_spaces, from the dense kernel built in full.
+    """The verdict of is_perfect_via_spaces, from entries counted by their definition.
 
-    The forward sums of indicator(p, j) are column -j of the kernel, so the
-    p indicator images are its p columns, all taken before any is read.
-    The scan is the cross-check's: columns j = 0, 1, ... in turn, entries
-    in row order, integrality on every column by the rational division
-    oracle (zero entries are divisible), then separation on column 0.
+    The forward sums of indicator(p, j) are column -j of the kernel.  The
+    scan is the cross-check's: columns j = 0, 1, ... in turn, entries in row
+    order, integrality on every column by the rational division oracle
+    (zero entries are divisible), then separation on column 0.  Each entry
+    is counted when the scan reaches it, and the scan returns at the first
+    failing entry, which is where a scan of the whole kernel, built first,
+    would stop too.
     """
-    kt = kernel_table_dense(iso)
-    p = kt.p
-    images = [[row[-j % p] for row in kt.entries] for j in range(p)]
-    for j, column in enumerate(images):
-        for m, entry in enumerate(column):
+    p = iso.p
+    column0 = []
+    for j in range(p):
+        for m in range(p):
+            entry = _counted_entry(iso, m, -j % p)
+            if j == 0:
+                column0.append(entry)
             if any(entry.coeffs) and not divisible_by_p_oracle(p, list(entry.coeffs)):
                 return Verdict(FAILS_INTEGRALITY, (m, -j % p))
     for m in range(1, p):
-        if any(images[0][m].coeffs):
+        if any(column0[m].coeffs):
             return Verdict(FAILS_SEPARATION, (m, 0))
     return Verdict(PERFECT)
 

@@ -2,15 +2,22 @@
 
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import perfiso
-from perfiso import FAILS_SEPARATION, Verdict, cli, cyclotomic, isometry
-from perfiso.cli import main
+from perfiso import FAILS_SEPARATION, MODES, Verdict, cli, cyclotomic, isometry
+from perfiso.cli import build_parser, main
+
+SRC = str(Path(perfiso.__file__).resolve().parents[1])
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run_cli(capsys, *argv):
@@ -171,10 +178,11 @@ def test_check_builds_no_kernel_and_counts_two_rows(capsys, monkeypatch, literal
     monkeypatch.setattr(cli, "kernel_table", counting_kernel)
     monkeypatch.setattr(isometry, "forward_transform_raw", counting_raw)
     monkeypatch.setattr(isometry, "_counted_row", counting_row)
+    isometry._counted_rows.cache_clear()
     code, out, _ = run_cli(capsys, "check", "-p", "11", f"--map={literal}")
     assert code == expected and out.startswith("verdict: ")
     assert built == []
-    assert sorted(rows) == [0, 0, 1, 1]  # is_perfect and the cross-check each count rows 0 and 1
+    assert rows == [0, 1]  # is_perfect counts rows 0 and 1, and the cross-check reads them
 
 
 def test_check_galois_defect_exits_3(capsys, monkeypatch):
@@ -445,16 +453,186 @@ def test_unknown_command_exits_2():
     assert info.value.code == 2
 
 
+def _child_env() -> dict:
+    # a child imports the same perfiso as this test, also when only
+    # pytest's own pythonpath setting put it on sys.path
+    path = os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))
+    return {**os.environ, "PYTHONPATH": path}
+
+
 def test_module_entry_point_runs():
-    # The child imports the same perfiso as this test, also when only
-    # pytest's own pythonpath setting put it on sys.path.
-    src = str(Path(perfiso.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run(
         [sys.executable, "-m", "perfiso", "chartab", "-p", "2"],
         capture_output=True,
         text=True,
-        env={**os.environ, "PYTHONPATH": path},
+        env=_child_env(),
     )
     assert proc.returncode == 0
     assert proc.stdout == "1 1\n1 -1\n"
+
+
+IDENTITY_101 = ",".join(f"+{k}" for k in range(101))
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    (
+        (["chartab", "-p", "101"], 0),
+        (["mu", "-p", "101", f"--map={IDENTITY_101}", "--format", "json"], 0),
+        (["check", "-p", "5", "--map", "+0,+2,+1,+3,+4"], 1),
+    ),
+    ids=("chartab", "mu-json", "check-negative"),
+)
+def test_closed_stdout_keeps_the_exit_code_and_stderr_empty(argv, code):
+    # the reader is gone before the child writes: the verdict still sets the
+    # exit code, and no traceback or "Exception ignored" line is printed
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "perfiso", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=_child_env(),
+    )
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=60), err) == (code, b"")
+
+
+# ---------------------------------------------------------------------------
+# plain calls, parsed without argparse
+
+COMMANDS = ("chartab", "mu", "check", "enumerate", "decompose", "verify")
+MAP_COMMANDS = ("mu", "check", "decompose")
+REPORT_COMMANDS = ("enumerate", "verify")
+
+
+def _reference(argv):
+    """The namespace of build_parser(), or the exit code of its usage error."""
+    try:
+        return vars(build_parser().parse_args(argv))
+    except SystemExit as exc:
+        return exc.code
+
+
+def _benchmark_shapes():
+    # every shape perfbench's Op.argv() makes: <cmd> -p N [--format json] [--mode M] [--map=LIT]
+    for command in COMMANDS:
+        modes = [[]] + [["--mode", m] for m in MODES] if command in REPORT_COMMANDS else [[]]
+        maps = [["--map=+0,+1,+2"], ["--map=-0,-1,-2"]] if command in MAP_COMMANDS else [[]]
+        for fmt in ([], ["--format", "json"]):
+            for mode in modes:
+                for literal in maps:
+                    yield [command, "-p", "3", *fmt, *mode, *literal]
+
+
+def _readme_calls():
+    calls = re.findall(r"^\$ perfiso ([^|#\n]*)", README.read_text(), flags=re.M)
+    assert len(calls) == len(COMMANDS)
+    return [shlex.split(call) for call in calls]
+
+
+@pytest.mark.parametrize("argv", [*_benchmark_shapes(), *_readme_calls()], ids=" ".join)
+def test_plain_calls_take_the_table_parser(argv):
+    # guards against the plain path silently never being taken
+    joined = cli._join_map_literals(argv)
+    plain = cli._parse_plain(joined)
+    assert plain is not None
+    assert vars(plain) == _reference(joined)
+
+
+EDITS = ("--", "-h", "--form", "-p3", "-p=3", "+3", "07", " 3", "1_0", "\u0663", "-3")
+
+
+@st.composite
+def cli_argvs(draw):
+    """Mostly well-formed calls, in any option order and either value form, some edited."""
+
+    def pick(*choices):
+        # about one value in eight is an edit token
+        drawn = draw(st.sampled_from((*choices, None)))
+        return draw(st.sampled_from(EDITS)) if drawn is None else drawn
+
+    command = draw(st.sampled_from(COMMANDS))
+    pairs = [("-p", pick("2", "3", "5", "101", "103", "4", "0"))]
+    if draw(st.booleans()):
+        pairs.append(("--format", pick("text", "json", "xml")))
+    if draw(st.booleans()):
+        pairs.append(("--seed", pick("0", "7", "12345678901234567890")))
+    if command in MAP_COMMANDS:
+        pairs.append(("--map", pick("+0,+1,+2", "-0,-1,-2", "+1,+3,+0,+2,+4", "", "--")))
+    if command in REPORT_COMMANDS and draw(st.booleans()):
+        pairs.append(("--mode", pick(*MODES, "positive")))
+    argv = [command]
+    for name, value in draw(st.permutations(pairs)):
+        argv += [f"{name}={value}"] if draw(st.booleans()) else [name, value]
+    for _ in range(draw(st.integers(0, 2))):
+        edit = draw(st.sampled_from(("replace", "insert", "repeat", "extra", "drop")))
+        at = draw(st.integers(0, len(argv)))
+        if edit == "replace" and at < len(argv):
+            argv[at] = draw(st.sampled_from(EDITS))
+        elif edit == "insert":
+            argv.insert(at, draw(st.sampled_from(EDITS)))
+        elif edit == "repeat":
+            name, value = draw(st.sampled_from(pairs))
+            argv += [name, value]
+        elif edit == "extra":
+            argv.insert(at, "extra")
+        elif edit == "drop" and len(argv) > 1:
+            del argv[max(at, 1) - 1]
+    return argv
+
+
+@settings(max_examples=300, deadline=None)
+@given(cli_argvs())
+def test_table_parser_agrees_with_argparse(argv):
+    # wherever the table parser answers, argparse accepts the same argv and
+    # builds the same namespace; everywhere else argparse alone answers
+    joined = cli._join_map_literals(argv)
+    plain = cli._parse_plain(joined)
+    if plain is not None:
+        assert vars(plain) == _reference(joined)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    (
+        ["-h"],
+        ["check", "-h"],
+        ["frobnicate", "-p", "3"],
+        ["check", "-p", "3"],
+        ["check", "--map", "-p", "3"],
+        ["check", "-p", "3", "--map", "--format"],
+    ),
+    ids=" ".join,
+)
+def test_help_and_usage_errors_are_argparse_own(capsys, argv):
+    assert cli._parse_plain(argv) is None
+    with pytest.raises(SystemExit) as via_main:
+        main(argv)
+    from_main = via_main.value.code, *capsys.readouterr()
+    with pytest.raises(SystemExit) as via_parser:
+        build_parser().parse_args(argv)
+    assert from_main == (via_parser.value.code, *capsys.readouterr())
+
+
+def test_plain_calls_import_no_argparse():
+    # argparse, and gettext and locale that its messages load, cost every
+    # child about 7 ms; the interpreter starts without site, which on some
+    # hosts imports modules of its own
+    calls = [
+        ["chartab", "-p", "3"],
+        ["mu", "-p", "3", "--map=+0,+1,+2"],
+        ["check", "-p", "3", "--map", "-0,-1,-2", "--format", "json"],
+        ["enumerate", "-p", "3", "--mode", "exhaustive"],
+        ["decompose", "-p", "5", "--map=+1,+3,+0,+2,+4"],
+        ["verify", "-p", "3", "--seed", "7"],
+    ]
+    code = (
+        f"import sys; sys.path.insert(0, {SRC!r})\n"
+        "from perfiso.cli import main\n"
+        f"codes = [main(argv) for argv in {calls!r}]\n"
+        "print(codes, sorted({'argparse', 'gettext', 'locale'} & set(sys.modules)))\n"
+    )
+    proc = subprocess.run([sys.executable, "-I", "-S", "-c", code], capture_output=True, text=True)
+    assert proc.stderr == ""
+    assert proc.stdout.splitlines()[-1] == "[0, 0, 0, 0, 0, 0] []"

@@ -429,8 +429,8 @@ def _cross_check_maps(p):
 
 @pytest.mark.parametrize("p", (7, 11, 13, 23, 53, 101))
 def test_lazy_cross_check_matches_dense_oracle(p):
-    # status and witness of the column scan equal those of a scan of the
-    # whole kernel, built entry by entry before any column is read
+    # status and witness of the column scan equal those of the same scan
+    # over entries counted by their definition, with no Galois action
     statuses, rows = set(), set()
     for iso in _cross_check_maps(p):
         verdict = is_perfect_via_spaces(iso)

@@ -5,6 +5,8 @@ import functools
 import inspect
 from pathlib import Path
 
+import pytest
+
 import perfiso
 from perfiso import characters, cli, cyclotomic, isometry, pigroup
 
@@ -61,23 +63,26 @@ def test_library_imports_no_dataclasses():
     assert found == []
 
 
-def test_cli_imports_json_only_for_json_output():
-    # json is imported on the --format json path: at module level, it is a
-    # cost every CLI child would pay at startup, text runs included
+@pytest.mark.parametrize("module", ("json", "argparse"))
+def test_cli_imports_late(module):
+    # json is imported on the --format json path and argparse in build_parser,
+    # which plain calls never reach: at module level, each would be a cost
+    # every CLI child pays at startup (a TYPE_CHECKING block never runs)
     tree = ast.parse(Path(cli.__file__).read_text())
-    in_functions = {
+    not_run = {
         id(node)
-        for func in ast.walk(tree)
-        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
-        for node in ast.walk(func)
+        for block in ast.walk(tree)
+        if isinstance(block, (ast.FunctionDef, ast.AsyncFunctionDef))
+        or (isinstance(block, ast.If) and ast.unparse(block.test) == "TYPE_CHECKING")
+        for node in ast.walk(block)
     }
     found = [
         node.lineno
         for node in ast.walk(tree)
-        if id(node) not in in_functions
+        if id(node) not in not_run
         and (
-            (isinstance(node, ast.Import) and any(a.name == "json" for a in node.names))
-            or (isinstance(node, ast.ImportFrom) and node.module == "json")
+            (isinstance(node, ast.Import) and any(a.name == module for a in node.names))
+            or (isinstance(node, ast.ImportFrom) and node.module == module)
         )
     ]
     assert found == []
