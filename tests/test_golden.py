@@ -12,8 +12,8 @@ At scale, ``chartab`` runs at p = 23 and 53, and ``mu``, ``check`` and
 map and a random signed map (drawn once from ``random.Random(p)``: a
 shuffle, then one sign per index); ``enumerate`` and ``verify`` run at
 p = 13 in both modes, and ``verify`` runs at p = 53 in both modes.  In the
-default mode, ``enumerate`` runs at p = 53 and ``verify`` at p = 101, and
-``check`` runs at p = 101 on the same four kinds of map as at p = 23 and 53.
+default mode, ``enumerate`` runs at p = 53 and 101 and ``verify`` at p = 101,
+and ``check`` runs at p = 101 on the same four kinds of map as at p = 23 and 53.
 
 Regenerate the table only for a deliberate output change:
 ``python tests/test_golden.py`` prints it.
@@ -97,6 +97,7 @@ def _cases():
     for fmt in FORMATS:
         yield ("enumerate", "-p", str(VERIFY_P), "--format", fmt)
         yield ("verify", "-p", str(SCALE_P), "--format", fmt)
+        yield ("enumerate", "-p", str(SCALE_P), "--format", fmt)
     for fmt in FORMATS:
         for literal in _scale_maps(SCALE_P):
             yield ("check", "-p", str(SCALE_P), f"--map={literal}", "--format", fmt)
@@ -288,8 +289,10 @@ GOLDEN = {
     'verify -p 53 --mode exhaustive --format json': (0, 'f998a0cbd349158391f8900b9d60a4998187444fe0d7cc5fcc4470462288aef2'),
     'enumerate -p 53 --format text': (0, '7bee6d48ad237883af80532ad99049175f38193eb9d8a202e98ffb0e1891d77f'),
     'verify -p 101 --format text': (0, '870b6d67f2baa3f8afb16ac21f2e14d33ddec3538ac3a2f5ee0d888de31fdf60'),
+    'enumerate -p 101 --format text': (0, 'ecd4cf6077563636cd23af15db707a3fb3bff3ab61b211d214bb432339a2dfd4'),
     'enumerate -p 53 --format json': (0, 'c7405b1e3f195b63221f7a4f120272f9a0f5ff0ac7edb4f93bd2a6214bce06dc'),
     'verify -p 101 --format json': (0, '6705ada6c0dd2092c35824706466a1bdd5efdc08286ab5c2a6c811ef2bf3ceaa'),
+    'enumerate -p 101 --format json': (0, '94fa44db1ddd645b3add17458dbd353707604ed28d1efc49bfbe9b922fe36a26'),
     'check -p 101 --map=+1,+3,+5,+7,+9,+11,+13,+15,+17,+19,+21,+23,+25,+27,+29,+31,+33,+35,+37,+39,+41,+43,+45,+47,+49,+51,+53,+55,+57,+59,+61,+63,+65,+67,+69,+71,+73,+75,+77,+79,+81,+83,+85,+87,+89,+91,+93,+95,+97,+99,+0,+2,+4,+6,+8,+10,+12,+14,+16,+18,+20,+22,+24,+26,+28,+30,+32,+34,+36,+38,+40,+42,+44,+46,+48,+50,+52,+54,+56,+58,+60,+62,+64,+66,+68,+70,+72,+74,+76,+78,+80,+82,+84,+86,+88,+90,+92,+94,+96,+98,+100 --format text': (0, 'ee10ad9d9e708cfdb987912aa8cbd1f927cddff09e6715a28bc33fb457536fa1'),
     'check -p 101 --map=-1,-3,-5,-7,-9,-11,-13,-15,-17,-19,-21,-23,-25,-27,-29,-31,-33,-35,-37,-39,-41,-43,-45,-47,-49,-51,-53,-55,-57,-59,-61,-63,-65,-67,-69,-71,-73,-75,-77,-79,-81,-83,-85,-87,-89,-91,-93,-95,-97,-99,-0,-2,-4,-6,-8,-10,-12,-14,-16,-18,-20,-22,-24,-26,-28,-30,-32,-34,-36,-38,-40,-42,-44,-46,-48,-50,-52,-54,-56,-58,-60,-62,-64,-66,-68,-70,-72,-74,-76,-78,-80,-82,-84,-86,-88,-90,-92,-94,-96,-98,-100 --format text': (0, 'ee10ad9d9e708cfdb987912aa8cbd1f927cddff09e6715a28bc33fb457536fa1'),
     'check -p 101 --map=+1,+5,+3,+7,+9,+11,+13,+15,+17,+19,+21,+23,+25,+27,+29,+31,+33,+35,+37,+39,+41,+43,+45,+47,+49,+51,+53,+55,+57,+59,+61,+63,+65,+67,+69,+71,+73,+75,+77,+79,+81,+83,+85,+87,+89,+91,+93,+95,+97,+99,+0,+2,+4,+6,+8,+10,+12,+14,+16,+18,+20,+22,+24,+26,+28,+30,+32,+34,+36,+38,+40,+42,+44,+46,+48,+50,+52,+54,+56,+58,+60,+62,+64,+66,+68,+70,+72,+74,+76,+78,+80,+82,+84,+86,+88,+90,+92,+94,+96,+98,+100 --format text': (1, '0741c719142b95a75ddd7361466bb6d2a4760dc17be28efdd83f0f35725e72f0'),
