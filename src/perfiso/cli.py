@@ -67,9 +67,10 @@ EXIT_INTERNAL = 3
 
 SCHEMA_VERSION = 1
 # the target scale; at p = 101, end to end on 2 vCPUs (median of 7), verify and
-# enumerate take about 0.5 s, chartab 0.10 s, and check and mu of an affine map
-# 0.09 s each (0.09 and 0.40 s for a random signed map, whose mu prints 10,201
-# coefficient lists; a bare interpreter start is about 0.06 s)
+# enumerate take about 0.14 s (0.27 s with --format json), chartab 0.10 s, and
+# check and mu of an affine map 0.09 s each (0.09 and 0.40 s for a random signed
+# map, whose mu prints 10,201 coefficient lists; a bare interpreter start is
+# about 0.06 s)
 MAX_P = 101
 
 FORMATS = ("text", "json")

@@ -36,9 +36,6 @@ __all__ = [
     "PERFECT",
     "FAILS_INTEGRALITY",
     "FAILS_SEPARATION",
-    "ALL_POSITIVE",
-    "ALL_NEGATIVE",
-    "MIXED",
     "NonIntegralTransform",
     "InternalError",
     "SignedIsometry",
@@ -53,10 +50,6 @@ __all__ = [
 PERFECT = "perfect"
 FAILS_INTEGRALITY = "fails_integrality"
 FAILS_SEPARATION = "fails_separation"
-
-ALL_POSITIVE = "all_positive"
-ALL_NEGATIVE = "all_negative"
-MIXED = "mixed"
 
 _LITERAL_TOKEN = re.compile(r"[+-][0-9]+")
 
@@ -95,8 +88,8 @@ class SignedIsometry:
         """Build from tuples already known to be valid, skipping validation.
 
         Only for results of group operations on valid isometries, and for
-        the orbit images of pigroup.iter_perfect, which its docstring proves
-        are permutations.
+        the orbit images of pigroup._orbit, which its docstring proves are
+        permutations.
         """
         iso = object.__new__(cls)
         iso._p = p
@@ -177,14 +170,6 @@ class SignedIsometry:
 
     def __neg__(self) -> SignedIsometry:
         return SignedIsometry._unchecked(self._p, self._image, tuple(-s for s in self._signs))
-
-    def sign_profile(self) -> str:
-        """One of ALL_POSITIVE, ALL_NEGATIVE, MIXED."""
-        if all(s == 1 for s in self._signs):
-            return ALL_POSITIVE
-        if all(s == -1 for s in self._signs):
-            return ALL_NEGATIVE
-        return MIXED
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SignedIsometry):

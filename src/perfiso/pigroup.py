@@ -8,20 +8,20 @@ composition.  This module provides its three generator families
   * global negation,
 
 exhaustive enumeration of the whole group from scratch, the affine
-coordinates (eps, a, u) of each element, and computational checks of the
-group structure on the enumerated set (closure under inverses, the affine
-composition law, the presence of negation).  decompose reads coordinates off
-the closed form k -> eps * (a + u*k); recompose, which builds every
-generator, writes it.
+coordinates (eps, a, u) of each element, and checks of the group structure
+(the affine composition law, the presence of negation).  decompose reads
+coordinates off the closed form k -> eps * (a + u*k); recompose, which
+builds every generator, writes it.
 
 Enumeration: a depth-first search over the images of 0..p-1 that cuts a
 branch as soon as some map k -> image[k] + c*k leaves the two shapes a
 perfect candidate can have (iter_perfect proves the rule exact).  The rule
-is invariant under the value maps w -> u*w + a, so the search visits only
-the permutations with prefix (0, 1) and maps its hits through all p(p-1)
-of them (_perfect_images proves this complete).  It tests 17 values at
-p = 7, 68 at p = 13, 1,328 at p = 53 and 4,952 at p = 101, and reaches one
-leaf, the identity, at each.  Both modes run the same search:
+is invariant under the value maps w -> u*w + a, so the search
+(_normal_forms) visits only the permutations with prefix (0, 1), the
+normal forms, and _orbit maps its hits through all p(p-1) of them
+(_orbit proves this complete).  It tests 17 values at p = 7, 68 at
+p = 13, 1,328 at p = 53 and 4,952 at p = 101, and reaches one leaf, the
+identity, at each.  Both modes run the same search:
 
   * ``exhaustive`` assumes nothing about signs; the proof shows that mixed
     signs never pass, so no sign branch is needed.
@@ -30,9 +30,10 @@ leaf, the identity, at each.  Both modes run the same search:
     changes neither divisibility nor the zero pattern).
 
 Both yield the same list, so enumerate_perfect and verify_structure take
-no mode.  When the set holds every affine map, the structure checks of
-``verify`` read the composition law off the affine coordinates and
-compose no maps (_report proves this exact).
+no mode.  They read every check off the normal forms, not off the maps of
+their orbit: the orbit of the identity is every affine map, once each,
+and no map in the orbit of another form is affine (_orbit proves both).
+When the checks pass, no map is built (_report).
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from operator import sub
 from typing import Iterator, NamedTuple
 
 from .cyclotomic import require_prime
-from .isometry import MIXED, SignedIsometry
+from .isometry import SignedIsometry
 
 __all__ = [
     "EXHAUSTIVE",
@@ -182,24 +183,11 @@ def decompose(iso: SignedIsometry) -> AffineCoords:
     return AffineCoords(eps, a, u)
 
 
-def _perfect_images(p: int) -> list[tuple[int, ...]]:
-    """Every permutation whose maps k -> image[k] + c*k (mod p), c = 1..p-1,
-    are each injective or constant, in lexicographic order.
-
-    Lemma: for a unit u and any a, a permutation passes this rule exactly
-    when its value-affine image k -> u*image[k] + a (mod p) does.  Indeed
-    u*image[k] + a + c*k = u*(image[k] + (c/u)*k) + a; the value map
-    w -> u*w + a is a bijection, so it keeps "injective" and "constant";
-    and as c runs over the units, so does c/u.  Every permutation x has
-    exactly one value-affine image with prefix (0, 1), its normal form
-    (x - x[0]) / (x[1] - x[0]) (x[1] != x[0] as x is a permutation), and x
-    is the image of that form under u = x[1] - x[0], a = x[0].  So the
-    passing permutations are exactly the images, under all p(p-1) pairs
-    (u, a), of the passing permutations with prefix (0, 1).  Distinct pairs
-    give distinct images (a is the image of 0, u + a that of 1), and
-    distinct normal forms give disjoint orbits, so the result has no
-    duplicates.  The lemma is a fact about the rule, not the classification:
-    the search below still decides every permutation with prefix (0, 1).
+def _normal_forms(p: int) -> list[tuple[int, ...]]:
+    """Every permutation with prefix (0, 1) whose maps k -> image[k] + c*k
+    (mod p), c = 1..p-1, are each injective or constant, in lexicographic
+    order: the normal forms of the permutations that pass this rule
+    (_orbit proves that their orbit is all of them).
 
     A depth-first search fills image[0], image[1], ... with image[0] = 0,
     image[1] = 1 and later values in increasing order.  For each c it keeps
@@ -208,7 +196,8 @@ def _perfect_images(p: int) -> list[tuple[int, ...]]:
     constant exactly when it takes one, and both properties pass to every
     restriction, so a branch is cut as soon as some c has neither.  Every
     placed value, the forced prefix and a forced last value included, is
-    tested against every c.
+    tested against every c.  The search decides every permutation with
+    prefix (0, 1); it assumes nothing about which of them pass.
     """
     bits = [1 << w for w in range(p)] * 2
     steps = [[c * d % p for c in range(1, p)] for d in range(p)]
@@ -234,12 +223,59 @@ def _perfect_images(p: int) -> list[tuple[int, ...]]:
                 yield from extend(grown, used | bits[v])
                 image.pop()
 
-    return sorted(
+    return list(extend([0] * (p - 1), 0))
+
+
+def _orbit(p: int, forms: list[tuple[int, ...]]) -> Iterator[SignedIsometry]:
+    """The all-positive and all-negative maps on the images
+    k -> u*form[k] + a (mod p) of permutations with prefix (0, 1) under all
+    p(p-1) pairs (u, a), in lexicographic order of the image, each
+    all-positive map followed by its negation.
+
+    Lemma: for a unit u and any a, a permutation passes the rule of
+    _normal_forms exactly when its value-affine image k -> u*image[k] + a
+    (mod p) does.  Indeed u*image[k] + a + c*k = u*(image[k] + (c/u)*k) + a;
+    the value map w -> u*w + a is a bijection, so it keeps "injective" and
+    "constant"; and as c runs over the units, so does c/u.  Every
+    permutation x has exactly one value-affine image with prefix (0, 1), its
+    normal form (x - x[0]) / (x[1] - x[0]) (x[1] != x[0] as x is a
+    permutation), and x is the image of that form under u = x[1] - x[0],
+    a = x[0].  So the passing permutations are exactly the images, under all
+    p(p-1) pairs (u, a), of the passing permutations with prefix (0, 1).
+    Distinct pairs give distinct images (a is the image of 0, u + a that of
+    1), and distinct normal forms give disjoint orbits, so the orbit of the
+    list _normal_forms returns has no duplicates.  The lemma is a fact about
+    the rule, not the classification.
+
+    Two facts about the orbit let _report read every check off the forms:
+
+      * An element k -> eps*(u*f[k] + a) of the orbit of a form f is affine
+        only when f is the identity.  The affine maps k -> b + v*k (v a
+        unit) form a group under composition, and the element's image is
+        A after f for the affine A: w -> u*w + a, so f is A^-1 after that
+        image; if the image is affine, so is f.  The only affine map with
+        prefix (0, 1) is the identity (b = f[0] = 0, v = f[1] - f[0] = 1).
+      * The element of the orbit of the identity for the pair (u, a) and
+        the sign eps is k -> eps*(a + u*k), whose coordinates are
+        (eps, a, u).  So the orbit of the identity is every affine map,
+        once each.
+
+    Each map is built without validation, sharing one all-positive and one
+    all-negative sign tuple.  Each image is a permutation: a form is one (a
+    leaf of the search places every value of 0..p-1 exactly once, as a
+    value is placed only when its bit is clear in ``used`` and the leaf has
+    depth p), and w -> u*w + a is a bijection of Z/p for a unit u, so it
+    maps a permutation to a permutation.
+    """
+    positive, negative = (1,) * p, (-1,) * p
+    for image in sorted(
         tuple((u * x + a) % p for x in form)
-        for form in extend([0] * (p - 1), 0)
+        for form in forms
         for u in range(1, p)
         for a in range(p)
-    )
+    ):
+        yield SignedIsometry._unchecked(p, image, positive)
+        yield SignedIsometry._unchecked(p, image, negative)
 
 
 def iter_perfect(p: int, mode: str = POSITIVE_THEN_NEGATE) -> Iterator[SignedIsometry]:
@@ -272,19 +308,13 @@ def iter_perfect(p: int, mode: str = POSITIVE_THEN_NEGATE) -> Iterator[SignedIso
     arises (m = 1, n = c), so the rule is an iff.
 
     Hence the perfect maps are exactly the all-positive and all-negative
-    maps on the images that _perfect_images returns, and the search is
-    complete for both modes: ``exhaustive`` loses nothing by never
-    branching on signs, and ``positive_then_negate`` needs no sign pattern
-    besides the two it yields.  The order is that of a lexicographic walk
-    over permutations, and within each over sign patterns in
-    ``itertools.product((1, -1))`` order, keeping the perfect candidates.
-
-    Each hit and its negation are built without validation, sharing one
-    all-positive and one all-negative sign tuple.  Each image is a
-    permutation: a leaf of the search places every value of 0..p-1 exactly
-    once (a value is placed only when its bit is clear in ``used``, and the
-    leaf has depth p), and w -> u*w + a is a bijection of Z/p for a unit u,
-    so it maps a permutation to a permutation.
+    maps on the orbit (_orbit) of the forms that _normal_forms returns, and
+    the search is complete for both modes: ``exhaustive`` loses nothing by
+    never branching on signs, and ``positive_then_negate`` needs no sign
+    pattern besides the two it yields.  The order is that of a
+    lexicographic walk over permutations, and within each over sign
+    patterns in ``itertools.product((1, -1))`` order, keeping the perfect
+    candidates.
 
     ``mode`` is checked and otherwise unused; it stays only because the
     benchmark calls ``iter_perfect(7, mode)``, and the library never passes it.
@@ -292,114 +322,77 @@ def iter_perfect(p: int, mode: str = POSITIVE_THEN_NEGATE) -> Iterator[SignedIso
     p = require_prime(p)
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
-    positive, negative = (1,) * p, (-1,) * p
-    for image in _perfect_images(p):
-        yield SignedIsometry._unchecked(p, image, positive)
-        yield SignedIsometry._unchecked(p, image, negative)
-
-
-def _law(p: int, cl: AffineCoords, cr: AffineCoords) -> AffineCoords:
-    """Coordinates of (eps, a, u) o (eps', a', u') = (eps*eps', a + u*a', u*u')."""
-    return AffineCoords(cl.eps * cr.eps, (cl.a + cl.u * cr.a) % p, (cl.u * cr.u) % p)
+    yield from _orbit(p, _normal_forms(p))
 
 
 def _report(p: int, structure: bool) -> PIGroupReport:
-    """Enumerate, decompose every element and run the basic checks; with
-    ``structure``, also the semidirect and negation checks.  Each failure
-    adds a line naming the offending element or pair.
+    """Enumerate and run the basic checks; with ``structure``, also the
+    semidirect and negation checks.  Each failure adds a line naming the
+    offending element.
 
-    Completeness is a count.  decompose returns only eps in {1, -1}, a in
-    0..p-1 and u in 1..p-1 (u != 0 as the image is a permutation): one of
-    exactly 2p(p-1) coordinates.  Each element recomposes from its
-    coordinates and recompose is injective, so a fact about the set C of
-    coordinates is a fact about the maps.  When every element decomposes,
-    the set therefore holds every affine map exactly when C has 2p(p-1)
-    distinct values.  Only when one is missing are all coordinates walked,
-    to name it.
+    The set is the orbit of the normal forms (iter_perfect), so each check
+    is a fact about the forms, read off them by the two facts in the
+    docstring of _orbit: an identity form adds every affine map (eps, a, u)
+    once, with coordinates (eps, a, u), and any other form adds 2p(p-1)
+    maps, none of them affine.
 
-    The map with coordinates (eps, a, u) after the map with coordinates
-    (eps', a', u') sends k to eps*(a + u*(eps'*(a' + u'*k))) =
-    eps*eps'*((a + u*a') + u*u'*k), the map with coordinates _law(c, c'),
-    and the inverse of (eps, a, u) is (eps, -a/u, 1/u).  When
-    affine_completeness holds, C is the whole affine group, which holds
-    both, so the semidirect verdict passes with no map composed or
-    inverted.  Otherwise the inverse loop runs on the maps, and then the
-    law on every ordered pair of coordinates: lhs o rhs lies in the set
-    exactly when _law(coord(lhs), coord(rhs)) is in C, and decompose then
-    reads exactly those coordinates off it, so membership is the whole
-    law.  The law needs coordinates; when some element is non-affine it is
-    skipped and fails.
+      * order: 2p(p-1) maps per form, so the order formula holds exactly
+        when there is one form.
+      * elements: every coordinate once per identity form; listed with eps,
+        a and u increasing, they come out sorted.
+      * homogeneous_sign: every map is built all-positive or all-negative.
+      * affine_completeness: the set is every affine map and nothing else
+        exactly when the identity is a form and no other form is.
+      * negid_central: negation is the affine map (-1, 0, 1), so it is in
+        the set exactly when the identity is a form.  That it is an
+        involution other than the identity, and that it commutes with every
+        signed map (both composites keep the image and negate every sign),
+        reads nothing of the set; the tests check both.
+      * semidirect_law: the map (eps, a, u) after (eps', a', u') sends k to
+        eps*(a + u*(eps'*(a' + u'*k))) = eps*eps'*((a + u*a') + u*u'*k),
+        the map (eps*eps', a + u*a', u*u'), and the inverse of (eps, a, u)
+        is (eps, -a/u, 1/u).  When every form is the identity, the set is
+        the whole affine group (each map once per form) or empty, so it is
+        closed under composition and inverses and its coordinates multiply
+        as in (C_p x| Aut(C_p)) x {+-1}; the conjugation relation
+        (1, 0, u) o (1, a, 1) o (1, 0, u^-1) = (1, u*a, 1) is one instance
+        of that law, and the shifts (1, a, 1) meet the scalings (1, 0, u)
+        only in (1, 0, 1) whatever the set, which the tests check.  When
+        some form is not the identity, its maps have no coordinates, so the
+        law fails, and that is the only way it fails.
 
-    Inverses and the law are the whole semidirect verdict.  The law says
-    that the coordinates of the enumerated maps multiply as in
-    (C_p x| Aut(C_p)) x {+-1}, so the conjugation relation on the set is one
-    of its instances, (1, 0, u) o (1, a, 1) o (1, 0, u^-1) = (1, u*a, 1),
-    and the shifts (1, a, 1) meet the scalings (1, 0, u) only in (1, 0, 1).
-    The same two facts about gen_linear and gen_aut read nothing of the
-    enumerated set, so their answer depends on p alone; the tests check them.
-    So do the facts that gen_negid is an involution other than the identity
-    and that it commutes with every signed map (both composites keep the
-    image and negate every sign).  What the set can fail is holding
-    negation, which makes {+-1} a factor of the group: that is the whole
-    negation verdict.
+    A map is built only to name a failure: each non-affine map, each affine
+    map when there is no form at all, and negation when it is missing.
     """
-    found = list(iter_perfect(p))
-    failures: list[str] = []
-    coords: list[AffineCoords] = []
-    rejected = []
-    for iso in found:
-        try:
-            coords.append(decompose(iso))
-        except NotPerfect:
-            rejected.append(iso)
-            failures.append(f"non-affine perfect isometry: {iso.as_literal()}")
-    # decompose rejects every mixed map, so only the rejected can be mixed
-    mixed = [iso for iso in rejected if iso.sign_profile() == MIXED]
-    failures.extend(f"mixed-sign perfect isometry: {iso.as_literal()}" for iso in mixed)
-
-    order = 2 * p * (p - 1)
-    members = set(coords)
-    affine = not rejected and len(members) == order
-    if not rejected and not affine:
-        every = (AffineCoords(e, a, u) for e in (-1, 1) for a in range(p) for u in range(1, p))
-        missing = sorted(recompose(p, c).as_literal() for c in every if c not in members)
+    p = require_prime(p)
+    forms = _normal_forms(p)
+    identity = tuple(range(p))
+    copies = forms.count(identity)
+    others = [form for form in forms if form != identity]
+    failures = [f"non-affine perfect isometry: {iso.as_literal()}" for iso in _orbit(p, others)]
+    if not forms:
+        missing = sorted(iso.as_literal() for iso in _orbit(p, [identity]))
         failures.extend(f"affine isometry not enumerated: {literal}" for literal in missing)
 
     semidirect = negid_central = None
     if structure:
-        semidirect = True
-        if not affine:
-            found_set = set(found)
-            for iso in found:
-                if iso.invert() not in found_set:
-                    semidirect = False
-                    failures.append(f"inverse escapes the set: {iso.as_literal()}")
-            if rejected:
-                # the law needs coordinates; the negation check does not, so it still runs
-                semidirect = False
-                failures.append("composition law skipped: some element is non-affine")
-            else:
-                escapes = [
-                    f"composition escapes the set: {lhs.as_literal()} o {rhs.as_literal()}"
-                    for lhs, cl in zip(found, coords)
-                    for rhs, cr in zip(found, coords)
-                    if _law(p, cl, cr) not in members
-                ]
-                semidirect = semidirect and not escapes
-                failures.extend(escapes)
-        negid = gen_negid(p)
-        negid_central = negid in found
+        semidirect = not others
+        if others:
+            failures.append("composition law skipped: some element is non-affine")
+        negid_central = copies > 0
         if not negid_central:
-            failures.append(f"negation not enumerated: {negid.as_literal()}")
+            failures.append(f"negation not enumerated: {gen_negid(p).as_literal()}")
 
     checks: dict[str, bool | None] = {
-        CHECK_HOMOGENEOUS: not mixed,
-        CHECK_AFFINE: affine,
+        CHECK_HOMOGENEOUS: True,
+        CHECK_AFFINE: copies > 0 and not others,
         CHECK_SEMIDIRECT: semidirect,
         CHECK_NEGID: negid_central,
-        CHECK_ORDER: len(found) == order,
+        CHECK_ORDER: len(forms) == 1,
     }
-    return PIGroupReport(p, len(found), sorted(coords), checks, failures)
+    every = [AffineCoords(eps, a, u) for eps in (-1, 1) for a in range(p) for u in range(1, p)]
+    elements = [coords for coords in every for _ in range(copies)]
+    return PIGroupReport(p, len(forms) * 2 * p * (p - 1), elements, checks, failures)
 
 
 def enumerate_perfect(p: int) -> PIGroupReport:

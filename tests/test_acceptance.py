@@ -17,7 +17,6 @@ import pytest
 from perfiso import (
     AffineCoords,
     EXHAUSTIVE,
-    MIXED,
     SignedIsometry,
     character,
     decompose,
@@ -75,7 +74,7 @@ def test_criterion_1_order_formula(exhaustive_found):
 
 def test_criterion_2_homogeneous_sign(exhaustive_found):
     for p in PRIMES_EXHAUSTIVE:
-        mixed = [iso for iso in exhaustive_found[p] if iso.sign_profile() == MIXED]
+        mixed = [iso for iso in exhaustive_found[p] if len(set(iso.signs)) > 1]
         assert mixed == []
     _announce(2, "homogeneous_sign", "zero mixed-sign perfect isometries")
 

@@ -7,14 +7,11 @@ import pytest
 
 from perfiso import isometry
 from perfiso import (
-    ALL_NEGATIVE,
-    ALL_POSITIVE,
     ClassFunction,
     CycInt,
     FAILS_INTEGRALITY,
     FAILS_SEPARATION,
     KernelTable,
-    MIXED,
     NonIntegralTransform,
     PERFECT,
     SignedIsometry,
@@ -178,12 +175,6 @@ def test_compose_sign_flip_examples():
 def test_compose_rejects_mismatched_p():
     with pytest.raises(ValueError):
         SignedIsometry.identity(3).compose(SignedIsometry.identity(5))
-
-
-def test_sign_profile():
-    assert SignedIsometry.identity(3).sign_profile() == ALL_POSITIVE
-    assert (-SignedIsometry.identity(3)).sign_profile() == ALL_NEGATIVE
-    assert SignedIsometry(3, (0, 1, 2), (1, -1, 1)).sign_profile() == MIXED
 
 
 # ---------------------------------------------------------------------------
@@ -600,8 +591,7 @@ def test_perfect_kernels_have_sign_matching_degree_entry():
             verdict = is_perfect(iso)
             if verdict.status != PERFECT:
                 continue
-            profile = iso.sign_profile()
-            assert profile != MIXED
+            (eps,) = set(iso.signs)
             kt = kernel_table(iso)
-            expected = p if profile == ALL_POSITIVE else -p
+            expected = eps * p
             assert kt.entries[0][0] == CycInt.from_int(p, expected)

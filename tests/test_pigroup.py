@@ -1,6 +1,7 @@
 """Tests for generators, enumeration, affine coordinates and structure checks."""
 
 import itertools
+from collections import Counter
 from random import Random
 
 import pytest
@@ -85,7 +86,7 @@ def test_gen_negid():
     p = 5
     neg = gen_negid(p)
     assert is_perfect(neg).status == PERFECT
-    assert neg.sign_profile() == "all_negative"
+    assert set(neg.signs) == {-1}
     # verify takes this involution for granted; it reads nothing of the enumerated set
     for p in (2, 3, 5, 7, 53):
         neg, identity = gen_negid(p), SignedIsometry.identity(p)
@@ -99,7 +100,7 @@ def test_negation_commutes_with_every_signed_map(p):
     rng = Random(SEED + 3 * p)
     neg = gen_negid(p)
     maps = [random_isometry(rng, p) for _ in range(50)]
-    assert any(iso.sign_profile() == "mixed" for iso in maps)
+    assert any(len(set(iso.signs)) == 2 for iso in maps)
     for iso in maps + [SignedIsometry.identity(p), neg]:
         assert neg.compose(iso) == iso.compose(neg) == -iso
 
@@ -199,7 +200,9 @@ PRIMES_TO_29 = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)
 def test_subtree_search_matches_full_search(p):
     # the prefix-(0, 1) subtree and its affine orbit give the whole tree's hits
     images = perfect_images_full_search(p)
-    assert pigroup._perfect_images(p) == images
+    orbit = list(pigroup._orbit(p, pigroup._normal_forms(p)))
+    assert [iso.image for iso in orbit[::2]] == images
+    assert orbit[1::2] == [-iso for iso in orbit[::2]]
     hits = [SignedIsometry(p, image, (1,) * p) for image in images]
     walk = [iso for hit in hits for iso in (hit, -hit)]
     for mode in MODES:
@@ -333,57 +336,6 @@ def test_verify_structure_all_checks_pass(p):
     assert not report.failures
 
 
-def _verify_failure_case(name):
-    """A p = 5 element list that verify should reject, with the expected
-    checks (in CHECK_KEYS order) and failure lines."""
-    group = list(iter_perfect(5))
-    if name == "missing":
-        shift = gen_linear(5, 1)
-        found = [iso for iso in group if iso != shift]
-        escapes = [
-            f"composition escapes the set: {lhs.as_literal()} o {rhs.as_literal()}"
-            for lhs in found
-            for rhs in found
-            if lhs.compose(rhs) == shift
-        ]
-        assert len(escapes) == 38  # one rhs for each lhs but the identity
-        failures = [
-            "affine isometry not enumerated: +1,+2,+3,+4,+0",
-            "inverse escapes the set: +4,+0,+1,+2,+3",
-            *escapes,
-        ]
-        return found, (True, False, False, True, False), failures
-    if name == "swapped_affine":
-        # k -> 1 + 2k with the images of 1 and 2 swapped; an involution
-        extra = "+1,+0,+3,+2,+4"
-        failures = [f"non-affine perfect isometry: {extra}"]
-        checks = (True, False, False, True, False)
-    else:
-        extra = "+0,+1,+2,+3,-4"
-        failures = [
-            f"non-affine perfect isometry: {extra}",
-            f"mixed-sign perfect isometry: {extra}",
-        ]
-        checks = (False, False, False, True, False)
-    failures.append("composition law skipped: some element is non-affine")
-    return group + [SignedIsometry.from_literal(5, extra)], checks, failures
-
-
-@pytest.mark.parametrize("name", ("missing", "swapped_affine", "mixed_sign"))
-def test_verify_structure_failure_diagnostics(monkeypatch, capsys, name):
-    found, checks, failures = _verify_failure_case(name)
-    monkeypatch.setattr(pigroup, "iter_perfect", lambda p: iter(found))
-    report = verify_structure(5)
-    assert report.order == len(found)
-    assert tuple(report.checks[key] for key in CHECK_KEYS) == checks
-    assert report.failures == failures
-    assert not report.all_pass()
-
-    assert main(["verify", "-p", "5"]) == 1
-    out = capsys.readouterr().out
-    assert out.endswith("".join(f"  ! {line}\n" for line in failures))
-
-
 def _structure_verdicts_of(report):
     return report.checks["semidirect_law"], report.checks["negid_central"]
 
@@ -395,118 +347,112 @@ def test_verify_structure_matches_all_pairs_oracle(p, mode):
     assert _structure_verdicts_of(verify_structure(p)) == structure_verdicts(p, found)
 
 
-@pytest.mark.parametrize("name", ("missing", "swapped_affine", "mixed_sign"))
-def test_verify_structure_matches_oracle_on_injected_groups(monkeypatch, name):
-    found, _, _ = _verify_failure_case(name)
-    monkeypatch.setattr(pigroup, "iter_perfect", lambda p: iter(found))
-    assert _structure_verdicts_of(verify_structure(5)) == structure_verdicts(5, found)
+# The reports read every check off the normal forms that the search returns.
+# It returns only the identity, so the tests inject other lists: the forms are
+# permutations with prefix (0, 1), and x is one that is not affine.
+NON_AFFINE_FORM = {5: (0, 1, 3, 2, 4), 7: (0, 1, 3, 2, 4, 5, 6)}
+FORM_LISTS = ("none", "identity", "identity_twice", "identity_and_x", "x")
+# the checks of verify, in CHECK_KEYS order
+EXPECTED_CHECKS = {
+    "none": (True, False, True, False, False),
+    "identity": (True, True, True, True, True),
+    "identity_twice": (True, True, True, True, False),
+    "identity_and_x": (True, False, False, True, False),
+    "x": (True, False, False, False, True),
+}
+
+
+def _injected(monkeypatch, p, name):
+    """Make the search return the named form list; return the maps of its
+    orbit, built and validated here: every k -> eps*(u*form[k] + a) in
+    order of image, the all-positive map first."""
+    identity, x = tuple(range(p)), NON_AFFINE_FORM[p]
+    forms = {
+        "none": [],
+        "identity": [identity],
+        "identity_twice": [identity, identity],
+        "identity_and_x": [identity, x],
+        "x": [x],
+    }[name]
+    monkeypatch.setattr(pigroup, "_normal_forms", lambda p: list(forms))
+    images = sorted(
+        tuple((u * v + a) % p for v in form)
+        for form in forms
+        for u in range(1, p)
+        for a in range(p)
+    )
+    return [SignedIsometry(p, image, (eps,) * p) for image in images for eps in (1, -1)]
+
+
+def _is_affine(iso):
+    p, image = iso.p, iso.image
+    return image == tuple((image[0] + (image[1] - image[0]) * k) % p for k in range(p))
 
 
 @pytest.mark.parametrize("p", (5, 7))
-def test_closed_proper_subgroup_keeps_the_law(monkeypatch, p):
-    # the shifts and their negations are closed, so the law holds on every
-    # pair, but they are not every affine map: verify runs the all-pairs
-    # check and must still pass the law
-    found = [iso for a in range(p) for iso in (gen_linear(p, a), -gen_linear(p, a))]
-    monkeypatch.setattr(pigroup, "iter_perfect", lambda p: iter(found))
-    report = verify_structure(p)
-    assert _structure_verdicts_of(report) == structure_verdicts(p, found) == (True, True)
-    assert report.checks["affine_completeness"] is False
-    assert report.checks["order_formula"] is False
-    assert not any("composition" in line for line in report.failures)
+@pytest.mark.parametrize("name", FORM_LISTS)
+def test_verify_structure_matches_oracle_on_injected_forms(monkeypatch, p, name):
+    maps = _injected(monkeypatch, p, name)
+    coords = sorted(decompose(iso) for iso in maps if _is_affine(iso))
+    verified, enumerated = verify_structure(p), enumerate_perfect(p)
+    assert _structure_verdicts_of(verified) == structure_verdicts(p, maps)
+    assert tuple(verified.checks[key] for key in CHECK_KEYS) == EXPECTED_CHECKS[name]
+    assert _structure_verdicts_of(enumerated) == (None, None)
+    for report in (verified, enumerated):
+        assert report.order == len(maps)
+        assert report.elements == coords
+        for key in ("homogeneous_sign", "affine_completeness", "order_formula"):
+            assert report.checks[key] == verified.checks[key]
 
 
-def _injected_set(name):
-    """A p, a set that is not every affine map, so verify checks the law on
-    all pairs of coordinates, and the expected structure verdicts."""
-    if name == "scalings_and_negations":
-        # {(+-1, 0, u)} is a subgroup: closed, so the law passes
-        p = 7
-        found = [iso for u in range(1, p) for iso in (gen_aut(p, u), -gen_aut(p, u))]
-        return p, found, (True, True)
-    # the shifts plus one scaling and its inverse: a shift after the scaling
-    # is no shift and no scaling, so the composition escapes
-    p = 5
-    found = [gen_linear(p, a) for a in range(p)] + [gen_aut(p, 2), gen_aut(p, 3)]
-    return p, found, (False, False)
-
-
-@pytest.mark.parametrize("name", ("scalings_and_negations", "shifts_and_one_scaling"))
-def test_verify_structure_all_pairs_on_coordinates(monkeypatch, name):
-    p, found, verdicts = _injected_set(name)
-    monkeypatch.setattr(pigroup, "iter_perfect", lambda p: iter(found))
-    report = verify_structure(p)
-    assert _structure_verdicts_of(report) == structure_verdicts(p, found) == verdicts
-    missing = sorted(iso.as_literal() for iso in iter_perfect(p) if iso not in found)
-    escapes = [
-        f"composition escapes the set: {lhs.as_literal()} o {rhs.as_literal()}"
-        for lhs in found
-        for rhs in found
-        if lhs.compose(rhs) not in found
+@pytest.mark.parametrize("p", (5, 7))
+@pytest.mark.parametrize("name", FORM_LISTS)
+def test_verify_structure_failure_diagnostics(monkeypatch, capsys, p, name):
+    maps = _injected(monkeypatch, p, name)
+    non_affine = [
+        f"non-affine perfect isometry: {iso.as_literal()}" for iso in maps if not _is_affine(iso)
     ]
-    assert bool(escapes) is not verdicts[0]
+    missing = [] if maps else sorted(recompose(p, c).as_literal() for c in _all_coords(p))
+    named = non_affine + [f"affine isometry not enumerated: {literal}" for literal in missing]
+    skipped = ["composition law skipped: some element is non-affine"] if non_affine else []
     negid = gen_negid(p)
-    absent = [] if negid in found else [f"negation not enumerated: {negid.as_literal()}"]
-    assert report.failures == [
-        *(f"affine isometry not enumerated: {literal}" for literal in missing),
-        *escapes,
-        *absent,
-    ]
+    absent = [] if negid in maps else [f"negation not enumerated: {negid.as_literal()}"]
+
+    report = verify_structure(p)
+    assert _structure_verdicts_of(report) == structure_verdicts(p, maps)
+    assert report.failures == named + skipped + absent
+    assert enumerate_perfect(p).failures == named
+
+    assert main(["verify", "-p", str(p)]) == (0 if report.all_pass() else 1)
+    out = capsys.readouterr().out
+    assert out.endswith("".join(f"  ! {line}\n" for line in report.failures))
+    assert report.all_pass() is (name == "identity")
 
 
-def test_missing_negation_fails_negid_central(monkeypatch):
-    negid = gen_negid(5)
-    found = [iso for iso in iter_perfect(5) if iso != negid]
-    monkeypatch.setattr(pigroup, "iter_perfect", lambda p: iter(found))
-    report = verify_structure(5)
-    assert _structure_verdicts_of(report) == structure_verdicts(5, found) == (False, False)
-    assert report.failures[-1] == "negation not enumerated: -0,-1,-2,-3,-4"
+def test_reports_build_no_map_when_the_checks_pass(monkeypatch):
+    # the checks are read off the one normal form, the identity: no map is
+    # built, validated or not, and none is decomposed
+    calls = Counter()
+    init, decomposed = SignedIsometry.__init__, pigroup.decompose
+    unchecked = SignedIsometry.__dict__["_unchecked"].__func__
 
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
 
-def test_replaced_element_fails_completeness_by_count(monkeypatch):
-    # the set keeps its size, so order_formula passes; completeness counts
-    # distinct coordinates, so the copy does not stand in for the dropped map
-    group = list(iter_perfect(5))
-    dropped = gen_linear(5, 1)
-    found = [group[0] if iso == dropped else iso for iso in group]
-    assert len(found) == len(group) and dropped not in found
-    monkeypatch.setattr(pigroup, "iter_perfect", lambda p: iter(found))
-    for report in (enumerate_perfect(5), verify_structure(5)):
-        assert report.checks["order_formula"] is True
-        assert report.checks["affine_completeness"] is False
-        named = [line for line in report.failures if line.startswith("affine isometry not")]
-        assert named == [f"affine isometry not enumerated: {dropped.as_literal()}"]
-    assert _structure_verdicts_of(report) == structure_verdicts(5, found) == (False, True)
-
-
-def test_duplicated_element_keeps_the_law(monkeypatch):
-    group = list(iter_perfect(5))
-    found = group + [group[7]]
-    monkeypatch.setattr(pigroup, "iter_perfect", lambda p: iter(found))
-    report = verify_structure(5)
-    assert _structure_verdicts_of(report) == structure_verdicts(5, found) == (True, True)
-    assert report.checks["order_formula"] is False
-    assert not report.failures
-
-
-def test_verify_structure_validates_few_maps(monkeypatch):
-    # the orbit images are permutations by construction and decomposing
-    # builds no map: the one validated map is the identity inside gen_negid
-    p = 13
-    init = SignedIsometry.__init__
-    calls = 0
-
-    def counting(self, *args, **kwargs):
-        nonlocal calls
-        calls += 1
-        init(self, *args, **kwargs)
-
-    monkeypatch.setattr(SignedIsometry, "__init__", counting)
+    monkeypatch.setattr(SignedIsometry, "__init__", counted("init", init))
+    monkeypatch.setattr(SignedIsometry, "_unchecked", classmethod(counted("unchecked", unchecked)))
+    monkeypatch.setattr(pigroup, "decompose", counted("decompose", decomposed))
+    identity = SignedIsometry.identity(3)
+    identity.compose(identity)
+    assert calls == {"init": 1, "unchecked": 1}  # the counters see both constructors
+    calls.clear()
+    p = 101
     assert verify_structure(p).all_pass()
-    assert calls == 1
-    calls = 0
     assert enumerate_perfect(p).all_pass()
-    assert calls == 0
+    assert calls == {}
 
 
 def test_verify_structure_composes_linearly_many_times(monkeypatch):
@@ -557,7 +503,8 @@ def _coord_pairs(p):
 def test_law_is_the_composition_of_affine_maps(p):
     # verify reads the law off coordinates; this is the identity that makes it exact
     for cl, cr in _coord_pairs(p):
-        assert recompose(p, cl).compose(recompose(p, cr)) == recompose(p, pigroup._law(p, cl, cr))
+        law = AffineCoords(cl.eps * cr.eps, (cl.a + cl.u * cr.a) % p, cl.u * cr.u % p)
+        assert recompose(p, cl).compose(recompose(p, cr)) == recompose(p, law)
 
 
 @pytest.mark.parametrize("p", (2, 3, 5, 7, 53, 101))

@@ -39,7 +39,7 @@ def test_trusted_constructor_stays_in_the_ring_module():
 
 def test_unchecked_constructor_stays_with_the_group_operations():
     # SignedIsometry._unchecked skips validation, so only the group operations
-    # and iter_perfect, whose orbit images are permutations by construction, may use it
+    # and _orbit, whose images are permutations by construction, may use it
     tests = sorted(Path(__file__).parent.glob("*.py"))
     found = {
         (path.name, getattr(top, "name", None))
@@ -48,7 +48,7 @@ def test_unchecked_constructor_stays_with_the_group_operations():
         for node in ast.walk(top)
         if isinstance(node, ast.Attribute) and node.attr == "_unchecked"
     }
-    assert found == {("isometry.py", "SignedIsometry"), ("pigroup.py", "iter_perfect")}
+    assert found == {("isometry.py", "SignedIsometry"), ("pigroup.py", "_orbit")}
 
 
 def test_library_imports_no_dataclasses():
