@@ -14,6 +14,8 @@ shuffle, then one sign per index); ``enumerate`` and ``verify`` run at
 p = 13 in both modes, and ``verify`` runs at p = 53 in both modes.  In the
 default mode, ``enumerate`` runs at p = 53 and 101 and ``verify`` at p = 101,
 and ``check`` runs at p = 101 on the same four kinds of map as at p = 23 and 53.
+At p = 101, ``chartab`` runs too, ``mu`` on the affine and the random signed
+map, and ``decompose`` on the affine map.
 
 Regenerate the table only for a deliberate output change:
 ``python tests/test_golden.py`` prints it.
@@ -101,6 +103,12 @@ def _cases():
     for fmt in FORMATS:
         for literal in _scale_maps(SCALE_P):
             yield ("check", "-p", str(SCALE_P), f"--map={literal}", "--format", fmt)
+    affine, _, _, random_signed = _scale_maps(SCALE_P)
+    for fmt in FORMATS:
+        yield ("chartab", "-p", str(SCALE_P), "--format", fmt)
+        for literal in (affine, random_signed):
+            yield ("mu", "-p", str(SCALE_P), f"--map={literal}", "--format", fmt)
+        yield ("decompose", "-p", str(SCALE_P), f"--map={affine}", "--format", fmt)
 
 
 def _run(argv):
@@ -301,6 +309,14 @@ GOLDEN = {
     'check -p 101 --map=-1,-3,-5,-7,-9,-11,-13,-15,-17,-19,-21,-23,-25,-27,-29,-31,-33,-35,-37,-39,-41,-43,-45,-47,-49,-51,-53,-55,-57,-59,-61,-63,-65,-67,-69,-71,-73,-75,-77,-79,-81,-83,-85,-87,-89,-91,-93,-95,-97,-99,-0,-2,-4,-6,-8,-10,-12,-14,-16,-18,-20,-22,-24,-26,-28,-30,-32,-34,-36,-38,-40,-42,-44,-46,-48,-50,-52,-54,-56,-58,-60,-62,-64,-66,-68,-70,-72,-74,-76,-78,-80,-82,-84,-86,-88,-90,-92,-94,-96,-98,-100 --format json': (0, '586bda34b60fbd7c4dec67a40f22be4465d770fa46373d0a6ed370a31112bcfd'),
     'check -p 101 --map=+1,+5,+3,+7,+9,+11,+13,+15,+17,+19,+21,+23,+25,+27,+29,+31,+33,+35,+37,+39,+41,+43,+45,+47,+49,+51,+53,+55,+57,+59,+61,+63,+65,+67,+69,+71,+73,+75,+77,+79,+81,+83,+85,+87,+89,+91,+93,+95,+97,+99,+0,+2,+4,+6,+8,+10,+12,+14,+16,+18,+20,+22,+24,+26,+28,+30,+32,+34,+36,+38,+40,+42,+44,+46,+48,+50,+52,+54,+56,+58,+60,+62,+64,+66,+68,+70,+72,+74,+76,+78,+80,+82,+84,+86,+88,+90,+92,+94,+96,+98,+100 --format json': (1, '8013b7d0436d31b86967c2b580d0c7ccdec67d564a934038c8339f6065010809'),
     'check -p 101 --map=+52,+90,-35,+3,+72,+44,-10,-91,-7,+98,+83,-49,-73,+78,+57,-39,-19,+97,-37,+66,-43,-5,+15,-18,+81,-33,+40,+21,-12,+31,+75,+53,-67,-80,+61,-2,+94,-89,-16,+48,-100,-23,+1,+22,-95,-34,-13,-29,-0,+70,+88,+47,+58,+4,+65,+93,-76,+50,-25,+17,-79,+71,-63,+86,+14,-87,-38,-96,-55,-8,+26,-54,+51,-30,-41,+60,+82,+46,-68,-85,-11,+20,-99,+32,+9,-56,+42,+92,-62,-36,-28,+77,-27,+64,+84,-6,+59,+45,-69,-24,+74 --format json': (1, 'def1f34d14fe1c205e2ac885ec4908d00b7d4e9f9b40c6320cd2ab43e30f125a'),
+    'chartab -p 101 --format text': (0, 'a599e2b3d8240b40dec2f6169d1be4ed7f167a6e1c4758a05cbc0aa6a7a845eb'),
+    'mu -p 101 --map=+1,+3,+5,+7,+9,+11,+13,+15,+17,+19,+21,+23,+25,+27,+29,+31,+33,+35,+37,+39,+41,+43,+45,+47,+49,+51,+53,+55,+57,+59,+61,+63,+65,+67,+69,+71,+73,+75,+77,+79,+81,+83,+85,+87,+89,+91,+93,+95,+97,+99,+0,+2,+4,+6,+8,+10,+12,+14,+16,+18,+20,+22,+24,+26,+28,+30,+32,+34,+36,+38,+40,+42,+44,+46,+48,+50,+52,+54,+56,+58,+60,+62,+64,+66,+68,+70,+72,+74,+76,+78,+80,+82,+84,+86,+88,+90,+92,+94,+96,+98,+100 --format text': (0, '13a97143aac9b191190ec2b6b0a879eb6704954f77992f2517b81f9a2ee64904'),
+    'mu -p 101 --map=+52,+90,-35,+3,+72,+44,-10,-91,-7,+98,+83,-49,-73,+78,+57,-39,-19,+97,-37,+66,-43,-5,+15,-18,+81,-33,+40,+21,-12,+31,+75,+53,-67,-80,+61,-2,+94,-89,-16,+48,-100,-23,+1,+22,-95,-34,-13,-29,-0,+70,+88,+47,+58,+4,+65,+93,-76,+50,-25,+17,-79,+71,-63,+86,+14,-87,-38,-96,-55,-8,+26,-54,+51,-30,-41,+60,+82,+46,-68,-85,-11,+20,-99,+32,+9,-56,+42,+92,-62,-36,-28,+77,-27,+64,+84,-6,+59,+45,-69,-24,+74 --format text': (0, '18e17834a1fdb11a0e1863af00a04af38d6221532153bd99223eda73b1ff5ac5'),
+    'decompose -p 101 --map=+1,+3,+5,+7,+9,+11,+13,+15,+17,+19,+21,+23,+25,+27,+29,+31,+33,+35,+37,+39,+41,+43,+45,+47,+49,+51,+53,+55,+57,+59,+61,+63,+65,+67,+69,+71,+73,+75,+77,+79,+81,+83,+85,+87,+89,+91,+93,+95,+97,+99,+0,+2,+4,+6,+8,+10,+12,+14,+16,+18,+20,+22,+24,+26,+28,+30,+32,+34,+36,+38,+40,+42,+44,+46,+48,+50,+52,+54,+56,+58,+60,+62,+64,+66,+68,+70,+72,+74,+76,+78,+80,+82,+84,+86,+88,+90,+92,+94,+96,+98,+100 --format text': (0, '67e76efc9a6d2d8b241212d44ddb2254f6fe01d7b75a3982336367961fa125ac'),
+    'chartab -p 101 --format json': (0, '386cfe03f04a3eb48b50702b771feee144498ada1faa6ae46fc4df6363750823'),
+    'mu -p 101 --map=+1,+3,+5,+7,+9,+11,+13,+15,+17,+19,+21,+23,+25,+27,+29,+31,+33,+35,+37,+39,+41,+43,+45,+47,+49,+51,+53,+55,+57,+59,+61,+63,+65,+67,+69,+71,+73,+75,+77,+79,+81,+83,+85,+87,+89,+91,+93,+95,+97,+99,+0,+2,+4,+6,+8,+10,+12,+14,+16,+18,+20,+22,+24,+26,+28,+30,+32,+34,+36,+38,+40,+42,+44,+46,+48,+50,+52,+54,+56,+58,+60,+62,+64,+66,+68,+70,+72,+74,+76,+78,+80,+82,+84,+86,+88,+90,+92,+94,+96,+98,+100 --format json': (0, '507d2f2c9ae93f86299a61e199ac72487ae2f74dc90fc5c9ba3e036b4b170068'),
+    'mu -p 101 --map=+52,+90,-35,+3,+72,+44,-10,-91,-7,+98,+83,-49,-73,+78,+57,-39,-19,+97,-37,+66,-43,-5,+15,-18,+81,-33,+40,+21,-12,+31,+75,+53,-67,-80,+61,-2,+94,-89,-16,+48,-100,-23,+1,+22,-95,-34,-13,-29,-0,+70,+88,+47,+58,+4,+65,+93,-76,+50,-25,+17,-79,+71,-63,+86,+14,-87,-38,-96,-55,-8,+26,-54,+51,-30,-41,+60,+82,+46,-68,-85,-11,+20,-99,+32,+9,-56,+42,+92,-62,-36,-28,+77,-27,+64,+84,-6,+59,+45,-69,-24,+74 --format json': (0, 'ea4765ddd9e03406e32abcbfeb3ed39eb6a2b2a64c25507b52a0062dd8c4cffb'),
+    'decompose -p 101 --map=+1,+3,+5,+7,+9,+11,+13,+15,+17,+19,+21,+23,+25,+27,+29,+31,+33,+35,+37,+39,+41,+43,+45,+47,+49,+51,+53,+55,+57,+59,+61,+63,+65,+67,+69,+71,+73,+75,+77,+79,+81,+83,+85,+87,+89,+91,+93,+95,+97,+99,+0,+2,+4,+6,+8,+10,+12,+14,+16,+18,+20,+22,+24,+26,+28,+30,+32,+34,+36,+38,+40,+42,+44,+46,+48,+50,+52,+54,+56,+58,+60,+62,+64,+66,+68,+70,+72,+74,+76,+78,+80,+82,+84,+86,+88,+90,+92,+94,+96,+98,+100 --format json': (0, '4e7f3e6b39c08b2ecf71dea82cf48138f74d817073e4cabf4fc21bf72562d5a6'),
 }
 
 CASES = list(_cases())
