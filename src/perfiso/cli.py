@@ -6,11 +6,13 @@ the positive verdict, the JSON keys that follow ``"schema"`` and ``"p"``,
 and the text output.  ``main`` alone writes stdout, once, after the command
 has returned, so an error exit leaves stdout empty.  Output is byte-stable
 for identical invocations; JSON payloads carry a top-level "schema": 1
-version field.  Exit codes: 0 for success / a perfect verdict, 1 for a
-negative verdict or failed check, 2 for usage, parse and bound errors
-(every command rejects p > MAX_P before the primality test), 3 for an
-internal error (such as the two perfectness checkers disagreeing), reported
-on stderr without a traceback.
+version field.  JSON is written by ``_dumps``, byte for byte what
+``json.dumps(..., indent=2)`` writes; it needs CPython's C module ``_json``,
+and json itself is not imported.  Exit codes: 0 for success / a perfect
+verdict, 1 for a negative verdict or failed check, 2 for usage, parse and
+bound errors (every command rejects p > MAX_P before the primality test), 3
+for an internal error (such as the two perfectness checkers disagreeing),
+reported on stderr without a traceback.
 
 A ``--map`` literal that starts with "-" may be given as a separate
 argument (``--map -0,-1,-2``) or joined (``--map=-0,-1,-2``); both forms
@@ -66,11 +68,11 @@ EXIT_USAGE = 2
 EXIT_INTERNAL = 3
 
 SCHEMA_VERSION = 1
-# the target scale; at p = 101, end to end on 2 vCPUs (median of 7), verify and
-# enumerate take about 0.14 s (0.27 s with --format json), chartab 0.10 s, and
-# check and mu of an affine map 0.09 s each (0.09 and 0.40 s for a random signed
+# the target scale; at p = 101, end to end on 2 vCPUs (median of 31), verify and
+# enumerate take about 0.055 s (0.09 s with --format json), chartab 0.045 s, and
+# check and mu of an affine map 0.035 s each (0.03 and 0.18 s for a random signed
 # map, whose mu prints 10,201 coefficient lists; a bare interpreter start is
-# about 0.06 s)
+# about 0.026 s)
 MAX_P = 101
 
 FORMATS = ("text", "json")
@@ -280,6 +282,52 @@ def _join_map_literals(argv: Sequence[str]) -> list[str]:
     return joined
 
 
+def _dumps(value: object) -> str:
+    """What json.dumps(value, indent=2) writes, for the values a payload holds.
+
+    Those are dicts with str keys, lists, tuples, str, int, bool and None;
+    anything else, a float or a non-str key included, raises TypeError.
+    Strings go through _json.encode_basestring_ascii, the C escaper that
+    json.dumps itself calls, so the output is the same byte for byte
+    without importing json, whose modules compile regexes at import.  Each
+    container is one join of its chunks, so a long string is copied once
+    per level it is nested in.
+    """
+    from _json import encode_basestring_ascii as quote  # only here: text runs do not pay for it
+
+    def write(value: object, pad: str) -> str:
+        if isinstance(value, str):
+            return quote(value)
+        if value is None:
+            return "null"
+        if value is True:
+            return "true"
+        if value is False:
+            return "false"
+        if isinstance(value, int):
+            return int.__repr__(value)
+        inner = pad + "  "
+        sep = "," + inner
+        chunks: list[str] = []
+        if isinstance(value, (list, tuple)):
+            for item in value:
+                chunks += (sep, write(item, inner))
+            brackets = "[]"
+        elif isinstance(value, dict):
+            for key, item in value.items():  # quote raises TypeError on a non-str key
+                chunks += (sep, quote(key), ": ", write(item, inner))
+            brackets = "{}"
+        else:
+            raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+        if not chunks:
+            return brackets
+        chunks[0] = brackets[0] + inner  # the first item has no comma before it
+        chunks.append(pad + brackets[1])
+        return "".join(chunks)
+
+    return write(value, "\n")
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     argv = _join_map_literals(sys.argv[1:] if argv is None else argv)
     args = _parse_plain(argv)
@@ -299,10 +347,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"error: internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
     if args.format == "json":
-        import json  # only here: text runs do not pay for importing it
-
         # a report's own "p" key takes the envelope's place and has the same value
-        text = json.dumps({"schema": SCHEMA_VERSION, "p": args.p, **payload}, indent=2)
+        text = _dumps({"schema": SCHEMA_VERSION, "p": args.p, **payload})
     else:
         text = "\n".join(lines)
     try:

@@ -24,7 +24,6 @@ no full kernel, yet checks every Galois-derived entry it reads.
 
 from __future__ import annotations
 
-import re
 from functools import lru_cache, reduce
 from operator import add, index, itemgetter, mul
 from typing import Iterable, Iterator, NamedTuple
@@ -50,8 +49,6 @@ __all__ = [
 PERFECT = "perfect"
 FAILS_INTEGRALITY = "fails_integrality"
 FAILS_SEPARATION = "fails_separation"
-
-_LITERAL_TOKEN = re.compile(r"[+-][0-9]+")
 
 
 class NonIntegralTransform(ArithmeticError):
@@ -133,7 +130,8 @@ class SignedIsometry:
         image: list[int] = []
         signs: list[int] = []
         for tok in tokens:
-            if not _LITERAL_TOKEN.fullmatch(tok):
+            # ASCII digits only: str.isdigit alone also accepts "１" and "²"
+            if not (tok[:1] in ("+", "-") and tok[1:].isascii() and tok[1:].isdigit()):
                 raise ValueError(f"bad literal entry {tok!r}; expected a signed index like +2")
             digits = tok[1:].lstrip("0") or "0"
             idx = int(digits) if len(digits) <= width else p

@@ -9,7 +9,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import perfiso
@@ -443,6 +443,16 @@ def test_non_ascii_digits_exit_2(capsys, command, digit, sign, joined):
     assert captured.err == f"error: bad literal entry {sign + digit!r}; expected a signed index like +2\n"
 
 
+@pytest.mark.parametrize("command", ("mu", "check", "decompose"))
+@pytest.mark.parametrize("entry", ("+", "-", "++1", "+\uff11", "+\u00b2", "+\u0663", "+1a", ""))
+def test_malformed_literal_entries_exit_2(capsys, command, entry):
+    # a sign, then ASCII digits only: fullwidth one, superscript two and
+    # Arabic-Indic three are digits to str.isdigit, not to the parser
+    code, out, err = run_cli(capsys, command, "-p", "3", f"--map={entry},+0,+1")
+    assert (code, out) == (2, "")
+    assert err == f"error: bad literal entry {entry!r}; expected a signed index like +2\n"
+
+
 # ---------------------------------------------------------------------------
 # argparse-level behaviour
 
@@ -615,24 +625,90 @@ def test_help_and_usage_errors_are_argparse_own(capsys, argv):
     assert from_main == (via_parser.value.code, *capsys.readouterr())
 
 
-def test_plain_calls_import_no_argparse():
-    # argparse, and gettext and locale that its messages load, cost every
-    # child about 7 ms; the interpreter starts without site, which on some
-    # hosts imports modules of its own
-    calls = [
-        ["chartab", "-p", "3"],
-        ["mu", "-p", "3", "--map=+0,+1,+2"],
-        ["check", "-p", "3", "--map", "-0,-1,-2", "--format", "json"],
-        ["enumerate", "-p", "3", "--mode", "exhaustive"],
-        ["decompose", "-p", "5", "--map=+1,+3,+0,+2,+4"],
-        ["verify", "-p", "3", "--seed", "7"],
-    ]
+PLAIN_CALLS = [
+    ["chartab", "-p", "3"],
+    ["mu", "-p", "3", "--map=+0,+1,+2"],
+    ["check", "-p", "3", "--map", "-0,-1,-2"],
+    ["enumerate", "-p", "3", "--mode", "exhaustive"],
+    ["decompose", "-p", "5", "--map=+1,+3,+0,+2,+4"],
+    ["verify", "-p", "3", "--seed", "7"],
+]
+JSON_CALLS = [[*call, "--format", "json"] for call in PLAIN_CALLS]
+
+
+def _loaded_after(calls, modules):
+    """The exit codes of main on calls in a fresh interpreter, and which of modules it loaded.
+
+    The interpreter starts without site, which on some hosts imports
+    modules of its own.
+    """
     code = (
         f"import sys; sys.path.insert(0, {SRC!r})\n"
         "from perfiso.cli import main\n"
         f"codes = [main(argv) for argv in {calls!r}]\n"
-        "print(codes, sorted({'argparse', 'gettext', 'locale'} & set(sys.modules)))\n"
+        f"print(codes, sorted({set(modules)!r} & set(sys.modules)))\n"
     )
     proc = subprocess.run([sys.executable, "-I", "-S", "-c", code], capture_output=True, text=True)
     assert proc.stderr == ""
-    assert proc.stdout.splitlines()[-1] == "[0, 0, 0, 0, 0, 0] []"
+    return proc.stdout.splitlines()[-1]
+
+
+def test_plain_calls_import_no_argparse():
+    # argparse, and gettext and locale that its messages load, cost every
+    # child about 7 ms
+    found = _loaded_after(PLAIN_CALLS + JSON_CALLS, {"argparse", "gettext", "locale"})
+    assert found == f"{[0] * 12} []"
+
+
+def test_json_calls_import_no_json():
+    # json's modules compile regexes at import, a cost every JSON child
+    # would pay; _dumps needs only the C module _json, loaded here so the
+    # check is live
+    modules = {"json", "json.encoder", "json.decoder", "json.scanner", "_json"}
+    assert _loaded_after(JSON_CALLS, modules) == "[0, 0, 0, 0, 0, 0] ['_json']"
+
+
+def test_text_calls_import_no_json_module():
+    modules = {"json", "_json"}
+    assert _loaded_after(PLAIN_CALLS, modules) == "[0, 0, 0, 0, 0, 0] []"
+
+
+# ---------------------------------------------------------------------------
+# the JSON writer
+
+# every code point, surrogates included, and the escapes json.dumps writes
+JSON_STRINGS = st.text(st.characters(exclude_categories=())) | st.sampled_from(
+    ['"', "\\", '\\"', "\x00", "\x1f", "\x7f", "\n\t\r\b\f", "\u00e9", "\u2028", "\U0001f600", "\udfff"]
+)
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=2**64)
+    | st.integers(max_value=-(2**64))
+    | JSON_STRINGS,
+    lambda children: st.lists(children)
+    | st.lists(children).map(tuple)
+    | st.dictionaries(JSON_STRINGS, children),
+    max_leaves=25,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(JSON_VALUES)
+@example("\ud800")
+@example({"": [[], {}, ()], "\ud800": [[[{}]]], "n": [-1, 2**64, True, None]})
+def test_dumps_is_json_dumps_indent_2(value):
+    assert cli._dumps(value) == json.dumps(value, indent=2)
+
+
+@pytest.mark.parametrize(
+    "value",
+    (1.5, b"1", {1}, {1: 2}, [0, [1.0]], {"a": {None: 1}}, {"a": (b"",)}),
+    ids=repr,
+)
+def test_dumps_refuses_what_it_does_not_write(value):
+    # json.dumps writes floats, and turns the key 1 into "1"; _dumps refuses
+    # both rather than differ
+    with pytest.raises(TypeError):
+        cli._dumps(value)
