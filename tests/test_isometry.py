@@ -595,3 +595,33 @@ def test_perfect_kernels_have_sign_matching_degree_entry():
             kt = kernel_table(iso)
             expected = eps * p
             assert kt.entries[0][0] == CycInt.from_int(p, expected)
+
+
+# ---------------------------------------------------------------------------
+# the record types: what callers read of a KernelTable and a Verdict
+
+
+def test_kernel_table_record():
+    entries = kernel_table(SignedIsometry.identity(2)).entries
+    kt = KernelTable(2, entries)
+    assert (kt.p, kt.entries) == (2, entries)
+    assert kt == KernelTable(2, entries) == (2, entries)
+    assert kt != KernelTable(3, entries)
+    assert hash(kt) == hash((2, entries))
+    assert kernel_table(SignedIsometry.identity(2)) == kt
+    assert repr(kt) == f"KernelTable(p=2, entries={entries!r})"
+
+
+def test_verdict_record():
+    passed = Verdict(PERFECT)
+    assert passed.witness is None and passed.ok
+    assert passed == Verdict(PERFECT, None) == (PERFECT, None)
+    failed = Verdict(FAILS_SEPARATION, (1, 0))
+    status, witness = failed
+    assert (status, witness) == (failed.status, failed.witness) == (FAILS_SEPARATION, (1, 0))
+    assert not failed.ok and not Verdict(FAILS_INTEGRALITY, (0, 0)).ok
+    assert failed == (FAILS_SEPARATION, (1, 0)) and failed != passed
+    assert hash(failed) == hash((FAILS_SEPARATION, (1, 0)))
+    assert hash(passed) == hash(Verdict(PERFECT, None))
+    assert repr(passed) == "Verdict(status='perfect', witness=None)"
+    assert repr(failed) == "Verdict(status='fails_separation', witness=(1, 0))"

@@ -551,3 +551,51 @@ def test_report_json_dict_shape():
     assert tuple(payload["checks"]) == CHECK_KEYS
     assert payload["elements"][0] == {"eps": -1, "a": 0, "u": 1}
     assert payload["order"] == 12
+
+
+# ---------------------------------------------------------------------------
+# the record types: what callers read of AffineCoords and a PIGroupReport
+
+
+def test_affine_coords_record():
+    c = AffineCoords(-1, 2, 3)
+    assert (c.eps, c.a, c.u) == (-1, 2, 3)
+    eps, a, u = c
+    assert (eps, a, u) == (-1, 2, 3)
+    assert c == AffineCoords(-1, 2, 3) == (-1, 2, 3)
+    assert c != AffineCoords(1, 2, 3) and c != (-1, 2)
+    assert hash(c) == hash((-1, 2, 3)) == hash(AffineCoords(-1, 2, 3))
+    assert len({c, AffineCoords(-1, 2, 3), (-1, 2, 3)}) == 1
+    assert repr(AffineCoords(1, 0, 1)) == "AffineCoords(eps=1, a=0, u=1)"
+    assert repr(c) == "AffineCoords(eps=-1, a=2, u=3)"
+
+
+def test_pigroup_report_record():
+    checks = dict.fromkeys(CHECK_KEYS, True) | {CHECK_KEYS[2]: None}
+    elements = [AffineCoords(1, 0, 1)]
+    report = pigroup.PIGroupReport(2, 2, elements, checks, [])
+    assert (report.p, report.order, report.elements) == (2, 2, elements)
+    assert report.checks is checks and report.failures == []
+    assert report == pigroup.PIGroupReport(2, 2, [(1, 0, 1)], dict(checks), [])
+    assert report == (2, 2, elements, checks, [])
+    assert report != pigroup.PIGroupReport(3, 2, elements, checks, [])
+    with pytest.raises(TypeError):
+        hash(report)  # it holds a list and a dict
+    assert repr(report) == (
+        f"PIGroupReport(p=2, order=2, elements=[AffineCoords(eps=1, a=0, u=1)], "
+        f"checks={checks!r}, failures=[])"
+    )
+    assert report.all_pass()  # None is a check not evaluated, not a failure
+    assert report.to_json_dict() == {
+        "p": 2,
+        "order": 2,
+        "elements": [{"eps": 1, "a": 0, "u": 1}],
+        "checks": checks,
+    }
+    failed = pigroup.PIGroupReport(2, 0, [], checks | {CHECK_KEYS[0]: False}, ["! x"])
+    assert not failed.all_pass()
+    payload = failed.to_json_dict()
+    assert payload["failures"] == ["! x"] and payload["failures"] is not failed.failures
+    assert list(payload) == ["p", "order", "elements", "checks", "failures"]
+    assert list(payload["checks"]) == list(CHECK_KEYS)
+    assert report[:3] == (2, 2, elements) and report[-1] is report.failures
