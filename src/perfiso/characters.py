@@ -7,12 +7,13 @@ with indices wherever possible and only materializes exact ring values for
 kernel evaluations and inner products.
 """
 
-from __future__ import annotations
-
 from functools import lru_cache
-from typing import Iterable, Sequence
 
 from .cyclotomic import CycInt, require_prime, symbolic_str, zeta_pow
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from collections.abc import Iterable, Sequence
 
 __all__ = [
     "NonIntegralInnerProduct",
@@ -47,7 +48,7 @@ class ClassFunction:
 
     __slots__ = ("_p", "_values")
 
-    def __init__(self, p: int, values: Iterable[CycInt]) -> None:
+    def __init__(self, p: int, values: "Iterable[CycInt]") -> None:
         require_prime(p)
         values = tuple(values)
         if len(values) != p:
@@ -76,7 +77,7 @@ class ClassFunction:
     def __repr__(self) -> str:
         return f"ClassFunction(p={self._p}, values={self._values!r})"
 
-    def __rmul__(self, scalar: int) -> ClassFunction:
+    def __rmul__(self, scalar: int) -> "ClassFunction":
         return ClassFunction(self.p, tuple(scalar * v for v in self.values))
 
 
@@ -93,7 +94,7 @@ def indicator(p: int, j: int) -> ClassFunction:
     return ClassFunction(p, tuple(values))
 
 
-def generalized_character(p: int, coeffs: Sequence[int]) -> ClassFunction:
+def generalized_character(p: int, coeffs: "Sequence[int]") -> ClassFunction:
     """Integer combination of irreducibles; coeffs[k] multiplies character k."""
     p = require_prime(p)
     if len(coeffs) != p:

@@ -27,12 +27,9 @@ reader that closes stdout early ends the output, not the verdict: the exit
 code is the command's own, and nothing is printed on stderr.
 """
 
-from __future__ import annotations
-
 import os
 import sys
 from types import SimpleNamespace
-from typing import TYPE_CHECKING, Sequence
 
 from .characters import char_table
 from .cyclotomic import symbolic_str
@@ -55,8 +52,10 @@ from .pigroup import (
     verify_structure,
 )
 
+TYPE_CHECKING = False
 if TYPE_CHECKING:
     import argparse
+    from collections.abc import Sequence
 
     Args = argparse.Namespace | SimpleNamespace
 
@@ -103,7 +102,7 @@ def _commands() -> dict[str, tuple]:
     }
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser() -> "argparse.ArgumentParser":
     import argparse  # only here: a plain call is parsed by _parse_plain without it
 
     common = argparse.ArgumentParser(add_help=False)
@@ -194,7 +193,16 @@ _Result = tuple[bool, dict, list[str]]
 
 
 def _grid(entries) -> tuple[dict, list[str]]:
-    grid = [[symbolic_str(e) for e in row] for row in entries]
+    # the rows share entry objects, and each shared one is rendered once: the
+    # rows of chartab are made of its p powers, all of them in row 1, and mu
+    # carries the zero objects of row 1 into every derived row.  So the
+    # objects of rows 0 and 1 are rendered first and found again by id; the
+    # dict stays at 2p entries for a dense map, whose derived rows share
+    # nothing.  entries keeps every object alive until the grid is built, so
+    # no id is reused meanwhile; symbolic_str never returns ""
+    first = {id(e): e for row in entries[:2] for e in row}
+    text = {key: symbolic_str(e) for key, e in first.items()}
+    grid = [[text.get(id(e)) or symbolic_str(e) for e in row] for row in entries]
     return {"entries": grid}, [" ".join(row) for row in grid]
 
 
@@ -209,18 +217,18 @@ def _verdict_json(verdict: Verdict) -> dict:
     }
 
 
-def cmd_chartab(args: Args) -> _Result:
+def cmd_chartab(args: "Args") -> _Result:
     payload, lines = _grid(char_table(args.p))
     return True, payload, lines
 
 
-def cmd_mu(args: Args) -> _Result:
+def cmd_mu(args: "Args") -> _Result:
     iso = SignedIsometry.from_literal(args.p, args.map)
     payload, lines = _grid(kernel_table(iso).entries)
     return True, {"map": iso.as_literal(), **payload}, lines
 
 
-def cmd_check(args: Args) -> _Result:
+def cmd_check(args: "Args") -> _Result:
     iso = SignedIsometry.from_literal(args.p, args.map)
     direct = is_perfect(iso)
     cross = is_perfect_via_spaces(iso)
@@ -241,14 +249,14 @@ def cmd_check(args: Args) -> _Result:
     return direct.ok, payload, lines
 
 
-def cmd_decompose(args: Args) -> _Result:
+def cmd_decompose(args: "Args") -> _Result:
     iso = SignedIsometry.from_literal(args.p, args.map)
     c = decompose(iso)
     payload = {"map": iso.as_literal(), "eps": c.eps, "a": c.a, "u": c.u}
     return True, payload, [_coords_text(c)]
 
 
-def cmd_report(args: Args) -> _Result:
+def cmd_report(args: "Args") -> _Result:
     """enumerate or verify: ``args.build`` is the library call that makes the report."""
     report = args.build(args.p)
     shown = {None: "not_checked", True: "pass", False: "FAIL"}
@@ -264,7 +272,7 @@ def cmd_report(args: Args) -> _Result:
     return report.all_pass(), report.to_json_dict(), lines
 
 
-def _join_map_literals(argv: Sequence[str]) -> list[str]:
+def _join_map_literals(argv: "Sequence[str]") -> list[str]:
     """Join "--map" with a following token that starts with a single "-".
 
     argparse reads a separate "-0,-1,-2" as an unknown option, so it is
@@ -328,7 +336,7 @@ def _dumps(value: object) -> str:
     return write(value, "\n")
 
 
-def main(argv: Sequence[str] | None = None) -> int:
+def main(argv: "Sequence[str] | None" = None) -> int:
     argv = _join_map_literals(sys.argv[1:] if argv is None else argv)
     args = _parse_plain(argv)
     if args is None:

@@ -9,11 +9,12 @@ vectors match.  Everything here is plain integer arithmetic; no floating
 point enters this module.
 """
 
-from __future__ import annotations
-
 from functools import lru_cache
 from operator import index as _as_int, itemgetter
-from typing import Iterable, Sequence
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from collections.abc import Iterable, Sequence
 
 __all__ = [
     "CycInt",
@@ -52,7 +53,7 @@ class CycInt:
 
     __slots__ = ("_p", "_coeffs")
 
-    def __init__(self, p: int, coeffs: Iterable[int]) -> None:
+    def __init__(self, p: int, coeffs: "Iterable[int]") -> None:
         p = require_prime(p)
         c = [_as_int(x) for x in coeffs]
         if len(c) != p:
@@ -64,7 +65,7 @@ class CycInt:
         self._coeffs = tuple(c)
 
     @classmethod
-    def _trusted(cls, p: int, coeffs: Sequence[int]) -> CycInt:
+    def _trusted(cls, p: int, coeffs: "Sequence[int]") -> "CycInt":
         """Build from p ints of a valid prime p, skipping validation.
 
         Only for results of ring operations on valid elements; the last
@@ -87,20 +88,20 @@ class CycInt:
         return self._coeffs
 
     @classmethod
-    def from_int(cls, p: int, n: int) -> CycInt:
+    def from_int(cls, p: int, n: int) -> "CycInt":
         coeffs = [0] * require_prime(p)
         coeffs[0] = _as_int(n)
         return cls(p, coeffs)
 
     @classmethod
-    def zero(cls, p: int) -> CycInt:
+    def zero(cls, p: int) -> "CycInt":
         return cls.from_int(p, 0)
 
     @classmethod
-    def one(cls, p: int) -> CycInt:
+    def one(cls, p: int) -> "CycInt":
         return cls.from_int(p, 1)
 
-    def _coerce(self, other: object) -> CycInt | None:
+    def _coerce(self, other: object) -> "CycInt | None":
         if isinstance(other, CycInt):
             if other._p != self._p:
                 raise ValueError(
@@ -111,7 +112,7 @@ class CycInt:
             return CycInt.from_int(self._p, other)
         return None
 
-    def __add__(self, other: int | CycInt) -> CycInt:
+    def __add__(self, other: "int | CycInt") -> "CycInt":
         o = self._coerce(other)
         if o is None:
             return NotImplemented
@@ -119,19 +120,19 @@ class CycInt:
 
     __radd__ = __add__
 
-    def __sub__(self, other: int | CycInt) -> CycInt:
+    def __sub__(self, other: "int | CycInt") -> "CycInt":
         o = self._coerce(other)
         if o is None:
             return NotImplemented
         return CycInt._trusted(self._p, [a - b for a, b in zip(self._coeffs, o._coeffs)])
 
-    def __rsub__(self, other: int | CycInt) -> CycInt:
+    def __rsub__(self, other: "int | CycInt") -> "CycInt":
         return (-self) + other
 
-    def __neg__(self) -> CycInt:
+    def __neg__(self) -> "CycInt":
         return CycInt._trusted(self._p, [-a for a in self._coeffs])
 
-    def __mul__(self, other: int | CycInt) -> CycInt:
+    def __mul__(self, other: "int | CycInt") -> "CycInt":
         o = self._coerce(other)
         if o is None:
             return NotImplemented
@@ -160,7 +161,7 @@ class CycInt:
     def __bool__(self) -> bool:
         return any(self._coeffs)
 
-    def divide_exact_by_p(self) -> CycInt | None:
+    def divide_exact_by_p(self) -> "CycInt | None":
         """Quotient by p when this element lies in p*O, else None.
 
         In normalized form, membership in p*O is exactly coefficientwise
@@ -177,7 +178,7 @@ class CycInt:
         # c % p for each nonzero coefficient c, with no Python-level loop
         return not any(map(self._p.__rmod__, filter(None, self._coeffs)))
 
-    def galois(self, m: int) -> CycInt:
+    def galois(self, m: int) -> "CycInt":
         """The image under sigma_m, the automorphism of Z[zeta] sending zeta to zeta^m.
 
         m is read mod p and must be prime to p.  sigma_m sends zeta^k to

@@ -22,14 +22,15 @@ when its scan reaches it and stops at the first failing entry, so it builds
 no full kernel, yet checks every Galois-derived entry it reads.
 """
 
-from __future__ import annotations
-
 from functools import lru_cache, reduce
 from operator import add, index, itemgetter, mul
-from typing import Iterable, Iterator, NamedTuple
 
 from .characters import ClassFunction, character
 from .cyclotomic import CycInt, require_prime
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from collections.abc import Iterable, Iterator
 
 __all__ = [
     "PERFECT",
@@ -68,7 +69,7 @@ class SignedIsometry:
 
     __slots__ = ("_p", "_image", "_signs")
 
-    def __init__(self, p: int, image: Iterable[int], signs: Iterable[int]) -> None:
+    def __init__(self, p: int, image: "Iterable[int]", signs: "Iterable[int]") -> None:
         p = require_prime(p)
         image_t = tuple(map(index, image))
         signs_t = tuple(map(index, signs))
@@ -81,7 +82,7 @@ class SignedIsometry:
         self._signs = signs_t
 
     @classmethod
-    def _unchecked(cls, p: int, image: tuple[int, ...], signs: tuple[int, ...]) -> SignedIsometry:
+    def _unchecked(cls, p: int, image: tuple[int, ...], signs: tuple[int, ...]) -> "SignedIsometry":
         """Build from tuples already known to be valid, skipping validation.
 
         Only for results of group operations on valid isometries, and for
@@ -107,11 +108,11 @@ class SignedIsometry:
         return self._signs
 
     @classmethod
-    def identity(cls, p: int) -> SignedIsometry:
+    def identity(cls, p: int) -> "SignedIsometry":
         return cls(p, range(p), (1,) * p)
 
     @classmethod
-    def from_literal(cls, p: int, text: str) -> SignedIsometry:
+    def from_literal(cls, p: int, text: str) -> "SignedIsometry":
         """Parse a literal like "+2,+0,+1".
 
         Position k carries the signed image of index k; signs are mandatory
@@ -150,7 +151,7 @@ class SignedIsometry:
         """The image of character k: sign[k] times character image[k]."""
         return self._signs[k] * character(self._p, self._image[k])
 
-    def compose(self, other: SignedIsometry) -> SignedIsometry:
+    def compose(self, other: "SignedIsometry") -> "SignedIsometry":
         """self after other: index k goes through other first, then self."""
         if self._p != other._p:
             raise ValueError(f"mismatched moduli: p={self._p} vs p={other._p}")
@@ -158,7 +159,7 @@ class SignedIsometry:
         signs = tuple(map(mul, other._signs, through(self._signs)))
         return SignedIsometry._unchecked(self._p, through(self._image), signs)
 
-    def invert(self) -> SignedIsometry:
+    def invert(self) -> "SignedIsometry":
         image = [0] * self._p
         signs = [1] * self._p
         for k, i in enumerate(self._image):
@@ -166,7 +167,7 @@ class SignedIsometry:
             signs[i] = self._signs[k]
         return SignedIsometry._unchecked(self._p, tuple(image), tuple(signs))
 
-    def __neg__(self) -> SignedIsometry:
+    def __neg__(self) -> "SignedIsometry":
         return SignedIsometry._unchecked(self._p, self._image, tuple(-s for s in self._signs))
 
     def __eq__(self, other: object) -> bool:
@@ -185,18 +186,44 @@ class SignedIsometry:
         return f"SignedIsometry(p={self._p}, literal={self.as_literal()!r})"
 
 
-class KernelTable(NamedTuple):
+# The records below are tuples with named fields, written out rather than
+# built by typing.NamedTuple, whose import every CLI child would pay for.
+
+
+class KernelTable(tuple):
     """Exact p x p kernel; entry [m][n] pairs element m (image side) with n (source side)."""
 
-    p: int
-    entries: tuple[tuple[CycInt, ...], ...]
+    __slots__ = ()
+
+    def __new__(cls, p: int, entries: tuple[tuple[CycInt, ...], ...]) -> "KernelTable":
+        return tuple.__new__(cls, (p, entries))
+
+    def __getnewargs__(self) -> tuple:
+        return tuple(self)
+
+    def __repr__(self) -> str:
+        return f"KernelTable(p={self[0]!r}, entries={self[1]!r})"
+
+    p = property(itemgetter(0))
+    entries = property(itemgetter(1))
 
 
-class Verdict(NamedTuple):
+class Verdict(tuple):
     """Outcome of a perfectness check; witness is a kernel-entry index on failure."""
 
-    status: str
-    witness: tuple[int, int] | None = None
+    __slots__ = ()
+
+    def __new__(cls, status: str, witness: tuple[int, int] | None = None) -> "Verdict":
+        return tuple.__new__(cls, (status, witness))
+
+    def __getnewargs__(self) -> tuple:
+        return tuple(self)
+
+    def __repr__(self) -> str:
+        return f"Verdict(status={self[0]!r}, witness={self[1]!r})"
+
+    status = property(itemgetter(0))
+    witness = property(itemgetter(1))
 
     @property
     def ok(self) -> bool:
@@ -376,7 +403,7 @@ def is_perfect_via_spaces(iso: SignedIsometry) -> Verdict:
     live = [bool(entry) for entry in row1]
     inverse = [pow(m, -1, p) if m else 0 for m in range(p)]
 
-    def nonzero_column(c: int) -> Iterator[tuple[int, CycInt]]:
+    def nonzero_column(c: int) -> "Iterator[tuple[int, CycInt]]":
         # (m, entry (m, c)) for the nonzero entries, in row order; entry
         # (m, c) for m >= 2 is sigma_m(entry (1, c/m)) (see kernel_table),
         # and sigma_m sends only zero to zero, so a zero entry of row 1 is

@@ -36,13 +36,14 @@ and no map in the orbit of another form is affine (_orbit proves both).
 When the checks pass, no map is built (_report).
 """
 
-from __future__ import annotations
-
-from operator import sub
-from typing import Iterator, NamedTuple
+from operator import itemgetter, sub
 
 from .cyclotomic import require_prime
 from .isometry import SignedIsometry
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from collections.abc import Iterator
 
 __all__ = [
     "EXHAUSTIVE",
@@ -84,15 +85,30 @@ class NotPerfect(Exception):
     """The isometry is not of the affine perfect form."""
 
 
-class AffineCoords(NamedTuple):
+# Tuples with named fields, like the records of isometry, and written out
+# for the same reason.
+
+
+class AffineCoords(tuple):
     """Coordinates (eps, a, u) of the isometry k -> eps * (a + u*k)."""
 
-    eps: int
-    a: int
-    u: int
+    __slots__ = ()
+
+    def __new__(cls, eps: int, a: int, u: int) -> "AffineCoords":
+        return tuple.__new__(cls, (eps, a, u))
+
+    def __getnewargs__(self) -> tuple:
+        return tuple(self)
+
+    def __repr__(self) -> str:
+        return f"AffineCoords(eps={self[0]!r}, a={self[1]!r}, u={self[2]!r})"
+
+    eps = property(itemgetter(0))
+    a = property(itemgetter(1))
+    u = property(itemgetter(2))
 
 
-class PIGroupReport(NamedTuple):
+class PIGroupReport(tuple):
     """Enumeration outcome plus named check results.
 
     ``checks`` always carries the five keys in CHECK_KEYS; a value of None
@@ -100,11 +116,33 @@ class PIGroupReport(NamedTuple):
     enumeration leaves the two structural checks to verify_structure).
     """
 
-    p: int
-    order: int
-    elements: list[AffineCoords]
-    checks: dict[str, bool | None]
-    failures: list[str]
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        p: int,
+        order: int,
+        elements: list[AffineCoords],
+        checks: dict[str, bool | None],
+        failures: list[str],
+    ) -> "PIGroupReport":
+        return tuple.__new__(cls, (p, order, elements, checks, failures))
+
+    def __getnewargs__(self) -> tuple:
+        return tuple(self)
+
+    def __repr__(self) -> str:
+        p, order, elements, checks, failures = self
+        return (
+            f"PIGroupReport(p={p!r}, order={order!r}, elements={elements!r}, "
+            f"checks={checks!r}, failures={failures!r})"
+        )
+
+    p = property(itemgetter(0))
+    order = property(itemgetter(1))
+    elements = property(itemgetter(2))
+    checks = property(itemgetter(3))
+    failures = property(itemgetter(4))
 
     def all_pass(self) -> bool:
         """True when no evaluated check failed."""
@@ -198,17 +236,23 @@ def _normal_forms(p: int) -> list[tuple[int, ...]]:
     placed value, the forced prefix and a forced last value included, is
     tested against every c.  The search decides every permutation with
     prefix (0, 1); it assumes nothing about which of them pass.
+
+    The search keeps its own stack, not one Python frame per depth, so any
+    p fits in the interpreter's recursion limit.  The frame of depth d holds
+    the masks and used values of image[:d] and an iterator over the values
+    for image[d]; a value that passes opens the frame of depth d + 1 (or,
+    at the last depth, is a leaf), and the iterator resumes where it
+    stopped once that frame is done, as a recursive search would.
     """
     bits = [1 << w for w in range(p)] * 2
     steps = [[c * d % p for c in range(1, p)] for d in range(p)]
     image: list[int] = []
-
-    def extend(masks: list[int], used: int) -> Iterator[tuple[int, ...]]:
+    forms = []
+    frames = [([0] * (p - 1), 0, iter((0,)))]
+    while frames:
+        masks, used, values = frames[-1]
         d = len(image)
-        if d == p:
-            yield tuple(image)
-            return
-        for v in (d,) if d < 2 else range(p):
+        for v in values:
             if used >> v & 1:
                 continue
             grown = []
@@ -219,14 +263,19 @@ def _normal_forms(p: int) -> list[tuple[int, ...]]:
                     break
                 grown.append(mask)
             else:
+                if d + 1 == p:
+                    forms.append((*image, v))
+                    continue
                 image.append(v)
-                yield from extend(grown, used | bits[v])
-                image.pop()
+                frames.append((grown, used | bits[v], iter((1,) if d == 0 else range(p))))
+                break
+        else:  # every value of depth d is decided: back to depth d - 1
+            frames.pop()
+            del image[-1:]
+    return forms
 
-    return list(extend([0] * (p - 1), 0))
 
-
-def _orbit(p: int, forms: list[tuple[int, ...]]) -> Iterator[SignedIsometry]:
+def _orbit(p: int, forms: list[tuple[int, ...]]) -> "Iterator[SignedIsometry]":
     """The all-positive and all-negative maps on the images
     k -> u*form[k] + a (mod p) of permutations with prefix (0, 1) under all
     p(p-1) pairs (u, a), in lexicographic order of the image, each
@@ -278,7 +327,7 @@ def _orbit(p: int, forms: list[tuple[int, ...]]) -> Iterator[SignedIsometry]:
         yield SignedIsometry._unchecked(p, image, negative)
 
 
-def iter_perfect(p: int, mode: str = POSITIVE_THEN_NEGATE) -> Iterator[SignedIsometry]:
+def iter_perfect(p: int, mode: str = POSITIVE_THEN_NEGATE) -> "Iterator[SignedIsometry]":
     """Yield every perfect signed isometry: each all-positive hit, in
     lexicographic order of its image, followed by its negation.
 

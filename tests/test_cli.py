@@ -660,6 +660,14 @@ def test_plain_calls_import_no_argparse():
     assert found == f"{[0] * 12} []"
 
 
+def test_calls_import_no_typing():
+    # typing (with the re, enum and functools machinery it loads) and
+    # __future__ were loaded only for annotations and NamedTuple; without
+    # site, nothing else loads them
+    found = _loaded_after(PLAIN_CALLS + JSON_CALLS, {"typing", "__future__"})
+    assert found == f"{[0] * 12} []"
+
+
 def test_json_calls_import_no_json():
     # json's modules compile regexes at import, a cost every JSON child
     # would pay; _dumps needs only the C module _json, loaded here so the

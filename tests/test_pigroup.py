@@ -1,6 +1,10 @@
 """Tests for generators, enumeration, affine coordinates and structure checks."""
 
+import copy
 import itertools
+import pickle
+import sys
+import traceback
 from collections import Counter
 from random import Random
 
@@ -11,11 +15,14 @@ from perfiso import (
     AffineCoords,
     CHECK_KEYS,
     EXHAUSTIVE,
+    FAILS_SEPARATION,
+    KernelTable,
     MODES,
     NotPerfect,
     PERFECT,
     POSITIVE_THEN_NEGATE,
     SignedIsometry,
+    Verdict,
     decompose,
     enumerate_perfect,
     gen_aut,
@@ -191,6 +198,56 @@ def test_search_matches_brute_force_walk(p):
     assert len(walk) == 2 * p * (p - 1)
     for mode in MODES:
         assert list(iter_perfect(p, mode)) == walk
+
+
+def _recursive_normal_forms(p):
+    """The search of pigroup._normal_forms as it was first written, one
+    generator frame per depth: the reference for its order and leaves."""
+    bits = [1 << w for w in range(p)] * 2
+    steps = [[c * d % p for c in range(1, p)] for d in range(p)]
+    image = []
+
+    def extend(masks, used):
+        d = len(image)
+        if d == p:
+            yield tuple(image)
+            return
+        for v in (d,) if d < 2 else range(p):
+            if used >> v & 1:
+                continue
+            grown = []
+            for mask, step in zip(masks, steps[d]):
+                mask |= bits[v + step]
+                size = mask.bit_count()
+                if size != 1 and size != d + 1:
+                    break
+                grown.append(mask)
+            else:
+                image.append(v)
+                yield from extend(grown, used | bits[v])
+                image.pop()
+
+    return list(extend([0] * (p - 1), 0))
+
+
+PRIMES_TO_101 = tuple(n for n in range(2, 102) if all(n % d for d in range(2, n)))
+
+
+def test_search_keeps_the_recursive_order_and_leaves():
+    for p in PRIMES_TO_101:
+        assert pigroup._normal_forms(p) == _recursive_normal_forms(p), p
+
+
+def test_search_takes_no_frame_per_depth():
+    # the recursive search needed p frames; this one runs 50 frames above
+    # the caller's depth at p = 211
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(traceback.extract_stack()) + 50)
+    try:
+        forms = pigroup._normal_forms(211)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert forms == [tuple(range(211))]
 
 
 PRIMES_TO_29 = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)
@@ -599,3 +656,20 @@ def test_pigroup_report_record():
     assert list(payload) == ["p", "order", "elements", "checks", "failures"]
     assert list(payload["checks"]) == list(CHECK_KEYS)
     assert report[:3] == (2, 2, elements) and report[-1] is report.failures
+
+
+@pytest.mark.parametrize(
+    "record",
+    (
+        AffineCoords(-1, 2, 3),
+        Verdict(PERFECT),
+        Verdict(FAILS_SEPARATION, (1, 0)),
+        KernelTable(2, ((1, 2), (3, 4))),
+        enumerate_perfect(2),
+    ),
+    ids=lambda record: type(record).__name__,
+)
+def test_records_copy_and_pickle(record):
+    # copy and pickle rebuild a record from its fields, as positional arguments
+    for twin in (copy.copy(record), copy.deepcopy(record), pickle.loads(pickle.dumps(record))):
+        assert type(twin) is type(record) and twin == record

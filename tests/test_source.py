@@ -76,6 +76,21 @@ def test_library_imports_no_json():
     assert found == []
 
 
+def test_library_imports_no_typing():
+    # typing and __future__ cost every CLI child an import; annotations that
+    # name what is not defined when the def runs are strings, and the
+    # records are tuple subclasses, not typing.NamedTuple
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if (isinstance(node, ast.Import) and any(a.name in ("typing", "__future__") for a in node.names))
+        or (isinstance(node, ast.ImportFrom) and node.module in ("typing", "__future__"))
+        or (isinstance(node, ast.ClassDef) and "NamedTuple" in map(ast.unparse, node.bases))
+    ]
+    assert found == []
+
+
 @pytest.mark.parametrize("module", ("_json", "argparse"))
 def test_cli_imports_late(module):
     # _json is imported in _dumps, on the --format json path, and argparse in
