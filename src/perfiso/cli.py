@@ -24,7 +24,12 @@ with well-formed values) is parsed from the table alone, to the namespace
 argparse would build; help, usage errors, abbreviations and every other argv
 go to the argparse parser, which is imported and built only for them.  A
 reader that closes stdout early ends the output, not the verdict: the exit
-code is the command's own, and nothing is printed on stderr.
+code is the command's own, and nothing is printed on stderr.  An error line
+goes to stderr or nowhere (_error), never to stdout.
+
+``main`` returns the exit code.  ``run``, the entry of ``python -m perfiso``
+and of the ``perfiso`` script, calls it, flushes stdout and stderr and ends
+the process with ``os._exit``, skipping interpreter teardown (see run).
 """
 
 import os
@@ -59,7 +64,7 @@ if TYPE_CHECKING:
 
     Args = argparse.Namespace | SimpleNamespace
 
-__all__ = ["main", "build_parser"]
+__all__ = ["main", "run", "build_parser"]
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -67,11 +72,11 @@ EXIT_USAGE = 2
 EXIT_INTERNAL = 3
 
 SCHEMA_VERSION = 1
-# the target scale; at p = 101, end to end on 2 vCPUs (median of 31), verify and
-# enumerate take about 0.055 s (0.09 s with --format json), chartab 0.045 s, and
-# check and mu of an affine map 0.035 s each (0.03 and 0.18 s for a random signed
-# map, whose mu prints 10,201 coefficient lists; a bare interpreter start is
-# about 0.026 s)
+# the target scale; at p = 101, end to end on 2 vCPUs (median of 21) on a host
+# whose bare interpreter start takes 0.066 s, verify and enumerate take about
+# 0.125 s (0.215 s with --format json), chartab 0.066 s, and check and mu of an
+# affine map 0.071 and 0.076 s (0.067 and 0.43 s for a random signed map, whose
+# mu prints 10,201 coefficient lists)
 MAX_P = 101
 
 FORMATS = ("text", "json")
@@ -336,6 +341,21 @@ def _dumps(value: object) -> str:
     return write(value, "\n")
 
 
+def _error(message: str) -> None:
+    """Write "error: message" to stderr, or nowhere when stderr cannot take it.
+
+    With stderr closed at start-up, sys.stderr is None, and print(file=None)
+    would write to stdout; a descriptor that refuses writes raises OSError.
+    Either way the line is dropped, so stdout stays empty and the exit code
+    is the command's own.
+    """
+    if sys.stderr is not None:
+        try:
+            print(f"error: {message}", file=sys.stderr)
+        except OSError:
+            pass
+
+
 def main(argv: "Sequence[str] | None" = None) -> int:
     argv = _join_map_literals(sys.argv[1:] if argv is None else argv)
     args = _parse_plain(argv)
@@ -346,13 +366,13 @@ def main(argv: "Sequence[str] | None" = None) -> int:
             raise ValueError(f"p={args.p} is out of range; the bound is p <= {MAX_P}")
         ok, payload, lines = args.func(args)
     except NotPerfect as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _error(str(exc))
         return EXIT_NEGATIVE
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _error(str(exc))
         return EXIT_USAGE
     except InternalError as exc:
-        print(f"error: internal error: {exc}", file=sys.stderr)
+        _error(f"internal error: {exc}")
         return EXIT_INTERNAL
     if args.format == "json":
         # a report's own "p" key takes the envelope's place and has the same value
@@ -363,8 +383,36 @@ def main(argv: "Sequence[str] | None" = None) -> int:
         print(text, flush=True)
     except BrokenPipeError:
         # the reader stopped early, and the verdict stands; stdout now goes
-        # to devnull, so the interpreter's final flush does not fail again
+        # to devnull, so a later flush (run's or the interpreter's) does not
+        # fail again
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
     return EXIT_OK if ok else EXIT_NEGATIVE
+
+
+def run() -> None:
+    """The command-line entry (python -m perfiso, the perfiso script): main,
+    then an exit without interpreter teardown.
+
+    Once main has returned, both streams are flushed and the process ends
+    with os._exit, so it skips what the interpreter would do next: clear
+    every module, collect garbage and free memory, which takes longer than
+    a small command itself.  No check of perfiso runs then, but atexit
+    handlers that other tools register do not run either.  A stream that is
+    None (closed at start-up) is skipped.  When a flush raises OSError, or
+    under python -i (or PYTHONINSPECT), run ends with SystemExit instead,
+    as a plain SystemExit(main()) would, and the interpreter finishes as
+    usual.  SystemExit from argparse and any exception from main pass
+    through untouched.
+    """
+    code = main()
+    try:
+        for stream in (sys.stdout, sys.stderr):
+            if stream is not None:
+                stream.flush()
+    except OSError:
+        raise SystemExit(code)
+    if sys.flags.inspect:
+        raise SystemExit(code)
+    os._exit(code)

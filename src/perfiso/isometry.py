@@ -375,7 +375,17 @@ def is_perfect_via_spaces(iso: SignedIsometry) -> Verdict:
     row order, integrality on every column before separation on column 0) is
     that of a scan of all p images built first, so stopping at the first
     failing entry gives the same verdict and witness.  A zero entry is
-    divisible by p, so it is skipped by its truth value.  A map that fails
+    divisible by p, so it is skipped by its truth value, and so is a zero
+    derived entry, without its Galois image: entry (m, c), m >= 2, is zero
+    iff entry (1, c/m) is.  For c != 0, n -> c/n is a bijection of the
+    units, so the derived rows with a nonzero entry in column c are the
+    rows m = c/n for the nonzero entries (1, n), n != 0, visited in row
+    order; m = c/n is never 0 and is 1 only for n = c, which row 1 itself
+    covers.  Column 0 reads entry (1, 0) in every derived row, so it visits
+    all of them when that entry is nonzero and none otherwise.  Each
+    nonzero entry is thus read, checked and bounded in the order of a walk
+    over all rows, and a perfect (affine) map, whose row 1 has one nonzero
+    entry, costs p steps over the columns, not p^2.  A map that fails
     stops in column 0 or -1: with mixed signs at (0, 0) or, for p = 2, at
     (1, 0) (see below); with equal signs column 0 passes, and some entry
     (1, n), n != 0, fails (is_perfect), which column -1 reads as the
@@ -400,20 +410,20 @@ def is_perfect_via_spaces(iso: SignedIsometry) -> Verdict:
     """
     p = iso.p
     row0, row1 = _counted_rows(iso)
-    live = [bool(entry) for entry in row1]
-    inverse = [pow(m, -1, p) if m else 0 for m in range(p)]
+    live = [(pow(n, -1, p), n) for n, entry in enumerate(row1) if n and entry]
+    every_row = [(m, 0) for m in range(2, p)] if row1[0] else []
 
     def nonzero_column(c: int) -> "Iterator[tuple[int, CycInt]]":
         # (m, entry (m, c)) for the nonzero entries, in row order; entry
         # (m, c) for m >= 2 is sigma_m(entry (1, c/m)) (see kernel_table),
-        # and sigma_m sends only zero to zero, so a zero entry of row 1 is
-        # passed over with no Galois call
+        # and sigma_m sends only zero to zero, so only the rows m = c/n of
+        # the nonzero entries (1, n) are visited, each with one Galois call
         for m, entry in enumerate((row0[c], row1[c])):
             if entry:
                 yield m, entry
-        for m in range(2, p):
-            n = c * inverse[m] % p
-            if live[n]:
+        derived = sorted((c * inverse % p, n) for inverse, n in live) if c else every_row
+        for m, n in derived:
+            if m >= 2:
                 yield m, _bounded(row1[n].galois(m), m, c)
 
     for j in range(p):

@@ -235,7 +235,10 @@ def _normal_forms(p: int) -> list[tuple[int, ...]]:
     restriction, so a branch is cut as soon as some c has neither.  Every
     placed value, the forced prefix and a forced last value included, is
     tested against every c.  The search decides every permutation with
-    prefix (0, 1); it assumes nothing about which of them pass.
+    prefix (0, 1); it assumes nothing about which of them pass.  The cut
+    holds for any order of c, so c = -1 is tested first: the prefix makes
+    k -> image[k] - k take the value 0 twice, so that map must be constant,
+    and at each depth d >= 2 its mask cuts every value but image[d] = d.
 
     The search keeps its own stack, not one Python frame per depth, so any
     p fits in the interpreter's recursion limit.  The frame of depth d holds
@@ -245,7 +248,7 @@ def _normal_forms(p: int) -> list[tuple[int, ...]]:
     stopped once that frame is done, as a recursive search would.
     """
     bits = [1 << w for w in range(p)] * 2
-    steps = [[c * d % p for c in range(1, p)] for d in range(p)]
+    steps = [[c * d % p for c in (-1, *range(1, p - 1))] for d in range(p)]
     image: list[int] = []
     forms = []
     frames = [([0] * (p - 1), 0, iter((0,)))]

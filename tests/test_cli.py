@@ -7,6 +7,7 @@ import shlex
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 import perfiso
 from perfiso import FAILS_SEPARATION, MODES, Verdict, cli, cyclotomic, isometry
 from perfiso.cli import build_parser, main
+from test_golden import RANDOM_SIGNED
 
 SRC = str(Path(perfiso.__file__).resolve().parents[1])
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -506,6 +508,212 @@ def test_closed_stdout_keeps_the_exit_code_and_stderr_empty(argv, code):
     err = proc.stderr.read()
     proc.stderr.close()
     assert (proc.wait(timeout=60), err) == (code, b"")
+
+
+# ---------------------------------------------------------------------------
+# the process exit: run() flushes, then ends without interpreter teardown
+
+
+def _in_process(capsys, argv):
+    """(exit code, stdout, stderr) of main(argv), argparse's own exits included."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    return (code, *capsys.readouterr())
+
+
+def _as_child(argv):
+    """(exit code, stdout, stderr) of python -m perfiso argv in a fresh process."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "perfiso", *argv],
+        capture_output=True,
+        text=True,
+        env={**_child_env(), "COLUMNS": "80"},
+        timeout=120,
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    (
+        (["chartab", "-p", "5"], 0),
+        (["check", "-p", "5", "--map", "+1,+0,+3,+2,+4"], 1),
+        (["chartab", "-p", "103"], 2),
+        (["check", "-p", "3"], 2),
+        (["--help"], 0),
+        (["mu", "-p", "101", "--format", "json", f"--map={RANDOM_SIGNED[101]}"], 0),
+    ),
+    ids=("chartab", "check-negative", "bound", "usage", "help", "mu-json-p101"),
+)
+def test_child_exit_matches_main(capsys, monkeypatch, argv, code):
+    # run() ends the child with os._exit after flushing: the output, all of
+    # it through a pipe (megabytes for mu), and the exit code are main's own
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the same width
+    expected = _in_process(capsys, argv)
+    assert expected[0] == code
+    assert _as_child(argv) == expected
+
+
+def test_child_with_stdout_closed_at_start_up(capsys, monkeypatch):
+    # >&-: sys.stdout is None, and run() skips it rather than fail on it
+    monkeypatch.setattr(sys, "stdout", None)
+    expected = main(["chartab", "-p", "3"]), capsys.readouterr().err
+    proc = subprocess.run(
+        [sys.executable, "-m", "perfiso", "chartab", "-p", "3"],
+        stderr=subprocess.PIPE,
+        env=_child_env(),
+        preexec_fn=lambda: os.close(1),
+        timeout=60,
+    )
+    assert expected == (0, "")
+    assert (proc.returncode, proc.stderr) == (0, b"")
+
+
+class _Stream:
+    """A stand-in for sys.stdout or sys.stderr that logs its flushes."""
+
+    def __init__(self, name, log, error=None):
+        self.name, self.log, self.error = name, log, error
+
+    def write(self, text):
+        return len(text)
+
+    def flush(self):
+        self.log.append(f"flush {self.name}")
+        if self.error:
+            raise self.error
+
+
+class _Exited(Exception):
+    pass
+
+
+def _patch_exit(monkeypatch, log, code=3):
+    """main returns code; os._exit logs its argument and raises _Exited."""
+
+    def fake_main():
+        log.append("main")
+        return code
+
+    def fake_exit(status):
+        log.append(("os._exit", status))
+        raise _Exited
+
+    monkeypatch.setattr(cli, "main", fake_main)
+    monkeypatch.setattr(os, "_exit", fake_exit)
+
+
+def test_run_exits_with_mains_code_after_both_flushes(monkeypatch):
+    log = []
+    _patch_exit(monkeypatch, log)
+    monkeypatch.setattr(sys, "stdout", _Stream("stdout", log))
+    monkeypatch.setattr(sys, "stderr", _Stream("stderr", log))
+    with pytest.raises(_Exited):
+        cli.run()
+    assert log == ["main", "flush stdout", "flush stderr", ("os._exit", 3)]
+
+
+def test_run_skips_a_stream_that_is_none(monkeypatch):
+    log = []
+    _patch_exit(monkeypatch, log, code=0)
+    monkeypatch.setattr(sys, "stdout", None)
+    monkeypatch.setattr(sys, "stderr", _Stream("stderr", log))
+    with pytest.raises(_Exited):
+        cli.run()
+    assert log == ["main", "flush stderr", ("os._exit", 0)]
+
+
+@pytest.mark.parametrize("failing", ("stdout", "stderr"))
+def test_run_falls_back_to_system_exit_when_a_flush_fails(monkeypatch, failing):
+    # the interpreter's own teardown then reports the stream as it always did
+    log = []
+    _patch_exit(monkeypatch, log, code=1)
+    for name in ("stdout", "stderr"):
+        error = BrokenPipeError() if name == failing else None
+        monkeypatch.setattr(sys, name, _Stream(name, log, error))
+    with pytest.raises(SystemExit) as info:
+        cli.run()
+    assert info.value.code == 1
+    assert ("os._exit", 1) not in log
+
+
+def test_run_falls_back_to_system_exit_under_inspect(monkeypatch):
+    # python -i and PYTHONINSPECT open a prompt once the module is done
+    log = []
+    _patch_exit(monkeypatch, log, code=2)
+    monkeypatch.setattr(sys, "stdout", _Stream("stdout", log))
+    monkeypatch.setattr(sys, "stderr", _Stream("stderr", log))
+    monkeypatch.setattr(sys, "flags", SimpleNamespace(inspect=1))
+    with pytest.raises(SystemExit) as info:
+        cli.run()
+    assert info.value.code == 2
+    assert log == ["main", "flush stdout", "flush stderr"]
+
+
+@pytest.mark.parametrize("raised", (SystemExit(2), KeyboardInterrupt()), ids=repr)
+def test_run_lets_mains_exceptions_through(monkeypatch, raised):
+    log = []
+
+    def fake_main():
+        raise raised
+
+    monkeypatch.setattr(cli, "main", fake_main)
+    monkeypatch.setattr(os, "_exit", lambda status: log.append(status))
+    with pytest.raises(type(raised)) as info:
+        cli.run()
+    assert info.value is raised
+    assert log == []
+
+
+class _RefusingStream:
+    """A stderr whose descriptor refuses writes, like fd 2 opened read-only."""
+
+    def write(self, text):
+        raise OSError(9, "Bad file descriptor")
+
+    def flush(self):
+        pass
+
+
+@pytest.mark.parametrize("stderr", (None, _RefusingStream()), ids=("none", "refusing"))
+def test_error_line_never_reaches_stdout(capsys, monkeypatch, stderr):
+    # with stderr closed, print(file=None) would write the line to stdout
+    monkeypatch.setattr(sys, "stderr", stderr)
+    assert main(["chartab", "-p", "4"]) == 2
+    assert capsys.readouterr().out == ""
+
+
+def _refuse_writes_on_fd_2():
+    fd = os.open(os.devnull, os.O_RDONLY)
+    os.dup2(fd, 2)
+    os.close(fd)
+
+
+@pytest.mark.parametrize(
+    "preexec",
+    (lambda: os.close(2), _refuse_writes_on_fd_2),
+    ids=("closed", "read-only"),
+)
+@pytest.mark.parametrize(
+    "argv, code",
+    (
+        (["chartab", "-p", "4"], 2),
+        (["decompose", "-p", "5", "--map=+1,+0,+3,+2,+4"], 1),
+    ),
+    ids=("bad-p", "not-affine"),
+)
+def test_child_error_with_stderr_unusable(preexec, argv, code):
+    # the error line is dropped: stdout stays empty and the exit code is the command's
+    proc = subprocess.run(
+        [sys.executable, "-m", "perfiso", *argv],
+        stdout=subprocess.PIPE,
+        env=_child_env(),
+        preexec_fn=preexec,
+        timeout=60,
+    )
+    assert (proc.returncode, proc.stdout) == (code, b"")
 
 
 # ---------------------------------------------------------------------------

@@ -140,6 +140,29 @@ def test_cli_writes_stdout_only_in_main():
     assert found == []
 
 
+def test_process_exit_only_in_the_entry_function():
+    # os._exit skips every finally block and atexit handler: only cli.run,
+    # after main has returned and both streams are flushed, may call it
+    found = {
+        (path.name, getattr(top, "name", None))
+        for path in SOURCES
+        for top in ast.parse(path.read_text(), filename=str(path)).body
+        for node in ast.walk(top)
+        if (isinstance(node, ast.Attribute) and node.attr == "_exit")
+        or (isinstance(node, ast.alias) and node.name == "_exit")
+    }
+    assert found == {("cli.py", "run")}
+
+
+def test_both_entry_points_call_run():
+    # python -m perfiso and the perfiso script end the same way
+    root = Path(__file__).resolve().parents[1]
+    assert 'perfiso = "perfiso.cli:run"' in (root / "pyproject.toml").read_text()
+    tree = ast.parse(Path(perfiso.__file__).with_name("__main__.py").read_text())
+    calls = {ast.unparse(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)}
+    assert calls == {"run"}
+
+
 def test_benchmark_trace_names_exist():
     # the benchmark's per-layer mode wraps these names; dropping one breaks it
     spans = Path(__file__).parent.parent / "perfbench" / "spans.py"
