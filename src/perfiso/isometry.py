@@ -186,11 +186,36 @@ class SignedIsometry:
         return f"SignedIsometry(p={self._p}, literal={self.as_literal()!r})"
 
 
-# The records below are tuples with named fields, written out rather than
-# built by typing.NamedTuple, whose import every CLI child would pay for.
+class Record(tuple):
+    """A tuple with named fields: the base of the package's records.
+
+    A record declares ``__slots__ = ()`` and a ``__new__`` whose
+    parameters after ``cls`` are its fields, in order, all positional.
+    That signature is the one list of fields: this base reads it into
+    ``_fields``, gives each field a property, and supplies the repr and
+    the arguments copy and pickle rebuild a record from.  It is neither
+    typing.NamedTuple, whose import every CLI child would pay for, nor
+    collections.namedtuple, which compiles each class from source when
+    its module is imported.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        code = cls.__new__.__code__
+        cls._fields = code.co_varnames[1:code.co_argcount]
+        for i, name in enumerate(cls._fields):
+            setattr(cls, name, property(itemgetter(i)))
+
+    def __getnewargs__(self) -> tuple:
+        return tuple(self)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self))
+        return f"{type(self).__name__}({fields})"
 
 
-class KernelTable(tuple):
+class KernelTable(Record):
     """Exact p x p kernel; entry [m][n] pairs element m (image side) with n (source side)."""
 
     __slots__ = ()
@@ -198,32 +223,14 @@ class KernelTable(tuple):
     def __new__(cls, p: int, entries: tuple[tuple[CycInt, ...], ...]) -> "KernelTable":
         return tuple.__new__(cls, (p, entries))
 
-    def __getnewargs__(self) -> tuple:
-        return tuple(self)
 
-    def __repr__(self) -> str:
-        return f"KernelTable(p={self[0]!r}, entries={self[1]!r})"
-
-    p = property(itemgetter(0))
-    entries = property(itemgetter(1))
-
-
-class Verdict(tuple):
+class Verdict(Record):
     """Outcome of a perfectness check; witness is a kernel-entry index on failure."""
 
     __slots__ = ()
 
     def __new__(cls, status: str, witness: tuple[int, int] | None = None) -> "Verdict":
         return tuple.__new__(cls, (status, witness))
-
-    def __getnewargs__(self) -> tuple:
-        return tuple(self)
-
-    def __repr__(self) -> str:
-        return f"Verdict(status={self[0]!r}, witness={self[1]!r})"
-
-    status = property(itemgetter(0))
-    witness = property(itemgetter(1))
 
     @property
     def ok(self) -> bool:
@@ -381,19 +388,22 @@ def is_perfect_via_spaces(iso: SignedIsometry) -> Verdict:
     units, so the derived rows with a nonzero entry in column c are the
     rows m = c/n for the nonzero entries (1, n), n != 0, visited in row
     order; m = c/n is never 0 and is 1 only for n = c, which row 1 itself
-    covers.  Column 0 reads entry (1, 0) in every derived row, so it visits
-    all of them when that entry is nonzero and none otherwise.  Each
-    nonzero entry is thus read, checked and bounded in the order of a walk
-    over all rows, and a perfect (affine) map, whose row 1 has one nonzero
-    entry, costs p steps over the columns, not p^2.  A map that fails
-    stops in column 0 or -1: with mixed signs at (0, 0) or, for p = 2, at
-    (1, 0) (see below); with equal signs column 0 passes, and some entry
-    (1, n), n != 0, fails (is_perfect), which column -1 reads as the
-    preimage of entry (-1/n, -1).  Column 0 is derived again for
-    separation; once integrality holds, entry (1, 0) is zero for odd p (the
-    signs are equal, see below) and p = 2 has no derived rows, so that
-    costs no Galois image.  The adjoint (transposed) side would add
-    nothing, not even another witness:
+    covers.  Column 0 reads rows 0 and 1 only: its derived entries
+    (m, 0) = sigma_m(entry (1, 0)) are nonzero only when entry
+    (1, 0) = sum_k sign[k] * zeta^image[k] is, which needs mixed signs, as
+    image is a permutation (equal signs eps give eps times the sum of all
+    p-th roots of unity, 0).  Then, for odd p, entry (0, 0) = sum_k sign[k]
+    is odd and below p in size, so it fails integrality first, before any
+    derived row; p = 2 has no derived rows.  Each other nonzero entry is
+    read, checked and bounded in the order of a walk over all rows, and a
+    perfect (affine) map, whose row 1 has one nonzero entry, costs p steps
+    over the columns, not p^2.  A map that fails stops in column 0 or -1:
+    with mixed signs at (0, 0) or, for p = 2, at (1, 0) (see below); with
+    equal signs column 0 passes, and some entry (1, n), n != 0, fails
+    (is_perfect), which column -1 reads as the preimage of entry
+    (-1/n, -1).  Separation reads column 0 again, once integrality holds,
+    and so with equal signs for odd p.  The adjoint (transposed) side would
+    add nothing, not even another witness:
 
       * The p columns hold every entry and decide integrality alone.
       * For m, n != 0, entries (m, 0) and (0, n) weight each p-th root of
@@ -411,17 +421,17 @@ def is_perfect_via_spaces(iso: SignedIsometry) -> Verdict:
     p = iso.p
     row0, row1 = _counted_rows(iso)
     live = [(pow(n, -1, p), n) for n, entry in enumerate(row1) if n and entry]
-    every_row = [(m, 0) for m in range(2, p)] if row1[0] else []
 
     def nonzero_column(c: int) -> "Iterator[tuple[int, CycInt]]":
         # (m, entry (m, c)) for the nonzero entries, in row order; entry
         # (m, c) for m >= 2 is sigma_m(entry (1, c/m)) (see kernel_table),
         # and sigma_m sends only zero to zero, so only the rows m = c/n of
-        # the nonzero entries (1, n) are visited, each with one Galois call
+        # the nonzero entries (1, n) are visited, each with one Galois call;
+        # column 0 reads rows 0 and 1 only (see the docstring)
         for m, entry in enumerate((row0[c], row1[c])):
             if entry:
                 yield m, entry
-        derived = sorted((c * inverse % p, n) for inverse, n in live) if c else every_row
+        derived = sorted((c * inverse % p, n) for inverse, n in live) if c else ()
         for m, n in derived:
             if m >= 2:
                 yield m, _bounded(row1[n].galois(m), m, c)

@@ -36,10 +36,10 @@ and no map in the orbit of another form is affine (_orbit proves both).
 When the checks pass, no map is built (_report).
 """
 
-from operator import itemgetter, sub
+from operator import sub
 
 from .cyclotomic import require_prime
-from .isometry import SignedIsometry
+from .isometry import Record, SignedIsometry
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
@@ -85,11 +85,7 @@ class NotPerfect(Exception):
     """The isometry is not of the affine perfect form."""
 
 
-# Tuples with named fields, like the records of isometry, and written out
-# for the same reason.
-
-
-class AffineCoords(tuple):
+class AffineCoords(Record):
     """Coordinates (eps, a, u) of the isometry k -> eps * (a + u*k)."""
 
     __slots__ = ()
@@ -97,18 +93,8 @@ class AffineCoords(tuple):
     def __new__(cls, eps: int, a: int, u: int) -> "AffineCoords":
         return tuple.__new__(cls, (eps, a, u))
 
-    def __getnewargs__(self) -> tuple:
-        return tuple(self)
 
-    def __repr__(self) -> str:
-        return f"AffineCoords(eps={self[0]!r}, a={self[1]!r}, u={self[2]!r})"
-
-    eps = property(itemgetter(0))
-    a = property(itemgetter(1))
-    u = property(itemgetter(2))
-
-
-class PIGroupReport(tuple):
+class PIGroupReport(Record):
     """Enumeration outcome plus named check results.
 
     ``checks`` always carries the five keys in CHECK_KEYS; a value of None
@@ -127,22 +113,6 @@ class PIGroupReport(tuple):
         failures: list[str],
     ) -> "PIGroupReport":
         return tuple.__new__(cls, (p, order, elements, checks, failures))
-
-    def __getnewargs__(self) -> tuple:
-        return tuple(self)
-
-    def __repr__(self) -> str:
-        p, order, elements, checks, failures = self
-        return (
-            f"PIGroupReport(p={p!r}, order={order!r}, elements={elements!r}, "
-            f"checks={checks!r}, failures={failures!r})"
-        )
-
-    p = property(itemgetter(0))
-    order = property(itemgetter(1))
-    elements = property(itemgetter(2))
-    checks = property(itemgetter(3))
-    failures = property(itemgetter(4))
 
     def all_pass(self) -> bool:
         """True when no evaluated check failed."""

@@ -564,11 +564,24 @@ def test_two_row_witness_can_lie_in_row_one():
     assert verdict == _full_scan_verdict(iso)
 
 
-def test_mixed_sign_fails():
-    iso = SignedIsometry(5, tuple(range(5)), (1, 1, 1, 1, -1))
-    verdict = is_perfect(iso)
-    assert verdict.status == FAILS_INTEGRALITY
-    assert verdict.witness == (0, 0)
+@pytest.mark.parametrize("p", (2, 5, 7, 13, 53, 101))
+def test_mixed_sign_fails(p):
+    # for odd p, entry (0, 0) = sum_k sign[k] is odd and below p in size, so
+    # both checkers fail it first; p = 2 fails separation, the cross-check at
+    # (1, 0), the only entry of column 0 off the identity
+    rng = Random(SEED + p)
+    maps = [SignedIsometry(p, range(p), (1,) * (p - 1) + (-1,))]
+    while len(maps) < 6:
+        iso = random_isometry(rng, p)
+        if len(set(iso.signs)) == 2:
+            maps.append(iso)
+    for iso in maps:
+        if p == 2:
+            assert is_perfect(iso).status == FAILS_SEPARATION
+            assert is_perfect_via_spaces(iso) == Verdict(FAILS_SEPARATION, (1, 0))
+        else:
+            assert is_perfect(iso) == Verdict(FAILS_INTEGRALITY, (0, 0))
+            assert is_perfect_via_spaces(iso) == Verdict(FAILS_INTEGRALITY, (0, 0))
 
 
 @pytest.mark.parametrize("p", (2, 3))

@@ -91,6 +91,50 @@ def test_library_imports_no_typing():
     assert found == []
 
 
+def test_records_share_one_protocol():
+    # isometry.Record reads each record's fields off its __new__ and supplies
+    # the properties, the repr and the copy and pickle arguments, so a record
+    # writes none of them and its signature is its one list of fields
+    layers = (cyclotomic, characters, isometry, pigroup, cli)
+    tuples = {
+        cls
+        for mod in layers
+        for cls in vars(mod).values()
+        if isinstance(cls, type) and issubclass(cls, tuple) and cls.__module__ == mod.__name__
+    }
+    records = tuples - {isometry.Record}
+    assert {cls.__name__ for cls in records} == {
+        "KernelTable",
+        "Verdict",
+        "AffineCoords",
+        "PIGroupReport",
+    }
+    assert isometry.Record in tuples and "Record" not in perfiso.__all__
+    bodies = {
+        node.name: node
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.ClassDef)
+    }
+    assert [name for name, node in bodies.items() if "tuple" in map(ast.unparse, node.bases)] == [
+        "Record"
+    ]
+    positional = (inspect.Parameter.POSITIONAL_ONLY, inspect.Parameter.POSITIONAL_OR_KEYWORD)
+    for cls in records:
+        assert issubclass(cls, isometry.Record), cls.__name__
+        params = list(inspect.signature(cls.__new__).parameters.values())[1:]
+        assert all(param.kind in positional for param in params), cls.__name__
+        assert cls._fields == tuple(param.name for param in params)
+        defined = set()
+        for node in bodies[cls.__name__].body:
+            if isinstance(node, ast.FunctionDef):
+                defined.add(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined.update(t.id for t in targets if isinstance(t, ast.Name))
+        assert defined & {"__repr__", "__getnewargs__", *cls._fields} == set(), cls.__name__
+
+
 @pytest.mark.parametrize("module", ("_json", "argparse"))
 def test_cli_imports_late(module):
     # _json is imported in _dumps, on the --format json path, and argparse in
