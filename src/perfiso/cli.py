@@ -27,6 +27,11 @@ reader that closes stdout early ends the output, not the verdict: the exit
 code is the command's own, and nothing is printed on stderr.  An error line
 goes to stderr or nowhere (_error), never to stdout.
 
+Each command imports the library functions it calls when it runs, and
+parsing imports none, so a call loads only the layers its command needs:
+chartab loads cyclotomic and characters; mu and check cyclotomic and
+isometry; decompose, enumerate and verify those two and pigroup.
+
 ``main`` returns the exit code.  ``run``, the entry of ``python -m perfiso``
 and of the ``perfiso`` script, calls it, flushes stdout and stderr and ends
 the process with ``os._exit``, skipping interpreter teardown (see run).
@@ -36,31 +41,13 @@ import os
 import sys
 from types import SimpleNamespace
 
-from .characters import char_table
-from .cyclotomic import symbolic_str
-from .isometry import (
-    InternalError,
-    SignedIsometry,
-    Verdict,
-    is_perfect,
-    is_perfect_via_spaces,
-    kernel_table,
-)
-from .pigroup import (
-    CHECK_KEYS,
-    MODES,
-    AffineCoords,
-    NotPerfect,
-    POSITIVE_THEN_NEGATE,
-    decompose,
-    enumerate_perfect,
-    verify_structure,
-)
-
 TYPE_CHECKING = False
 if TYPE_CHECKING:
     import argparse
     from collections.abc import Sequence
+
+    from .isometry import Verdict
+    from .pigroup import AffineCoords, PIGroupReport
 
     Args = argparse.Namespace | SimpleNamespace
 
@@ -73,37 +60,34 @@ EXIT_INTERNAL = 3
 
 SCHEMA_VERSION = 1
 # the target scale; at p = 101, end to end on 2 vCPUs (median of 21) on a host
-# whose bare interpreter start takes 0.066 s, verify and enumerate take about
-# 0.125 s (0.215 s with --format json), chartab 0.066 s, and check and mu of an
-# affine map 0.071 and 0.076 s (0.067 and 0.43 s for a random signed map, whose
+# whose bare `python -c pass` takes 0.064 s, verify and enumerate take about
+# 0.12 s (0.205 s with --format json), chartab 0.062 s, and check and mu of an
+# affine map 0.067 and 0.071 s (0.066 and 0.41 s for a random signed map, whose
 # mu prints 10,201 coefficient lists)
 MAX_P = 101
 
 FORMATS = ("text", "json")
+# pigroup's modes and default, held here so that parsing loads no layer
+POSITIVE_THEN_NEGATE = "positive_then_negate"
+MODES = ("exhaustive", POSITIVE_THEN_NEGATE)
 
 
 def _commands() -> dict[str, tuple]:
-    """The command table: name -> (handler, help, library call, --map example, takes --mode).
+    """The command table: name -> (handler, help, --map example, takes --mode).
 
-    build_parser and _parse_plain both read it.  It is built on each call, so
-    the library calls it holds are this module's names at that moment, a
-    traced or patched one included.  The library call is the one that makes
-    the report of enumerate and verify (see cmd_report); a command without
-    --map has no example.
+    build_parser and _parse_plain both read it; a command without --map has
+    no example.  It holds no library call: each handler imports the layer
+    functions it calls, so parsing loads no layer.
     """
     return {
-        "chartab": (cmd_chartab, "print the character table", None, None, False),
-        "mu": (cmd_mu, "print the pairing kernel of an isometry", None, "+2,+0,+1", False),
-        "check": (cmd_check, "test an isometry for perfectness", None, "+0,+1,+2", False),
-        "enumerate": (
-            cmd_report, "enumerate all perfect isometries", enumerate_perfect, None, True
-        ),
+        "chartab": (cmd_chartab, "print the character table", None, False),
+        "mu": (cmd_mu, "print the pairing kernel of an isometry", "+2,+0,+1", False),
+        "check": (cmd_check, "test an isometry for perfectness", "+0,+1,+2", False),
+        "enumerate": (cmd_enumerate, "enumerate all perfect isometries", None, True),
         "decompose": (
-            cmd_decompose, "affine coordinates of a perfect isometry", None, "+1,+3,+0,+2,+4", False
+            cmd_decompose, "affine coordinates of a perfect isometry", "+1,+3,+0,+2,+4", False
         ),
-        "verify": (
-            cmd_report, "enumerate and verify the group structure", verify_structure, None, True
-        ),
+        "verify": (cmd_verify, "enumerate and verify the group structure", None, True),
     }
 
 
@@ -126,7 +110,7 @@ def build_parser() -> "argparse.ArgumentParser":
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for name, (func, help_text, build, example, modes) in _commands().items():
+    for name, (func, help_text, example, modes) in _commands().items():
         sp = sub.add_parser(name, parents=[common], help=help_text)
         if example:
             sp.add_argument("--map", required=True, help=f'isometry literal, e.g. "{example}"')
@@ -135,7 +119,7 @@ def build_parser() -> "argparse.ArgumentParser":
             sp.add_argument(
                 "--mode", choices=MODES, default=POSITIVE_THEN_NEGATE, help="enumeration mode"
             )
-        sp.set_defaults(func=func, build=build)
+        sp.set_defaults(func=func)
 
     return parser
 
@@ -155,7 +139,7 @@ def _parse_plain(argv: list[str]) -> SimpleNamespace | None:
     entry = _commands().get(argv[0]) if argv else None
     if entry is None:
         return None
-    func, _, build, example, modes = entry
+    func, _, example, modes = entry
     names = {"-p", "--format", "--seed"}
     if example:
         names.add("--map")
@@ -186,7 +170,7 @@ def _parse_plain(argv: list[str]) -> SimpleNamespace | None:
         p, seed = map(int, numbers)
     except ValueError:  # more digits than int() reads; argparse rejects them too
         return None
-    args = SimpleNamespace(command=argv[0], p=p, format=fmt, seed=seed, func=func, build=build)
+    args = SimpleNamespace(command=argv[0], p=p, format=fmt, seed=seed, func=func)
     if example:
         args.map = values["--map"]
     if modes:
@@ -205,17 +189,19 @@ def _grid(entries) -> tuple[dict, list[str]]:
     # dict stays at 2p entries for a dense map, whose derived rows share
     # nothing.  entries keeps every object alive until the grid is built, so
     # no id is reused meanwhile; symbolic_str never returns ""
+    from .cyclotomic import symbolic_str
+
     first = {id(e): e for row in entries[:2] for e in row}
     text = {key: symbolic_str(e) for key, e in first.items()}
     grid = [[text.get(id(e)) or symbolic_str(e) for e in row] for row in entries]
     return {"entries": grid}, [" ".join(row) for row in grid]
 
 
-def _coords_text(c: AffineCoords) -> str:
+def _coords_text(c: "AffineCoords") -> str:
     return f"({'+' if c.eps > 0 else '-'}1, a={c.a}, u={c.u})"
 
 
-def _verdict_json(verdict: Verdict) -> dict:
+def _verdict_json(verdict: "Verdict") -> dict:
     return {
         "status": verdict.status,
         "witness": list(verdict.witness) if verdict.witness else None,
@@ -223,17 +209,23 @@ def _verdict_json(verdict: Verdict) -> dict:
 
 
 def cmd_chartab(args: "Args") -> _Result:
+    from .characters import char_table
+
     payload, lines = _grid(char_table(args.p))
     return True, payload, lines
 
 
 def cmd_mu(args: "Args") -> _Result:
+    from .isometry import SignedIsometry, kernel_table
+
     iso = SignedIsometry.from_literal(args.p, args.map)
     payload, lines = _grid(kernel_table(iso).entries)
     return True, {"map": iso.as_literal(), **payload}, lines
 
 
 def cmd_check(args: "Args") -> _Result:
+    from .isometry import InternalError, SignedIsometry, is_perfect, is_perfect_via_spaces
+
     iso = SignedIsometry.from_literal(args.p, args.map)
     direct = is_perfect(iso)
     cross = is_perfect_via_spaces(iso)
@@ -255,15 +247,30 @@ def cmd_check(args: "Args") -> _Result:
 
 
 def cmd_decompose(args: "Args") -> _Result:
+    from .isometry import SignedIsometry
+    from .pigroup import decompose
+
     iso = SignedIsometry.from_literal(args.p, args.map)
     c = decompose(iso)
     payload = {"map": iso.as_literal(), "eps": c.eps, "a": c.a, "u": c.u}
     return True, payload, [_coords_text(c)]
 
 
-def cmd_report(args: "Args") -> _Result:
-    """enumerate or verify: ``args.build`` is the library call that makes the report."""
-    report = args.build(args.p)
+def cmd_enumerate(args: "Args") -> _Result:
+    from .pigroup import enumerate_perfect
+
+    return _report(enumerate_perfect(args.p))
+
+
+def cmd_verify(args: "Args") -> _Result:
+    from .pigroup import verify_structure
+
+    return _report(verify_structure(args.p))
+
+
+def _report(report: "PIGroupReport") -> _Result:
+    from .pigroup import CHECK_KEYS
+
     shown = {None: "not_checked", True: "pass", False: "FAIL"}
     lines = [
         f"p: {report.p}",
@@ -365,13 +372,19 @@ def main(argv: "Sequence[str] | None" = None) -> int:
         if args.p > MAX_P:
             raise ValueError(f"p={args.p} is out of range; the bound is p <= {MAX_P}")
         ok, payload, lines = args.func(args)
-    except NotPerfect as exc:
-        _error(str(exc))
-        return EXIT_NEGATIVE
     except ValueError as exc:
         _error(str(exc))
         return EXIT_USAGE
-    except InternalError as exc:
+    except Exception as exc:
+        # the layers' own errors, imported only once something is raised
+        from .isometry import InternalError
+        from .pigroup import NotPerfect
+
+        if isinstance(exc, NotPerfect):
+            _error(str(exc))
+            return EXIT_NEGATIVE
+        if not isinstance(exc, InternalError):
+            raise
         _error(f"internal error: {exc}")
         return EXIT_INTERNAL
     if args.format == "json":

@@ -25,12 +25,15 @@ no full kernel, yet checks every Galois-derived entry it reads.
 from functools import lru_cache, reduce
 from operator import add, index, itemgetter, mul
 
-from .characters import ClassFunction, character
 from .cyclotomic import CycInt, require_prime
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
     from collections.abc import Iterable, Iterator
+
+    # characters is imported only by image_character and forward_transform:
+    # the checks, the group and the CLI commands run without it
+    from .characters import ClassFunction
 
 __all__ = [
     "PERFECT",
@@ -147,8 +150,10 @@ class SignedIsometry:
             f"{'+' if s == 1 else '-'}{i}" for i, s in zip(self._image, self._signs)
         )
 
-    def image_character(self, k: int) -> ClassFunction:
+    def image_character(self, k: int) -> "ClassFunction":
         """The image of character k: sign[k] times character image[k]."""
+        from .characters import character
+
         return self._signs[k] * character(self._p, self._image[k])
 
     def compose(self, other: "SignedIsometry") -> "SignedIsometry":
@@ -299,12 +304,12 @@ def kernel_table(iso: SignedIsometry) -> KernelTable:
     return KernelTable(p, tuple(rows))
 
 
-def _require_compatible(kt: KernelTable, f: ClassFunction) -> None:
+def _require_compatible(kt: KernelTable, f: "ClassFunction") -> None:
     if kt.p != f.p:
         raise ValueError(f"mismatched moduli: p={kt.p} vs p={f.p}")
 
 
-def forward_transform_raw(kt: KernelTable, beta: ClassFunction) -> tuple[CycInt, ...]:
+def forward_transform_raw(kt: KernelTable, beta: "ClassFunction") -> tuple[CycInt, ...]:
     """Un-divided forward sums; the exact transform divides each by p.
 
     Output index m carries the sum over n of entry (m, -n) times beta(g^n).
@@ -324,12 +329,14 @@ def forward_transform_raw(kt: KernelTable, beta: ClassFunction) -> tuple[CycInt,
     )
 
 
-def forward_transform(kt: KernelTable, beta: ClassFunction) -> ClassFunction:
+def forward_transform(kt: KernelTable, beta: "ClassFunction") -> "ClassFunction":
     """Apply the kernel to a source-side class function, exactly.
 
     Raises NonIntegralTransform at the first output index whose sum is not
     divisible by p.
     """
+    from .characters import ClassFunction
+
     values = []
     for m, s in enumerate(forward_transform_raw(kt, beta)):
         quotient = s.divide_exact_by_p()

@@ -14,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import perfiso
-from perfiso import FAILS_SEPARATION, MODES, Verdict, cli, cyclotomic, isometry
+from perfiso import FAILS_SEPARATION, MODES, Verdict, cli, cyclotomic, isometry, pigroup
 from perfiso.cli import build_parser, main
 from test_golden import RANDOM_SIGNED
 
@@ -146,7 +146,7 @@ def test_check_wrong_arity_exits_2(capsys):
 
 
 def test_check_checker_disagreement_exits_3(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "is_perfect_via_spaces", lambda iso: Verdict(FAILS_SEPARATION, (1, 0)))
+    monkeypatch.setattr(isometry, "is_perfect_via_spaces", lambda iso: Verdict(FAILS_SEPARATION, (1, 0)))
     code, out, err = run_cli(capsys, "check", "-p", "3", "--map", "+0,+1,+2")
     assert code == cli.EXIT_INTERNAL == 3
     assert out == ""
@@ -177,7 +177,6 @@ def test_check_builds_no_kernel_and_counts_two_rows(capsys, monkeypatch, literal
         return real_row(iso, m)
 
     monkeypatch.setattr(isometry, "kernel_table", counting_kernel)
-    monkeypatch.setattr(cli, "kernel_table", counting_kernel)
     monkeypatch.setattr(isometry, "forward_transform_raw", counting_raw)
     monkeypatch.setattr(isometry, "_counted_row", counting_row)
     isometry._counted_rows.cache_clear()
@@ -844,21 +843,121 @@ PLAIN_CALLS = [
 JSON_CALLS = [[*call, "--format", "json"] for call in PLAIN_CALLS]
 
 
-def _loaded_after(calls, modules):
-    """The exit codes of main on calls in a fresh interpreter, and which of modules it loaded.
+def _fresh(code):
+    """The last line code prints in a fresh interpreter that imports perfiso from SRC.
 
     The interpreter starts without site, which on some hosts imports
     modules of its own.
     """
-    code = (
-        f"import sys; sys.path.insert(0, {SRC!r})\n"
+    code = f"import sys; sys.path.insert(0, {SRC!r})\n{code}"
+    proc = subprocess.run([sys.executable, "-I", "-S", "-c", code], capture_output=True, text=True)
+    assert proc.stderr == ""
+    return proc.stdout.splitlines()[-1]
+
+
+def _loaded_after(calls, modules):
+    """The exit codes of main on calls in a fresh interpreter, and which of modules it loaded."""
+    return _fresh(
         "from perfiso.cli import main\n"
         f"codes = [main(argv) for argv in {calls!r}]\n"
         f"print(codes, sorted({set(modules)!r} & set(sys.modules)))\n"
     )
-    proc = subprocess.run([sys.executable, "-I", "-S", "-c", code], capture_output=True, text=True)
-    assert proc.stderr == ""
-    return proc.stdout.splitlines()[-1]
+
+
+# every module of the package that sys.modules holds
+PERFISO_LOADED = "sorted(m for m in sys.modules if m.partition('.')[0] == 'perfiso')"
+COMMAND_LAYERS = {
+    "chartab": ("cyclotomic", "characters"),
+    "mu": ("cyclotomic", "isometry"),
+    "check": ("cyclotomic", "isometry"),
+    "decompose": ("cyclotomic", "isometry", "pigroup"),
+    "enumerate": ("cyclotomic", "isometry", "pigroup"),
+    "verify": ("cyclotomic", "isometry", "pigroup"),
+}
+
+
+@pytest.mark.parametrize("argv", PLAIN_CALLS + JSON_CALLS, ids=" ".join)
+def test_each_command_loads_only_its_layers(argv):
+    # neither the package nor cli imports a layer at module level, and
+    # neither parsing nor main's exception handling loads one when nothing
+    # is raised: a call loads the layers its command calls, whose import is
+    # most of what perfiso adds to a child
+    layers = [f"perfiso.{layer}" for layer in COMMAND_LAYERS[argv[0]]]
+    found = _fresh(
+        f"from perfiso.cli import main\ncode = main({argv!r})\nprint(code, {PERFISO_LOADED})"
+    )
+    assert found == f"0 {sorted(['perfiso', 'perfiso.cli', *layers])}"
+
+
+def test_parser_loads_no_layer():
+    # what the benchmark's set-up child runs
+    found = _fresh(f"import perfiso.cli as c; c.build_parser()\nprint({PERFISO_LOADED})")
+    assert found == "['perfiso', 'perfiso.cli']"
+
+
+def test_mode_choices_are_pigroup_modes():
+    # cli holds its own copy of pigroup's modes, so that parsing loads no
+    # layer; test_table_parser_agrees_with_argparse covers the table parser
+    (commands,) = [action for action in build_parser()._actions if action.dest == "command"]
+    for name in REPORT_COMMANDS:
+        (mode,) = [action for action in commands.choices[name]._actions if action.dest == "mode"]
+        assert (mode.choices, mode.default) == (pigroup.MODES, pigroup.POSITIVE_THEN_NEGATE)
+
+
+# ---------------------------------------------------------------------------
+# the package loads its modules on first use
+
+
+def test_import_perfiso_loads_no_layer():
+    # nor does a probe for a private name, as tools make
+    found = _fresh(f"import perfiso\nhasattr(perfiso, '__wrapped__')\nprint({PERFISO_LOADED})")
+    assert found == "['perfiso']"
+
+
+def test_star_import_binds_every_public_name():
+    found = _fresh(
+        "from perfiso import *\nimport perfiso\n"
+        "print(len(perfiso.__all__), [n for n in perfiso.__all__ if globals().get(n) is not getattr(perfiso, n)])"
+    )
+    assert found == "39 []"
+
+
+def test_dir_lists_every_public_name():
+    found = _fresh(
+        "import perfiso\nlisted = dir(perfiso)\n"
+        "print(sorted({*perfiso.__all__, 'cyclotomic', 'characters', 'isometry', 'pigroup'} - set(listed)))"
+    )
+    assert found == "[]"
+
+
+def test_unknown_name_raises_attribute_error():
+    # before and after the first access loads the layers
+    found = _fresh(
+        "import perfiso\nerrors = []\n"
+        "for name in ('no_such_name', '__all__', 'no_such_name', '_LAYER'):\n"
+        "    try:\n        getattr(perfiso, name)\n"
+        "    except AttributeError as exc:\n        errors.append(str(exc))\n"
+        "print(errors)"
+    )
+    missing = "module 'perfiso' has no attribute"
+    assert found == f"{[f'{missing} {name!r}' for name in ('no_such_name', 'no_such_name', '_LAYER')]}"
+
+
+@pytest.mark.parametrize(
+    "module, loads",
+    (
+        ("cyclotomic", ()),
+        ("characters", ("cyclotomic",)),
+        ("isometry", ("cyclotomic",)),
+        ("pigroup", ("cyclotomic", "isometry")),
+        ("cli", ()),
+    ),
+)
+def test_from_perfiso_import_a_module_first(module, loads):
+    # `from . import` inside the package's __getattr__ would recurse here
+    found = _fresh(f"from perfiso import {module}\nprint({module}.__name__, {PERFISO_LOADED})")
+    expected = sorted(["perfiso", *(f"perfiso.{name}" for name in (module, *loads))])
+    assert found == f"perfiso.{module} {expected}"
 
 
 def test_plain_calls_import_no_argparse():

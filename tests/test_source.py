@@ -135,11 +135,14 @@ def test_records_share_one_protocol():
         assert defined & {"__repr__", "__getnewargs__", *cls._fields} == set(), cls.__name__
 
 
-@pytest.mark.parametrize("module", ("_json", "argparse"))
+@pytest.mark.parametrize(
+    "module", ("_json", "argparse", "cyclotomic", "characters", "isometry", "pigroup")
+)
 def test_cli_imports_late(module):
-    # _json is imported in _dumps, on the --format json path, and argparse in
-    # build_parser, which plain calls never reach: at module level, each would
-    # be a cost every CLI child pays at startup (a TYPE_CHECKING block never runs)
+    # _json is imported in _dumps, on the --format json path, argparse in
+    # build_parser, which plain calls never reach, and each layer in the
+    # functions that call it: at module level, each would be a cost every CLI
+    # child pays at startup (a TYPE_CHECKING block never runs)
     tree = ast.parse(Path(cli.__file__).read_text())
     not_run = {
         id(node)
