@@ -9,7 +9,7 @@ kernel evaluations and inner products.
 
 from functools import lru_cache
 
-from .cyclotomic import CycInt, require_prime, symbolic_str, zeta_pow
+from .cyclotomic import CycInt, Record, require_prime, symbolic_str, zeta_pow
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
@@ -43,39 +43,19 @@ def char_table(p: int) -> tuple[tuple[CycInt, ...], ...]:
     return tuple(tuple(powers[a * b % p] for b in range(p)) for a in range(p))
 
 
-class ClassFunction:
+class ClassFunction(Record):
     """Exact values of a class function at elements g^0 .. g^(p-1)."""
 
-    __slots__ = ("_p", "_values")
+    __slots__ = ()
 
-    def __init__(self, p: int, values: "Iterable[CycInt]") -> None:
-        require_prime(p)
+    def __new__(cls, p: int, values: "Iterable[CycInt]") -> "ClassFunction":
+        p = require_prime(p)
         values = tuple(values)
         if len(values) != p:
             raise ValueError(f"expected {p} values, got {len(values)}")
         if any(not isinstance(v, CycInt) or v.p != p for v in values):
             raise ValueError("values must be CycInt elements with matching p")
-        self._p = p
-        self._values = values
-
-    @property
-    def p(self) -> int:
-        return self._p
-
-    @property
-    def values(self) -> tuple[CycInt, ...]:
-        return self._values
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ClassFunction):
-            return NotImplemented
-        return self._p == other._p and self._values == other._values
-
-    def __hash__(self) -> int:
-        return hash((self._p, self._values))
-
-    def __repr__(self) -> str:
-        return f"ClassFunction(p={self._p}, values={self._values!r})"
+        return tuple.__new__(cls, (p, values))
 
     def __rmul__(self, scalar: int) -> "ClassFunction":
         return ClassFunction(self.p, tuple(scalar * v for v in self.values))

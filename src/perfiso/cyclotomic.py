@@ -48,6 +48,43 @@ def require_prime(p: int) -> int:
     return p
 
 
+class Record(tuple):
+    """A tuple with named fields: the base of the package's value types.
+
+    A record declares ``__slots__ = ()`` and a ``__new__`` whose
+    parameters after ``cls`` are its fields, in order, all positional.
+    That signature is the one list of fields: this base reads it into
+    ``_fields``, gives each field a property, and supplies the repr and
+    the arguments copy and pickle rebuild a record from.  Equality and
+    the hash are the tuple's, so a record equals, and hashes like, the
+    plain tuple of its fields.  A record neither joins nor repeats like a
+    tuple: ``+`` and ``*`` raise TypeError, with the record on either
+    side, unless a record defines them.  It is neither typing.NamedTuple,
+    whose import every CLI child would pay for, nor
+    collections.namedtuple, which compiles each class from source when
+    its module is imported.  It lives here, in the bottom layer, because
+    every command loads this module already and the records of
+    characters, isometry and pigroup all derive from it: a command that
+    needs only the character table loads no other layer.
+    """
+
+    __slots__ = ()
+    __add__ = __radd__ = __mul__ = __rmul__ = None
+
+    def __init_subclass__(cls) -> None:
+        code = cls.__new__.__code__
+        cls._fields = code.co_varnames[1:code.co_argcount]
+        for i, name in enumerate(cls._fields):
+            setattr(cls, name, property(itemgetter(i)))
+
+    def __getnewargs__(self) -> tuple:
+        return tuple(self)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self))
+        return f"{type(self).__name__}({fields})"
+
+
 class CycInt:
     """An element of Z[zeta] in normalized coefficient form (last entry zero)."""
 

@@ -22,10 +22,10 @@ when its scan reaches it and stops at the first failing entry, so it builds
 no full kernel, yet checks every Galois-derived entry it reads.
 """
 
-from functools import lru_cache, reduce
-from operator import add, index, itemgetter, mul
+from functools import lru_cache
+from operator import index, itemgetter, mul
 
-from .cyclotomic import CycInt, require_prime
+from .cyclotomic import CycInt, Record, require_prime
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
@@ -67,22 +67,20 @@ class InternalError(RuntimeError):
     """An internal consistency check failed: a defect, never a property of the input."""
 
 
-class SignedIsometry:
+class SignedIsometry(Record):
     """A signed bijection on character indices 0..p-1."""
 
-    __slots__ = ("_p", "_image", "_signs")
+    __slots__ = ()
 
-    def __init__(self, p: int, image: "Iterable[int]", signs: "Iterable[int]") -> None:
+    def __new__(cls, p: int, image: "Iterable[int]", signs: "Iterable[int]") -> "SignedIsometry":
         p = require_prime(p)
-        image_t = tuple(map(index, image))
-        signs_t = tuple(map(index, signs))
-        if len(image_t) != p or sorted(image_t) != list(range(p)):
-            raise ValueError(f"image must be a permutation of 0..{p - 1}, got {image_t}")
-        if len(signs_t) != p or any(s not in (1, -1) for s in signs_t):
-            raise ValueError(f"signs must be +1/-1 entries of length {p}, got {signs_t}")
-        self._p = p
-        self._image = image_t
-        self._signs = signs_t
+        image = tuple(map(index, image))
+        signs = tuple(map(index, signs))
+        if len(image) != p or sorted(image) != list(range(p)):
+            raise ValueError(f"image must be a permutation of 0..{p - 1}, got {image}")
+        if len(signs) != p or any(s not in (1, -1) for s in signs):
+            raise ValueError(f"signs must be +1/-1 entries of length {p}, got {signs}")
+        return tuple.__new__(cls, (p, image, signs))
 
     @classmethod
     def _unchecked(cls, p: int, image: tuple[int, ...], signs: tuple[int, ...]) -> "SignedIsometry":
@@ -92,23 +90,7 @@ class SignedIsometry:
         the orbit images of pigroup._orbit, which its docstring proves are
         permutations.
         """
-        iso = object.__new__(cls)
-        iso._p = p
-        iso._image = image
-        iso._signs = signs
-        return iso
-
-    @property
-    def p(self) -> int:
-        return self._p
-
-    @property
-    def image(self) -> tuple[int, ...]:
-        return self._image
-
-    @property
-    def signs(self) -> tuple[int, ...]:
-        return self._signs
+        return tuple.__new__(cls, (p, image, signs))
 
     @classmethod
     def identity(cls, p: int) -> "SignedIsometry":
@@ -146,78 +128,32 @@ class SignedIsometry:
         return cls(p, image, signs)
 
     def as_literal(self) -> str:
-        return ",".join(
-            f"{'+' if s == 1 else '-'}{i}" for i, s in zip(self._image, self._signs)
-        )
+        return ",".join(f"{'+' if s == 1 else '-'}{i}" for i, s in zip(self.image, self.signs))
 
     def image_character(self, k: int) -> "ClassFunction":
         """The image of character k: sign[k] times character image[k]."""
         from .characters import character
 
-        return self._signs[k] * character(self._p, self._image[k])
+        return self.signs[k] * character(self.p, self.image[k])
 
     def compose(self, other: "SignedIsometry") -> "SignedIsometry":
         """self after other: index k goes through other first, then self."""
-        if self._p != other._p:
-            raise ValueError(f"mismatched moduli: p={self._p} vs p={other._p}")
-        through = itemgetter(*other._image)  # p >= 2, so it returns a tuple
-        signs = tuple(map(mul, other._signs, through(self._signs)))
-        return SignedIsometry._unchecked(self._p, through(self._image), signs)
+        if self.p != other.p:
+            raise ValueError(f"mismatched moduli: p={self.p} vs p={other.p}")
+        through = itemgetter(*other.image)  # p >= 2, so it returns a tuple
+        signs = tuple(map(mul, other.signs, through(self.signs)))
+        return SignedIsometry._unchecked(self.p, through(self.image), signs)
 
     def invert(self) -> "SignedIsometry":
-        image = [0] * self._p
-        signs = [1] * self._p
-        for k, i in enumerate(self._image):
+        image = [0] * self.p
+        signs = [1] * self.p
+        for k, i in enumerate(self.image):
             image[i] = k
-            signs[i] = self._signs[k]
-        return SignedIsometry._unchecked(self._p, tuple(image), tuple(signs))
+            signs[i] = self.signs[k]
+        return SignedIsometry._unchecked(self.p, tuple(image), tuple(signs))
 
     def __neg__(self) -> "SignedIsometry":
-        return SignedIsometry._unchecked(self._p, self._image, tuple(-s for s in self._signs))
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, SignedIsometry):
-            return NotImplemented
-        return (
-            self._p == other._p
-            and self._image == other._image
-            and self._signs == other._signs
-        )
-
-    def __hash__(self) -> int:
-        return hash((self._p, self._image, self._signs))
-
-    def __repr__(self) -> str:
-        return f"SignedIsometry(p={self._p}, literal={self.as_literal()!r})"
-
-
-class Record(tuple):
-    """A tuple with named fields: the base of the package's records.
-
-    A record declares ``__slots__ = ()`` and a ``__new__`` whose
-    parameters after ``cls`` are its fields, in order, all positional.
-    That signature is the one list of fields: this base reads it into
-    ``_fields``, gives each field a property, and supplies the repr and
-    the arguments copy and pickle rebuild a record from.  It is neither
-    typing.NamedTuple, whose import every CLI child would pay for, nor
-    collections.namedtuple, which compiles each class from source when
-    its module is imported.
-    """
-
-    __slots__ = ()
-
-    def __init_subclass__(cls) -> None:
-        code = cls.__new__.__code__
-        cls._fields = code.co_varnames[1:code.co_argcount]
-        for i, name in enumerate(cls._fields):
-            setattr(cls, name, property(itemgetter(i)))
-
-    def __getnewargs__(self) -> tuple:
-        return tuple(self)
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self))
-        return f"{type(self).__name__}({fields})"
+        return SignedIsometry._unchecked(self.p, self.image, tuple(-s for s in self.signs))
 
 
 class KernelTable(Record):
@@ -313,20 +249,13 @@ def forward_transform_raw(kt: KernelTable, beta: "ClassFunction") -> tuple[CycIn
     """Un-divided forward sums; the exact transform divides each by p.
 
     Output index m carries the sum over n of entry (m, -n) times beta(g^n).
-    Only the nonzero values of beta enter the sums, each sum starts from
-    its first term, and a value of 1 adds its entry without a product, so
-    the image of an indicator is one kernel column, with no arithmetic.
+    Only the nonzero values of beta enter the sums.
     """
     _require_compatible(kt, beta)
     p = kt.p
-    one = CycInt.one(p)
-    terms = [((p - n) % p, None if v == one else v) for n, v in enumerate(beta.values) if v]
-    if not terms:
-        return (CycInt.zero(p),) * p
-    return tuple(
-        reduce(add, [row[col] if v is None else row[col] * v for col, v in terms])
-        for row in kt.entries
-    )
+    zero = CycInt.zero(p)
+    terms = [(-n % p, v) for n, v in enumerate(beta.values) if v]
+    return tuple(sum([row[col] * v for col, v in terms], zero) for row in kt.entries)
 
 
 def forward_transform(kt: KernelTable, beta: "ClassFunction") -> "ClassFunction":

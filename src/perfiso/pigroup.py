@@ -38,8 +38,8 @@ When the checks pass, no map is built (_report).
 
 from operator import sub
 
-from .cyclotomic import require_prime
-from .isometry import Record, SignedIsometry
+from .cyclotomic import Record, require_prime
+from .isometry import SignedIsometry
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:

@@ -144,6 +144,24 @@ def test_class_function_arithmetic():
     assert 0 * f == generalized_character(3, [0, 0, 0])
 
 
+def test_class_function_record():
+    values = char_table(2)[1]
+    cf = ClassFunction(2, values)
+    assert (cf.p, cf.values) == (2, values)
+    p, values_ = cf
+    assert (p, values_) == (2, values)
+    assert cf == character(2, 1) == (2, values) and cf != character(2, 0)
+    assert hash(cf) == hash((2, values)) == hash(ClassFunction(2, list(values)))
+    assert len({cf, character(2, 1), (2, values)}) == 1
+    assert repr(cf) == f"ClassFunction(p=2, values={values!r})"
+
+    class Two:
+        def __index__(self):
+            return 2
+
+    assert type(ClassFunction(Two(), values).p) is int  # the int require_prime returns
+
+
 def test_class_function_validation():
     with pytest.raises(ValueError):
         ClassFunction(3, (CycInt.one(3),))

@@ -611,7 +611,23 @@ def test_perfect_kernels_have_sign_matching_degree_entry():
 
 
 # ---------------------------------------------------------------------------
-# the record types: what callers read of a KernelTable and a Verdict
+# the record types: what callers read of a SignedIsometry, a KernelTable and
+# a Verdict
+
+
+def test_signed_isometry_record():
+    image, signs = (2, 0, 1), (1, -1, 1)
+    iso = SignedIsometry(3, image, signs)
+    assert (iso.p, iso.image, iso.signs) == (3, image, signs)
+    p, image_, signs_ = iso
+    assert (p, image_, signs_) == (3, image, signs)
+    assert iso == SignedIsometry(3, [2, 0, 1], [1, -1, 1]) == (3, image, signs)
+    assert iso != SignedIsometry(3, image, (1, 1, 1)) and iso != -iso
+    assert hash(iso) == hash((3, image, signs)) == hash(SignedIsometry.from_literal(3, "+2,-0,+1"))
+    assert len({iso, SignedIsometry.from_literal(3, "+2,-0,+1"), (3, image, signs)}) == 1
+    assert repr(iso) == "SignedIsometry(p=3, image=(2, 0, 1), signs=(1, -1, 1))"
+    with pytest.raises(AttributeError):
+        iso.p = 5
 
 
 def test_kernel_table_record():

@@ -14,6 +14,7 @@ from perfiso import pigroup
 from perfiso import (
     AffineCoords,
     CHECK_KEYS,
+    ClassFunction,
     EXHAUSTIVE,
     FAILS_SEPARATION,
     KernelTable,
@@ -23,6 +24,7 @@ from perfiso import (
     POSITIVE_THEN_NEGATE,
     SignedIsometry,
     Verdict,
+    character,
     decompose,
     enumerate_perfect,
     gen_aut,
@@ -490,7 +492,7 @@ def test_reports_build_no_map_when_the_checks_pass(monkeypatch):
     # the checks are read off the one normal form, the identity: no map is
     # built, validated or not, and none is decomposed
     calls = Counter()
-    init, decomposed = SignedIsometry.__init__, pigroup.decompose
+    new, decomposed = SignedIsometry.__new__, pigroup.decompose
     unchecked = SignedIsometry.__dict__["_unchecked"].__func__
 
     def counted(name, fn):
@@ -499,12 +501,12 @@ def test_reports_build_no_map_when_the_checks_pass(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(SignedIsometry, "__init__", counted("init", init))
+    monkeypatch.setattr(SignedIsometry, "__new__", staticmethod(counted("new", new)))
     monkeypatch.setattr(SignedIsometry, "_unchecked", classmethod(counted("unchecked", unchecked)))
     monkeypatch.setattr(pigroup, "decompose", counted("decompose", decomposed))
     identity = SignedIsometry.identity(3)
     identity.compose(identity)
-    assert calls == {"init": 1, "unchecked": 1}  # the counters see both constructors
+    assert calls == {"new": 1, "unchecked": 1}  # the counters see both constructors
     calls.clear()
     p = 101
     assert verify_structure(p).all_pass()
@@ -658,18 +660,36 @@ def test_pigroup_report_record():
     assert report[:3] == (2, 2, elements) and report[-1] is report.failures
 
 
-@pytest.mark.parametrize(
-    "record",
-    (
-        AffineCoords(-1, 2, 3),
-        Verdict(PERFECT),
-        Verdict(FAILS_SEPARATION, (1, 0)),
-        KernelTable(2, ((1, 2), (3, 4))),
-        enumerate_perfect(2),
-    ),
-    ids=lambda record: type(record).__name__,
+RECORDS = (
+    AffineCoords(-1, 2, 3),
+    Verdict(PERFECT),
+    Verdict(FAILS_SEPARATION, (1, 0)),
+    KernelTable(2, ((1, 2), (3, 4))),
+    enumerate_perfect(2),
+    SignedIsometry(3, (2, 0, 1), (1, -1, 1)),
+    character(3, 1),
 )
+
+
+@pytest.mark.parametrize("record", RECORDS, ids=lambda record: type(record).__name__)
 def test_records_copy_and_pickle(record):
     # copy and pickle rebuild a record from its fields, as positional arguments
     for twin in (copy.copy(record), copy.deepcopy(record), pickle.loads(pickle.dumps(record))):
         assert type(twin) is type(record) and twin == record
+
+
+@pytest.mark.parametrize("record", RECORDS, ids=lambda record: type(record).__name__)
+def test_records_refuse_tuple_arithmetic(record):
+    # a record is a value, not a sequence: it neither joins nor repeats like
+    # a tuple; an integer multiple of a class function is the one product
+    with pytest.raises(TypeError):
+        record + record
+    with pytest.raises(TypeError):
+        () + record
+    with pytest.raises(TypeError):
+        record * 2
+    if isinstance(record, ClassFunction):
+        assert 2 * record == ClassFunction(record.p, [2 * v for v in record.values])
+    else:
+        with pytest.raises(TypeError):
+            2 * record

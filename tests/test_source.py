@@ -92,9 +92,10 @@ def test_library_imports_no_typing():
 
 
 def test_records_share_one_protocol():
-    # isometry.Record reads each record's fields off its __new__ and supplies
-    # the properties, the repr and the copy and pickle arguments, so a record
-    # writes none of them and its signature is its one list of fields
+    # cyclotomic.Record reads each record's fields off its __new__ and supplies
+    # the properties, the repr and the copy and pickle arguments, and tuple
+    # supplies equality and the hash, so a record writes none of them and its
+    # signature is its one list of fields
     layers = (cyclotomic, characters, isometry, pigroup, cli)
     tuples = {
         cls
@@ -102,14 +103,16 @@ def test_records_share_one_protocol():
         for cls in vars(mod).values()
         if isinstance(cls, type) and issubclass(cls, tuple) and cls.__module__ == mod.__name__
     }
-    records = tuples - {isometry.Record}
+    records = tuples - {cyclotomic.Record}
     assert {cls.__name__ for cls in records} == {
+        "ClassFunction",
+        "SignedIsometry",
         "KernelTable",
         "Verdict",
         "AffineCoords",
         "PIGroupReport",
     }
-    assert isometry.Record in tuples and "Record" not in perfiso.__all__
+    assert cyclotomic.Record in tuples and "Record" not in perfiso.__all__
     bodies = {
         node.name: node
         for path in SOURCES
@@ -121,7 +124,7 @@ def test_records_share_one_protocol():
     ]
     positional = (inspect.Parameter.POSITIONAL_ONLY, inspect.Parameter.POSITIONAL_OR_KEYWORD)
     for cls in records:
-        assert issubclass(cls, isometry.Record), cls.__name__
+        assert issubclass(cls, cyclotomic.Record), cls.__name__
         params = list(inspect.signature(cls.__new__).parameters.values())[1:]
         assert all(param.kind in positional for param in params), cls.__name__
         assert cls._fields == tuple(param.name for param in params)
@@ -132,7 +135,8 @@ def test_records_share_one_protocol():
             elif isinstance(node, (ast.Assign, ast.AnnAssign)):
                 targets = node.targets if isinstance(node, ast.Assign) else [node.target]
                 defined.update(t.id for t in targets if isinstance(t, ast.Name))
-        assert defined & {"__repr__", "__getnewargs__", *cls._fields} == set(), cls.__name__
+        written = {"__eq__", "__hash__", "__repr__", "__getnewargs__", *cls._fields}
+        assert defined & written == set(), cls.__name__
 
 
 @pytest.mark.parametrize(
