@@ -11,8 +11,10 @@ version field.  JSON is written by ``_dumps``, byte for byte what
 and json itself is not imported.  Exit codes: 0 for success / a perfect
 verdict, 1 for a negative verdict or failed check, 2 for usage, parse and
 bound errors (every command rejects p > MAX_P before the primality test), 3
-for an internal error (such as the two perfectness checkers disagreeing),
-reported on stderr without a traceback.
+for an internal error, reported on stderr without a traceback.  ``check``
+exits 3 when its two perfectness checkers disagree: ``is_perfect``, which
+counts kernel rows 0 and 1, and ``is_perfect_via_spaces``, which reads the
+rule of pigroup.iter_perfect off the map with no ring arithmetic.
 
 A ``--map`` literal that starts with "-" may be given as a separate
 argument (``--map -0,-1,-2``) or joined (``--map=-0,-1,-2``); both forms

@@ -15,21 +15,20 @@ perfectness criteria:
     non-identity element.
 
 ``is_perfect`` counts and scans rows 0 and 1 only, which decide both
-criteria and the first failing entry; ``is_perfect_via_spaces`` re-derives
-the verdict from the forward transform on the indicator basis, whose images
-are the kernel's columns.  It derives each column from rows 0 and 1 only
-when its scan reaches it and stops at the first failing entry, so it builds
-no full kernel, yet checks every Galois-derived entry it reads.
+criteria and the first failing entry.  ``is_perfect_via_spaces`` checks it
+with no ring arithmetic: it reads the rule proved in pigroup.iter_perfect
+off the image and the signs, and returns the verdict and witness of the
+forward transform on the indicator basis, whose images are the kernel's
+columns.
 """
 
-from functools import lru_cache
 from operator import index, itemgetter, mul
 
 from .cyclotomic import CycInt, Record, require_prime
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
-    from collections.abc import Iterable, Iterator
+    from collections.abc import Iterable
 
     # characters is imported only by image_character and forward_transform:
     # the checks, the group and the CLI commands run without it
@@ -192,12 +191,6 @@ def _counted_row(iso: SignedIsometry, m: int) -> tuple[CycInt, ...]:
     return tuple(row)
 
 
-@lru_cache(maxsize=1)
-def _counted_rows(iso: SignedIsometry) -> tuple[tuple[CycInt, ...], tuple[CycInt, ...]]:
-    """Rows 0 and 1, counted once for the two checkers of the same map."""
-    return _counted_row(iso, 0), _counted_row(iso, 1)
-
-
 def _bounded(entry: CycInt, m: int, n: int) -> CycInt:
     c, bound = entry.coeffs, 2 * entry.p
     if max(c) > bound or min(c) < -bound:
@@ -289,7 +282,7 @@ def is_perfect(iso: SignedIsometry) -> Verdict:
     failure in a row m >= 2 thus has one in row 1 before it, and the first
     row-major failure of either kind lies in row 0 or row 1.
     """
-    rows = _counted_rows(iso)
+    rows = _counted_row(iso, 0), _counted_row(iso, 1)
     for m, row in enumerate(rows):
         for n, entry in enumerate(row):
             if not entry.is_multiple_of_p:
@@ -302,82 +295,49 @@ def is_perfect(iso: SignedIsometry) -> Verdict:
 
 
 def is_perfect_via_spaces(iso: SignedIsometry) -> Verdict:
-    """Perfectness via the forward transform on the indicator basis.
+    """Perfectness by the rule of pigroup.iter_perfect, with no ring arithmetic.
 
-    Integral-valued class functions are integer combinations of indicators,
-    and those supported on elements of order prime to p are the multiples
-    of the identity indicator.  So integrality holds exactly when every
-    indicator image has all sums divisible by p, and separation exactly
-    when the identity indicator's image stays at the identity.  The forward
-    sums of indicator(p, j) are column -j of the kernel, so the images are
-    read here as columns, j = 0, 1, ..., each derived from the counted rows
-    0 and 1 only when the scan reaches it.  The images read every entry of
-    the kernel, the rows derived by the Galois action included, so this
-    checker also tests those rows against is_perfect, which reads the same
-    rows 0 and 1.  The scan order (column -j for j = 0, 1, ..., entries in
-    row order, integrality on every column before separation on column 0) is
-    that of a scan of all p images built first, so stopping at the first
-    failing entry gives the same verdict and witness.  A zero entry is
-    divisible by p, so it is skipped by its truth value, and so is a zero
-    derived entry, without its Galois image: entry (m, c), m >= 2, is zero
-    iff entry (1, c/m) is.  For c != 0, n -> c/n is a bijection of the
-    units, so the derived rows with a nonzero entry in column c are the
-    rows m = c/n for the nonzero entries (1, n), n != 0, visited in row
-    order; m = c/n is never 0 and is 1 only for n = c, which row 1 itself
-    covers.  Column 0 reads rows 0 and 1 only: its derived entries
-    (m, 0) = sigma_m(entry (1, 0)) are nonzero only when entry
-    (1, 0) = sum_k sign[k] * zeta^image[k] is, which needs mixed signs, as
-    image is a permutation (equal signs eps give eps times the sum of all
-    p-th roots of unity, 0).  Then, for odd p, entry (0, 0) = sum_k sign[k]
-    is odd and below p in size, so it fails integrality first, before any
-    derived row; p = 2 has no derived rows.  Each other nonzero entry is
-    read, checked and bounded in the order of a walk over all rows, and a
-    perfect (affine) map, whose row 1 has one nonzero entry, costs p steps
-    over the columns, not p^2.  A map that fails stops in column 0 or -1:
-    with mixed signs at (0, 0) or, for p = 2, at (1, 0) (see below); with
-    equal signs column 0 passes, and some entry (1, n), n != 0, fails
-    (is_perfect), which column -1 reads as the preimage of entry
-    (-1/n, -1).  Separation reads column 0 again, once integrality holds,
-    and so with equal signs for odd p.  The adjoint (transposed) side would
-    add nothing, not even another witness:
+    The verdict and witness are those of the forward transform on the
+    indicator basis.  Integral-valued class functions are integer
+    combinations of indicators, and those supported on the identity are
+    the multiples of its indicator, so integrality holds exactly when every
+    indicator image is divisible by p, and separation exactly when the
+    identity indicator's image stays at the identity.  The image of
+    indicator(p, j) is column -j of the kernel, and that check scans the
+    columns j = 0, 1, ... in turn, entries in row order, for integrality,
+    then column 0 for separation, and stops at the first failing entry
+    (tests/oracles.cross_check_dense is that scan over a dense kernel).
+    With E(m, n) = sum_k sign[k] * zeta^(image[k]*m + k*n) the entry
+    (m, n), the scan ends as follows.
 
-      * The p columns hold every entry and decide integrality alone.
-      * For m, n != 0, entries (m, 0) and (0, n) weight each p-th root of
-        unity by one sign, so they vanish exactly when the signs are equal:
-        column 0 is zero off the identity iff row 0 is.
-      * A scan of both sides (column -j, then row -j, for each j) never
-        fails first on a row.  With equal signs row 0 and column 0 pass,
-        and entry (m, n) fails iff k -> image[k] + c*k, c = n/m, is neither
-        injective nor constant (see pigroup.iter_perfect); column -j and
-        row -j each meet every c, so both fail or neither.  With mixed
-        signs and p odd, entry (0, 0) = sum_k sign[k] is odd and below p in
-        size, so it fails first; with p = 2 every entry is even, and entry
-        (1, 0) fails separation.  Witnesses may differ from is_perfect's.
+      * Mixed signs, p odd: E(0, 0) = sum_k sign[k], the first entry
+        scanned, is odd and below p in size, so it fails integrality.
+      * Mixed signs, p = 2: zeta = -1, so every entry is a sum of two
+        terms +-1, even, and integrality passes.  E(1, 0), the one entry
+        of column 0 off the identity, is sign[0] * (-1)^image[0] +
+        sign[1] * (-1)^image[1] = +-2, since the images are 0 and 1 and the
+        signs differ: it fails separation.
+      * Equal signs eps: column 0 passes, as E(0, 0) = eps * p and, since
+        image is a permutation, E(m, 0) for m != 0 is eps times the sum of
+        all p-th roots of unity, 0; so separation passes too, and column
+        -1 is the next column scanned.  Its first entry,
+        E(0, -1) = eps * sum_k zeta^(-k), is 0.  For m != 0, iter_perfect
+        proves that E(m, n) is divisible by p iff k -> image[k] + c*k,
+        c = n/m, is injective or constant; in column -1, c = -1/m.  So the
+        scan fails first at (m, p - 1) for the first m in 1..p-1 whose c
+        fails.  If none does, every c != 0 passes, because m -> -1/m
+        permutes the units, and c = 0 gives the permutation image: by
+        iter_perfect's iff the map is perfect, no entry of any column
+        fails, and the scan returns perfect.
+
+    It shares no code with is_perfect, which counts kernel rows, so a
+    defect in the count makes the two checkers disagree.
     """
-    p = iso.p
-    row0, row1 = _counted_rows(iso)
-    live = [(pow(n, -1, p), n) for n, entry in enumerate(row1) if n and entry]
-
-    def nonzero_column(c: int) -> "Iterator[tuple[int, CycInt]]":
-        # (m, entry (m, c)) for the nonzero entries, in row order; entry
-        # (m, c) for m >= 2 is sigma_m(entry (1, c/m)) (see kernel_table),
-        # and sigma_m sends only zero to zero, so only the rows m = c/n of
-        # the nonzero entries (1, n) are visited, each with one Galois call;
-        # column 0 reads rows 0 and 1 only (see the docstring)
-        for m, entry in enumerate((row0[c], row1[c])):
-            if entry:
-                yield m, entry
-        derived = sorted((c * inverse % p, n) for inverse, n in live) if c else ()
-        for m, n in derived:
-            if m >= 2:
-                yield m, _bounded(row1[n].galois(m), m, c)
-
-    for j in range(p):
-        c = -j % p
-        for m, entry in nonzero_column(c):
-            if not entry.is_multiple_of_p:
-                return Verdict(FAILS_INTEGRALITY, (m, c))
-    for m, _ in nonzero_column(0):
-        if m:
-            return Verdict(FAILS_SEPARATION, (m, 0))
+    p, image, signs = iso
+    if len(set(signs)) == 2:
+        return Verdict(FAILS_SEPARATION, (1, 0)) if p == 2 else Verdict(FAILS_INTEGRALITY, (0, 0))
+    for m in range(1, p):
+        c = -pow(m, -1, p)
+        if 1 < len({(i + c * k) % p for k, i in enumerate(image)}) < p:
+            return Verdict(FAILS_INTEGRALITY, (m, p - 1))
     return Verdict(PERFECT)

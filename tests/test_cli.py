@@ -120,6 +120,17 @@ def test_mu_json_includes_map(capsys):
     }
 
 
+def test_mu_derived_entry_out_of_bound_exits_3(capsys, monkeypatch):
+    # k -> 1 + 2k: row 1 is nonzero only at n = 3, so row 2 derives one
+    # entry, at (2, 3 * 2 mod 5) = (2, 1)
+    real = cyclotomic.CycInt.galois
+    monkeypatch.setattr(cyclotomic.CycInt, "galois", lambda self, m: real(self, m) * 3)
+    code, out, err = run_cli(capsys, "mu", "-p", "5", "--map=+1,+3,+0,+2,+4")
+    assert code == cli.EXIT_INTERNAL == 3
+    assert out == ""
+    assert err == "error: internal error: kernel entry (2, 1) exceeds the coefficient bound 2p\n"
+
+
 # ---------------------------------------------------------------------------
 # check
 
@@ -158,8 +169,8 @@ def test_check_checker_disagreement_exits_3(capsys, monkeypatch):
     (("+1,+3,+5,+7,+9,+0,+2,+4,+6,+8,+10", 0), ("+1,+5,+3,+7,+9,+0,+2,+4,+6,+8,+10", 1)),
 )
 def test_check_builds_no_kernel_and_counts_two_rows(capsys, monkeypatch, literal, expected):
-    # the cross-check derives kernel columns from rows 0 and 1 as its scan
-    # reaches them; only mu builds the whole kernel
+    # is_perfect counts rows 0 and 1, and the cross-check reads the rule off
+    # the map, counting no row; only mu builds the whole kernel
     built, rows = [], []
     real_kernel, real_raw = isometry.kernel_table, isometry.forward_transform_raw
     real_row = isometry._counted_row
@@ -179,32 +190,31 @@ def test_check_builds_no_kernel_and_counts_two_rows(capsys, monkeypatch, literal
     monkeypatch.setattr(isometry, "kernel_table", counting_kernel)
     monkeypatch.setattr(isometry, "forward_transform_raw", counting_raw)
     monkeypatch.setattr(isometry, "_counted_row", counting_row)
-    isometry._counted_rows.cache_clear()
     code, out, _ = run_cli(capsys, "check", "-p", "11", f"--map={literal}")
     assert code == expected and out.startswith("verdict: ")
     assert built == []
-    assert rows == [0, 1]  # is_perfect counts rows 0 and 1, and the cross-check reads them
+    assert rows == [0, 1]
 
 
-def test_check_galois_defect_exits_3(capsys, monkeypatch):
-    # a wrong Galois action leaves rows 0 and 1, and so is_perfect, intact;
-    # the cross-check reads the derived rows and disagrees
-    monkeypatch.setattr(cyclotomic.CycInt, "galois", lambda self, m: self + 1)
+def test_check_row_count_defect_exits_3(capsys, monkeypatch):
+    # k -> 1 + 2k: row 1 is nonzero only at n = 3, where it is 5*zeta; a count
+    # that adds 1 to it breaks is_perfect, and the cross-check counts no row
+    real_row = isometry._counted_row
+
+    def corrupted_row(iso, m):
+        row = real_row(iso, m)
+        if m != 1:
+            return row
+        (n,) = (n for n, entry in enumerate(row) if entry)
+        coeffs = list(row[n].coeffs)
+        coeffs[0] += 1
+        return row[:n] + (cyclotomic.CycInt(iso.p, coeffs),) + row[n + 1:]
+
+    monkeypatch.setattr(isometry, "_counted_row", corrupted_row)
     code, out, err = run_cli(capsys, "check", "-p", "5", "--map=+1,+3,+0,+2,+4")
     assert code == cli.EXIT_INTERNAL == 3
     assert out == ""
-    assert err == "error: internal error: checkers disagree (perfect vs fails_integrality)\n"
-
-
-def test_check_derived_entry_out_of_bound_exits_3(capsys, monkeypatch):
-    # k -> 1 + 2k: row 1 is nonzero only at n = 3, which column -1 = 4 reaches
-    # at m = 4/3 = 3; is_perfect derives nothing, so only the cross-check raises
-    real = cyclotomic.CycInt.galois
-    monkeypatch.setattr(cyclotomic.CycInt, "galois", lambda self, m: real(self, m) * 3)
-    code, out, err = run_cli(capsys, "check", "-p", "5", "--map=+1,+3,+0,+2,+4")
-    assert code == cli.EXIT_INTERNAL == 3
-    assert out == ""
-    assert err == "error: internal error: kernel entry (3, 4) exceeds the coefficient bound 2p\n"
+    assert err == "error: internal error: checkers disagree (fails_integrality vs perfect)\n"
 
 
 @pytest.mark.parametrize("command", ("mu", "check", "decompose"))

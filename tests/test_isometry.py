@@ -367,23 +367,6 @@ def test_forward_sums_match_dense_oracle(p):
             assert got == forward_sums_dense(kt, beta)
 
 
-def test_cross_check_cost_is_at_most_quadratic_in_products(monkeypatch):
-    # a deterministic bound on the work, in place of a timing test: the
-    # accept path reads every indicator image, each one kernel column
-    p = 23
-    iso = SignedIsometry(p, [(1 + 2 * k) % p for k in range(p)], (1,) * p)
-    calls = []
-    real_mul = CycInt.__mul__
-
-    def counting_mul(self, other):
-        calls.append(1)
-        return real_mul(self, other)
-
-    monkeypatch.setattr(CycInt, "__mul__", counting_mul)
-    assert is_perfect_via_spaces(iso).ok
-    assert len(calls) <= p * p
-
-
 def _split_scaling(p):
     """k -> a*k on the nonzero squares, b*k on the rest, for the first a < b
     with chi(a) = chi(b) and chi(a - 1) = chi(b - 1) != 0 (chi the quadratic
@@ -420,8 +403,8 @@ def _cross_check_maps(p):
 
 @pytest.mark.parametrize("p", (7, 11, 13, 23, 53, 101))
 def test_lazy_cross_check_matches_dense_oracle(p):
-    # status and witness of the column scan equal those of the same scan
-    # over entries counted by their definition, with no Galois action
+    # status and witness of the rule equal those of the column scan over
+    # entries counted by their definition, with no Galois action
     statuses, rows = set(), set()
     for iso in _cross_check_maps(p):
         verdict = is_perfect_via_spaces(iso)
@@ -433,31 +416,27 @@ def test_lazy_cross_check_matches_dense_oracle(p):
     assert rows == {0, 1, 2}  # witnesses in both counted rows and in a derived one
 
 
-@pytest.mark.parametrize("p", (7, 101))
-def test_cross_check_galois_calls(monkeypatch, p):
-    # a reject stops in column 0 or -1, and an affine map's row 1 has one
-    # nonzero entry, so each derived row costs it one Galois image
+@pytest.mark.parametrize("p", (7, 23, 101))
+def test_cross_check_counts_no_row_and_makes_no_ring_call(monkeypatch, p):
+    # the cross-check reads the rule off the map, so it shares no code with
+    # is_perfect, and a defect in the count or the ring cannot reach both
+    calls = []
+
+    def counting(name, real):
+        def wrapper(*args):
+            calls.append(name)
+            return real(*args)
+        return wrapper
+
+    for name in ("__init__", "__mul__", "galois"):
+        monkeypatch.setattr(CycInt, name, counting(name, getattr(CycInt, name)))
+    monkeypatch.setattr(isometry, "_counted_row", counting("_counted_row", isometry._counted_row))
     affine, _, swapped = affine_family(p, 1, 2)
-    calls = _count_galois(monkeypatch)
     for iso in (swapped, _split_scaling(p), random_isometry(Random(p), p)):
-        calls.clear()
         assert not is_perfect_via_spaces(iso).ok
-        assert len(calls) <= 2 * (p - 2)
-    calls.clear()
     assert is_perfect_via_spaces(affine).ok
-    assert len(calls) == p - 2
-
-
-def test_cross_check_bound_is_checked_on_derived_entries(monkeypatch):
-    # the one nonzero entry of row 1, p*zeta at n = 21, is first reached in
-    # column -1 = 22, at row m = 22/21 = 12 (mod 23)
-    p = 23
-    iso = SignedIsometry(p, [(1 + 2 * k) % p for k in range(p)], (1,) * p)
-    real = CycInt.galois
-    monkeypatch.setattr(CycInt, "galois", lambda self, m: real(self, m) * 3)
-    with pytest.raises(InternalError, match=r"kernel entry \(12, 22\) exceeds"):
-        is_perfect_via_spaces(iso)
-    assert is_perfect(iso).ok  # counts rows 0 and 1 only: no Galois image
+    assert calls == []
+    assert is_perfect(affine).ok and {"_counted_row", "__init__"} <= set(calls)
 
 
 @pytest.mark.parametrize("p", (3, 5))
