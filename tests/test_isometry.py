@@ -439,6 +439,31 @@ def test_cross_check_counts_no_row_and_makes_no_ring_call(monkeypatch, p):
     assert is_perfect(affine).ok and {"_counted_row", "__init__"} <= set(calls)
 
 
+def test_is_perfect_counts_its_two_rows_on_every_call(monkeypatch):
+    # no cache sits between is_perfect and the count: each call counts rows
+    # 0 and 1 afresh, so a count that changes between calls changes the verdict
+    p = 5
+    iso = SignedIsometry(p, [(1 + 2 * k) % p for k in range(p)], (1,) * p)
+    rows, corrupt = [], []
+    real_row = isometry._counted_row
+
+    def counting_row(iso, m):
+        rows.append(m)
+        row = real_row(iso, m)
+        if corrupt and m == 0:
+            coeffs = list(row[0].coeffs)
+            coeffs[0] += 1
+            return (CycInt(p, coeffs),) + row[1:]
+        return row
+
+    monkeypatch.setattr(isometry, "_counted_row", counting_row)
+    assert is_perfect(iso) == Verdict(PERFECT)
+    corrupt.append(True)
+    assert is_perfect(iso) == Verdict(FAILS_INTEGRALITY, (0, 0))
+    assert rows == [0, 1, 0, 1]
+    assert not any(hasattr(v, "cache_clear") for v in vars(isometry).values())
+
+
 @pytest.mark.parametrize("p", (3, 5))
 def test_adjointness_of_the_two_transforms(p):
     rng = Random(SEED + p)
