@@ -3,7 +3,8 @@
 Commands: chartab, mu, check, enumerate, decompose, verify.  Each command is
 a function of the parsed arguments that returns ``(ok, payload, lines)``:
 the positive verdict, the JSON keys that follow ``"schema"`` and ``"p"``,
-and the text output.  ``main`` alone writes stdout, once, after the command
+and the lines of the text output, an iterable that main reads only for
+--format text.  ``main`` alone writes stdout, once, after the command
 has returned, so an error exit leaves stdout empty.  Output is byte-stable
 for identical invocations; JSON payloads carry a top-level "schema": 1
 version field.  JSON is written by ``_dumps``, byte for byte what
@@ -31,8 +32,12 @@ goes to stderr or nowhere (_error), never to stdout.
 
 Each command imports the library functions it calls when it runs, and
 parsing imports none, so a call loads only the layers its command needs:
-chartab loads cyclotomic and characters; mu and check cyclotomic and
-isometry; decompose, enumerate and verify those two and pigroup.
+chartab loads cyclotomic alone; mu and check cyclotomic and isometry;
+decompose, enumerate and verify those two and pigroup.
+
+chartab and mu render their grids row by row and hold no p x p table of
+ring values: chartab renders the p powers of zeta once and builds each row
+from their texts, and mu renders each kernel row as _kernel_rows makes it.
 
 ``main`` returns the exit code.  ``run``, the entry of ``python -m perfiso``
 and of the ``perfiso`` script, calls it, flushes stdout and stderr and ends
@@ -46,7 +51,7 @@ from types import SimpleNamespace
 TYPE_CHECKING = False
 if TYPE_CHECKING:
     import argparse
-    from collections.abc import Sequence
+    from collections.abc import Iterable, Sequence
 
     from .isometry import Verdict
     from .pigroup import AffineCoords, PIGroupReport
@@ -62,9 +67,9 @@ EXIT_INTERNAL = 3
 
 SCHEMA_VERSION = 1
 # the target scale; at p = 101, end to end on 2 vCPUs (median of 21) on a host
-# whose bare `python -c pass` takes 0.064 s, verify and enumerate take about
-# 0.12 s (0.205 s with --format json), chartab 0.062 s, and check and mu of an
-# affine map 0.067 and 0.071 s (0.066 and 0.41 s for a random signed map, whose
+# whose bare `python -c pass` takes 0.066 s, verify and enumerate take about
+# 0.12 s (0.21 s with --format json), chartab 0.062 s, and check and mu of an
+# affine map 0.067 and 0.074 s (0.063 and 0.39 s for a random signed map, whose
 # mu prints 10,201 coefficient lists)
 MAX_P = 101
 
@@ -180,23 +185,13 @@ def _parse_plain(argv: list[str]) -> SimpleNamespace | None:
     return args
 
 
-_Result = tuple[bool, dict, list[str]]
+_Result = tuple[bool, dict, "Iterable[str]"]
 
 
-def _grid(entries) -> tuple[dict, list[str]]:
-    # the rows share entry objects, and each shared one is rendered once: the
-    # rows of chartab are made of its p powers, all of them in row 1, and mu
-    # carries the zero objects of row 1 into every derived row.  So the
-    # objects of rows 0 and 1 are rendered first and found again by id; the
-    # dict stays at 2p entries for a dense map, whose derived rows share
-    # nothing.  entries keeps every object alive until the grid is built, so
-    # no id is reused meanwhile; symbolic_str never returns ""
-    from .cyclotomic import symbolic_str
-
-    first = {id(e): e for row in entries[:2] for e in row}
-    text = {key: symbolic_str(e) for key, e in first.items()}
-    grid = [[text.get(id(e)) or symbolic_str(e) for e in row] for row in entries]
-    return {"entries": grid}, [" ".join(row) for row in grid]
+def _grid(grid: list[list[str]]) -> tuple[dict, "Iterable[str]"]:
+    # the text lines are joined only when main writes them, so a JSON call
+    # builds none
+    return {"entries": grid}, map(" ".join, grid)
 
 
 def _coords_text(c: "AffineCoords") -> str:
@@ -211,17 +206,32 @@ def _verdict_json(verdict: "Verdict") -> dict:
 
 
 def cmd_chartab(args: "Args") -> _Result:
-    from .characters import char_table
+    # entry (a, b) is zeta^(a*b), so each row is made of the p texts of the
+    # powers zeta^k, each rendered once; no ring value outlives its text
+    from .cyclotomic import require_prime, symbolic_str, zeta_pow
 
-    payload, lines = _grid(char_table(args.p))
+    p = require_prime(args.p)
+    powers = [symbolic_str(zeta_pow(p, k)) for k in range(p)]
+    payload, lines = _grid([[powers[a * b % p] for b in range(p)] for a in range(p)])
     return True, payload, lines
 
 
 def cmd_mu(args: "Args") -> _Result:
-    from .isometry import SignedIsometry, kernel_table
+    from .cyclotomic import symbolic_str
+    from .isometry import SignedIsometry, _kernel_rows
 
     iso = SignedIsometry.from_literal(args.p, args.map)
-    payload, lines = _grid(kernel_table(iso).entries)
+    rows = _kernel_rows(iso)
+    grid = [[symbolic_str(e) for e in next(rows)]]
+    row1 = next(rows)
+    grid.append([symbolic_str(e) for e in row1])
+    # a derived row holds row 1's zero entries as the same objects, rendered
+    # above and found again by id (row1 stays alive, so no id of it is
+    # reused); its other entries are new, rendered as the row arrives, and
+    # freed with it.  symbolic_str never returns ""
+    shared = dict(zip(map(id, row1), grid[1]))
+    grid += ([shared.get(id(e)) or symbolic_str(e) for e in row] for row in rows)
+    payload, lines = _grid(grid)
     return True, {"map": iso.as_literal(), **payload}, lines
 
 

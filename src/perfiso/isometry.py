@@ -28,7 +28,7 @@ from .cyclotomic import CycInt, Record, require_prime
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
-    from collections.abc import Iterable
+    from collections.abc import Iterable, Iterator
 
     # characters is imported only by image_character and forward_transform:
     # the checks, the group and the CLI commands run without it
@@ -198,8 +198,8 @@ def _bounded(entry: CycInt, m: int, n: int) -> CycInt:
     return entry
 
 
-def kernel_table(iso: SignedIsometry) -> KernelTable:
-    """Build the kernel attached to a signed isometry.
+def _kernel_rows(iso: SignedIsometry) -> "Iterator[tuple[CycInt, ...]]":
+    """The rows of the kernel attached to a signed isometry, in order.
 
     Entry (m, n) accumulates sign[k] at the power image[k]*m + k*n (mod p)
     over all source indices k.  Rows 0 and 1 are counted that way; every
@@ -214,10 +214,13 @@ def kernel_table(iso: SignedIsometry) -> KernelTable:
     normalized coefficients stay within 2p in magnitude; every counted
     entry and every nonzero derived entry is checked against that
     exactness bound, and InternalError is raised if one ever leaves it.
+    Each row is made when it is asked for, so a caller that drops a row
+    before asking for the next holds one derived row at a time.
     """
     p = iso.p
-    rows = [_counted_row(iso, 0), _counted_row(iso, 1)]
-    row1 = rows[1]
+    yield _counted_row(iso, 0)
+    row1 = _counted_row(iso, 1)
+    yield row1
     zero: list[int] = []
     nonzero: list[int] = []
     for n, entry in enumerate(row1):
@@ -229,8 +232,12 @@ def kernel_table(iso: SignedIsometry) -> KernelTable:
         for n in nonzero:
             j = n * m % p
             row[j] = _bounded(row1[n].galois(m), m, j)
-        rows.append(tuple(row))
-    return KernelTable(p, tuple(rows))
+        yield tuple(row)
+
+
+def kernel_table(iso: SignedIsometry) -> KernelTable:
+    """The kernel attached to a signed isometry: the rows of _kernel_rows, held whole."""
+    return KernelTable(iso.p, tuple(_kernel_rows(iso)))
 
 
 def _require_compatible(kt: KernelTable, f: "ClassFunction") -> None:
@@ -273,7 +280,7 @@ def is_perfect(iso: SignedIsometry) -> Verdict:
 
     Only rows 0 and 1 are counted and scanned, and the verdict and witness
     are those of a row-major scan of the whole kernel, integrality first.
-    For m >= 2, entry (m, n) = sigma_m(entry (1, n/m)) (see kernel_table),
+    For m >= 2, entry (m, n) = sigma_m(entry (1, n/m)) (see _kernel_rows),
     and sigma_m is a ring automorphism of Z[zeta] fixing Z: it maps
     p*Z[zeta] onto itself and only zero to zero.  So an entry of row m is
     divisible by p, or nonzero, exactly when its preimage in row 1 is, and

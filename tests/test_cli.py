@@ -14,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import perfiso
-from perfiso import FAILS_SEPARATION, MODES, Verdict, cli, cyclotomic, isometry, pigroup
+from perfiso import FAILS_SEPARATION, MODES, Verdict, characters, cli, cyclotomic, isometry, pigroup
 from perfiso.cli import build_parser, main
 from test_golden import RANDOM_SIGNED
 
@@ -120,15 +120,60 @@ def test_mu_json_includes_map(capsys):
     }
 
 
-def test_mu_derived_entry_out_of_bound_exits_3(capsys, monkeypatch):
-    # k -> 1 + 2k: row 1 is nonzero only at n = 3, so row 2 derives one
-    # entry, at (2, 3 * 2 mod 5) = (2, 1)
+@pytest.mark.parametrize(
+    "literal, scale, entry",
+    (
+        # k -> 1 + 2k: row 1 is nonzero only at n = 3, so row 2 derives one
+        # entry, at (2, 3 * 2 mod 5) = (2, 1)
+        ("+1,+3,+0,+2,+4", {2: 3, 3: 3, 4: 3}, "(2, 1)"),
+        # a random signed map, whose row 1 has no zero entry: only the images
+        # for m = 3 are scaled, so the first entry out of bound comes after
+        # the whole of row 2, at n = 5, (3, 5 * 3 mod 7) = (3, 1)
+        ("-5,+6,+4,+0,+3,-1,-2", {3: 5}, "(3, 1)"),
+    ),
+    ids=("affine", "dense"),
+)
+def test_mu_derived_entry_out_of_bound_exits_3(capsys, monkeypatch, literal, scale, entry):
     real = cyclotomic.CycInt.galois
-    monkeypatch.setattr(cyclotomic.CycInt, "galois", lambda self, m: real(self, m) * 3)
-    code, out, err = run_cli(capsys, "mu", "-p", "5", "--map=+1,+3,+0,+2,+4")
+    monkeypatch.setattr(cyclotomic.CycInt, "galois", lambda self, m: real(self, m) * scale.get(m, 1))
+    p = str(literal.count(",") + 1)
+    code, out, err = run_cli(capsys, "mu", "-p", p, f"--map={literal}")
     assert code == cli.EXIT_INTERNAL == 3
     assert out == ""
-    assert err == "error: internal error: kernel entry (2, 1) exceeds the coefficient bound 2p\n"
+    assert err == f"error: internal error: kernel entry {entry} exceeds the coefficient bound 2p\n"
+
+
+@pytest.mark.parametrize("fmt", ("text", "json"))
+@pytest.mark.parametrize(
+    "literal", ("+1,+3,+5,+7,+9,+0,+2,+4,+6,+8,+10", "+1,+5,+3,+7,+9,+0,+2,+4,+6,+8,+10")
+)
+def test_mu_and_chartab_build_no_table(capsys, monkeypatch, literal, fmt):
+    # mu renders the kernel row by row, counting rows 0 and 1 once each, and
+    # chartab renders the p powers of zeta: neither builds a p x p table
+    built, rows = [], []
+    real_kernel, real_table = isometry.kernel_table, characters.char_table
+    real_row = isometry._counted_row
+
+    def counting_kernel(iso):
+        built.append("kernel_table")
+        return real_kernel(iso)
+
+    def counting_table(p):
+        built.append("char_table")
+        return real_table(p)
+
+    def counting_row(iso, m):
+        rows.append(m)
+        return real_row(iso, m)
+
+    monkeypatch.setattr(isometry, "kernel_table", counting_kernel)
+    monkeypatch.setattr(characters, "char_table", counting_table)
+    monkeypatch.setattr(isometry, "_counted_row", counting_row)
+    for argv in (("mu", f"--map={literal}"), ("chartab",)):
+        code, out, _ = run_cli(capsys, *argv, "-p", "11", "--format", fmt)
+        assert code == 0 and out
+    assert built == []
+    assert rows == [0, 1]
 
 
 # ---------------------------------------------------------------------------
@@ -877,7 +922,7 @@ def _loaded_after(calls, modules):
 # every module of the package that sys.modules holds
 PERFISO_LOADED = "sorted(m for m in sys.modules if m.partition('.')[0] == 'perfiso')"
 COMMAND_LAYERS = {
-    "chartab": ("cyclotomic", "characters"),
+    "chartab": ("cyclotomic",),
     "mu": ("cyclotomic", "isometry"),
     "check": ("cyclotomic", "isometry"),
     "decompose": ("cyclotomic", "isometry", "pigroup"),

@@ -140,7 +140,7 @@ def test_records_share_one_protocol():
 
 
 @pytest.mark.parametrize(
-    "module", ("_json", "argparse", "cyclotomic", "characters", "isometry", "pigroup")
+    "module", ("_json", "argparse", "cyclotomic", "isometry", "pigroup")
 )
 def test_cli_imports_late(module):
     # _json is imported in _dumps, on the --format json path, argparse in
