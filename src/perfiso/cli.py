@@ -38,6 +38,8 @@ decompose, enumerate and verify those two and pigroup.
 chartab and mu render their grids row by row and hold no p x p table of
 ring values: chartab renders the p powers of zeta once and builds each row
 from their texts, and mu renders each kernel row as _kernel_rows makes it.
+_report alone turns a PIGroupReport into JSON keys and text lines, and its
+lines, like the grids' joined lines, are made only when main writes them.
 
 ``main`` returns the exit code.  ``run``, the entry of ``python -m perfiso``
 and of the ``perfiso`` script, calls it, flushes stdout and stderr and ends
@@ -189,8 +191,6 @@ _Result = tuple[bool, dict, "Iterable[str]"]
 
 
 def _grid(grid: list[list[str]]) -> tuple[dict, "Iterable[str]"]:
-    # the text lines are joined only when main writes them, so a JSON call
-    # builds none
     return {"entries": grid}, map(" ".join, grid)
 
 
@@ -281,19 +281,27 @@ def cmd_verify(args: "Args") -> _Result:
 
 
 def _report(report: "PIGroupReport") -> _Result:
+    from itertools import chain  # loaded already, by functools
+
     from .pigroup import CHECK_KEYS
 
+    checks = {key: report.checks[key] for key in CHECK_KEYS}
+    payload = {
+        "order": report.order,
+        "elements": [{"eps": c.eps, "a": c.a, "u": c.u} for c in report.elements],
+        "checks": checks,
+    }
+    if report.failures:
+        payload["failures"] = list(report.failures)
     shown = {None: "not_checked", True: "pass", False: "FAIL"}
-    lines = [
-        f"p: {report.p}",
-        f"order: {report.order}",
-        "elements:",
-        *(f"  {_coords_text(c)}" for c in report.elements),
-        "checks:",
-        *(f"  {key}: {shown[report.checks[key]]}" for key in CHECK_KEYS),
-        *(f"  ! {line}" for line in report.failures),
-    ]
-    return report.all_pass(), report.to_json_dict(), lines
+    lines = chain(
+        (f"p: {report.p}", f"order: {report.order}", "elements:"),
+        (f"  {_coords_text(c)}" for c in report.elements),
+        ("checks:",),
+        (f"  {key}: {shown[value]}" for key, value in checks.items()),
+        (f"  ! {line}" for line in report.failures),
+    )
+    return report.all_pass(), payload, lines
 
 
 def _join_map_literals(argv: "Sequence[str]") -> list[str]:
@@ -400,7 +408,6 @@ def main(argv: "Sequence[str] | None" = None) -> int:
         _error(f"internal error: {exc}")
         return EXIT_INTERNAL
     if args.format == "json":
-        # a report's own "p" key takes the envelope's place and has the same value
         text = _dumps({"schema": SCHEMA_VERSION, "p": args.p, **payload})
     else:
         text = "\n".join(lines)

@@ -14,7 +14,7 @@ perfectness criteria:
   * separation   - nonzero entries never pair the identity with a
     non-identity element.
 
-``is_perfect`` counts and scans rows 0 and 1 only, which decide both
+``is_perfect`` scans rows 0 and 1 of _kernel_rows only, which decide both
 criteria and the first failing entry.  ``is_perfect_via_spaces`` checks it
 with no ring arithmetic: it reads the rule proved in pigroup.iter_perfect
 off the image and the signs, and returns the verdict and witness of the
@@ -278,7 +278,7 @@ def forward_transform(kt: KernelTable, beta: "ClassFunction") -> "ClassFunction"
 def is_perfect(iso: SignedIsometry) -> Verdict:
     """Perfectness of the isometry's kernel; integrality is checked first.
 
-    Only rows 0 and 1 are counted and scanned, and the verdict and witness
+    Only rows 0 and 1 of _kernel_rows are scanned, and the verdict and witness
     are those of a row-major scan of the whole kernel, integrality first.
     For m >= 2, entry (m, n) = sigma_m(entry (1, n/m)) (see _kernel_rows),
     and sigma_m is a ring automorphism of Z[zeta] fixing Z: it maps
@@ -287,18 +287,17 @@ def is_perfect(iso: SignedIsometry) -> Verdict:
     row m fails integrality iff row 1 does.  A row m >= 1 can fail
     separation only at (m, 0), which is nonzero iff (1, 0) is.  Every
     failure in a row m >= 2 thus has one in row 1 before it, and the first
-    row-major failure of either kind lies in row 0 or row 1.
+    row-major failure of either kind lies in row 0 or row 1.  A failure of
+    integrality in row 0 comes before all of row 1, so row 1 is not counted.
     """
-    rows = _counted_row(iso, 0), _counted_row(iso, 1)
-    for m, row in enumerate(rows):
+    separation = None  # the first separation failure, reported if integrality holds
+    for m, row in zip((0, 1), _kernel_rows(iso)):  # asks for no derived row
         for n, entry in enumerate(row):
             if not entry.is_multiple_of_p:
                 return Verdict(FAILS_INTEGRALITY, (m, n))
-    for m, row in enumerate(rows):
-        for n, entry in enumerate(row):
-            if entry and ((m == 0) != (n == 0)):
-                return Verdict(FAILS_SEPARATION, (m, n))
-    return Verdict(PERFECT)
+            if separation is None and entry and ((m == 0) != (n == 0)):
+                separation = (m, n)
+    return Verdict(FAILS_SEPARATION, separation) if separation else Verdict(PERFECT)
 
 
 def is_perfect_via_spaces(iso: SignedIsometry) -> Verdict:

@@ -11,7 +11,9 @@ exhaustive enumeration of the whole group from scratch, the affine
 coordinates (eps, a, u) of each element, and checks of the group structure
 (the affine composition law, the presence of negation).  decompose reads
 coordinates off the closed form k -> eps * (a + u*k); recompose, which
-builds every generator, writes it.
+builds every generator, writes it.  No command calls gen_linear, gen_aut or
+recompose; they stay as the paper's generator families (shifts by linear
+characters, Aut(C_p) scalings), from which the group-structure tests are built.
 
 Enumeration: a depth-first search over the images of 0..p-1 that cuts a
 branch as soon as some map k -> image[k] + c*k leaves the two shapes a
@@ -117,17 +119,6 @@ class PIGroupReport(Record):
     def all_pass(self) -> bool:
         """True when no evaluated check failed."""
         return all(v is not False for v in self.checks.values())
-
-    def to_json_dict(self) -> dict:
-        out: dict = {
-            "p": self.p,
-            "order": self.order,
-            "elements": [{"eps": c.eps, "a": c.a, "u": c.u} for c in self.elements],
-            "checks": {key: self.checks[key] for key in CHECK_KEYS},
-        }
-        if self.failures:
-            out["failures"] = list(self.failures)
-        return out
 
 
 def gen_linear(p: int, a: int) -> SignedIsometry:

@@ -241,6 +241,22 @@ def test_check_builds_no_kernel_and_counts_two_rows(capsys, monkeypatch, literal
     assert rows == [0, 1]
 
 
+def test_check_of_mixed_signs_counts_row_0_only(capsys, monkeypatch):
+    # a mixed-sign map fails integrality at (0, 0), which the row-major scan
+    # reaches before any entry of row 1, so row 1 is never counted
+    rows = []
+    real_row = isometry._counted_row
+
+    def counting_row(iso, m):
+        rows.append(m)
+        return real_row(iso, m)
+
+    monkeypatch.setattr(isometry, "_counted_row", counting_row)
+    code, out, _ = run_cli(capsys, "check", "-p", "11", "--map=-1,+3,+5,+7,+9,+0,+2,+4,+6,+8,+10")
+    assert code == 1 and out.startswith("verdict: fails_integrality\nwitness: (0, 0)\n")
+    assert rows == [0]
+
+
 def test_check_row_count_defect_exits_3(capsys, monkeypatch):
     # k -> 1 + 2k: row 1 is nonzero only at n = 3, where it is 5*zeta; a count
     # that adds 1 to it breaks is_perfect, and the cross-check counts no row
@@ -432,6 +448,24 @@ def test_verify_p7_json_all_pass(capsys):
     assert payload["order"] == 84
     assert all(payload["checks"][k] is True for k in payload["checks"])
     assert "failures" not in payload
+
+
+def test_report_lines_are_made_only_for_text(capsys, monkeypatch):
+    # the element lines are formatted only when main writes them, so a JSON
+    # call formats none of the 2p(p-1) = 84 at p = 7
+    calls = []
+    real_text = cli._coords_text
+
+    def counting_text(c):
+        calls.append(c)
+        return real_text(c)
+
+    monkeypatch.setattr(cli, "_coords_text", counting_text)
+    for fmt, expected in (("json", 0), ("text", 84)):
+        calls.clear()
+        code, out, _ = run_cli(capsys, "verify", "-p", "7", "--format", fmt)
+        assert code == 0 and out
+        assert len(calls) == expected
 
 
 def test_seed_flag_accepted_everywhere(capsys):
@@ -812,6 +846,11 @@ def test_plain_calls_take_the_table_parser(argv):
     assert vars(plain) == _reference(joined)
 
 
+def test_readme_library_example_runs():
+    (block,) = re.findall(r"^```python\n(.*?)^```", README.read_text(), flags=re.M | re.S)
+    exec(compile(block, str(README), "exec"), {})
+
+
 EDITS = ("--", "-h", "--form", "-p3", "-p=3", "+3", "07", " 3", "1_0", "\u0663", "-3")
 
 
@@ -865,6 +904,9 @@ def test_table_parser_agrees_with_argparse(argv):
         assert vars(plain) == _reference(joined)
 
 
+LONG_NUMBER = "9" * 5000
+
+
 @pytest.mark.parametrize(
     "argv",
     (
@@ -874,8 +916,11 @@ def test_table_parser_agrees_with_argparse(argv):
         ["check", "-p", "3"],
         ["check", "--map", "-p", "3"],
         ["check", "-p", "3", "--map", "--format"],
+        # more digits than int() reads (sys.get_int_max_str_digits())
+        ["chartab", "-p", LONG_NUMBER],
+        ["verify", "-p", "3", "--seed", LONG_NUMBER],
     ),
-    ids=" ".join,
+    ids=lambda argv: " ".join(argv).replace(LONG_NUMBER, "9*5000"),
 )
 def test_help_and_usage_errors_are_argparse_own(capsys, argv):
     assert cli._parse_plain(argv) is None

@@ -35,7 +35,7 @@ from perfiso import (
     recompose,
     verify_structure,
 )
-from perfiso.cli import main
+from perfiso.cli import _report, main
 from oracles import (
     candidate_is_perfect,
     perfect_candidates_walk,
@@ -604,9 +604,9 @@ def test_shifts_and_scalings_meet_only_in_the_identity():
 
 
 def test_report_json_dict_shape():
-    report = enumerate_perfect(3)
-    payload = report.to_json_dict()
-    assert set(payload) == {"p", "order", "elements", "checks"}
+    # cli._report writes the report's keys; main's envelope adds "schema" and "p"
+    ok, payload, _ = _report(enumerate_perfect(3))
+    assert ok and list(payload) == ["order", "elements", "checks"]
     assert tuple(payload["checks"]) == CHECK_KEYS
     assert payload["elements"][0] == {"eps": -1, "a": 0, "u": 1}
     assert payload["order"] == 12
@@ -645,17 +645,17 @@ def test_pigroup_report_record():
         f"checks={checks!r}, failures=[])"
     )
     assert report.all_pass()  # None is a check not evaluated, not a failure
-    assert report.to_json_dict() == {
-        "p": 2,
+    assert _report(report)[1] == {
         "order": 2,
         "elements": [{"eps": 1, "a": 0, "u": 1}],
         "checks": checks,
     }
     failed = pigroup.PIGroupReport(2, 0, [], checks | {CHECK_KEYS[0]: False}, ["! x"])
     assert not failed.all_pass()
-    payload = failed.to_json_dict()
+    ok, payload, _ = _report(failed)
+    assert not ok
     assert payload["failures"] == ["! x"] and payload["failures"] is not failed.failures
-    assert list(payload) == ["p", "order", "elements", "checks", "failures"]
+    assert list(payload) == ["order", "elements", "checks", "failures"]
     assert list(payload["checks"]) == list(CHECK_KEYS)
     assert report[:3] == (2, 2, elements) and report[-1] is report.failures
 
