@@ -3,12 +3,77 @@
 The package loads its modules on first use (PEP 562): ``import perfiso``
 loads none of the four layers, ``perfiso.isometry`` loads that module, and
 the first public name read, ``__all__`` and ``dir()`` included, loads all
-four.  So a CLI call loads only the layers its command runs.
+four.  So a CLI call loads only the layers its command runs.  The prime
+check and Record, the base of the layers' records, live here, in the one
+module every call loads: enumerate and verify, which read their answer off
+pigroup's search, load no other layer.
 """
+
+from operator import index as _as_int, itemgetter as _itemgetter
 
 __version__ = "0.1.0"
 
 _LAYERS = ("cyclotomic", "characters", "isometry", "pigroup")
+
+
+def is_prime(n: int) -> bool:
+    """Trial-division primality test; every p used here is tiny."""
+    if n < 2:
+        return False
+    if n < 4:
+        return True
+    if n % 2 == 0:
+        return False
+    d = 3
+    while d * d <= n:
+        if n % d == 0:
+            return False
+        d += 2
+    return True
+
+
+def require_prime(p: int) -> int:
+    p = _as_int(p)
+    if not is_prime(p):
+        raise ValueError(f"p must be prime, got {p}")
+    return p
+
+
+class Record(tuple):
+    """A tuple with named fields: the base of the package's value types.
+
+    A record declares ``__slots__ = ()`` and a ``__new__`` whose
+    parameters after ``cls`` are its fields, in order, all positional.
+    That signature is the one list of fields: this base reads it into
+    ``_fields``, gives each field a property, and supplies the repr and
+    the arguments copy and pickle rebuild a record from.  Equality and
+    the hash are the tuple's, so a record equals, and hashes like, the
+    plain tuple of its fields.  A record neither joins nor repeats like a
+    tuple: ``+`` and ``*`` raise TypeError, with the record on either
+    side, unless a record defines them.  It is neither typing.NamedTuple,
+    whose import every CLI child would pay for, nor
+    collections.namedtuple, which compiles each class from source when
+    its module is imported.  It lives here, in the package root, because
+    every call loads this module already and the records of characters,
+    isometry and pigroup all derive from it: a layer that defines records
+    loads no other layer for their base.  It is not exported.
+    """
+
+    __slots__ = ()
+    __add__ = __radd__ = __mul__ = __rmul__ = None
+
+    def __init_subclass__(cls) -> None:
+        code = cls.__new__.__code__
+        cls._fields = code.co_varnames[1:code.co_argcount]
+        for i, name in enumerate(cls._fields):
+            setattr(cls, name, property(_itemgetter(i)))
+
+    def __getnewargs__(self) -> tuple:
+        return tuple(self)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self))
+        return f"{type(self).__name__}({fields})"
 
 
 def _export() -> None:

@@ -9,7 +9,8 @@ kernel evaluations and inner products.
 
 from functools import lru_cache
 
-from .cyclotomic import CycInt, Record, require_prime, symbolic_str, zeta_pow
+from . import Record, require_prime
+from .cyclotomic import CycInt, symbolic_str, zeta_pow
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:

@@ -33,13 +33,15 @@ goes to stderr or nowhere (_error), never to stdout.
 Each command imports the library functions it calls when it runs, and
 parsing imports none, so a call loads only the layers its command needs:
 chartab loads cyclotomic alone; mu and check cyclotomic and isometry;
-decompose, enumerate and verify those two and pigroup.
+decompose those two and pigroup; enumerate and verify pigroup alone, and
+isometry too only to name a failure.
 
 chartab and mu render their grids row by row and hold no p x p table of
 ring values: chartab renders the p powers of zeta once and builds each row
 from their texts, and mu renders each kernel row as _kernel_rows makes it.
-_report alone turns a PIGroupReport into JSON keys and text lines, and its
-lines, like the grids' joined lines, are made only when main writes them.
+The grids' joined lines are made only when main writes them.  _report
+alone turns a PIGroupReport into JSON keys or text lines, and builds only
+those its --format writes: a JSON call makes no line, a text call no dict.
 
 ``main`` returns the exit code.  ``run``, the entry of ``python -m perfiso``
 and of the ``perfiso`` script, calls it, flushes stdout and stderr and ends
@@ -198,6 +200,10 @@ def _coords_text(c: "AffineCoords") -> str:
     return f"({'+' if c.eps > 0 else '-'}1, a={c.a}, u={c.u})"
 
 
+def _coords_json(c: "AffineCoords") -> dict:
+    return {"eps": c.eps, "a": c.a, "u": c.u}
+
+
 def _verdict_json(verdict: "Verdict") -> dict:
     return {
         "status": verdict.status,
@@ -264,44 +270,48 @@ def cmd_decompose(args: "Args") -> _Result:
 
     iso = SignedIsometry.from_literal(args.p, args.map)
     c = decompose(iso)
-    payload = {"map": iso.as_literal(), "eps": c.eps, "a": c.a, "u": c.u}
+    payload = {"map": iso.as_literal(), **_coords_json(c)}
     return True, payload, [_coords_text(c)]
 
 
 def cmd_enumerate(args: "Args") -> _Result:
     from .pigroup import enumerate_perfect
 
-    return _report(enumerate_perfect(args.p))
+    return _report(enumerate_perfect(args.p), args.format)
 
 
 def cmd_verify(args: "Args") -> _Result:
     from .pigroup import verify_structure
 
-    return _report(verify_structure(args.p))
+    return _report(verify_structure(args.p), args.format)
 
 
-def _report(report: "PIGroupReport") -> _Result:
-    from itertools import chain  # loaded already, by functools
-
+def _report(report: "PIGroupReport", fmt: str) -> _Result:
+    """The result of enumerate and verify, with only the half that main
+    writes for ``--format fmt``: the payload for JSON, the lines for text."""
     from .pigroup import CHECK_KEYS
 
     checks = {key: report.checks[key] for key in CHECK_KEYS}
-    payload = {
-        "order": report.order,
-        "elements": [{"eps": c.eps, "a": c.a, "u": c.u} for c in report.elements],
-        "checks": checks,
-    }
-    if report.failures:
-        payload["failures"] = list(report.failures)
+    if fmt == "json":
+        payload = {
+            "order": report.order,
+            "elements": [_coords_json(c) for c in report.elements],
+            "checks": checks,
+        }
+        if report.failures:
+            payload["failures"] = list(report.failures)
+        return report.all_pass(), payload, ()
     shown = {None: "not_checked", True: "pass", False: "FAIL"}
-    lines = chain(
-        (f"p: {report.p}", f"order: {report.order}", "elements:"),
-        (f"  {_coords_text(c)}" for c in report.elements),
-        ("checks:",),
-        (f"  {key}: {shown[value]}" for key, value in checks.items()),
-        (f"  ! {line}" for line in report.failures),
-    )
-    return report.all_pass(), payload, lines
+    lines = [
+        f"p: {report.p}",
+        f"order: {report.order}",
+        "elements:",
+        *(f"  {_coords_text(c)}" for c in report.elements),
+        "checks:",
+        *(f"  {key}: {shown[value]}" for key, value in checks.items()),
+        *(f"  ! {line}" for line in report.failures),
+    ]
+    return report.all_pass(), {}, lines
 
 
 def _join_map_literals(argv: "Sequence[str]") -> list[str]:

@@ -24,7 +24,8 @@ columns.
 
 from operator import index, itemgetter, mul
 
-from .cyclotomic import CycInt, Record, require_prime
+from . import Record, require_prime
+from .cyclotomic import CycInt
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:

@@ -35,17 +35,19 @@ Both yield the same list, so enumerate_perfect and verify_structure take
 no mode.  They read every check off the normal forms, not off the maps of
 their orbit: the orbit of the identity is every affine map, once each,
 and no map in the orbit of another form is affine (_orbit proves both).
-When the checks pass, no map is built (_report).
+When the checks pass, no map is built and isometry is not imported
+(_report): enumerate and verify load this module alone of the four layers.
 """
 
 from operator import sub
 
-from .cyclotomic import Record, require_prime
-from .isometry import SignedIsometry
+from . import Record, require_prime
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
     from collections.abc import Iterator
+
+    from .isometry import SignedIsometry  # imported only where a map is built
 
 __all__ = [
     "EXHAUSTIVE",
@@ -121,12 +123,12 @@ class PIGroupReport(Record):
         return all(v is not False for v in self.checks.values())
 
 
-def gen_linear(p: int, a: int) -> SignedIsometry:
+def gen_linear(p: int, a: int) -> "SignedIsometry":
     """All-positive shift k -> (a + k) mod p (multiplication by character a)."""
     return recompose(p, AffineCoords(1, a, 1))
 
 
-def gen_aut(p: int, u: int) -> SignedIsometry:
+def gen_aut(p: int, u: int) -> "SignedIsometry":
     """All-positive unit scaling k -> (u * k) mod p.
 
     This is the isometry induced by the automorphism g -> g^(u^-1): twisting
@@ -138,14 +140,18 @@ def gen_aut(p: int, u: int) -> SignedIsometry:
     return recompose(p, AffineCoords(1, 0, u % p))
 
 
-def gen_negid(p: int) -> SignedIsometry:
+def gen_negid(p: int) -> "SignedIsometry":
     """Negation of the identity: identity permutation, all signs -1."""
+    from .isometry import SignedIsometry
+
     return -SignedIsometry.identity(p)
 
 
-def recompose(p: int, coords: AffineCoords) -> SignedIsometry:
+def recompose(p: int, coords: AffineCoords) -> "SignedIsometry":
     """The signed isometry k -> eps * (a + u*k), for eps in {1, -1}, a in
     0..p-1 and u in 1..p-1: the range decompose reads, so the two are inverse."""
+    from .isometry import SignedIsometry
+
     p = require_prime(p)
     eps, a, u = coords
     if eps not in (1, -1):
@@ -157,7 +163,7 @@ def recompose(p: int, coords: AffineCoords) -> SignedIsometry:
     return SignedIsometry(p, [(a + u * k) % p for k in range(p)], (eps,) * p)
 
 
-def decompose(iso: SignedIsometry) -> AffineCoords:
+def decompose(iso: "SignedIsometry") -> AffineCoords:
     """Unique affine coordinates of a perfect isometry.
 
     The signs fix eps, the image of index 0 fixes a, and the step from
@@ -280,6 +286,8 @@ def _orbit(p: int, forms: list[tuple[int, ...]]) -> "Iterator[SignedIsometry]":
     depth p), and w -> u*w + a is a bijection of Z/p for a unit u, so it
     maps a permutation to a permutation.
     """
+    from .isometry import SignedIsometry
+
     positive, negative = (1,) * p, (-1,) * p
     for image in sorted(
         tuple((u * x + a) % p for x in form)
@@ -382,7 +390,9 @@ def _report(p: int, structure: bool) -> PIGroupReport:
     identity = tuple(range(p))
     copies = forms.count(identity)
     others = [form for form in forms if form != identity]
-    failures = [f"non-affine perfect isometry: {iso.as_literal()}" for iso in _orbit(p, others)]
+    failures = []
+    if others:  # _orbit imports isometry even for no form; a passing report never calls it
+        failures = [f"non-affine perfect isometry: {m.as_literal()}" for m in _orbit(p, others)]
     if not forms:
         missing = sorted(iso.as_literal() for iso in _orbit(p, [identity]))
         failures.extend(f"affine isometry not enumerated: {literal}" for literal in missing)

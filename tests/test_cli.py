@@ -403,13 +403,18 @@ def test_p_above_cli_bound_exits_2_before_any_work(capsys, monkeypatch, p):
     def no_work(n):
         raise AssertionError(f"primality of {n} tested")
 
-    monkeypatch.setattr(cyclotomic, "is_prime", no_work)
+    # the name require_prime reads; cyclotomic.is_prime is the same object,
+    # bound once, so patching it there would test nothing
+    monkeypatch.setattr(perfiso, "is_prime", no_work)
     for command in ("chartab", "mu", "check", "enumerate", "decompose", "verify"):
         extra = ("--map=+0",) if command in ("mu", "check", "decompose") else ()
         code, out, err = run_cli(capsys, command, "-p", p, *extra)
         assert code == 2
         assert out == ""
         assert "p <= 101" in err
+    # the check is live: an in-bound call does test primality
+    with pytest.raises(AssertionError, match="primality of 5 tested"):
+        main(["chartab", "-p", "5"])
 
 
 @pytest.mark.parametrize("command,p", (("enumerate", "9"), ("verify", "4")))
@@ -462,6 +467,24 @@ def test_report_lines_are_made_only_for_text(capsys, monkeypatch):
 
     monkeypatch.setattr(cli, "_coords_text", counting_text)
     for fmt, expected in (("json", 0), ("text", 84)):
+        calls.clear()
+        code, out, _ = run_cli(capsys, "verify", "-p", "7", "--format", fmt)
+        assert code == 0 and out
+        assert len(calls) == expected
+
+
+def test_report_elements_are_made_only_for_json(capsys, monkeypatch):
+    # the JSON element dicts are built only for --format json, so a text
+    # call builds none of the 2p(p-1) = 84 at p = 7
+    calls = []
+    real_json = cli._coords_json
+
+    def counting_json(c):
+        calls.append(c)
+        return real_json(c)
+
+    monkeypatch.setattr(cli, "_coords_json", counting_json)
+    for fmt, expected in (("json", 84), ("text", 0)):
         calls.clear()
         code, out, _ = run_cli(capsys, "verify", "-p", "7", "--format", fmt)
         assert code == 0 and out
@@ -943,8 +966,8 @@ PLAIN_CALLS = [
 JSON_CALLS = [[*call, "--format", "json"] for call in PLAIN_CALLS]
 
 
-def _fresh(code):
-    """The last line code prints in a fresh interpreter that imports perfiso from SRC.
+def _fresh_stdout(code):
+    """What code prints in a fresh interpreter that imports perfiso from SRC.
 
     The interpreter starts without site, which on some hosts imports
     modules of its own.
@@ -952,7 +975,12 @@ def _fresh(code):
     code = f"import sys; sys.path.insert(0, {SRC!r})\n{code}"
     proc = subprocess.run([sys.executable, "-I", "-S", "-c", code], capture_output=True, text=True)
     assert proc.stderr == ""
-    return proc.stdout.splitlines()[-1]
+    return proc.stdout
+
+
+def _fresh(code):
+    """The last line code prints in a fresh interpreter (_fresh_stdout)."""
+    return _fresh_stdout(code).splitlines()[-1]
 
 
 def _loaded_after(calls, modules):
@@ -966,13 +994,15 @@ def _loaded_after(calls, modules):
 
 # every module of the package that sys.modules holds
 PERFISO_LOADED = "sorted(m for m in sys.modules if m.partition('.')[0] == 'perfiso')"
+# enumerate and verify read their answer off pigroup's search, and build a
+# map, with isometry, only to name a failure
 COMMAND_LAYERS = {
     "chartab": ("cyclotomic",),
     "mu": ("cyclotomic", "isometry"),
     "check": ("cyclotomic", "isometry"),
     "decompose": ("cyclotomic", "isometry", "pigroup"),
-    "enumerate": ("cyclotomic", "isometry", "pigroup"),
-    "verify": ("cyclotomic", "isometry", "pigroup"),
+    "enumerate": ("pigroup",),
+    "verify": ("pigroup",),
 }
 
 
@@ -987,6 +1017,28 @@ def test_each_command_loads_only_its_layers(argv):
         f"from perfiso.cli import main\ncode = main({argv!r})\nprint(code, {PERFISO_LOADED})"
     )
     assert found == f"0 {sorted(['perfiso', 'perfiso.cli', *layers])}"
+
+
+@pytest.mark.parametrize("forms", ([], [(0, 1, 3, 2, 4)]), ids=("no_form", "non_affine_form"))
+def test_failing_verify_loads_isometry_to_name_the_failures(monkeypatch, capsys, forms):
+    # a report builds maps, and so imports isometry, only to name a failure:
+    # with no normal form each affine map and negation are missing, and a
+    # non-affine form adds non-affine maps.  A fresh child writes what an
+    # in-process call writes, test_verify_structure_failure_diagnostics's
+    # "! ..." lines included
+    monkeypatch.setattr(pigroup, "_normal_forms", lambda p: list(forms))
+    assert main(["verify", "-p", "5"]) == 1
+    expected = capsys.readouterr().out
+    assert "  ! negation not enumerated: -0,-1,-2,-3,-4\n" in expected
+    found = _fresh_stdout(
+        f"from perfiso import cli, pigroup\npigroup._normal_forms = lambda p: {forms!r}\n"
+        "loaded = [m for m in ('perfiso.cyclotomic', 'perfiso.isometry') if m in sys.modules]\n"
+        "code = cli.main(['verify', '-p', '5'])\n"
+        f"print(code, loaded, {PERFISO_LOADED})\n"
+    )
+    # isometry's ring values load cyclotomic
+    loaded = ["perfiso", "perfiso.cli", "perfiso.cyclotomic", "perfiso.isometry", "perfiso.pigroup"]
+    assert found == expected + f"1 [] {loaded}\n"
 
 
 def test_parser_loads_no_layer():
@@ -1049,7 +1101,7 @@ def test_unknown_name_raises_attribute_error():
         ("cyclotomic", ()),
         ("characters", ("cyclotomic",)),
         ("isometry", ("cyclotomic",)),
-        ("pigroup", ("cyclotomic", "isometry")),
+        ("pigroup", ()),
         ("cli", ()),
     ),
 )

@@ -605,7 +605,7 @@ def test_shifts_and_scalings_meet_only_in_the_identity():
 
 def test_report_json_dict_shape():
     # cli._report writes the report's keys; main's envelope adds "schema" and "p"
-    ok, payload, _ = _report(enumerate_perfect(3))
+    ok, payload, _ = _report(enumerate_perfect(3), "json")
     assert ok and list(payload) == ["order", "elements", "checks"]
     assert tuple(payload["checks"]) == CHECK_KEYS
     assert payload["elements"][0] == {"eps": -1, "a": 0, "u": 1}
@@ -645,14 +645,14 @@ def test_pigroup_report_record():
         f"checks={checks!r}, failures=[])"
     )
     assert report.all_pass()  # None is a check not evaluated, not a failure
-    assert _report(report)[1] == {
+    assert _report(report, "json")[1] == {
         "order": 2,
         "elements": [{"eps": 1, "a": 0, "u": 1}],
         "checks": checks,
     }
     failed = pigroup.PIGroupReport(2, 0, [], checks | {CHECK_KEYS[0]: False}, ["! x"])
     assert not failed.all_pass()
-    ok, payload, _ = _report(failed)
+    ok, payload, _ = _report(failed, "json")
     assert not ok
     assert payload["failures"] == ["! x"] and payload["failures"] is not failed.failures
     assert list(payload) == ["order", "elements", "checks", "failures"]

@@ -92,18 +92,27 @@ def test_library_imports_no_typing():
 
 
 def test_records_share_one_protocol():
-    # cyclotomic.Record reads each record's fields off its __new__ and supplies
+    # perfiso.Record reads each record's fields off its __new__ and supplies
     # the properties, the repr and the copy and pickle arguments, and tuple
     # supplies equality and the hash, so a record writes none of them and its
-    # signature is its one list of fields
-    layers = (cyclotomic, characters, isometry, pigroup, cli)
+    # signature is its one list of fields.  It is defined in the package
+    # root, which every call loads, and no layer binds it but those whose
+    # records derive from it
+    modules = (perfiso, cyclotomic, characters, isometry, pigroup, cli)
     tuples = {
         cls
-        for mod in layers
+        for mod in modules
         for cls in vars(mod).values()
         if isinstance(cls, type) and issubclass(cls, tuple) and cls.__module__ == mod.__name__
     }
-    records = tuples - {cyclotomic.Record}
+    records = tuples - {perfiso.Record}
+    assert perfiso.Record.__module__ == "perfiso"
+    assert [mod.__name__ for mod in modules if "Record" in vars(mod)] == [
+        "perfiso",
+        "perfiso.characters",
+        "perfiso.isometry",
+        "perfiso.pigroup",
+    ]
     assert {cls.__name__ for cls in records} == {
         "ClassFunction",
         "SignedIsometry",
@@ -112,7 +121,7 @@ def test_records_share_one_protocol():
         "AffineCoords",
         "PIGroupReport",
     }
-    assert cyclotomic.Record in tuples and "Record" not in perfiso.__all__
+    assert perfiso.Record in tuples and "Record" not in perfiso.__all__
     bodies = {
         node.name: node
         for path in SOURCES
@@ -124,7 +133,7 @@ def test_records_share_one_protocol():
     ]
     positional = (inspect.Parameter.POSITIONAL_ONLY, inspect.Parameter.POSITIONAL_OR_KEYWORD)
     for cls in records:
-        assert issubclass(cls, cyclotomic.Record), cls.__name__
+        assert issubclass(cls, perfiso.Record), cls.__name__
         params = list(inspect.signature(cls.__new__).parameters.values())[1:]
         assert all(param.kind in positional for param in params), cls.__name__
         assert cls._fields == tuple(param.name for param in params)
@@ -139,15 +148,11 @@ def test_records_share_one_protocol():
         assert defined & written == set(), cls.__name__
 
 
-@pytest.mark.parametrize(
-    "module", ("_json", "argparse", "cyclotomic", "isometry", "pigroup")
-)
-def test_cli_imports_late(module):
-    # _json is imported in _dumps, on the --format json path, argparse in
-    # build_parser, which plain calls never reach, and each layer in the
-    # functions that call it: at module level, each would be a cost every CLI
-    # child pays at startup (a TYPE_CHECKING block never runs)
-    tree = ast.parse(Path(cli.__file__).read_text())
+def _imports(source, module):
+    """The lines of source that import module (as a package module, also as
+    ``from . import module``), and those of them that run when source is
+    imported: a function body or a TYPE_CHECKING block never runs then."""
+    tree = ast.parse(Path(source).read_text())
     not_run = {
         id(node)
         for block in ast.walk(tree)
@@ -155,14 +160,44 @@ def test_cli_imports_late(module):
         or (isinstance(block, ast.If) and ast.unparse(block.test) == "TYPE_CHECKING")
         for node in ast.walk(block)
     }
+    names = {module, f"perfiso.{module}"}
     imports = [
         node
         for node in ast.walk(tree)
-        if (isinstance(node, ast.Import) and any(a.name == module for a in node.names))
-        or (isinstance(node, ast.ImportFrom) and node.module == module)
+        if (isinstance(node, ast.Import) and any(a.name in names for a in node.names))
+        or (isinstance(node, ast.ImportFrom) and node.module in names)
+        or (
+            isinstance(node, ast.ImportFrom)
+            and node.module in (None, "perfiso")
+            and any(a.name == module for a in node.names)
+        )
     ]
-    assert imports  # the check is live: the module is imported somewhere
-    assert [node.lineno for node in imports if id(node) not in not_run] == []
+    return [node.lineno for node in imports], [
+        node.lineno for node in imports if id(node) not in not_run
+    ]
+
+
+@pytest.mark.parametrize(
+    "module", ("_json", "argparse", "cyclotomic", "isometry", "pigroup")
+)
+def test_cli_imports_late(module):
+    # _json is imported in _dumps, on the --format json path, argparse in
+    # build_parser, which plain calls never reach, and each layer in the
+    # functions that call it: at module level, each would be a cost every CLI
+    # child pays at startup
+    found, at_import = _imports(cli.__file__, module)
+    assert found  # the check is live: the module is imported somewhere
+    assert at_import == []
+
+
+def test_pigroup_imports_isometry_late_and_no_cyclotomic():
+    # a passing enumerate or verify builds no map, so it loads no layer but
+    # pigroup: isometry is imported only in the functions that build a map,
+    # and the prime check and Record come from the package root
+    found, at_import = _imports(pigroup.__file__, "isometry")
+    assert found  # the check is live
+    assert at_import == []
+    assert _imports(pigroup.__file__, "cyclotomic") == ([], [])
 
 
 def test_package_exports_match_modules():
