@@ -10,7 +10,7 @@ kernel evaluations and inner products.
 from functools import lru_cache
 
 from . import Record, require_prime
-from .cyclotomic import CycInt, symbolic_str, zeta_pow
+from .cyclotomic import CycInt, _zeta_sums, symbolic_str, zeta_pow
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
@@ -80,13 +80,8 @@ def generalized_character(p: int, coeffs: "Sequence[int]") -> ClassFunction:
     p = require_prime(p)
     if len(coeffs) != p:
         raise ValueError(f"expected {p} coefficients, got {len(coeffs)}")
-    values = []
-    for b in range(p):
-        acc = [0] * p
-        for k, c in enumerate(coeffs):
-            acc[(k * b) % p] += c
-        values.append(CycInt(p, acc))
-    return ClassFunction(p, tuple(values))
+    # the value at g^b is the sum of coeffs[k] * zeta^(k*b)
+    return ClassFunction(p, _zeta_sums(p, coeffs, (0,) * p, range(p)))
 
 
 def inner_product(x: ClassFunction, y: ClassFunction) -> CycInt:

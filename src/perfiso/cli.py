@@ -38,7 +38,8 @@ isometry too only to name a failure.
 
 chartab and mu render their grids row by row and hold no p x p table of
 ring values: chartab renders the p powers of zeta once and builds each row
-from their texts, and mu renders each kernel row as _kernel_rows makes it.
+from their texts, and mu renders the zero text once and, as _kernel_rows
+makes each row, only that row's nonzero entries.
 The grids' joined lines are made only when main writes them.  _report
 alone turns a PIGroupReport into JSON keys or text lines, and builds only
 those its --format writes: a JSON call makes no line, a text call no dict.
@@ -70,11 +71,12 @@ EXIT_USAGE = 2
 EXIT_INTERNAL = 3
 
 SCHEMA_VERSION = 1
-# the target scale; at p = 101, end to end on 2 vCPUs (median of 21) on a host
-# whose bare `python -c pass` takes 0.066 s, verify and enumerate take about
-# 0.12 s (0.21 s with --format json), chartab 0.062 s, and check and mu of an
-# affine map 0.067 and 0.074 s (0.063 and 0.39 s for a random signed map, whose
-# mu prints 10,201 coefficient lists)
+# the target scale; at p = 101, end to end on 2 vCPUs (median of 11, interleaved,
+# stdout to /dev/null) on a host whose bare `python -c pass` takes 0.061 s,
+# verify and enumerate take about 0.091 s (0.17 s for verify --format json),
+# chartab 0.056 s, decompose 0.054 s, and check and mu of an affine map 0.059 and
+# 0.061 s (0.056 and 0.33 s for a random signed map, whose mu prints 10,201
+# coefficient lists)
 MAX_P = 101
 
 FORMATS = ("text", "json")
@@ -192,10 +194,6 @@ def _parse_plain(argv: list[str]) -> SimpleNamespace | None:
 _Result = tuple[bool, dict, "Iterable[str]"]
 
 
-def _grid(grid: list[list[str]]) -> tuple[dict, "Iterable[str]"]:
-    return {"entries": grid}, map(" ".join, grid)
-
-
 def _coords_text(c: "AffineCoords") -> str:
     return f"({'+' if c.eps > 0 else '-'}1, a={c.a}, u={c.u})"
 
@@ -218,27 +216,26 @@ def cmd_chartab(args: "Args") -> _Result:
 
     p = require_prime(args.p)
     powers = [symbolic_str(zeta_pow(p, k)) for k in range(p)]
-    payload, lines = _grid([[powers[a * b % p] for b in range(p)] for a in range(p)])
-    return True, payload, lines
+    grid = [[powers[a * b % p] for b in range(p)] for a in range(p)]
+    return True, {"entries": grid}, map(" ".join, grid)
 
 
 def cmd_mu(args: "Args") -> _Result:
-    from .cyclotomic import symbolic_str
+    from .cyclotomic import CycInt, symbolic_str
     from .isometry import SignedIsometry, _kernel_rows
 
     iso = SignedIsometry.from_literal(args.p, args.map)
-    rows = _kernel_rows(iso)
-    grid = [[symbolic_str(e) for e in next(rows)]]
-    row1 = next(rows)
-    grid.append([symbolic_str(e) for e in row1])
-    # a derived row holds row 1's zero entries as the same objects, rendered
-    # above and found again by id (row1 stays alive, so no id of it is
-    # reused); its other entries are new, rendered as the row arrives, and
-    # freed with it.  symbolic_str never returns ""
-    shared = dict(zip(map(id, row1), grid[1]))
-    grid += ([shared.get(id(e)) or symbolic_str(e) for e in row] for row in rows)
-    payload, lines = _grid(grid)
-    return True, {"map": iso.as_literal(), **payload}, lines
+    p = iso.p
+    # a row holds only its nonzero entries, each rendered as the row arrives
+    # and freed with it; every other column shows the one zero text
+    zero = symbolic_str(CycInt.zero(p))
+    grid = []
+    for row in _kernel_rows(iso):
+        texts = [zero] * p
+        for n, entry in row.items():
+            texts[n] = symbolic_str(entry)
+        grid.append(texts)
+    return True, {"map": iso.as_literal(), "entries": grid}, map(" ".join, grid)
 
 
 def cmd_check(args: "Args") -> _Result:

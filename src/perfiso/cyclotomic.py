@@ -183,12 +183,26 @@ def _galois_gather(p: int, m: int) -> itemgetter:
     return itemgetter(*[j * inv % p for j in range(p)])  # p >= 2: returns a tuple
 
 
+def _zeta_sums(
+    p: int, weights: "Sequence[int]", exponents: "Sequence[int]", steps: "Iterable[int]"
+) -> list[CycInt]:
+    """For each s in steps, the sum over k of weights[k] * zeta^(exponents[k] + k*s).
+
+    Each sum is counted exactly: term k adds weights[k] to the coefficient
+    at its power mod p, with no ring multiplication.
+    """
+    sums = []
+    for step in steps:
+        counts = [0] * p
+        for k in range(len(weights)):
+            counts[(exponents[k] + k * step) % p] += weights[k]
+        sums.append(CycInt(p, counts))
+    return sums
+
+
 def zeta_pow(p: int, k: int) -> CycInt:
     """zeta^k as a normalized element; the exponent is reduced mod p."""
-    p = require_prime(p)
-    coeffs = [0] * p
-    coeffs[k % p] = 1
-    return CycInt(p, coeffs)
+    return _zeta_sums(require_prime(p), (1,), (k,), (0,))[0]
 
 
 def symbolic_str(x: CycInt) -> str:

@@ -5,27 +5,29 @@ signed bijection: index k goes to sign[k] times the character image[k].
 Each such map I owns an exact p x p kernel, entry (m, n) being the sum over
 k of sign[k] * zeta^(image[k]*m + k*n).  Rows 0 and 1 are counted; every
 other row is the image of row 1 under the Galois action of Aut(C_p), which
-sends zeta to zeta^m.  The kernel drives the forward transform, from
-source-side to image-side class functions.  It also carries the two
-perfectness criteria:
+sends zeta to zeta^m.  A row is held as {column: entry} over its nonzero
+entries; kernel_table alone fills in the zeros.  The kernel drives the
+forward transform, from source-side to image-side class functions.  It
+also carries the two perfectness criteria:
 
   * integrality  - every kernel entry divisible by p (the common centralizer
     order in an abelian group of order p);
   * separation   - nonzero entries never pair the identity with a
     non-identity element.
 
-``is_perfect`` scans rows 0 and 1 of _kernel_rows only, which decide both
-criteria and the first failing entry.  ``is_perfect_via_spaces`` checks it
-with no ring arithmetic: it reads the rule proved in pigroup.iter_perfect
-off the image and the signs, and returns the verdict and witness of the
-forward transform on the indicator basis, whose images are the kernel's
-columns.
+``is_perfect`` scans the nonzero entries of rows 0 and 1 of _kernel_rows
+only, which decide both criteria and the first failing entry.
+``is_perfect_via_spaces`` checks it with no ring arithmetic: it reads the
+rule proved in pigroup.iter_perfect off the image and the signs, and
+returns the verdict and witness of the forward transform on the indicator
+basis, whose images are the kernel's columns.
 """
 
+from itertools import repeat
 from operator import index, itemgetter, mul
 
 from . import Record, require_prime
-from .cyclotomic import CycInt
+from .cyclotomic import CycInt, _zeta_sums
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
@@ -178,18 +180,14 @@ class Verdict(Record):
         return self.status == PERFECT
 
 
-def _counted_row(iso: SignedIsometry, m: int) -> tuple[CycInt, ...]:
-    """Row m of the kernel by the count loop: sign[k] lands at power image[k]*m + k*n."""
-    p = iso.p
-    image, signs = iso.image, iso.signs
-    base = [image[k] * m % p for k in range(p)]
-    row = []
-    for n in range(p):
-        counts = [0] * p
-        for k in range(p):
-            counts[(base[k] + k * n) % p] += signs[k]
-        row.append(_bounded(CycInt(p, counts), m, n))
-    return tuple(row)
+def _counted_row(iso: SignedIsometry, m: int) -> dict[int, CycInt]:
+    """Row m of the kernel by count, as {n: entry} over its nonzero entries.
+
+    Entry (m, n) is the sum of sign[k] * zeta^(image[k]*m + k*n).
+    """
+    p, image, signs = iso
+    entries = _zeta_sums(p, signs, [i * m % p for i in image], range(p))
+    return {n: _bounded(entry, m, n) for n, entry in enumerate(entries) if entry}
 
 
 def _bounded(entry: CycInt, m: int, n: int) -> CycInt:
@@ -199,46 +197,45 @@ def _bounded(entry: CycInt, m: int, n: int) -> CycInt:
     return entry
 
 
-def _kernel_rows(iso: SignedIsometry) -> "Iterator[tuple[CycInt, ...]]":
+def _kernel_rows(iso: SignedIsometry) -> "Iterator[dict[int, CycInt]]":
     """The rows of the kernel attached to a signed isometry, in order.
 
-    Entry (m, n) accumulates sign[k] at the power image[k]*m + k*n (mod p)
-    over all source indices k.  Rows 0 and 1 are counted that way; every
-    other row comes from row 1 by the Galois action of Aut(C_p).  For m
-    prime to p, sigma_m (zeta -> zeta^m) sends entry (1, n') to the sum of
-    sign[k] * zeta^(image[k]*m + k*n'*m), which is entry (m, n'*m); so
-    entry (m, n) = sigma_m(entry (1, n/m)).  sigma_m is a ring automorphism,
-    so sigma_m(0) = 0: a zero entry of row 1 is carried into each derived
-    row as the same object, with no Galois call.  A perfect map is affine,
-    and its row 1 has one nonzero entry, so its derived rows cost one
-    Galois image each.  Entries are signed sums of p roots of unity, so
-    normalized coefficients stay within 2p in magnitude; every counted
-    entry and every nonzero derived entry is checked against that
-    exactness bound, and InternalError is raised if one ever leaves it.
-    Each row is made when it is asked for, so a caller that drops a row
-    before asking for the next holds one derived row at a time.
+    Each row is a {column: entry} mapping that holds only the row's nonzero
+    entries.  Entry (m, n) accumulates sign[k] at the power
+    image[k]*m + k*n (mod p) over all source indices k.  Rows 0 and 1 are
+    counted that way, their entries in column order; every other row comes
+    from row 1 by the Galois action of Aut(C_p).  For m prime to p, sigma_m
+    (zeta -> zeta^m) sends entry (1, n) to the sum of
+    sign[k] * zeta^(image[k]*m + k*n*m), which is entry (m, n*m).  sigma_m
+    is a ring automorphism, so it maps only zero to zero, and n -> n*m
+    permutes the columns: row m holds sigma_m(entry (1, n)) at column n*m
+    for each nonzero entry of row 1, in row 1's order, and nothing else.
+    A perfect map is affine, and its row 1 has one nonzero entry, so its
+    derived rows cost one Galois image each.  Entries are signed sums of p
+    roots of unity, so normalized coefficients stay within 2p in
+    magnitude; every entry a row holds is checked against that exactness
+    bound, which a zero entry meets, and InternalError is raised if one
+    ever leaves it.  Each row is made when it is asked for, so a caller
+    that drops a row before asking for the next holds one derived row at
+    a time.
     """
     p = iso.p
     yield _counted_row(iso, 0)
     row1 = _counted_row(iso, 1)
     yield row1
-    zero: list[int] = []
-    nonzero: list[int] = []
-    for n, entry in enumerate(row1):
-        (nonzero if entry else zero).append(n)
     for m in range(2, p):
-        row: list = [None] * p  # n -> n*m permutes 0..p-1: every slot is filled
-        for n in zero:
-            row[n * m % p] = row1[n]
-        for n in nonzero:
-            j = n * m % p
-            row[j] = _bounded(row1[n].galois(m), m, j)
-        yield tuple(row)
+        yield {j: _bounded(e.galois(m), m, j) for n, e in row1.items() for j in (n * m % p,)}
 
 
 def kernel_table(iso: SignedIsometry) -> KernelTable:
-    """The kernel attached to a signed isometry: the rows of _kernel_rows, held whole."""
-    return KernelTable(iso.p, tuple(_kernel_rows(iso)))
+    """The kernel attached to a signed isometry: the rows of _kernel_rows, held whole.
+
+    Its one zero object fills every column a row does not hold.
+    """
+    p = iso.p
+    zero = CycInt.zero(p)
+    rows = _kernel_rows(iso)
+    return KernelTable(p, tuple(tuple(map(row.get, range(p), repeat(zero))) for row in rows))
 
 
 def _require_compatible(kt: KernelTable, f: "ClassFunction") -> None:
@@ -281,22 +278,25 @@ def is_perfect(iso: SignedIsometry) -> Verdict:
 
     Only rows 0 and 1 of _kernel_rows are scanned, and the verdict and witness
     are those of a row-major scan of the whole kernel, integrality first.
-    For m >= 2, entry (m, n) = sigma_m(entry (1, n/m)) (see _kernel_rows),
-    and sigma_m is a ring automorphism of Z[zeta] fixing Z: it maps
-    p*Z[zeta] onto itself and only zero to zero.  So an entry of row m is
-    divisible by p, or nonzero, exactly when its preimage in row 1 is, and
-    row m fails integrality iff row 1 does.  A row m >= 1 can fail
-    separation only at (m, 0), which is nonzero iff (1, 0) is.  Every
-    failure in a row m >= 2 thus has one in row 1 before it, and the first
-    row-major failure of either kind lies in row 0 or row 1.  A failure of
-    integrality in row 0 comes before all of row 1, so row 1 is not counted.
+    Those rows hold only their nonzero entries, in column order, and a zero
+    entry is divisible by p and fails no separation, so the scan loses
+    nothing by skipping it.  For m >= 2, entry (m, n) = sigma_m(entry
+    (1, n/m)) (see _kernel_rows), and sigma_m is a ring automorphism of
+    Z[zeta] fixing Z: it maps p*Z[zeta] onto itself and only zero to zero.
+    So an entry of row m is divisible by p, or nonzero, exactly when its
+    preimage in row 1 is, and row m fails integrality iff row 1 does.  A
+    row m >= 1 can fail separation only at (m, 0), which is nonzero iff
+    (1, 0) is.  Every failure in a row m >= 2 thus has one in row 1 before
+    it, and the first row-major failure of either kind lies in row 0 or
+    row 1.  A failure of integrality in row 0 comes before all of row 1, so
+    row 1 is not counted.
     """
     separation = None  # the first separation failure, reported if integrality holds
     for m, row in zip((0, 1), _kernel_rows(iso)):  # asks for no derived row
-        for n, entry in enumerate(row):
+        for n, entry in row.items():
             if not entry.is_multiple_of_p:
                 return Verdict(FAILS_INTEGRALITY, (m, n))
-            if separation is None and entry and ((m == 0) != (n == 0)):
+            if separation is None and (m == 0) != (n == 0):
                 separation = (m, n)
     return Verdict(FAILS_SEPARATION, separation) if separation else Verdict(PERFECT)
 

@@ -144,6 +144,26 @@ def test_mu_derived_entry_out_of_bound_exits_3(capsys, monkeypatch, literal, sca
 
 
 @pytest.mark.parametrize("fmt", ("text", "json"))
+def test_mu_renders_each_nonzero_entry_once(capsys, monkeypatch, fmt):
+    # an affine map's kernel has one nonzero entry per row: mu renders those
+    # p entries and the zero text once, and fills every other column with it
+    p = 23
+    calls = []
+    real = cyclotomic.symbolic_str
+
+    def counting(x):
+        calls.append(x)
+        return real(x)
+
+    monkeypatch.setattr(cyclotomic, "symbolic_str", counting)
+    literal = ",".join(f"+{(1 + 2 * k) % p}" for k in range(p))
+    code, out, _ = run_cli(capsys, "mu", "-p", str(p), f"--map={literal}", "--format", fmt)
+    assert code == 0 and out
+    assert len(calls) <= p + 1
+    assert sum(1 for x in calls if not x) == 1
+
+
+@pytest.mark.parametrize("fmt", ("text", "json"))
 @pytest.mark.parametrize(
     "literal", ("+1,+3,+5,+7,+9,+0,+2,+4,+6,+8,+10", "+1,+5,+3,+7,+9,+0,+2,+4,+6,+8,+10")
 )
@@ -266,10 +286,10 @@ def test_check_row_count_defect_exits_3(capsys, monkeypatch):
         row = real_row(iso, m)
         if m != 1:
             return row
-        (n,) = (n for n, entry in enumerate(row) if entry)
-        coeffs = list(row[n].coeffs)
+        ((n, entry),) = row.items()
+        coeffs = list(entry.coeffs)
         coeffs[0] += 1
-        return row[:n] + (cyclotomic.CycInt(iso.p, coeffs),) + row[n + 1:]
+        return {**row, n: cyclotomic.CycInt(iso.p, coeffs)}
 
     monkeypatch.setattr(isometry, "_counted_row", corrupted_row)
     code, out, err = run_cli(capsys, "check", "-p", "5", "--map=+1,+3,+0,+2,+4")

@@ -103,6 +103,27 @@ def test_root_of_unity_sums(p):
             assert total == CycInt.zero(p)
 
 
+@pytest.mark.parametrize("p", PRIMES_LARGE)
+def test_zeta_sums_match_polynomial_oracle(p):
+    # the one count primitive: each sum is the sum of its terms, each term a
+    # product of two monomials by the polynomial oracle; exponents and steps
+    # may be negative or at least p
+    rng = Random(SEED + 17 * p)
+    for length in (1, p, 2 * p):
+        weights = [rng.randint(-3, 3) for _ in range(length)]
+        exponents = [rng.randrange(-2 * p, 2 * p) for _ in range(length)]
+        steps = range(-1, p + 2)
+        sums = cyclotomic._zeta_sums(p, weights, exponents, steps)
+        assert len(sums) == len(steps)
+        for step, total in zip(steps, sums):
+            expected = [0] * p
+            for k, (w, e) in enumerate(zip(weights, exponents)):
+                term, shift = [0] * p, [0] * p
+                term[e % p], shift[k * step % p] = w, 1
+                expected = [x + y for x, y in zip(expected, poly_mul_reduced(p, term, shift))]
+            assert total.coeffs == tuple(expected)
+
+
 def test_normalization_idempotent():
     rng = Random(SEED)
     for p in PRIMES:

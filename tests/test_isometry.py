@@ -203,8 +203,8 @@ def test_shift_kernel_scales_identity_rows():
 
 def test_kernel_table_coefficient_bound_is_checked(monkeypatch):
     # a real check, not an assert, so it also holds under python -O
-    real = isometry.CycInt
-    monkeypatch.setattr(isometry, "CycInt", lambda p, counts: real(p, [9 * c for c in counts]))
+    real = isometry._zeta_sums
+    monkeypatch.setattr(isometry, "_zeta_sums", lambda p, signs, *rest: real(p, [9 * s for s in signs], *rest))
     with pytest.raises(InternalError, match=r"kernel entry \(0, 0\) exceeds"):
         kernel_table(SignedIsometry.identity(3))
 
@@ -247,19 +247,28 @@ def _count_galois(monkeypatch):
 
 
 def test_affine_kernel_derives_one_entry_per_row(monkeypatch):
-    # sigma_m(0) = 0: the zero entries of row 1 are carried, not mapped, and
-    # an affine map's row 1 has one nonzero entry
+    # sigma_m maps only 0 to 0: a derived row holds the images of row 1's
+    # nonzero entries alone, and an affine map's row 1 has one
     p = 23
     iso = SignedIsometry(p, [(1 + 2 * k) % p for k in range(p)], (1,) * p)
     calls = _count_galois(monkeypatch)
-    kt = kernel_table(iso)
+    rows = list(isometry._kernel_rows(iso))
     assert len(calls) == p - 2
-    assert kt.entries == kernel_table_dense(iso).entries
-    row1 = kt.entries[1]
-    for m in range(2, p):
-        for n in range(p):
-            if not row1[n]:
-                assert kt.entries[m][n * m % p] is row1[n]
+    assert [len(row) for row in rows] == [1] * p
+    assert kernel_table(iso).entries == kernel_table_dense(iso).entries
+
+
+@pytest.mark.parametrize("p", (2, 3, 5, 23, 53))
+def test_kernel_rows_hold_exactly_the_nonzero_entries(p):
+    # each row is {column: entry} over the nonzero entries of the kernel
+    # counted by its definition; for p <= 3 every map is affine, so the
+    # family has no swapped-affine map there
+    rng = Random(SEED + 13 * p)
+    isos = affine_family(p, 1, 2 if p > 2 else 1) + [random_isometry(rng, p) for _ in range(2)]
+    for iso in isos:
+        dense = kernel_table_dense(iso).entries
+        expected = [{n: entry for n, entry in enumerate(row) if entry} for row in dense]
+        assert list(isometry._kernel_rows(iso)) == expected, iso
 
 
 @pytest.mark.parametrize("p", (23, 53))
@@ -454,7 +463,7 @@ def test_is_perfect_counts_its_two_rows_on_every_call(monkeypatch):
         if corrupt and m == 0:
             coeffs = list(row[0].coeffs)
             coeffs[0] += 1
-            return (CycInt(p, coeffs),) + row[1:]
+            return {**row, 0: CycInt(p, coeffs)}
         return row
 
     monkeypatch.setattr(isometry, "_counted_row", counting_row)
