@@ -59,7 +59,7 @@ if TYPE_CHECKING:
     from collections.abc import Iterable, Sequence
 
     from .isometry import Verdict
-    from .pigroup import AffineCoords, PIGroupReport
+    from .pigroup import PIGroupReport
 
     Args = argparse.Namespace | SimpleNamespace
 
@@ -72,11 +72,11 @@ EXIT_INTERNAL = 3
 
 SCHEMA_VERSION = 1
 # the target scale; at p = 101, end to end on 2 vCPUs (median of 11, interleaved,
-# stdout to /dev/null) on a host whose bare `python -c pass` takes 0.061 s,
-# verify and enumerate take about 0.091 s (0.17 s for verify --format json),
-# chartab 0.056 s, decompose 0.054 s, and check and mu of an affine map 0.059 and
-# 0.061 s (0.056 and 0.33 s for a random signed map, whose mu prints 10,201
-# coefficient lists)
+# stdout to /dev/null) on a host whose bare `python -c pass` takes 0.041 s,
+# verify and enumerate take about 0.052 and 0.055 s (0.100 and 0.103 s with
+# --format json), chartab 0.036 s, decompose 0.041 s, and check and mu of an
+# affine map 0.040 and 0.045 s (0.042 and 0.26 s for a random signed map, whose
+# mu prints 10,201 coefficient lists)
 MAX_P = 101
 
 FORMATS = ("text", "json")
@@ -194,12 +194,12 @@ def _parse_plain(argv: list[str]) -> SimpleNamespace | None:
 _Result = tuple[bool, dict, "Iterable[str]"]
 
 
-def _coords_text(c: "AffineCoords") -> str:
-    return f"({'+' if c.eps > 0 else '-'}1, a={c.a}, u={c.u})"
+def _coords_text(c: "tuple[int, int, int]") -> str:
+    return f"({'+' if c[0] > 0 else '-'}1, a={c[1]}, u={c[2]})"
 
 
-def _coords_json(c: "AffineCoords") -> dict:
-    return {"eps": c.eps, "a": c.a, "u": c.u}
+def _coords_json(c: "tuple[int, int, int]") -> dict:
+    return {"eps": c[0], "a": c[1], "u": c[2]}
 
 
 def _verdict_json(verdict: "Verdict") -> dict:
@@ -292,7 +292,7 @@ def _report(report: "PIGroupReport", fmt: str) -> _Result:
     if fmt == "json":
         payload = {
             "order": report.order,
-            "elements": [_coords_json(c) for c in report.elements],
+            "elements": [_coords_json(c) for c in report.elements()],
             "checks": checks,
         }
         if report.failures:
@@ -303,7 +303,7 @@ def _report(report: "PIGroupReport", fmt: str) -> _Result:
         f"p: {report.p}",
         f"order: {report.order}",
         "elements:",
-        *(f"  {_coords_text(c)}" for c in report.elements),
+        *(f"  {_coords_text(c)}" for c in report.elements()),
         "checks:",
         *(f"  {key}: {shown[value]}" for key, value in checks.items()),
         *(f"  ! {line}" for line in report.failures),

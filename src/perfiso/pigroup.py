@@ -35,7 +35,10 @@ Both yield the same list, so enumerate_perfect and verify_structure take
 no mode.  They read every check off the normal forms, not off the maps of
 their orbit: the orbit of the identity is every affine map, once each,
 and no map in the orbit of another form is affine (_orbit proves both).
-When the checks pass, no map is built and isometry is not imported
+A report holds how many times the identity is a normal form, not its
+2p(p-1) elements: they are every (eps, a, u) once per identity form, and
+PIGroupReport.elements lists them from that count.  When the checks pass,
+no map and no AffineCoords is built and isometry is not imported
 (_report): enumerate and verify load this module alone of the four layers.
 """
 
@@ -101,6 +104,12 @@ class AffineCoords(Record):
 class PIGroupReport(Record):
     """Enumeration outcome plus named check results.
 
+    The enumerated set holds every affine map (eps, a, u) once per identity
+    normal form and no other affine map (_report proves this), so a report
+    holds ``identity_forms``, how many times the identity is a normal form,
+    and ``elements()`` lists the coordinates from it; ``order`` counts the
+    maps of every form.
+
     ``checks`` always carries the five keys in CHECK_KEYS; a value of None
     means the check was not evaluated by the producing operation (plain
     enumeration leaves the two structural checks to verify_structure).
@@ -112,11 +121,17 @@ class PIGroupReport(Record):
         cls,
         p: int,
         order: int,
-        elements: list[AffineCoords],
+        identity_forms: int,
         checks: dict[str, bool | None],
         failures: list[str],
     ) -> "PIGroupReport":
-        return tuple.__new__(cls, (p, order, elements, checks, failures))
+        return tuple.__new__(cls, (p, order, identity_forms, checks, failures))
+
+    def elements(self) -> "Iterator[tuple[int, int, int]]":
+        """Each coordinate (eps, a, u) as a plain tuple, ``identity_forms``
+        times in a row, with eps, a and u increasing: sorted."""
+        p, copies = self.p, range(self.identity_forms)
+        return ((e, a, u) for e in (-1, 1) for a in range(p) for u in range(1, p) for _ in copies)
 
     def all_pass(self) -> bool:
         """True when no evaluated check failed."""
@@ -359,8 +374,9 @@ def _report(p: int, structure: bool) -> PIGroupReport:
 
       * order: 2p(p-1) maps per form, so the order formula holds exactly
         when there is one form.
-      * elements: every coordinate once per identity form; listed with eps,
-        a and u increasing, they come out sorted.
+      * identity_forms: the number of identity forms, from which
+        PIGroupReport.elements lists every coordinate once per identity
+        form; with eps, a and u increasing, they come out sorted.
       * homogeneous_sign: every map is built all-positive or all-negative.
       * affine_completeness: the set is every affine map and nothing else
         exactly when the identity is a form and no other form is.
@@ -383,7 +399,8 @@ def _report(p: int, structure: bool) -> PIGroupReport:
         law fails, and that is the only way it fails.
 
     A map is built only to name a failure: each non-affine map, each affine
-    map when there is no form at all, and negation when it is missing.
+    map when there is no form at all, and negation when it is missing.  No
+    AffineCoords is built: the report holds the count, not the elements.
     """
     p = require_prime(p)
     forms = _normal_forms(p)
@@ -399,11 +416,10 @@ def _report(p: int, structure: bool) -> PIGroupReport:
 
     semidirect = negid_central = None
     if structure:
-        semidirect = not others
+        semidirect, negid_central = not others, copies > 0
         if others:
             failures.append("composition law skipped: some element is non-affine")
-        negid_central = copies > 0
-        if not negid_central:
+        if not copies:
             failures.append(f"negation not enumerated: {gen_negid(p).as_literal()}")
 
     checks: dict[str, bool | None] = {
@@ -413,13 +429,11 @@ def _report(p: int, structure: bool) -> PIGroupReport:
         CHECK_NEGID: negid_central,
         CHECK_ORDER: len(forms) == 1,
     }
-    every = [AffineCoords(eps, a, u) for eps in (-1, 1) for a in range(p) for u in range(1, p)]
-    elements = [coords for coords in every for _ in range(copies)]
-    return PIGroupReport(p, len(forms) * 2 * p * (p - 1), elements, checks, failures)
+    return PIGroupReport(p, len(forms) * 2 * p * (p - 1), copies, checks, failures)
 
 
 def enumerate_perfect(p: int) -> PIGroupReport:
-    """Enumerate the whole group and report order, elements and basic checks."""
+    """Enumerate the whole group and report order, identity forms and basic checks."""
     return _report(p, structure=False)
 
 

@@ -511,6 +511,30 @@ def test_report_elements_are_made_only_for_json(capsys, monkeypatch):
         assert len(calls) == expected
 
 
+def test_report_commands_build_no_affine_coords(capsys, monkeypatch):
+    # a report holds its count of identity forms, not its elements, so a
+    # passing enumerate or verify builds none of the 2p(p-1) = 20,200
+    # coordinate records at p = 101, in either format
+    calls = []
+    real_new = pigroup.AffineCoords.__new__
+
+    def counting_new(cls, *args):
+        calls.append(args)
+        return real_new(cls, *args)
+
+    monkeypatch.setattr(pigroup.AffineCoords, "__new__", counting_new)
+    # the count is live: decompose builds the one record it prints
+    code, out, _ = run_cli(capsys, "decompose", "-p", "5", "--map", "+1,+3,+0,+2,+4")
+    assert code == 0 and out == "(+1, a=1, u=2)\n"
+    assert calls == [(1, 1, 2)]
+    calls.clear()
+    for command in ("enumerate", "verify"):
+        for fmt in ("text", "json"):
+            code, out, _ = run_cli(capsys, command, "-p", "101", "--format", fmt)
+            assert code == 0 and out
+            assert calls == [], (command, fmt, len(calls))
+
+
 def test_seed_flag_accepted_everywhere(capsys):
     code, out, _ = run_cli(capsys, "chartab", "-p", "2", "--seed", "7")
     assert code == 0

@@ -182,7 +182,8 @@ def test_enumeration_orders(p, expected_order):
     assert report.checks["affine_completeness"] is True
     assert report.checks["semidirect_law"] is None
     assert report.checks["negid_central"] is None
-    assert report.elements == sorted(report.elements)
+    elements = list(report.elements())
+    assert elements == sorted(elements)
     assert not report.failures
 
 
@@ -459,7 +460,7 @@ def test_verify_structure_matches_oracle_on_injected_forms(monkeypatch, p, name)
     assert _structure_verdicts_of(enumerated) == (None, None)
     for report in (verified, enumerated):
         assert report.order == len(maps)
-        assert report.elements == coords
+        assert list(report.elements()) == coords
         for key in ("homogeneous_sign", "affine_completeness", "order_formula"):
             assert report.checks[key] == verified.checks[key]
 
@@ -631,33 +632,40 @@ def test_affine_coords_record():
 
 def test_pigroup_report_record():
     checks = dict.fromkeys(CHECK_KEYS, True) | {CHECK_KEYS[2]: None}
-    elements = [AffineCoords(1, 0, 1)]
-    report = pigroup.PIGroupReport(2, 2, elements, checks, [])
-    assert (report.p, report.order, report.elements) == (2, 2, elements)
+    report = pigroup.PIGroupReport(2, 4, 1, checks, [])
+    assert (report.p, report.order, report.identity_forms) == (2, 4, 1)
+    # the elements are plain tuples, eps, a and u increasing, once per identity form
+    elements = [(-1, 0, 1), (-1, 1, 1), (1, 0, 1), (1, 1, 1)]
+    assert list(report.elements()) == elements
+    assert {type(c) for c in report.elements()} == {tuple}
+    twice = pigroup.PIGroupReport(2, 8, 2, checks, [])
+    assert list(twice.elements()) == [c for c in elements for _ in range(2)]
+    assert list(pigroup.PIGroupReport(2, 0, 0, checks, []).elements()) == []
     assert report.checks is checks and report.failures == []
-    assert report == pigroup.PIGroupReport(2, 2, [(1, 0, 1)], dict(checks), [])
-    assert report == (2, 2, elements, checks, [])
-    assert report != pigroup.PIGroupReport(3, 2, elements, checks, [])
+    assert report == pigroup.PIGroupReport(2, 4, 1, dict(checks), [])
+    assert report == (2, 4, 1, checks, [])
+    assert report != pigroup.PIGroupReport(3, 4, 1, checks, [])
+    assert report != twice
     with pytest.raises(TypeError):
         hash(report)  # it holds a list and a dict
     assert repr(report) == (
-        f"PIGroupReport(p=2, order=2, elements=[AffineCoords(eps=1, a=0, u=1)], "
-        f"checks={checks!r}, failures=[])"
+        f"PIGroupReport(p=2, order=4, identity_forms=1, checks={checks!r}, failures=[])"
     )
     assert report.all_pass()  # None is a check not evaluated, not a failure
     assert _report(report, "json")[1] == {
-        "order": 2,
-        "elements": [{"eps": 1, "a": 0, "u": 1}],
+        "order": 4,
+        "elements": [{"eps": eps, "a": a, "u": u} for eps, a, u in elements],
         "checks": checks,
     }
-    failed = pigroup.PIGroupReport(2, 0, [], checks | {CHECK_KEYS[0]: False}, ["! x"])
+    failed = pigroup.PIGroupReport(2, 0, 0, checks | {CHECK_KEYS[0]: False}, ["! x"])
     assert not failed.all_pass()
     ok, payload, _ = _report(failed, "json")
     assert not ok
     assert payload["failures"] == ["! x"] and payload["failures"] is not failed.failures
     assert list(payload) == ["order", "elements", "checks", "failures"]
+    assert payload["elements"] == []
     assert list(payload["checks"]) == list(CHECK_KEYS)
-    assert report[:3] == (2, 2, elements) and report[-1] is report.failures
+    assert report[:3] == (2, 4, 1) and report[-1] is report.failures
 
 
 RECORDS = (
