@@ -2,11 +2,14 @@
 
 The package loads its modules on first use (PEP 562): ``import perfiso``
 loads none of the four layers, ``perfiso.isometry`` loads that module, and
-the first public name read, ``__all__`` and ``dir()`` included, loads all
-four.  So a CLI call loads only the layers its command runs.  The prime
-check and Record, the base of the layers' records, live here, in the one
-module every call loads: enumerate and verify, which read their answer off
-pigroup's search, load no other layer.
+the first public name read that is not defined here, ``__all__`` and
+``dir()`` included, loads all four.  So a CLI call loads only the layers its
+command runs.  The prime check, Record, the base of the layers' records, and
+the two errors the CLI turns into exit codes, InternalError (exported by
+isometry) and NotPerfect (exported by pigroup), live here, in the one module
+every call loads: enumerate and verify, which read their answer off
+pigroup's search, load no other layer, and cli catches both errors by name
+without loading the layers that raise them.
 """
 
 from operator import index as _as_int, itemgetter as _itemgetter
@@ -74,6 +77,14 @@ class Record(tuple):
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self))
         return f"{type(self).__name__}({fields})"
+
+
+class InternalError(RuntimeError):
+    """An internal consistency check failed: a defect, never a property of the input."""
+
+
+class NotPerfect(Exception):
+    """The isometry is not of the affine perfect form."""
 
 
 def _export() -> None:

@@ -14,8 +14,10 @@ verdict, 1 for a negative verdict or failed check, 2 for usage, parse and
 bound errors (every command rejects p > MAX_P before the primality test), 3
 for an internal error, reported on stderr without a traceback.  ``check``
 exits 3 when its two perfectness checkers disagree: ``is_perfect``, which
-counts kernel rows 0 and 1, and ``is_perfect_via_spaces``, which reads the
-rule of pigroup.iter_perfect off the map with no ring arithmetic.
+counts kernel rows 0 and 1 up to its witness, and ``is_perfect_via_spaces``,
+which reads the rule of pigroup.iter_perfect off the map with no ring
+arithmetic.  NotPerfect exits 1 and InternalError 3; both live in the
+package root, so main catches them by name and loads no layer to do so.
 
 A ``--map`` literal that starts with "-" may be given as a separate
 argument (``--map -0,-1,-2``) or joined (``--map=-0,-1,-2``); both forms
@@ -52,6 +54,8 @@ the process with ``os._exit``, skipping interpreter teardown (see run).
 import os
 import sys
 from types import SimpleNamespace
+
+from . import InternalError, NotPerfect
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
@@ -232,14 +236,14 @@ def cmd_mu(args: "Args") -> _Result:
     grid = []
     for row in _kernel_rows(iso):
         texts = [zero] * p
-        for n, entry in row.items():
+        for n, entry in row:
             texts[n] = symbolic_str(entry)
         grid.append(texts)
     return True, {"map": iso.as_literal(), "entries": grid}, map(" ".join, grid)
 
 
 def cmd_check(args: "Args") -> _Result:
-    from .isometry import InternalError, SignedIsometry, is_perfect, is_perfect_via_spaces
+    from .isometry import SignedIsometry, is_perfect, is_perfect_via_spaces
 
     iso = SignedIsometry.from_literal(args.p, args.map)
     direct = is_perfect(iso)
@@ -402,16 +406,10 @@ def main(argv: "Sequence[str] | None" = None) -> int:
     except ValueError as exc:
         _error(str(exc))
         return EXIT_USAGE
-    except Exception as exc:
-        # the layers' own errors, imported only once something is raised
-        from .isometry import InternalError
-        from .pigroup import NotPerfect
-
-        if isinstance(exc, NotPerfect):
-            _error(str(exc))
-            return EXIT_NEGATIVE
-        if not isinstance(exc, InternalError):
-            raise
+    except NotPerfect as exc:
+        _error(str(exc))
+        return EXIT_NEGATIVE
+    except InternalError as exc:
         _error(f"internal error: {exc}")
         return EXIT_INTERNAL
     if args.format == "json":

@@ -17,7 +17,7 @@ from . import is_prime, require_prime
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
-    from collections.abc import Iterable, Sequence
+    from collections.abc import Iterable, Iterator, Sequence
 
 __all__ = [
     "CycInt",
@@ -185,24 +185,23 @@ def _galois_gather(p: int, m: int) -> itemgetter:
 
 def _zeta_sums(
     p: int, weights: "Sequence[int]", exponents: "Sequence[int]", steps: "Iterable[int]"
-) -> list[CycInt]:
+) -> "Iterator[CycInt]":
     """For each s in steps, the sum over k of weights[k] * zeta^(exponents[k] + k*s).
 
     Each sum is counted exactly: term k adds weights[k] to the coefficient
-    at its power mod p, with no ring multiplication.
+    at its power mod p, with no ring multiplication.  A sum is counted only
+    when it is asked for, so a caller that stops early counts no more.
     """
-    sums = []
     for step in steps:
         counts = [0] * p
         for k in range(len(weights)):
             counts[(exponents[k] + k * step) % p] += weights[k]
-        sums.append(CycInt(p, counts))
-    return sums
+        yield CycInt(p, counts)
 
 
 def zeta_pow(p: int, k: int) -> CycInt:
     """zeta^k as a normalized element; the exponent is reduced mod p."""
-    return _zeta_sums(require_prime(p), (1,), (k,), (0,))[0]
+    return next(_zeta_sums(require_prime(p), (1,), (k,), (0,)))
 
 
 def symbolic_str(x: CycInt) -> str:

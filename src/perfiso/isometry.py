@@ -5,18 +5,19 @@ signed bijection: index k goes to sign[k] times the character image[k].
 Each such map I owns an exact p x p kernel, entry (m, n) being the sum over
 k of sign[k] * zeta^(image[k]*m + k*n).  Rows 0 and 1 are counted; every
 other row is the image of row 1 under the Galois action of Aut(C_p), which
-sends zeta to zeta^m.  A row is held as {column: entry} over its nonzero
-entries; kernel_table alone fills in the zeros.  The kernel drives the
-forward transform, from source-side to image-side class functions.  It
-also carries the two perfectness criteria:
+sends zeta to zeta^m.  A row is held as its (column, entry) pairs over
+its nonzero entries; kernel_table alone fills in the zeros.  The kernel
+drives the forward transform, from source-side to image-side class
+functions.  It also carries the two perfectness criteria:
 
   * integrality  - every kernel entry divisible by p (the common centralizer
     order in an abelian group of order p);
   * separation   - nonzero entries never pair the identity with a
     non-identity element.
 
-``is_perfect`` scans the nonzero entries of rows 0 and 1 of _kernel_rows
-only, which decide both criteria and the first failing entry.
+``is_perfect`` scans the nonzero entries of the counted rows 0 and 1 only,
+which decide both criteria and the first failing entry, and counts no
+entry after that one.
 ``is_perfect_via_spaces`` checks it with no ring arithmetic: it reads the
 rule proved in pigroup.iter_perfect off the image and the signs, and
 returns the verdict and witness of the forward transform on the indicator
@@ -26,7 +27,8 @@ basis, whose images are the kernel's columns.
 from itertools import repeat
 from operator import index, itemgetter, mul
 
-from . import Record, require_prime
+# InternalError lives in the package root, which cli reads it from without loading this layer
+from . import InternalError, Record, require_prime
 from .cyclotomic import CycInt, _zeta_sums
 
 TYPE_CHECKING = False
@@ -63,10 +65,6 @@ class NonIntegralTransform(ArithmeticError):
     def __init__(self, point: int) -> None:
         super().__init__(f"transform value at element index {point} is not divisible by p")
         self.point = point
-
-
-class InternalError(RuntimeError):
-    """An internal consistency check failed: a defect, never a property of the input."""
 
 
 class SignedIsometry(Record):
@@ -180,14 +178,17 @@ class Verdict(Record):
         return self.status == PERFECT
 
 
-def _counted_row(iso: SignedIsometry, m: int) -> dict[int, CycInt]:
-    """Row m of the kernel by count, as {n: entry} over its nonzero entries.
+def _counted_row(iso: SignedIsometry, m: int) -> "Iterator[tuple[int, CycInt]]":
+    """Row m of the kernel by count: its nonzero entries as (n, entry) pairs,
+    in column order.
 
-    Entry (m, n) is the sum of sign[k] * zeta^(image[k]*m + k*n).
+    Entry (m, n) is the sum of sign[k] * zeta^(image[k]*m + k*n).  Each
+    entry is counted, and checked against the bound, only when it is asked
+    for, so a caller that stops at a column counts none after it.
     """
     p, image, signs = iso
     entries = _zeta_sums(p, signs, [i * m % p for i in image], range(p))
-    return {n: _bounded(entry, m, n) for n, entry in enumerate(entries) if entry}
+    return ((n, _bounded(entry, m, n)) for n, entry in enumerate(entries) if entry)
 
 
 def _bounded(entry: CycInt, m: int, n: int) -> CycInt:
@@ -197,15 +198,15 @@ def _bounded(entry: CycInt, m: int, n: int) -> CycInt:
     return entry
 
 
-def _kernel_rows(iso: SignedIsometry) -> "Iterator[dict[int, CycInt]]":
+def _kernel_rows(iso: SignedIsometry) -> "Iterator[list[tuple[int, CycInt]]]":
     """The rows of the kernel attached to a signed isometry, in order.
 
-    Each row is a {column: entry} mapping that holds only the row's nonzero
-    entries.  Entry (m, n) accumulates sign[k] at the power
+    Each row is a list of (column, entry) pairs, one for each of the row's
+    nonzero entries.  Entry (m, n) accumulates sign[k] at the power
     image[k]*m + k*n (mod p) over all source indices k.  Rows 0 and 1 are
-    counted that way, their entries in column order; every other row comes
-    from row 1 by the Galois action of Aut(C_p).  For m prime to p, sigma_m
-    (zeta -> zeta^m) sends entry (1, n) to the sum of
+    counted that way (_counted_row), their pairs in column order; every
+    other row comes from row 1 by the Galois action of Aut(C_p).  For m
+    prime to p, sigma_m (zeta -> zeta^m) sends entry (1, n) to the sum of
     sign[k] * zeta^(image[k]*m + k*n*m), which is entry (m, n*m).  sigma_m
     is a ring automorphism, so it maps only zero to zero, and n -> n*m
     permutes the columns: row m holds sigma_m(entry (1, n)) at column n*m
@@ -220,11 +221,11 @@ def _kernel_rows(iso: SignedIsometry) -> "Iterator[dict[int, CycInt]]":
     a time.
     """
     p = iso.p
-    yield _counted_row(iso, 0)
-    row1 = _counted_row(iso, 1)
+    yield list(_counted_row(iso, 0))
+    row1 = list(_counted_row(iso, 1))
     yield row1
     for m in range(2, p):
-        yield {j: _bounded(e.galois(m), m, j) for n, e in row1.items() for j in (n * m % p,)}
+        yield [(j, _bounded(e.galois(m), m, j)) for n, e in row1 for j in (n * m % p,)]
 
 
 def kernel_table(iso: SignedIsometry) -> KernelTable:
@@ -235,7 +236,7 @@ def kernel_table(iso: SignedIsometry) -> KernelTable:
     p = iso.p
     zero = CycInt.zero(p)
     rows = _kernel_rows(iso)
-    return KernelTable(p, tuple(tuple(map(row.get, range(p), repeat(zero))) for row in rows))
+    return KernelTable(p, tuple(tuple(map(dict(row).get, range(p), repeat(zero))) for row in rows))
 
 
 def _require_compatible(kt: KernelTable, f: "ClassFunction") -> None:
@@ -276,24 +277,26 @@ def forward_transform(kt: KernelTable, beta: "ClassFunction") -> "ClassFunction"
 def is_perfect(iso: SignedIsometry) -> Verdict:
     """Perfectness of the isometry's kernel; integrality is checked first.
 
-    Only rows 0 and 1 of _kernel_rows are scanned, and the verdict and witness
-    are those of a row-major scan of the whole kernel, integrality first.
-    Those rows hold only their nonzero entries, in column order, and a zero
-    entry is divisible by p and fails no separation, so the scan loses
-    nothing by skipping it.  For m >= 2, entry (m, n) = sigma_m(entry
-    (1, n/m)) (see _kernel_rows), and sigma_m is a ring automorphism of
-    Z[zeta] fixing Z: it maps p*Z[zeta] onto itself and only zero to zero.
-    So an entry of row m is divisible by p, or nonzero, exactly when its
-    preimage in row 1 is, and row m fails integrality iff row 1 does.  A
-    row m >= 1 can fail separation only at (m, 0), which is nonzero iff
-    (1, 0) is.  Every failure in a row m >= 2 thus has one in row 1 before
-    it, and the first row-major failure of either kind lies in row 0 or
-    row 1.  A failure of integrality in row 0 comes before all of row 1, so
-    row 1 is not counted.
+    Only rows 0 and 1 are scanned, as _counted_row counts them, and the
+    verdict and witness are those of a row-major scan of the whole kernel,
+    integrality first.  Those rows give only their nonzero entries, in
+    column order, and a zero entry is divisible by p and fails no
+    separation, so the scan loses nothing by skipping it.  For m >= 2,
+    entry (m, n) = sigma_m(entry (1, n/m)) (see _kernel_rows), and sigma_m
+    is a ring automorphism of Z[zeta] fixing Z: it maps p*Z[zeta] onto
+    itself and only zero to zero.  So an entry of row m is divisible by p,
+    or nonzero, exactly when its preimage in row 1 is, and row m fails
+    integrality iff row 1 does.  A row m >= 1 can fail separation only at
+    (m, 0), which is nonzero iff (1, 0) is.  Every failure in a row m >= 2
+    thus has one in row 1 before it, and the first row-major failure of
+    either kind lies in row 0 or row 1.  The scan stops at the first failure of integrality, which is
+    the witness: no entry after it, in row 0 or row 1, is counted or
+    checked against the bound, as none of them can change the verdict.
+    Every entry that is counted is bounded.
     """
     separation = None  # the first separation failure, reported if integrality holds
-    for m, row in zip((0, 1), _kernel_rows(iso)):  # asks for no derived row
-        for n, entry in row.items():
+    for m in (0, 1):
+        for n, entry in _counted_row(iso, m):
             if not entry.is_multiple_of_p:
                 return Verdict(FAILS_INTEGRALITY, (m, n))
             if separation is None and (m == 0) != (n == 0):

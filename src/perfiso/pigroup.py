@@ -44,7 +44,8 @@ no map and no AffineCoords is built and isometry is not imported
 
 from operator import sub
 
-from . import Record, require_prime
+# NotPerfect lives in the package root, which cli reads it from without loading this layer
+from . import NotPerfect, Record, require_prime
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
@@ -86,10 +87,6 @@ CHECK_KEYS = (
     CHECK_NEGID,
     CHECK_ORDER,
 )
-
-
-class NotPerfect(Exception):
-    """The isometry is not of the affine perfect form."""
 
 
 class AffineCoords(Record):

@@ -277,6 +277,45 @@ def test_check_of_mixed_signs_counts_row_0_only(capsys, monkeypatch):
     assert rows == [0]
 
 
+def _signed_literal(image, signs):
+    return ",".join(f"{'+' if s > 0 else '-'}{i}" for i, s in zip(image, signs))
+
+
+AFFINE_53 = [(1 + 2 * k) % 53 for k in range(53)]
+
+
+@pytest.mark.parametrize(
+    "literal, witness, counted",
+    (
+        # the first sign flipped: entry (0, 0), the sum of the signs, is 51,
+        # and it fails integrality before any other entry is counted
+        (_signed_literal(AFFINE_53, [-1] + [1] * 52), "(0, 0)", 1),
+        # the images of 0 and 1 swapped: row 0 passes, all 53 entries of it
+        # counted, and row 1 fails at its second entry
+        (_signed_literal([AFFINE_53[1], AFFINE_53[0], *AFFINE_53[2:]], [1] * 53), "(1, 1)", 55),
+        # the affine map k -> 1 + 2k itself: both rows, whole
+        (_signed_literal(AFFINE_53, [1] * 53), None, 106),
+    ),
+    ids=("sign_flipped", "swapped", "affine"),
+)
+def test_check_counts_no_entry_after_its_witness(capsys, monkeypatch, literal, witness, counted):
+    # each kernel entry is counted only when is_perfect asks for it, and the
+    # scan stops at its witness; the cross-check counts none
+    sums = []
+    real = isometry._zeta_sums
+
+    def counting_sums(*args):
+        for total in real(*args):
+            sums.append(total)
+            yield total
+
+    monkeypatch.setattr(isometry, "_zeta_sums", counting_sums)
+    code, out, _ = run_cli(capsys, "check", "-p", "53", f"--map={literal}")
+    assert code == (1 if witness else 0)
+    assert (f"witness: {witness}\n" in out) == bool(witness)
+    assert len(sums) == counted
+
+
 def test_check_row_count_defect_exits_3(capsys, monkeypatch):
     # k -> 1 + 2k: row 1 is nonzero only at n = 3, where it is 5*zeta; a count
     # that adds 1 to it breaks is_perfect, and the cross-check counts no row
@@ -286,10 +325,10 @@ def test_check_row_count_defect_exits_3(capsys, monkeypatch):
         row = real_row(iso, m)
         if m != 1:
             return row
-        ((n, entry),) = row.items()
+        ((n, entry),) = row
         coeffs = list(entry.coeffs)
         coeffs[0] += 1
-        return {**row, n: cyclotomic.CycInt(iso.p, coeffs)}
+        return [(n, cyclotomic.CycInt(iso.p, coeffs))]
 
     monkeypatch.setattr(isometry, "_counted_row", corrupted_row)
     code, out, err = run_cli(capsys, "check", "-p", "5", "--map=+1,+3,+0,+2,+4")

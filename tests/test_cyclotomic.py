@@ -113,7 +113,7 @@ def test_zeta_sums_match_polynomial_oracle(p):
         weights = [rng.randint(-3, 3) for _ in range(length)]
         exponents = [rng.randrange(-2 * p, 2 * p) for _ in range(length)]
         steps = range(-1, p + 2)
-        sums = cyclotomic._zeta_sums(p, weights, exponents, steps)
+        sums = list(cyclotomic._zeta_sums(p, weights, exponents, steps))
         assert len(sums) == len(steps)
         for step, total in zip(steps, sums):
             expected = [0] * p

@@ -1,6 +1,7 @@
 """Tests for signed isometries, kernels, transforms and perfectness checks."""
 
 import itertools
+from operator import itemgetter
 from random import Random
 
 import pytest
@@ -248,27 +249,35 @@ def _count_galois(monkeypatch):
 
 def test_affine_kernel_derives_one_entry_per_row(monkeypatch):
     # sigma_m maps only 0 to 0: a derived row holds the images of row 1's
-    # nonzero entries alone, and an affine map's row 1 has one
+    # nonzero entries alone, and an affine map's row 1 has one.  For
+    # k -> 1 + 2k, entry (m, n) is zeta^m * sum_k zeta^(k*(2m + n)), so row m
+    # is the one pair (-2m, p*zeta^m)
     p = 23
     iso = SignedIsometry(p, [(1 + 2 * k) % p for k in range(p)], (1,) * p)
     calls = _count_galois(monkeypatch)
     rows = list(isometry._kernel_rows(iso))
     assert len(calls) == p - 2
     assert [len(row) for row in rows] == [1] * p
+    assert rows == [[(-2 * m % p, p * zeta_pow(p, m))] for m in range(p)]
     assert kernel_table(iso).entries == kernel_table_dense(iso).entries
 
 
 @pytest.mark.parametrize("p", (2, 3, 5, 23, 53))
 def test_kernel_rows_hold_exactly_the_nonzero_entries(p):
-    # each row is {column: entry} over the nonzero entries of the kernel
-    # counted by its definition; for p <= 3 every map is affine, so the
-    # family has no swapped-affine map there
+    # each row is a list of (column, entry) pairs over the nonzero entries of
+    # the kernel counted by its definition, rows 0 and 1 in column order;
+    # sorted by column, a derived row must match too, so a repeated or a
+    # missing column fails.  For p <= 3 every map is affine, so the family
+    # has no swapped-affine map there
     rng = Random(SEED + 13 * p)
     isos = affine_family(p, 1, 2 if p > 2 else 1) + [random_isometry(rng, p) for _ in range(2)]
     for iso in isos:
         dense = kernel_table_dense(iso).entries
-        expected = [{n: entry for n, entry in enumerate(row) if entry} for row in dense]
-        assert list(isometry._kernel_rows(iso)) == expected, iso
+        expected = [[(n, entry) for n, entry in enumerate(row) if entry] for row in dense]
+        rows = list(isometry._kernel_rows(iso))
+        assert all(type(row) is list for row in rows), iso
+        assert rows[:2] == expected[:2], iso
+        assert [sorted(row, key=itemgetter(0)) for row in rows] == expected, iso
 
 
 @pytest.mark.parametrize("p", (23, 53))
@@ -451,7 +460,8 @@ def test_cross_check_counts_no_row_and_makes_no_ring_call(monkeypatch, p):
 def test_is_perfect_counts_its_two_rows_on_every_call(monkeypatch):
     # no cache sits between is_perfect and the count: each call counts rows
     # afresh, so a count that changes between calls changes the verdict; the
-    # corrupted call fails in row 0 and counts no row 1
+    # corrupted call fails in row 0 and counts no row 1.  Row 0 of an affine
+    # map is the one pair (0, p)
     p = 5
     iso = SignedIsometry(p, [(1 + 2 * k) % p for k in range(p)], (1,) * p)
     rows, corrupt = [], []
@@ -459,11 +469,12 @@ def test_is_perfect_counts_its_two_rows_on_every_call(monkeypatch):
 
     def counting_row(iso, m):
         rows.append(m)
-        row = real_row(iso, m)
+        row = list(real_row(iso, m))
         if corrupt and m == 0:
-            coeffs = list(row[0].coeffs)
+            ((n, entry),) = row
+            coeffs = list(entry.coeffs)
             coeffs[0] += 1
-            return {**row, 0: CycInt(p, coeffs)}
+            return [(n, CycInt(p, coeffs))]
         return row
 
     monkeypatch.setattr(isometry, "_counted_row", counting_row)

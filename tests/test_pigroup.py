@@ -1,6 +1,7 @@
 """Tests for generators, enumeration, affine coordinates and structure checks."""
 
 import copy
+import inspect
 import itertools
 import pickle
 import sys
@@ -251,6 +252,36 @@ def test_search_takes_no_frame_per_depth():
     finally:
         sys.setrecursionlimit(limit)
     assert forms == [tuple(range(211))]
+
+
+def _values_tested(p):
+    """How many values _normal_forms tests at p: the runs of its line
+    ``grown = []``, which each value not yet placed reaches, read by a line
+    tracer on that function's frames alone."""
+    code = pigroup._normal_forms.__code__
+    source, first = inspect.getsourcelines(pigroup._normal_forms)
+    (target,) = [first + i for i, line in enumerate(source) if line.strip() == "grown = []"]
+    runs = []
+
+    def on_line(frame, event, arg):
+        if event == "line" and frame.f_lineno == target:
+            runs.append(p)
+        return on_line
+
+    previous = sys.gettrace()
+    sys.settrace(lambda frame, event, arg: on_line if frame.f_code is code else None)
+    try:
+        pigroup._normal_forms(p)
+    finally:
+        sys.settrace(previous)
+    return len(runs)
+
+
+def test_search_tests_the_values_its_docstring_states():
+    counts = {7: 17, 13: 68, 53: 1328, 101: 4952}
+    stated = "It tests 17 values at p = 7, 68 at p = 13, 1,328 at p = 53 and 4,952 at p = 101"
+    assert stated in " ".join(pigroup.__doc__.split())
+    assert {p: _values_tested(p) for p in counts} == counts
 
 
 PRIMES_TO_29 = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)
