@@ -1038,6 +1038,119 @@ def test_help_and_usage_errors_are_argparse_own(capsys, argv):
     assert from_main == (via_parser.value.code, *capsys.readouterr())
 
 
+# what argparse writes at COLUMNS=80, for every help and one usage error per
+# option kind; its wording changes between Python minor versions
+_HELP_OPTIONS = """
+options:
+  -h, --help            show this help message and exit
+  -p P                  prime order of the group
+  --format {text,json}  output format
+  --seed SEED           accepted on every command for script compatibility; no
+                        command uses it
+"""
+_MODE_USAGE = "[--mode {exhaustive,positive_then_negate}]"
+_MODE_HELP = "  --mode {exhaustive,positive_then_negate}\n                        enumeration mode\n"
+_USAGE = {
+    "chartab": "usage: perfiso chartab [-h] -p P [--format {text,json}] [--seed SEED]\n",
+    "mu": "usage: perfiso mu [-h] -p P [--format {text,json}] [--seed SEED] --map MAP\n",
+    "check": "usage: perfiso check [-h] -p P [--format {text,json}] [--seed SEED] --map MAP\n",
+    "enumerate": (
+        "usage: perfiso enumerate [-h] -p P [--format {text,json}] [--seed SEED]\n"
+        f"                         {_MODE_USAGE}\n"
+    ),
+    "decompose": (
+        "usage: perfiso decompose [-h] -p P [--format {text,json}] [--seed SEED] --map\n"
+        "                         MAP\n"
+    ),
+    "verify": (
+        "usage: perfiso verify [-h] -p P [--format {text,json}] [--seed SEED]\n"
+        f"                      {_MODE_USAGE}\n"
+    ),
+}
+_TOP_USAGE = "usage: perfiso [-h] {chartab,mu,check,enumerate,decompose,verify} ...\n"
+HELP_AND_USAGE_PINS = {
+    ("-h",): (
+        0,
+        _TOP_USAGE
+        + """
+Exact tools for perfect self-isometries of the prime-order cyclic block.
+
+positional arguments:
+  {chartab,mu,check,enumerate,decompose,verify}
+    chartab             print the character table
+    mu                  print the pairing kernel of an isometry
+    check               test an isometry for perfectness
+    enumerate           enumerate all perfect isometries
+    decompose           affine coordinates of a perfect isometry
+    verify              enumerate and verify the group structure
+
+options:
+  -h, --help            show this help message and exit
+""",
+        "",
+    ),
+    ("chartab", "-h"): (0, _USAGE["chartab"] + _HELP_OPTIONS, ""),
+    ("mu", "-h"): (
+        0,
+        _USAGE["mu"] + _HELP_OPTIONS + '  --map MAP             isometry literal, e.g. "+2,+0,+1"\n',
+        "",
+    ),
+    ("check", "-h"): (
+        0,
+        _USAGE["check"] + _HELP_OPTIONS + '  --map MAP             isometry literal, e.g. "+0,+1,+2"\n',
+        "",
+    ),
+    ("enumerate", "-h"): (0, _USAGE["enumerate"] + _HELP_OPTIONS + _MODE_HELP, ""),
+    ("decompose", "-h"): (
+        0,
+        _USAGE["decompose"]
+        + _HELP_OPTIONS
+        + '  --map MAP             isometry literal, e.g. "+1,+3,+0,+2,+4"\n',
+        "",
+    ),
+    ("verify", "-h"): (0, _USAGE["verify"] + _HELP_OPTIONS + _MODE_HELP, ""),
+    ("check", "--map", "+0,+1,+2"): (
+        2,
+        "",
+        _USAGE["check"] + "perfiso check: error: the following arguments are required: -p\n",
+    ),
+    ("chartab", "-p", "3", "--format", "xml"): (
+        2,
+        "",
+        _USAGE["chartab"]
+        + "perfiso chartab: error: argument --format: invalid choice: 'xml'"
+        " (choose from 'text', 'json')\n",
+    ),
+    ("verify", "-p", "3", "--mode", "bad"): (
+        2,
+        "",
+        _USAGE["verify"]
+        + "perfiso verify: error: argument --mode: invalid choice: 'bad'"
+        " (choose from 'exhaustive', 'positive_then_negate')\n",
+    ),
+    ("enumerate", "-p", "3", "--seed", "q"): (
+        2,
+        "",
+        _USAGE["enumerate"] + "perfiso enumerate: error: argument --seed: invalid int value: 'q'\n",
+    ),
+    # --map is an option of other commands, not of chartab
+    ("chartab", "-p", "3", "--map=+0,+1,+2"): (
+        2,
+        "",
+        _TOP_USAGE + "perfiso: error: unrecognized arguments: --map=+0,+1,+2\n",
+    ),
+}
+
+
+@pytest.mark.skipif(
+    sys.version_info[:2] != (3, 11), reason="pinned as CPython 3.11's argparse words it"
+)
+@pytest.mark.parametrize("argv", HELP_AND_USAGE_PINS, ids=" ".join)
+def test_help_and_usage_output_is_pinned(capsys, monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert _in_process(capsys, list(argv)) == HELP_AND_USAGE_PINS[argv]
+
+
 PLAIN_CALLS = [
     ["chartab", "-p", "3"],
     ["mu", "-p", "3", "--map=+0,+1,+2"],
