@@ -4,12 +4,13 @@ The package loads its modules on first use (PEP 562): ``import perfiso``
 loads none of the four layers, ``perfiso.isometry`` loads that module, and
 the first public name read that is not defined here, ``__all__`` and
 ``dir()`` included, loads all four.  So a CLI call loads only the layers its
-command runs.  The prime check, Record, the base of the layers' records, and
-the two errors the CLI turns into exit codes, InternalError (exported by
-isometry) and NotPerfect (exported by pigroup), live here, in the one module
-every call loads: enumerate and verify, which read their answer off
-pigroup's search, load no other layer, and cli catches both errors by name
-without loading the layers that raise them.
+command runs.  The prime check, Record, the base of the layers' records, the
+mode names (exported by pigroup) and the two errors the CLI turns into exit
+codes, InternalError (exported by isometry) and NotPerfect (exported by
+pigroup), live here, in the one module every call loads: enumerate and
+verify, which read their answer off pigroup's search, load no other layer,
+cli's parsers read the modes, and cli catches both errors by name, without
+loading the layers that use them.
 """
 
 from operator import index as _as_int, itemgetter as _itemgetter
@@ -77,6 +78,12 @@ class Record(tuple):
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self))
         return f"{type(self).__name__}({fields})"
+
+
+# the values of pigroup.iter_perfect's mode, and so of --mode; pigroup exports them
+EXHAUSTIVE = "exhaustive"
+POSITIVE_THEN_NEGATE = "positive_then_negate"
+MODES = (EXHAUSTIVE, POSITIVE_THEN_NEGATE)
 
 
 class InternalError(RuntimeError):

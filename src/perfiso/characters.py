@@ -8,6 +8,7 @@ kernel evaluations and inner products.
 """
 
 from functools import lru_cache
+from operator import index
 
 from . import Record, require_prime
 from .cyclotomic import CycInt, _zeta_sums, symbolic_str, zeta_pow
@@ -80,8 +81,10 @@ def generalized_character(p: int, coeffs: "Sequence[int]") -> ClassFunction:
     p = require_prime(p)
     if len(coeffs) != p:
         raise ValueError(f"expected {p} coefficients, got {len(coeffs)}")
-    # the value at g^b is the sum of coeffs[k] * zeta^(k*b)
-    return ClassFunction(p, _zeta_sums(p, coeffs, (0,) * p, range(p)))
+    # the value at g^b is the sum of coeffs[k] * zeta^(k*b); the sums take
+    # ints unchecked, so a non-integer coefficient raises TypeError here
+    weights = [index(c) for c in coeffs]
+    return ClassFunction(p, _zeta_sums(p, weights, (0,) * p, range(p)))
 
 
 def inner_product(x: ClassFunction, y: ClassFunction) -> CycInt:

@@ -190,13 +190,14 @@ def _zeta_sums(
 
     Each sum is counted exactly: term k adds weights[k] to the coefficient
     at its power mod p, with no ring multiplication.  A sum is counted only
-    when it is asked for, so a caller that stops early counts no more.
+    when it is asked for, so a caller that stops early counts no more.  p
+    must be prime and the weights ints: the sums are built unvalidated.
     """
     for step in steps:
         counts = [0] * p
         for k in range(len(weights)):
             counts[(exponents[k] + k * step) % p] += weights[k]
-        yield CycInt(p, counts)
+        yield CycInt._trusted(p, counts)
 
 
 def zeta_pow(p: int, k: int) -> CycInt:

@@ -23,7 +23,9 @@ is invariant under the value maps w -> u*w + a, so the search
 normal forms, and _orbit maps its hits through all p(p-1) of them
 (_orbit proves this complete).  It tests 17 values at p = 7, 68 at
 p = 13, 1,328 at p = 53 and 4,952 at p = 101, and reaches one leaf, the
-identity, at each.  Both modes run the same search:
+identity, at each.  Both modes (MODES, defined in the package root, so
+that cli reads --mode's choices without loading this layer) run the same
+search:
 
   * ``exhaustive`` assumes nothing about signs; the proof shows that mixed
     signs never pass, so no sign branch is needed.
@@ -44,8 +46,9 @@ no map and no AffineCoords is built and isometry is not imported
 
 from operator import sub
 
-# NotPerfect lives in the package root, which cli reads it from without loading this layer
-from . import NotPerfect, Record, require_prime
+# NotPerfect and the modes live in the package root, which cli reads them from
+# without loading this layer
+from . import EXHAUSTIVE, MODES, POSITIVE_THEN_NEGATE, NotPerfect, Record, require_prime
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
@@ -70,10 +73,6 @@ __all__ = [
     "enumerate_perfect",
     "verify_structure",
 ]
-
-EXHAUSTIVE = "exhaustive"
-POSITIVE_THEN_NEGATE = "positive_then_negate"
-MODES = (EXHAUSTIVE, POSITIVE_THEN_NEGATE)
 
 CHECK_HOMOGENEOUS = "homogeneous_sign"
 CHECK_AFFINE = "affine_completeness"
@@ -107,9 +106,10 @@ class PIGroupReport(Record):
     and ``elements()`` lists the coordinates from it; ``order`` counts the
     maps of every form.
 
-    ``checks`` always carries the five keys in CHECK_KEYS; a value of None
-    means the check was not evaluated by the producing operation (plain
-    enumeration leaves the two structural checks to verify_structure).
+    ``checks`` always carries the five keys of CHECK_KEYS, in that order,
+    which the CLI writes them in; a value of None means the check was not
+    evaluated by the producing operation (plain enumeration leaves the two
+    structural checks to verify_structure).
     """
 
     __slots__ = ()

@@ -136,6 +136,22 @@ def test_generalized_character_coefficients_recovered(p):
             assert inner_product(f, character(p, k)) == CycInt.from_int(p, coeffs[k])
 
 
+def test_generalized_character_takes_only_integer_coefficients():
+    # the counted sums are built unvalidated, so the coefficients are
+    # converted first: a float raises, an __index__ object counts as its int
+    for coeffs in ([1.5, 0, 0], [0, 0, 0.0]):
+        with pytest.raises(TypeError):
+            generalized_character(3, coeffs)
+
+    class Two:
+        def __index__(self):
+            return 2
+
+    f = generalized_character(3, [Two(), 0, 0])
+    assert f == generalized_character(3, [2, 0, 0])
+    assert {type(c) for value in f.values for c in value.coeffs} == {int}
+
+
 def test_class_function_arithmetic():
     # integer multiples, as SignedIsometry.image_character takes them
     f = character(3, 1)

@@ -937,13 +937,23 @@ def _benchmark_shapes():
                     yield [command, "-p", "3", *fmt, *mode, *literal]
 
 
+# with the benchmark's shapes, every option of the table and both value forms
+OPTION_CALLS = [
+    ["verify", "-p", "3", "--seed", "7"],
+    ["chartab", "-p", "3", "--format=json"],
+    ["enumerate", "-p", "3", "--mode=exhaustive"],
+]
+
+
 def _readme_calls():
     calls = re.findall(r"^\$ perfiso ([^|#\n]*)", README.read_text(), flags=re.M)
     assert len(calls) == len(COMMANDS)
     return [shlex.split(call) for call in calls]
 
 
-@pytest.mark.parametrize("argv", [*_benchmark_shapes(), *_readme_calls()], ids=" ".join)
+@pytest.mark.parametrize(
+    "argv", [*_benchmark_shapes(), *OPTION_CALLS, *_readme_calls()], ids=" ".join
+)
 def test_plain_calls_take_the_table_parser(argv):
     # guards against the plain path silently never being taken
     joined = cli._join_map_literals(argv)
@@ -1244,8 +1254,9 @@ def test_parser_loads_no_layer():
 
 
 def test_mode_choices_are_pigroup_modes():
-    # cli holds its own copy of pigroup's modes, so that parsing loads no
-    # layer; test_table_parser_agrees_with_argparse covers the table parser
+    # cli reads the modes pigroup exports from the package root, so that
+    # parsing loads no layer; test_table_parser_agrees_with_argparse covers
+    # the table parser
     (commands,) = [action for action in build_parser()._actions if action.dest == "command"]
     for name in REPORT_COMMANDS:
         (mode,) = [action for action in commands.choices[name]._actions if action.dest == "mode"]

@@ -446,7 +446,7 @@ def test_cross_check_counts_no_row_and_makes_no_ring_call(monkeypatch, p):
             return real(*args)
         return wrapper
 
-    for name in ("__init__", "__mul__", "galois"):
+    for name in ("__init__", "_trusted", "__mul__", "galois"):
         monkeypatch.setattr(CycInt, name, counting(name, getattr(CycInt, name)))
     monkeypatch.setattr(isometry, "_counted_row", counting("_counted_row", isometry._counted_row))
     affine, _, swapped = affine_family(p, 1, 2)
@@ -454,7 +454,7 @@ def test_cross_check_counts_no_row_and_makes_no_ring_call(monkeypatch, p):
         assert not is_perfect_via_spaces(iso).ok
     assert is_perfect_via_spaces(affine).ok
     assert calls == []
-    assert is_perfect(affine).ok and {"_counted_row", "__init__"} <= set(calls)
+    assert is_perfect(affine).ok and {"_counted_row", "_trusted"} <= set(calls)
 
 
 def test_is_perfect_counts_its_two_rows_on_every_call(monkeypatch):

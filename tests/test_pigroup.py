@@ -183,6 +183,7 @@ def test_enumeration_orders(p, expected_order):
     assert report.checks["affine_completeness"] is True
     assert report.checks["semidirect_law"] is None
     assert report.checks["negid_central"] is None
+    assert tuple(report.checks) == CHECK_KEYS  # the order the CLI writes them in
     elements = list(report.elements())
     assert elements == sorted(elements)
     assert not report.failures
@@ -422,6 +423,7 @@ def test_recomposition_matches_generator_composition():
 def test_verify_structure_all_checks_pass(p):
     report = verify_structure(p)
     assert report.order == 2 * p * (p - 1)
+    assert tuple(report.checks) == CHECK_KEYS
     assert all(report.checks[key] is True for key in CHECK_KEYS)
     assert report.all_pass()
     assert not report.failures
