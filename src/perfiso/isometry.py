@@ -289,10 +289,10 @@ def is_perfect(iso: SignedIsometry) -> Verdict:
     integrality iff row 1 does.  A row m >= 1 can fail separation only at
     (m, 0), which is nonzero iff (1, 0) is.  Every failure in a row m >= 2
     thus has one in row 1 before it, and the first row-major failure of
-    either kind lies in row 0 or row 1.  The scan stops at the first failure of integrality, which is
-    the witness: no entry after it, in row 0 or row 1, is counted or
-    checked against the bound, as none of them can change the verdict.
-    Every entry that is counted is bounded.
+    either kind lies in row 0 or row 1.  The scan stops at the first
+    failure of integrality, which is the witness: no entry after it, in row
+    0 or row 1, is counted or checked against the bound, as none of them
+    can change the verdict.  Every entry that is counted is bounded.
     """
     separation = None  # the first separation failure, reported if integrality holds
     for m in (0, 1):

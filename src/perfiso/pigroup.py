@@ -15,14 +15,14 @@ builds every generator, writes it.  No command calls gen_linear, gen_aut or
 recompose; they stay as the paper's generator families (shifts by linear
 characters, Aut(C_p) scalings), from which the group-structure tests are built.
 
-Enumeration: a depth-first search over the images of 0..p-1 that cuts a
-branch as soon as some map k -> image[k] + c*k leaves the two shapes a
-perfect candidate can have (iter_perfect proves the rule exact).  The rule
+Enumeration: a search over the images of 0..p-1, one depth at a time,
+that cuts a prefix as soon as some map k -> image[k] + c*k leaves the two
+shapes a perfect candidate can have (iter_perfect proves the rule exact).  The rule
 is invariant under the value maps w -> u*w + a, so the search
 (_normal_forms) visits only the permutations with prefix (0, 1), the
 normal forms, and _orbit maps its hits through all p(p-1) of them
 (_orbit proves this complete).  It tests 17 values at p = 7, 68 at
-p = 13, 1,328 at p = 53 and 4,952 at p = 101, and reaches one leaf, the
+p = 13, 1,328 at p = 53 and 4,952 at p = 101, and finds one form, the
 identity, at each.  Both modes (MODES, defined in the package root, so
 that cli reads --mode's choices without loading this layer) run the same
 search:
@@ -206,12 +206,12 @@ def _normal_forms(p: int) -> list[tuple[int, ...]]:
     order: the normal forms of the permutations that pass this rule
     (_orbit proves that their orbit is all of them).
 
-    A depth-first search fills image[0], image[1], ... with image[0] = 0,
+    The search fills image[0], image[1], ... with image[0] = 0,
     image[1] = 1 and later values in increasing order.  For each c it keeps
     the bitmask of the values image[k] + c*k over the placed k.  A map on
     d + 1 points is injective exactly when it takes d + 1 values and
     constant exactly when it takes one, and both properties pass to every
-    restriction, so a branch is cut as soon as some c has neither.  Every
+    restriction, so a prefix is cut as soon as some c has neither.  Every
     placed value, the forced prefix and a forced last value included, is
     tested against every c.  The search decides every permutation with
     prefix (0, 1); it assumes nothing about which of them pass.  The cut
@@ -219,42 +219,39 @@ def _normal_forms(p: int) -> list[tuple[int, ...]]:
     k -> image[k] - k take the value 0 twice, so that map must be constant,
     and at each depth d >= 2 its mask cuts every value but image[d] = d.
 
-    The search keeps its own stack, not one Python frame per depth, so any
-    p fits in the interpreter's recursion limit.  The frame of depth d holds
-    the masks and used values of image[:d] and an iterator over the values
-    for image[d]; a value that passes opens the frame of depth d + 1 (or,
-    at the last depth, is a leaf), and the iterator resumes where it
-    stopped once that frame is done, as a recursive search would.
+    The search runs depth by depth, in one loop and one Python frame, so
+    any p fits in the interpreter's recursion limit.  ``level`` lists the
+    passing prefixes of length d in lexicographic order, each with its
+    masks and used values; each is extended by every unused value in
+    increasing order, which keeps the order, and the last level holds the
+    forms.  Depths 0 and 1 offer one value each, and by the c = -1 cut
+    every later depth passes at most the value d, so each prefix has at
+    most one passing extension and, by induction from the empty prefix,
+    each level holds at most one.  The search thus holds at most two
+    prefixes and the masks of the value under test, each with at most
+    p - 1 masks of p bits, and one row of p - 1 steps for the current
+    depth: O(p^2) bits in all.
     """
     bits = [1 << w for w in range(p)] * 2
-    steps = [[c * d % p for c in (-1, *range(1, p - 1))] for d in range(p)]
-    image: list[int] = []
-    forms = []
-    frames = [([0] * (p - 1), 0, iter((0,)))]
-    while frames:
-        masks, used, values = frames[-1]
-        d = len(image)
-        for v in values:
-            if used >> v & 1:
-                continue
-            grown = []
-            for mask, step in zip(masks, steps[d]):
-                mask |= bits[v + step]
-                size = mask.bit_count()
-                if size != 1 and size != d + 1:
-                    break
-                grown.append(mask)
-            else:
-                if d + 1 == p:
-                    forms.append((*image, v))
+    level = [((), [0] * (p - 1), 0)]
+    for d in range(p):
+        steps = [c * d % p for c in (-1, *range(1, p - 1))]
+        extended = []
+        for image, masks, used in level:
+            for v in (d,) if d < 2 else range(p):
+                if used >> v & 1:
                     continue
-                image.append(v)
-                frames.append((grown, used | bits[v], iter((1,) if d == 0 else range(p))))
-                break
-        else:  # every value of depth d is decided: back to depth d - 1
-            frames.pop()
-            del image[-1:]
-    return forms
+                grown = []
+                for mask, step in zip(masks, steps):
+                    mask |= bits[v + step]
+                    size = mask.bit_count()
+                    if size != 1 and size != d + 1:
+                        break
+                    grown.append(mask)
+                else:
+                    extended.append(((*image, v), grown, used | bits[v]))
+        level = extended
+    return [image for image, _, _ in level]
 
 
 def _orbit(p: int, forms: list[tuple[int, ...]]) -> "Iterator[SignedIsometry]":
@@ -293,9 +290,9 @@ def _orbit(p: int, forms: list[tuple[int, ...]]) -> "Iterator[SignedIsometry]":
 
     Each map is built without validation, sharing one all-positive and one
     all-negative sign tuple.  Each image is a permutation: a form is one (a
-    leaf of the search places every value of 0..p-1 exactly once, as a
-    value is placed only when its bit is clear in ``used`` and the leaf has
-    depth p), and w -> u*w + a is a bijection of Z/p for a unit u, so it
+    form of the search places every value of 0..p-1 exactly once, as a
+    value is placed only when its bit is clear in ``used`` and the form has
+    length p), and w -> u*w + a is a bijection of Z/p for a unit u, so it
     maps a permutation to a permutation.
     """
     from .isometry import SignedIsometry

@@ -5,6 +5,7 @@ import inspect
 import itertools
 import pickle
 import sys
+import tracemalloc
 import traceback
 from collections import Counter
 from random import Random
@@ -255,18 +256,17 @@ def test_search_takes_no_frame_per_depth():
     assert forms == [tuple(range(211))]
 
 
-def _values_tested(p):
-    """How many values _normal_forms tests at p: the runs of its line
-    ``grown = []``, which each value not yet placed reaches, read by a line
-    tracer on that function's frames alone."""
+def _line_runs(p, text, read):
+    """``read(frame)`` at each run of the line ``text`` of _normal_forms at
+    p, by a line tracer on that function's frames alone."""
     code = pigroup._normal_forms.__code__
     source, first = inspect.getsourcelines(pigroup._normal_forms)
-    (target,) = [first + i for i, line in enumerate(source) if line.strip() == "grown = []"]
+    (target,) = [first + i for i, line in enumerate(source) if line.strip() == text]
     runs = []
 
     def on_line(frame, event, arg):
         if event == "line" and frame.f_lineno == target:
-            runs.append(p)
+            runs.append(read(frame))
         return on_line
 
     previous = sys.gettrace()
@@ -275,7 +275,13 @@ def _values_tested(p):
         pigroup._normal_forms(p)
     finally:
         sys.settrace(previous)
-    return len(runs)
+    return runs
+
+
+def _values_tested(p):
+    """How many values _normal_forms tests at p: the runs of its line
+    ``grown = []``, which each value not yet placed reaches."""
+    return len(_line_runs(p, "grown = []", lambda frame: None))
 
 
 def test_search_tests_the_values_its_docstring_states():
@@ -283,6 +289,22 @@ def test_search_tests_the_values_its_docstring_states():
     stated = "It tests 17 values at p = 7, 68 at p = 13, 1,328 at p = 53 and 4,952 at p = 101"
     assert stated in " ".join(pigroup.__doc__.split())
     assert {p: _values_tested(p) for p in counts} == counts
+
+
+def test_search_holds_one_prefix_per_depth():
+    # the c = -1 cut leaves at most one prefix at each of the p depths, so
+    # the search holds the masks of one prefix at a time, O(p^2) bits
+    for p in (7, 13, 53, 101):
+        sizes = _line_runs(p, "level = extended", lambda frame: len(frame.f_locals["extended"]))
+        assert sizes == [1] * p, p
+    tracemalloc.start()
+    try:
+        forms = pigroup._normal_forms(211)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert forms == [tuple(range(211))]
+    assert peak < 512 * 1024, peak
 
 
 PRIMES_TO_29 = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)
