@@ -17,8 +17,8 @@ characters, Aut(C_p) scalings), from which the group-structure tests are built.
 
 Enumeration: a search over the images of 0..p-1, one depth at a time,
 that cuts a prefix as soon as some map k -> image[k] + c*k leaves the two
-shapes a perfect candidate can have (iter_perfect proves the rule exact).  The rule
-is invariant under the value maps w -> u*w + a, so the search
+shapes a perfect candidate can have (iter_perfect proves the rule exact).
+The rule is invariant under the value maps w -> u*w + a, so the search
 (_normal_forms) visits only the permutations with prefix (0, 1), the
 normal forms, and _orbit maps its hits through all p(p-1) of them
 (_orbit proves this complete).  It tests 17 values at p = 7, 68 at
