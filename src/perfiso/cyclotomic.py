@@ -107,7 +107,10 @@ class CycInt:
         return CycInt._trusted(self._p, [a - b for a, b in zip(self._coeffs, o._coeffs)])
 
     def __rsub__(self, other: "int | CycInt") -> "CycInt":
-        return (-self) + other
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return o - self
 
     def __neg__(self) -> "CycInt":
         return CycInt._trusted(self._p, [-a for a in self._coeffs])
@@ -136,7 +139,9 @@ class CycInt:
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash((self._p, self._coeffs))
+        # an integer element equals its int, so it hashes like it
+        c = self._coeffs
+        return hash(c[0]) if not any(c[1:]) else hash((self._p, c))
 
     def __bool__(self) -> bool:
         return any(self._coeffs)

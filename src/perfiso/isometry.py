@@ -35,8 +35,8 @@ TYPE_CHECKING = False
 if TYPE_CHECKING:
     from collections.abc import Iterable, Iterator
 
-    # characters is imported only by image_character and forward_transform:
-    # the checks, the group and the CLI commands run without it
+    # characters is imported only by forward_transform: the checks, the
+    # group and the CLI commands run without it
     from .characters import ClassFunction
 
 __all__ = [
@@ -129,12 +129,6 @@ class SignedIsometry(Record):
 
     def as_literal(self) -> str:
         return ",".join(f"{'+' if s == 1 else '-'}{i}" for i, s in zip(self.image, self.signs))
-
-    def image_character(self, k: int) -> "ClassFunction":
-        """The image of character k: sign[k] times character image[k]."""
-        from .characters import character
-
-        return self.signs[k] * character(self.p, self.image[k])
 
     def compose(self, other: "SignedIsometry") -> "SignedIsometry":
         """self after other: index k goes through other first, then self."""
@@ -239,39 +233,28 @@ def kernel_table(iso: SignedIsometry) -> KernelTable:
     return KernelTable(p, tuple(tuple(map(dict(row).get, range(p), repeat(zero))) for row in rows))
 
 
-def _require_compatible(kt: KernelTable, f: "ClassFunction") -> None:
-    if kt.p != f.p:
-        raise ValueError(f"mismatched moduli: p={kt.p} vs p={f.p}")
-
-
-def forward_transform_raw(kt: KernelTable, beta: "ClassFunction") -> tuple[CycInt, ...]:
-    """Un-divided forward sums; the exact transform divides each by p.
-
-    Output index m carries the sum over n of entry (m, -n) times beta(g^n).
-    Only the nonzero values of beta enter the sums.
-    """
-    _require_compatible(kt, beta)
-    p = kt.p
-    zero = CycInt.zero(p)
-    terms = [(-n % p, v) for n, v in enumerate(beta.values) if v]
-    return tuple(sum([row[col] * v for col, v in terms], zero) for row in kt.entries)
-
-
 def forward_transform(kt: KernelTable, beta: "ClassFunction") -> "ClassFunction":
     """Apply the kernel to a source-side class function, exactly.
 
-    Raises NonIntegralTransform at the first output index whose sum is not
-    divisible by p.
+    Output index m is the sum over n of entry (m, -n) times beta(g^n),
+    divided by p; only the nonzero values of beta enter the sums.  Raises
+    NonIntegralTransform at the first output index whose sum is not
+    divisible by p, and sums no row after it.
     """
     from .characters import ClassFunction
 
+    if kt.p != beta.p:
+        raise ValueError(f"mismatched moduli: p={kt.p} vs p={beta.p}")
+    p = kt.p
+    zero = CycInt.zero(p)
+    terms = [(-n % p, v) for n, v in enumerate(beta.values) if v]
     values = []
-    for m, s in enumerate(forward_transform_raw(kt, beta)):
-        quotient = s.divide_exact_by_p()
+    for m, row in enumerate(kt.entries):
+        quotient = sum([row[col] * v for col, v in terms], zero).divide_exact_by_p()
         if quotient is None:
             raise NonIntegralTransform(m)
         values.append(quotient)
-    return ClassFunction(kt.p, tuple(values))
+    return ClassFunction(p, tuple(values))
 
 
 def is_perfect(iso: SignedIsometry) -> Verdict:

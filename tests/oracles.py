@@ -6,7 +6,8 @@ divisibility solves p*y = x by exact rational division over the reduced
 power basis, kernel entries are rebuilt from character-table values, the
 perfectness of a raw candidate is decided from plain integer count
 vectors, one candidate at a time, with no pruning, forward sums run over
-every element with plain integer products, roots of unity are
+every element with plain integer products, the image of a character
+is written down one signed power of zeta at a time, roots of unity are
 recognized by comparing against each of +-zeta^k in turn, the dense
 kernel counts every entry without the Galois action, the integrality
 and separation scans read every entry in row-major order, the
@@ -102,6 +103,18 @@ def forward_sums_dense(kt, beta) -> list[tuple[int, ...]]:
         last = raw[-1]
         out.append(tuple(c - last for c in raw))
     return out
+
+
+def image_character(iso: SignedIsometry, k: int) -> ClassFunction:
+    """The image of character k under iso: sign[k] times character image[k].
+
+    Its value at g^b is the one signed power sign[k] * zeta^(image[k]*b),
+    written down as a coefficient vector.
+    """
+    p, sign, a = iso.p, iso.signs[k], iso.image[k]
+    return ClassFunction(
+        p, tuple(CycInt(p, [sign if j == a * b % p else 0 for j in range(p)]) for b in range(p))
+    )
 
 
 def adjoint_transform(kt: KernelTable, alpha: ClassFunction) -> ClassFunction:

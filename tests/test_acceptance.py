@@ -35,6 +35,7 @@ from perfiso.cyclotomic import CycInt
 from oracles import (
     adjoint_transform,
     divisible_by_p_oracle,
+    image_character,
     random_generalized_character,
     random_isometry,
 )
@@ -122,7 +123,7 @@ def test_criterion_5_reconstruction_and_inversion(exhaustive_found):
             for k in range(p):
                 chi = character(p, k)
                 image = forward_transform(kt, chi)
-                assert image == iso.image_character(k)
+                assert image == image_character(iso, k)
                 assert adjoint_transform(kt, image) == chi
     _announce(5, "reconstruction_and_inversion", "all 140 enumerated isometries")
 

@@ -136,6 +136,11 @@ def test_generalized_character_coefficients_recovered(p):
             assert inner_product(f, character(p, k)) == CycInt.from_int(p, coeffs[k])
 
 
+def test_generalized_character_rejects_wrong_coefficient_count():
+    with pytest.raises(ValueError, match="^expected 3 coefficients, got 2$"):
+        generalized_character(3, [1, 2])
+
+
 def test_generalized_character_takes_only_integer_coefficients():
     # the counted sums are built unvalidated, so the coefficients are
     # converted first: a float raises, an __index__ object counts as its int
@@ -153,7 +158,7 @@ def test_generalized_character_takes_only_integer_coefficients():
 
 
 def test_class_function_arithmetic():
-    # integer multiples, as SignedIsometry.image_character takes them
+    # integer multiples, as test_adjoint_transform_sign_flip takes them
     f = character(3, 1)
     assert 2 * f == generalized_character(3, [0, 2, 0])
     assert -1 * f == generalized_character(3, [0, -1, 0])

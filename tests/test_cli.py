@@ -237,23 +237,23 @@ def test_check_builds_no_kernel_and_counts_two_rows(capsys, monkeypatch, literal
     # is_perfect counts rows 0 and 1, and the cross-check reads the rule off
     # the map, counting no row; only mu builds the whole kernel
     built, rows = [], []
-    real_kernel, real_raw = isometry.kernel_table, isometry.forward_transform_raw
+    real_kernel, real_forward = isometry.kernel_table, isometry.forward_transform
     real_row = isometry._counted_row
 
     def counting_kernel(iso):
         built.append("kernel_table")
         return real_kernel(iso)
 
-    def counting_raw(kt, beta):
-        built.append("forward_transform_raw")
-        return real_raw(kt, beta)
+    def counting_forward(kt, beta):
+        built.append("forward_transform")
+        return real_forward(kt, beta)
 
     def counting_row(iso, m):
         rows.append(m)
         return real_row(iso, m)
 
     monkeypatch.setattr(isometry, "kernel_table", counting_kernel)
-    monkeypatch.setattr(isometry, "forward_transform_raw", counting_raw)
+    monkeypatch.setattr(isometry, "forward_transform", counting_forward)
     monkeypatch.setattr(isometry, "_counted_row", counting_row)
     code, out, _ = run_cli(capsys, "check", "-p", "11", f"--map={literal}")
     assert code == expected and out.startswith("verdict: ")

@@ -71,7 +71,19 @@ def test_integer_operands_coerce():
     assert 1 + x == CycInt(3, [1, 1, 0])
     assert 2 * x == CycInt(3, [0, 2, 0])
     assert x - 1 == CycInt(3, [-1, 1, 0])
+    assert 5 - x == CycInt(3, [5, -1, 0])
     assert x == x + 0
+
+
+def test_foreign_operands_are_refused():
+    x = zeta_pow(3, 1)
+    for op in (lambda: x + 1.5, lambda: x - 1.5, lambda: x * 1.5):
+        with pytest.raises(TypeError):
+            op()
+    assert (x == "a") is False
+    # the reflected subtraction refuses too, so the error names its own operator
+    with pytest.raises(TypeError, match=r"^unsupported operand type\(s\) for -: 'float' and 'CycInt'$"):
+        1.5 - x
 
 
 def test_divisible_constant_case():
@@ -211,6 +223,18 @@ def test_equality_and_hash_on_normal_forms():
     assert a == b
     assert hash(a) == hash(b)
     assert a == 1 and b == 1
+
+
+@pytest.mark.parametrize("p", (2, 3, 53))
+def test_integer_elements_hash_like_their_int(p):
+    # equal objects hash equal, so a set holds an integer element and its int once
+    for n in (-7, 0, 1, 5):
+        x = CycInt.from_int(p, n)
+        assert x == n and hash(x) == hash(n)
+        assert len({x, n}) == 1
+    if p > 2:  # at p = 2, zeta = -1 and every element is an integer
+        z = zeta_pow(p, 1)
+        assert hash(z) == hash((p, z.coeffs))
 
 
 def test_symbolic_rendering():

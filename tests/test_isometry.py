@@ -26,7 +26,7 @@ from perfiso import (
     kernel_table,
     zeta_pow,
 )
-from perfiso.isometry import InternalError, forward_transform_raw
+from perfiso.isometry import InternalError
 from oracles import (
     adjoint_transform,
     check_integrality,
@@ -34,6 +34,7 @@ from oracles import (
     cross_check_dense,
     divisible_by_p_oracle,
     forward_sums_dense,
+    image_character,
     kernel_entry_oracle,
     kernel_table_dense,
     random_cycint,
@@ -323,12 +324,12 @@ def test_forward_transform_reconstructs_isometry():
         for iso in itertools.islice(all_signed_isometries(p), 8):
             kt = kernel_table(iso)
             for k in range(p):
-                assert forward_transform(kt, character(p, k)) == iso.image_character(k)
+                assert forward_transform(kt, character(p, k)) == image_character(iso, k)
         for _ in range(20):
             iso = random_isometry(rng, p)
             kt = kernel_table(iso)
             for k in range(p):
-                assert forward_transform(kt, character(p, k)) == iso.image_character(k)
+                assert forward_transform(kt, character(p, k)) == image_character(iso, k)
 
 
 def test_adjoint_transform_inverts_forward():
@@ -338,7 +339,7 @@ def test_adjoint_transform_inverts_forward():
             iso = random_isometry(rng, p)
             kt = kernel_table(iso)
             for k in range(p):
-                assert adjoint_transform(kt, iso.image_character(k)) == character(p, k)
+                assert adjoint_transform(kt, image_character(iso, k)) == character(p, k)
             beta = random_generalized_character(rng, p)
             assert adjoint_transform(kt, forward_transform(kt, beta)) == beta
 
@@ -357,9 +358,25 @@ def test_transform_raises_on_non_integral_values():
     with pytest.raises(NonIntegralTransform) as info:
         forward_transform(kt, indicator(p, 0))
     assert info.value.point == 0
-    sums = forward_transform_raw(kt, indicator(p, 0))
-    assert sums == (CycInt.one(p),) * p
-    assert not any(s.is_multiple_of_p for s in sums)
+    sums = forward_sums_dense(kt, indicator(p, 0))
+    assert sums == [CycInt.one(p).coeffs] * p
+    assert not any(divisible_by_p_oracle(p, list(s)) for s in sums)
+
+
+def test_forward_transform_rejects_mismatched_moduli():
+    kt = kernel_table(SignedIsometry.identity(3))
+    with pytest.raises(ValueError, match=r"^mismatched moduli: p=3 vs p=5$"):
+        forward_transform(kt, character(5, 1))
+
+
+def test_forward_transform_stops_at_first_non_integral_row():
+    # row 1 cannot be summed (its entry has p = 5), so reaching it would
+    # raise ValueError: the transform must raise at row 0 without summing it
+    p = 3
+    rows = (CycInt.one(p),) * p, (CycInt.one(5),) * p, (CycInt.zero(p),) * p
+    with pytest.raises(NonIntegralTransform) as info:
+        forward_transform(KernelTable(p, rows), indicator(p, 0))
+    assert info.value.point == 0
 
 
 def _random_class_function(rng, p):
@@ -381,8 +398,17 @@ def test_forward_sums_match_dense_oracle(p):
         betas += [_random_class_function(rng, p) for _ in range(4)]
         betas.append(ClassFunction(p, (CycInt.zero(p),) * p))
         for beta in betas:
-            got = [s.coeffs for s in forward_transform_raw(kt, beta)]
-            assert got == forward_sums_dense(kt, beta)
+            sums = forward_sums_dense(kt, beta)
+            # p * beta makes every sum a multiple of p, and its quotient the sum itself
+            assert [v.coeffs for v in forward_transform(kt, p * beta).values] == sums
+            failing = [m for m, s in enumerate(sums) if not divisible_by_p_oracle(p, list(s))]
+            if failing:
+                with pytest.raises(NonIntegralTransform) as info:
+                    forward_transform(kt, beta)
+                assert info.value.point == failing[0]
+            else:
+                got = [v.coeffs for v in forward_transform(kt, beta).values]
+                assert got == [tuple(c // p for c in s) for s in sums]
 
 
 def _split_scaling(p):
