@@ -270,9 +270,14 @@ def is_perfect(iso: SignedIsometry) -> Verdict:
     itself and only zero to zero.  So an entry of row m is divisible by p,
     or nonzero, exactly when its preimage in row 1 is, and row m fails
     integrality iff row 1 does.  A row m >= 1 can fail separation only at
-    (m, 0), which is nonzero iff (1, 0) is.  Every failure in a row m >= 2
-    thus has one in row 1 before it, and the first row-major failure of
-    either kind lies in row 0 or row 1.  The scan stops at the first
+    (m, 0), which is nonzero iff (1, 0) is, and (1, 0) never decides the
+    verdict.  With equal signs eps it is eps times the sum of all p-th
+    roots of unity, 0.  With mixed signs and p odd, (0, 0), the sum of the
+    signs, is odd and below p in size, so it fails integrality first.  With
+    mixed signs and p = 2, zeta = -1, every entry is a sum of two terms +-1
+    and even, and (0, 1) = sign[0] - sign[1] = +-2 fails separation first.
+    So separation is read from row 0 alone, and the first row-major failure
+    of integrality lies in row 0 or row 1.  The scan stops at the first
     failure of integrality, which is the witness: no entry after it, in row
     0 or row 1, is counted or checked against the bound, as none of them
     can change the verdict.  Every entry that is counted is bounded.
@@ -282,7 +287,7 @@ def is_perfect(iso: SignedIsometry) -> Verdict:
         for n, entry in _counted_row(iso, m):
             if not entry.is_multiple_of_p:
                 return Verdict(FAILS_INTEGRALITY, (m, n))
-            if separation is None and (m == 0) != (n == 0):
+            if separation is None and m == 0 and n:
                 separation = (m, n)
     return Verdict(FAILS_SEPARATION, separation) if separation else Verdict(PERFECT)
 

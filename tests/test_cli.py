@@ -734,12 +734,15 @@ def _as_child(argv):
     (
         (["chartab", "-p", "5"], 0),
         (["check", "-p", "5", "--map", "+1,+0,+3,+2,+4"], 1),
+        (["check", "-p", "5", "--map", "-1,+3,+0,+2,+4"], 1),
         (["chartab", "-p", "103"], 2),
         (["check", "-p", "3"], 2),
         (["--help"], 0),
         (["mu", "-p", "101", "--format", "json", f"--map={RANDOM_SIGNED[101]}"], 0),
     ),
-    ids=("chartab", "check-negative", "bound", "usage", "help", "mu-json-p101"),
+    ids=(
+        "chartab", "check-negative", "check-separate-map", "bound", "usage", "help", "mu-json-p101",
+    ),
 )
 def test_child_exit_matches_main(capsys, monkeypatch, argv, code):
     # run() ends the child with os._exit after flushing: the output, all of
