@@ -5,12 +5,12 @@ loads none of the four layers, ``perfiso.isometry`` loads that module, and
 the first public name read that is not defined here, ``__all__`` and
 ``dir()`` included, loads all four.  So a CLI call loads only the layers its
 command runs.  The prime check, Record, the base of the layers' records, the
-mode names (exported by pigroup) and the two errors the CLI turns into exit
-codes, InternalError (exported by isometry) and NotPerfect (exported by
-pigroup), live here, in the one module every call loads: enumerate and
-verify, which read their answer off pigroup's search, load no other layer,
-cli's parsers read the modes, and cli catches both errors by name, without
-loading the layers that use them.
+mode names and the two errors the CLI turns into exit codes, InternalError
+and NotPerfect, live here, in the one module every call loads and the one
+that exports them (_ROOT_NAMES): enumerate and verify, which read their
+answer off pigroup's search, load no other layer, cli's parsers read the
+modes, and cli catches both errors by name, without loading the layers
+that use them.
 """
 
 from operator import index as _as_int, itemgetter as _itemgetter
@@ -18,6 +18,12 @@ from operator import index as _as_int, itemgetter as _itemgetter
 __version__ = "0.1.0"
 
 _LAYERS = ("cyclotomic", "characters", "isometry", "pigroup")
+# the public names defined here; _export adds the layers' __all__ to them
+_ROOT_NAMES = (
+    "is_prime", "require_prime",
+    "EXHAUSTIVE", "POSITIVE_THEN_NEGATE", "MODES",
+    "InternalError", "NotPerfect",
+)
 
 
 def is_prime(n: int) -> bool:
@@ -80,7 +86,7 @@ class Record(tuple):
         return f"{type(self).__name__}({fields})"
 
 
-# the values of pigroup.iter_perfect's mode, and so of --mode; pigroup exports them
+# the values of pigroup.iter_perfect's mode, and so of --mode
 EXHAUSTIVE = "exhaustive"
 POSITIVE_THEN_NEGATE = "positive_then_negate"
 MODES = (EXHAUSTIVE, POSITIVE_THEN_NEGATE)
@@ -95,13 +101,13 @@ class NotPerfect(Exception):
 
 
 def _export() -> None:
-    """Bind here the public names of the four layers, and __all__ to them.
+    """Bind here the public names of the four layers, and __all__ to them and _ROOT_NAMES.
 
-    Each public name is declared once, in the __all__ of its module.
+    Each public name is declared once: in _ROOT_NAMES or in its layer's __all__.
     """
     from importlib import import_module
 
-    names = []
+    names = list(_ROOT_NAMES)
     for layer in _LAYERS:
         module = import_module(f"{__name__}.{layer}")
         globals().update((name, getattr(module, name)) for name in module.__all__)

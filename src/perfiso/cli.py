@@ -58,7 +58,7 @@ import os
 import sys
 from types import SimpleNamespace
 
-from . import MODES, POSITIVE_THEN_NEGATE, InternalError, NotPerfect
+from . import MODES, POSITIVE_THEN_NEGATE, InternalError, NotPerfect, require_prime
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
@@ -140,6 +140,26 @@ def build_parser() -> "argparse.ArgumentParser":
             )
         return parser
 
+    def usage(name: str, options: tuple) -> str:
+        # the line 3.11's argparse writes at COLUMNS=80, given as usage= so that
+        # no interpreter or terminal width wraps it differently: [-h], then an
+        # option with a default as one part, a required one as flag and metavar
+        parts = ["[-h]"]
+        for flag, kind, default, _ in options:
+            metavar = flag.lstrip("-").upper()
+            if isinstance(kind, tuple):
+                metavar = "{%s}" % ",".join(kind)
+            parts += [f"[{flag} {metavar}]"] if default is not None else [flag, metavar]
+        line = f"usage: perfiso {name}"
+        lines, indent = [], " " * (len(line) + 1)
+        for part in parts:
+            if len(line) + 1 + len(part) > 78:
+                lines.append(line)
+                line = indent + part
+            else:
+                line += " " + part
+        return "\n".join([*lines, line]).removeprefix("usage: ")
+
     common, commands = _commands()
     # the common options go once into a parent that each command copies; added
     # to every command, each add_argument sizes its help again, about 0.2 ms more
@@ -150,7 +170,10 @@ def build_parser() -> "argparse.ArgumentParser":
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (func, help_text, options) in commands.items():
-        sp = add_options(sub.add_parser(name, parents=[parent], help=help_text), options)
+        sp = sub.add_parser(
+            name, parents=[parent], help=help_text, usage=usage(name, (*common, *options))
+        )
+        add_options(sp, options)
         sp.set_defaults(func=func)
     return parser
 
@@ -223,7 +246,7 @@ def _verdict_json(verdict: "Verdict") -> dict:
 def cmd_chartab(args: "Args") -> _Result:
     # entry (a, b) is zeta^(a*b), so each row is made of the p texts of the
     # powers zeta^k, each rendered once; no ring value outlives its text
-    from .cyclotomic import require_prime, symbolic_str, zeta_pow
+    from .cyclotomic import symbolic_str, zeta_pow
 
     p = require_prime(args.p)
     powers = [symbolic_str(zeta_pow(p, k)) for k in range(p)]

@@ -12,8 +12,7 @@ point enters this module.
 from functools import lru_cache
 from operator import index as _as_int, itemgetter
 
-# the package root's prime check, which every layer reads, exported with the ring
-from . import is_prime, require_prime
+from . import require_prime
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
@@ -21,8 +20,6 @@ if TYPE_CHECKING:
 
 __all__ = [
     "CycInt",
-    "is_prime",
-    "require_prime",
     "zeta_pow",
     "symbolic_str",
 ]

@@ -27,7 +27,6 @@ basis, whose images are the kernel's columns.
 from itertools import repeat
 from operator import index, itemgetter, mul
 
-# InternalError lives in the package root, which cli reads it from without loading this layer
 from . import InternalError, Record, require_prime
 from .cyclotomic import CycInt, _zeta_sums
 
@@ -44,7 +43,6 @@ __all__ = [
     "FAILS_INTEGRALITY",
     "FAILS_SEPARATION",
     "NonIntegralTransform",
-    "InternalError",
     "SignedIsometry",
     "KernelTable",
     "Verdict",

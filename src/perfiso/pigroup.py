@@ -46,9 +46,7 @@ no map and no AffineCoords is built and isometry is not imported
 
 from operator import sub
 
-# NotPerfect and the modes live in the package root, which cli reads them from
-# without loading this layer
-from . import EXHAUSTIVE, MODES, POSITIVE_THEN_NEGATE, NotPerfect, Record, require_prime
+from . import MODES, POSITIVE_THEN_NEGATE, NotPerfect, Record, require_prime
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
@@ -57,11 +55,7 @@ if TYPE_CHECKING:
     from .isometry import SignedIsometry  # imported only where a map is built
 
 __all__ = [
-    "EXHAUSTIVE",
-    "POSITIVE_THEN_NEGATE",
-    "MODES",
     "CHECK_KEYS",
-    "NotPerfect",
     "AffineCoords",
     "PIGroupReport",
     "gen_linear",

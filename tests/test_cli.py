@@ -462,8 +462,7 @@ def test_p_above_cli_bound_exits_2_before_any_work(capsys, monkeypatch, p):
     def no_work(n):
         raise AssertionError(f"primality of {n} tested")
 
-    # the name require_prime reads; cyclotomic.is_prime is the same object,
-    # bound once, so patching it there would test nothing
+    # the name require_prime reads, in the package root, where both are defined
     monkeypatch.setattr(perfiso, "is_prime", no_work)
     for command in ("chartab", "mu", "check", "enumerate", "decompose", "verify"):
         extra = ("--map=+0",) if command in ("mu", "check", "decompose") else ()
@@ -1164,6 +1163,16 @@ def test_help_and_usage_output_is_pinned(capsys, monkeypatch, argv):
     assert _in_process(capsys, list(argv)) == HELP_AND_USAGE_PINS[argv]
 
 
+def test_usage_lines_are_the_same_on_every_interpreter():
+    # cli builds each command's usage line from its table, so no argparse
+    # version or terminal width wraps it; the rest of the help text is pinned
+    # under 3.11 alone, above
+    (commands,) = [action for action in build_parser()._actions if action.dest == "command"]
+    assert list(commands.choices) == list(_USAGE)
+    for name, parser in commands.choices.items():
+        assert parser.format_usage() == _USAGE[name], name
+
+
 PLAIN_CALLS = [
     ["chartab", "-p", "3"],
     ["mu", "-p", "3", "--map=+0,+1,+2"],
@@ -1257,13 +1266,14 @@ def test_parser_loads_no_layer():
 
 
 def test_mode_choices_are_pigroup_modes():
-    # cli reads the modes pigroup exports from the package root, so that
-    # parsing loads no layer; test_table_parser_agrees_with_argparse covers
-    # the table parser
+    # cli reads the modes from the package root, which defines and exports
+    # them, so that parsing loads no layer; pigroup reads the same objects;
+    # test_table_parser_agrees_with_argparse covers the table parser
     (commands,) = [action for action in build_parser()._actions if action.dest == "command"]
     for name in REPORT_COMMANDS:
         (mode,) = [action for action in commands.choices[name]._actions if action.dest == "mode"]
-        assert (mode.choices, mode.default) == (pigroup.MODES, pigroup.POSITIVE_THEN_NEGATE)
+        assert (mode.choices, mode.default) == (perfiso.MODES, perfiso.POSITIVE_THEN_NEGATE)
+    assert pigroup.MODES is perfiso.MODES
 
 
 # ---------------------------------------------------------------------------

@@ -201,12 +201,19 @@ def test_pigroup_imports_isometry_late_and_no_cyclotomic():
 
 
 def test_package_exports_match_modules():
-    layers = (cyclotomic, characters, isometry, pigroup)
-    assert sorted(perfiso.__all__) == sorted({name for mod in layers for name in mod.__all__})
-    assert len(perfiso.__all__) == len(set(perfiso.__all__))
-    for mod in layers:
-        for name in mod.__all__:
-            assert getattr(perfiso, name) is getattr(mod, name), name
+    # each public name is listed once, where it is defined: in the root's
+    # own tuple or in one layer's __all__, and the package exports each list
+    modules = (perfiso, cyclotomic, characters, isometry, pigroup)
+    lists = [perfiso._ROOT_NAMES, *(mod.__all__ for mod in modules[1:])]
+    listed = [name for names in lists for name in names]
+    assert sorted(perfiso.__all__) == sorted(listed)
+    assert len(listed) == len(set(listed)) == 39
+    for mod, names in zip(modules, lists):
+        for name in names:
+            obj = getattr(mod, name)
+            assert getattr(perfiso, name) is obj, name
+            if callable(obj):  # a function or a class, defined in the module that lists it
+                assert obj.__module__ == mod.__name__, name
 
 
 def test_cli_writes_stdout_only_in_main():
