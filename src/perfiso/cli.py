@@ -22,6 +22,9 @@ package root, so main catches them by name and loads no layer to do so.
 A ``--map`` literal that starts with "-" may be given as a separate
 argument (``--map -0,-1,-2``) or joined (``--map=-0,-1,-2``); both forms
 reach the same literal parser, so a malformed one gets the same message.
+A joined "--" value (``--format=--``, ``-p=--``, ``-p--``) is split off
+as a token of its own, which argparse refuses on every supported version
+("expected one argument", exit 2).
 
 One command table, ``_commands()``, is read by ``build_parser`` and by
 ``_parse_plain``: each command's handler and help, and each option's flag,
@@ -30,10 +33,13 @@ and help, so neither parser names an option.  A plain call (the command,
 then each of its options once, with well-formed values) is parsed from the
 table alone, to the namespace argparse would build; help, usage errors,
 abbreviations and every other argv go to the argparse parser, which is
-imported and built only for them.  A reader that closes stdout early ends
-the output, not the verdict: the exit code is the command's own, and
-nothing is printed on stderr.  An error line goes to stderr or nowhere
-(_error), never to stdout.
+imported and built only for them.  Both parsers read an int option with
+``_int``: an optional ASCII sign, then ASCII digits, so "٣", "1_1" and
+" 3" are usage errors on either path and "+3" and "-1" keep their values.
+The paths differ only in which token shapes they take, never in what a
+value means.  A reader that closes stdout early ends the output, not the
+verdict: the exit code is the command's own, and nothing is printed on
+stderr.  An error line goes to stderr or nowhere (_error), never to stdout.
 
 Each command imports the library functions it calls when it runs, and
 parsing imports none, so a call loads only the layers its command needs:
@@ -43,8 +49,8 @@ isometry too only to name a failure.
 
 chartab and mu render their grids row by row and hold no p x p table of
 ring values: chartab renders the p powers of zeta once and builds each row
-from their texts, and mu renders the zero text once and, as _kernel_rows
-makes each row, only that row's nonzero entries.
+from their texts, and mu fills each row with "0", symbolic_str's zero
+text, and renders, as _kernel_rows makes each row, only its nonzero entries.
 The grids' joined lines are made only when main writes them.  _report
 alone turns a PIGroupReport into JSON keys or text lines, and builds only
 those its --format writes: a JSON call makes no line, a text call no dict.
@@ -92,10 +98,10 @@ def _commands() -> tuple[tuple, dict[str, tuple]]:
     (handler, help, the command's own options).
 
     Each option is a tuple (flag, kind, default, help), in the order help
-    lists them, the common ones first.  kind is int (ASCII digits on the
-    plain path), str, or a tuple of choices; default is the value, as
-    written on the command line, that an absent option takes, and None
-    makes the option required.  build_parser and _parse_plain both read
+    lists them, the common ones first.  kind is int (read by _int on both
+    parser paths: an optional ASCII sign, then ASCII digits), str, or a
+    tuple of choices; default is the value, as written on the command line,
+    that an absent option takes, and None makes the option required.  build_parser and _parse_plain both read
     this table and name no option themselves.  It holds no library call:
     each handler imports the layer functions it calls, so parsing loads no
     layer.
@@ -122,6 +128,21 @@ def _commands() -> tuple[tuple, dict[str, tuple]]:
         ),
         "verify": (cmd_verify, "enumerate and verify the group structure", mode),
     }
+
+
+def _int(text: str) -> int:
+    """The value of an int option: an optional ASCII "+" or "-", then ASCII
+    digits, as many as int() reads; anything else raises ValueError.
+
+    int() alone would also read other digits ("٣"), "_" between
+    digits and surrounding whitespace.  _parse_plain calls this, and each
+    subparser registers it as its int type, so argparse reads a value the
+    same way and still words its error "invalid int value".
+    """
+    digits = text[1:] if text[:1] in ("+", "-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"invalid int value: {text!r}")
+    return int(text)
 
 
 def build_parser() -> "argparse.ArgumentParser":
@@ -173,6 +194,7 @@ def build_parser() -> "argparse.ArgumentParser":
         sp = sub.add_parser(
             name, parents=[parent], help=help_text, usage=usage(name, (*common, *options))
         )
+        sp.register("type", int, _int)  # type=int reads through _int; errors still say "int"
         add_options(sp, options)
         sp.set_defaults(func=func)
     return parser
@@ -182,13 +204,14 @@ def _parse_plain(argv: list[str]) -> SimpleNamespace | None:
     """The namespace build_parser() gives a plain call; None for any other argv.
 
     A plain call is the command, then each of its options at most once, as
-    "--opt value", "--opt=value" or "-p value": an int option in ASCII
-    digits, a choice option one of its choices exactly, no separate value
+    "--opt value", "--opt=value" or "-p value": an int option that _int
+    reads, a choice option one of its choices exactly, no separate value
     that starts with "-", and every required option present.  argparse
-    reads such an argv to the same namespace.  Anything else, help,
-    abbreviations, "-p7", a repeated option and every usage error among
-    it, gets None, so argparse alone prints help and usage messages and
-    picks their exit codes.
+    reads such an argv to the same namespace, with the same _int, and
+    _join_map_literals has already split off a joined "--" value, so no
+    value here is "--".  Anything else, help, abbreviations, "-p7", a
+    repeated option and every usage error among it, gets None, so argparse
+    alone prints help and usage messages and picks their exit codes.
     """
     common, commands = _commands()
     entry = commands.get(argv[0]) if argv else None
@@ -203,8 +226,7 @@ def _parse_plain(argv: list[str]) -> SimpleNamespace | None:
             name, value = token, next(tokens, None)
             if value is None or value[:1] == "-":
                 return None
-        # argparse drops a value of "--" ("--map=--" gives an empty list)
-        if name in values or value == "--":
+        if name in values:
             return None
         values[name] = value
     args = SimpleNamespace(command=argv[0], func=func)
@@ -213,11 +235,9 @@ def _parse_plain(argv: list[str]) -> SimpleNamespace | None:
         if value is None:  # a required option is missing
             return None
         if kind is int:
-            if not (value.isascii() and value.isdigit()):
-                return None
             try:
-                value = int(value)
-            except ValueError:  # more digits than int() reads; argparse rejects them too
+                value = _int(value)
+            except ValueError:  # argparse words the error
                 return None
         elif kind is not str and value not in kind:
             return None
@@ -255,17 +275,16 @@ def cmd_chartab(args: "Args") -> _Result:
 
 
 def cmd_mu(args: "Args") -> _Result:
-    from .cyclotomic import CycInt, symbolic_str
+    from .cyclotomic import symbolic_str
     from .isometry import SignedIsometry, _kernel_rows
 
     iso = SignedIsometry.from_literal(args.p, args.map)
     p = iso.p
     # a row holds only its nonzero entries, each rendered as the row arrives
-    # and freed with it; every other column shows the one zero text
-    zero = symbolic_str(CycInt.zero(p))
+    # and freed with it; every other column shows "0", symbolic_str's zero text
     grid = []
     for row in _kernel_rows(iso):
-        texts = [zero] * p
+        texts = ["0"] * p
         for n, entry in row:
             texts[n] = symbolic_str(entry)
         grid.append(texts)
@@ -343,17 +362,27 @@ def _report(report: "PIGroupReport", fmt: str) -> _Result:
 
 
 def _join_map_literals(argv: "Sequence[str]") -> list[str]:
-    """Join "--map" with a following token that starts with a single "-".
+    """Join "--map" with a following token that starts with a single "-",
+    and split a joined "--" value off its option.
 
     argparse reads a separate "-0,-1,-2" as an unknown option, so it is
     passed on as the single token "--map=-0,-1,-2", and the literal parser
     judges it, malformed or not.  The parser's own short options, "-p..."
     and "-h", are left alone, as is every "--" token.
+
+    "--opt=--", "-p=--" and "-p--" become the option and a "--" token of
+    their own.  argparse before 3.13 reads such a joined value as an empty
+    list, which no command takes (main would compare it with MAX_P), and
+    3.13 as the value "--"; given "--" apart, every version refuses it with
+    "argument <flag>: expected one argument", a usage error.
     """
     joined: list[str] = []
     for token in argv:
+        flag, _, value = ("-p=--" if token == "-p--" else token).partition("=")
         literal = token[:1] == "-" and token[:2] not in ("--", "-p") and token != "-h"
-        if joined and joined[-1] == "--map" and literal:
+        if value == "--" and (flag == "-p" or flag[:2] == "--" and flag != "--"):
+            joined += [flag, "--"]
+        elif joined and joined[-1] == "--map" and literal:
             joined[-1] = f"--map={token}"
         else:
             joined.append(token)

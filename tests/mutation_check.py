@@ -65,6 +65,20 @@ MUTATIONS = (
         "if value is None:",
         ("tests/test_cli.py",),
     ),
+    # an int option's value is ASCII: int() alone also reads "\u0663" and "\uff13"
+    (
+        "src/perfiso/cli.py",
+        "if not (digits.isascii() and digits.isdigit()):",
+        "if not digits.isdigit():",
+        ("tests/test_cli.py",),
+    ),
+    # a joined "--" value goes to argparse as a token of its own
+    (
+        "src/perfiso/cli.py",
+        'if value == "--" and (flag == "-p" or flag[:2] == "--" and flag != "--"):',
+        "if False:",
+        ("tests/test_cli.py",),
+    ),
     # a required option is two parts of the usage line, which wraps between them
     (
         "src/perfiso/cli.py",

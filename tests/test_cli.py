@@ -146,7 +146,7 @@ def test_mu_derived_entry_out_of_bound_exits_3(capsys, monkeypatch, literal, sca
 @pytest.mark.parametrize("fmt", ("text", "json"))
 def test_mu_renders_each_nonzero_entry_once(capsys, monkeypatch, fmt):
     # an affine map's kernel has one nonzero entry per row: mu renders those
-    # p entries and the zero text once, and fills every other column with it
+    # p entries, and fills every other column with "0", rendering no zero
     p = 23
     calls = []
     real = cyclotomic.symbolic_str
@@ -159,8 +159,31 @@ def test_mu_renders_each_nonzero_entry_once(capsys, monkeypatch, fmt):
     literal = ",".join(f"+{(1 + 2 * k) % p}" for k in range(p))
     code, out, _ = run_cli(capsys, "mu", "-p", str(p), f"--map={literal}", "--format", fmt)
     assert code == 0 and out
-    assert len(calls) <= p + 1
-    assert sum(1 for x in calls if not x) == 1
+    assert len(calls) == p
+    assert sum(1 for x in calls if not x) == 0
+
+
+@pytest.mark.parametrize(
+    "literal",
+    (",".join(f"+{(1 + 2 * k) % 23}" for k in range(23)), RANDOM_SIGNED[23]),
+    ids=("affine", "random_signed"),
+)
+def test_mu_builds_no_validated_ring_value(capsys, monkeypatch, literal):
+    # the zero columns show symbolic_str's zero text, written as "0", and
+    # every entry mu renders comes from _trusted or galois, so the validating
+    # constructor never runs
+    assert cyclotomic.symbolic_str(cyclotomic.CycInt.zero(23)) == "0"
+    calls = []
+    real = cyclotomic.CycInt.__init__
+
+    def counting(self, *args):
+        calls.append(args)
+        real(self, *args)
+
+    monkeypatch.setattr(cyclotomic.CycInt, "__init__", counting)
+    code, out, _ = run_cli(capsys, "mu", "-p", "23", f"--map={literal}")
+    assert code == 0 and out
+    assert calls == []
 
 
 @pytest.mark.parametrize("fmt", ("text", "json"))
@@ -1013,13 +1036,20 @@ def cli_argvs(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(cli_argvs())
+@example(["chartab", "-p=--"])
 def test_table_parser_agrees_with_argparse(argv):
     # wherever the table parser answers, argparse accepts the same argv and
-    # builds the same namespace; everywhere else argparse alone answers
+    # builds the same namespace; everywhere else argparse alone answers.
+    # Wherever argparse accepts, each value has its option's kind
     joined = cli._join_map_literals(argv)
+    reference = _reference(joined)
+    if isinstance(reference, dict):
+        assert type(reference["p"]) is int and type(reference["seed"]) is int
+        assert reference["format"] in ("text", "json")
+        assert reference.get("mode", MODES[0]) in MODES
     plain = cli._parse_plain(joined)
     if plain is not None:
-        assert vars(plain) == _reference(joined)
+        assert vars(plain) == reference
 
 
 LONG_NUMBER = "9" * 5000
@@ -1171,6 +1201,57 @@ def test_usage_lines_are_the_same_on_every_interpreter():
     assert list(commands.choices) == list(_USAGE)
     for name, parser in commands.choices.items():
         assert parser.format_usage() == _USAGE[name], name
+
+
+# an int option's value is an optional ASCII sign and ASCII digits, read by
+# one function on both parser paths; no version gate, so every interpreter
+# of the CI matrix runs these
+NOT_INTS = ("\u0663", "\uff13", "1_1", " 3", "3 ")  # Arabic-Indic and fullwidth 3
+
+
+def _int_shapes():
+    for value in NOT_INTS:
+        for flag, shape, options in (
+            ("-p", "-p V", ["-p", value]),  # plain
+            ("-p", "-pV", [f"-p{value}"]),  # argparse only
+            ("--seed", "--seed=V", ["-p", "3", f"--seed={value}"]),  # plain
+            ("--seed", "--se V", ["-p", "3", "--se", value]),  # argparse only
+        ):
+            argv = ["chartab", *options]
+            yield pytest.param(flag, value, argv, id=shape.replace("V", ascii(value)))
+
+
+@pytest.mark.parametrize("flag, value, argv", _int_shapes())
+def test_int_options_take_ascii_digits_only(capsys, flag, value, argv):
+    message = f"perfiso chartab: error: argument {flag}: invalid int value: {value!r}\n"
+    assert _in_process(capsys, argv) == (2, "", _USAGE["chartab"] + message)
+
+
+JOINED_DASHES = {
+    ("chartab", "-p=--"): "-p",
+    ("chartab", "-p--"): "-p",
+    ("chartab", "-p", "3", "--format=--"): "--format",
+    ("chartab", "-p", "3", "--form=--"): "--format",
+    ("verify", "-p", "3", "--mode=--"): "--mode",
+    ("chartab", "-p", "3", "--seed=--"): "--seed",
+    ("mu", "-p", "3", "--map=--"): "--map",
+}
+
+
+@pytest.mark.parametrize("argv", JOINED_DASHES, ids=" ".join)
+def test_joined_double_dash_value_is_a_usage_error(capsys, argv):
+    # argparse before 3.13 reads a joined "--" as an empty list, and 3.13 as
+    # "--"; cli hands it on as a token of its own, which every version refuses
+    message = f"perfiso {argv[0]}: error: argument {JOINED_DASHES[argv]}: expected one argument\n"
+    assert _in_process(capsys, list(argv)) == (2, "", _USAGE[argv[0]] + message)
+
+
+def test_signed_int_values_keep_their_meaning(capsys):
+    plus = _in_process(capsys, ["chartab", "-p", "+3"])
+    assert plus == _in_process(capsys, ["chartab", "-p", "3"])
+    for seed in (["--seed", "-1"], ["--seed=-1"]):
+        code, out, err = _in_process(capsys, ["chartab", "-p", "3", *seed])
+        assert (code, err) == (0, "") and out
 
 
 PLAIN_CALLS = [
