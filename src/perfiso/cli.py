@@ -84,12 +84,10 @@ EXIT_USAGE = 2
 EXIT_INTERNAL = 3
 
 SCHEMA_VERSION = 1
-# the target scale; at p = 101, end to end on 2 vCPUs (median of 11, interleaved,
-# stdout to /dev/null) on a host whose bare `python -c pass` takes 0.041 s,
-# verify and enumerate take about 0.052 and 0.055 s (0.100 and 0.103 s with
-# --format json), chartab 0.036 s, decompose 0.041 s, and check and mu of an
-# affine map 0.040 and 0.045 s (0.042 and 0.26 s for a random signed map, whose
-# mu prints 10,201 coefficient lists)
+# every command rejects p > MAX_P; the library has no bound.  Output size sets
+# it: mu of a dense map writes p^2 coefficient lists of p integers, O(p^3)
+# characters.  The measured times at this bound, and what raising it would
+# take, are in ROADMAP.md and CHANGES.md
 MAX_P = 101
 
 

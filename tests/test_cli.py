@@ -971,13 +971,38 @@ OPTION_CALLS = [
 
 
 def _readme_calls():
-    calls = re.findall(r"^\$ perfiso ([^|#\n]*)", README.read_text(), flags=re.M)
-    assert len(calls) == len(COMMANDS)
-    return [shlex.split(call) for call in calls]
+    """Each "$ perfiso" example of README.md: its argv, its pipe ("head" or
+    "tail" and a line count, or None) and the text it shows, every line up
+    to the next blank line or the end of the block."""
+    examples = re.findall(
+        r"^\$ perfiso ([^|#\n]*)(?:\| (head|tail) -(\d+))?.*\n((?:(?!```).+\n)*)",
+        README.read_text(),
+        flags=re.M,
+    )
+    assert len(examples) == len(COMMANDS)
+    return [
+        (shlex.split(call), (tool, int(count)) if tool else None, shown)
+        for call, tool, count, shown in examples
+    ]
 
 
 @pytest.mark.parametrize(
-    "argv", [*_benchmark_shapes(), *OPTION_CALLS, *_readme_calls()], ids=" ".join
+    "argv, pipe, shown",
+    [pytest.param(*call, id=" ".join(call[0])) for call in _readme_calls()],
+)
+def test_readme_examples_print_what_they_show(capsys, argv, pipe, shown):
+    _, out, _ = run_cli(capsys, *argv)
+    lines = out.splitlines(keepends=True)
+    if pipe:
+        tool, count = pipe
+        lines = lines[:count] if tool == "head" else lines[-count:]
+    assert "".join(lines) == shown
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [*_benchmark_shapes(), *OPTION_CALLS, *(argv for argv, _, _ in _readme_calls())],
+    ids=" ".join,
 )
 def test_plain_calls_take_the_table_parser(argv):
     # guards against the plain path silently never being taken

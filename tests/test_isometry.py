@@ -635,20 +635,6 @@ def test_mixed_sign_fails(p):
             assert is_perfect_via_spaces(iso) == Verdict(FAILS_INTEGRALITY, (0, 0))
 
 
-@pytest.mark.parametrize("p", (2, 3))
-def test_checker_equivalence_exhaustive(p):
-    for iso in all_signed_isometries(p):
-        assert is_perfect(iso).status == is_perfect_via_spaces(iso).status
-
-
-@pytest.mark.parametrize("p", (5, 7))
-def test_checker_equivalence_random(p):
-    rng = Random(SEED + p)
-    for _ in range(120):
-        iso = random_isometry(rng, p)
-        assert is_perfect(iso).status == is_perfect_via_spaces(iso).status
-
-
 def test_perfect_kernels_have_sign_matching_degree_entry():
     for p in (3, 5):
         for iso in all_signed_isometries(p):
