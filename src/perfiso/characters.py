@@ -59,9 +59,6 @@ class ClassFunction(Record):
             raise ValueError("values must be CycInt elements with matching p")
         return tuple.__new__(cls, (p, values))
 
-    def __rmul__(self, scalar: int) -> "ClassFunction":
-        return ClassFunction(self.p, tuple(scalar * v for v in self.values))
-
 
 def character(p: int, a: int) -> ClassFunction:
     """The irreducible character with index a."""

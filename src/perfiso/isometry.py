@@ -91,10 +91,6 @@ class SignedIsometry(Record):
         return tuple.__new__(cls, (p, image, signs))
 
     @classmethod
-    def identity(cls, p: int) -> "SignedIsometry":
-        return cls(p, range(p), (1,) * p)
-
-    @classmethod
     def from_literal(cls, p: int, text: str) -> "SignedIsometry":
         """Parse a literal like "+2,+0,+1".
 
@@ -143,9 +139,6 @@ class SignedIsometry(Record):
             image[i] = k
             signs[i] = self.signs[k]
         return SignedIsometry._unchecked(self.p, tuple(image), tuple(signs))
-
-    def __neg__(self) -> "SignedIsometry":
-        return SignedIsometry._unchecked(self.p, self.image, tuple(-s for s in self.signs))
 
 
 class KernelTable(Record):

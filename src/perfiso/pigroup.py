@@ -10,10 +10,13 @@ composition.  This module provides its three generator families
 exhaustive enumeration of the whole group from scratch, the affine
 coordinates (eps, a, u) of each element, and checks of the group structure
 (the affine composition law, the presence of negation).  decompose reads
-coordinates off the closed form k -> eps * (a + u*k); recompose, which
-builds every generator, writes it.  No command calls gen_linear, gen_aut or
-recompose; they stay as the paper's generator families (shifts by linear
-characters, Aut(C_p) scalings), from which the group-structure tests are built.
+coordinates off the closed form k -> eps * (a + u*k); recompose writes it,
+and builds every generator: gen_linear, gen_aut and gen_negid each return
+one recompose call, so recompose alone validates coordinates.  A command
+reaches them only when a check fails, where gen_negid names a missing
+negation; gen_linear and gen_aut stay as the paper's generator families
+(shifts by linear characters, Aut(C_p) scalings), from which the
+group-structure tests are built.
 
 Enumeration: a search over the images of 0..p-1, one depth at a time,
 that cuts a prefix as soon as some map k -> image[k] + c*k leaves the two
@@ -139,18 +142,16 @@ def gen_aut(p: int, u: int) -> "SignedIsometry":
 
     This is the isometry induced by the automorphism g -> g^(u^-1): twisting
     character k by g -> g^u gives character k * u^-1, and this map undoes it.
+    u is read mod p, and recompose validates the result, so a u divisible
+    by p raises ValueError.
     """
     p = require_prime(p)
-    if u % p == 0:
-        raise ValueError(f"u must be a unit mod {p}, got {u}")
     return recompose(p, AffineCoords(1, 0, u % p))
 
 
 def gen_negid(p: int) -> "SignedIsometry":
     """Negation of the identity: identity permutation, all signs -1."""
-    from .isometry import SignedIsometry
-
-    return -SignedIsometry.identity(p)
+    return recompose(p, AffineCoords(-1, 0, 1))
 
 
 def recompose(p: int, coords: AffineCoords) -> "SignedIsometry":

@@ -86,6 +86,13 @@ MUTATIONS = (
         'parts += [f"[{flag} {metavar}]"] if default is not None else [f"{flag} {metavar}"]',
         ("tests/test_cli.py",),
     ),
+    # negation is the eps = -1 coordinate of the identity; eps = 1 builds the identity
+    (
+        "src/perfiso/pigroup.py",
+        "return recompose(p, AffineCoords(-1, 0, 1))",
+        "return recompose(p, AffineCoords(1, 0, 1))",
+        ("tests/test_pigroup.py",),
+    ),
 )
 
 

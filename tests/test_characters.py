@@ -157,14 +157,6 @@ def test_generalized_character_takes_only_integer_coefficients():
     assert {type(c) for value in f.values for c in value.coeffs} == {int}
 
 
-def test_class_function_arithmetic():
-    # integer multiples, as test_adjoint_transform_sign_flip takes them
-    f = character(3, 1)
-    assert 2 * f == generalized_character(3, [0, 2, 0])
-    assert -1 * f == generalized_character(3, [0, -1, 0])
-    assert 0 * f == generalized_character(3, [0, 0, 0])
-
-
 def test_class_function_record():
     values = char_table(2)[1]
     cf = ClassFunction(2, values)
@@ -190,7 +182,6 @@ def test_class_function_validation():
         ClassFunction(3, (CycInt.one(3), CycInt.one(5), CycInt.one(3)))
     cf = character(3, 1)
     assert cf == character(3, 4) and hash(cf) == hash(character(3, 4))
-    assert 3 * cf == generalized_character(3, [0, 3, 0])
     with pytest.raises(TypeError):
         cf * 3
     with pytest.raises(AttributeError):

@@ -19,6 +19,9 @@ from perfiso import (
     Verdict,
     character,
     forward_transform,
+    gen_linear,
+    gen_negid,
+    generalized_character,
     indicator,
     inner_product,
     is_perfect,
@@ -102,7 +105,7 @@ def test_long_literal_indices():
     # more digits than int() reads by default (4300): leading zeros are
     # stripped, and an index longer than p - 1 is out of range unread
     zeros = SignedIsometry.from_literal(3, "+0,+1,+" + "0" * 5000 + "2")
-    assert zeros == SignedIsometry.identity(3)
+    assert zeros == gen_linear(3, 0)
     with pytest.raises(ValueError, match="^index 9{5000} out of range for p=3$"):
         SignedIsometry.from_literal(3, "+0,+1,+" + "9" * 5000)
     # as long as p - 1 once stripped: read, then compared with p
@@ -129,7 +132,7 @@ def test_constructor_validation():
 def test_compose_and_invert():
     rng = Random(SEED)
     for p in (2, 3, 5):
-        identity = SignedIsometry.identity(p)
+        identity = gen_linear(p, 0)
         for _ in range(25):
             iso = random_isometry(rng, p)
             other = random_isometry(rng, p)
@@ -145,7 +148,7 @@ def test_compose_and_invert():
 
 
 def test_group_operations_return_valid_isometries():
-    # compose, invert and negation skip re-validation; rebuild each result
+    # compose and invert skip re-validation; rebuild each result
     # through the validating constructor and check it pointwise
     rng = Random(SEED + 1)
     for p in (2, 3, 5, 7):
@@ -154,7 +157,7 @@ def test_group_operations_return_valid_isometries():
             other = random_isometry(rng, p)
             combined = iso.compose(other)
             inverse = iso.invert()
-            for out in (combined, inverse, -iso):
+            for out in (combined, inverse):
                 assert type(out.image) is tuple and type(out.signs) is tuple
                 assert out == SignedIsometry(p, out.image, out.signs)
                 assert hash(out) == hash(SignedIsometry(p, out.image, out.signs))
@@ -163,20 +166,19 @@ def test_group_operations_return_valid_isometries():
                 assert combined.signs[k] == other.signs[k] * iso.signs[other.image[k]]
                 assert inverse.image[iso.image[k]] == k
                 assert inverse.signs[iso.image[k]] == iso.signs[k]
-                assert (-iso).signs[k] == -iso.signs[k]
 
 
 def test_compose_sign_flip_examples():
     p = 2
     shift = SignedIsometry(p, (1, 0), (1, 1))
-    assert shift.compose(shift) == SignedIsometry.identity(p)
-    neg = -SignedIsometry.identity(3)
-    assert neg.compose(neg) == SignedIsometry.identity(3)
+    assert shift.compose(shift) == gen_linear(p, 0)
+    neg = gen_negid(3)
+    assert neg.compose(neg) == gen_linear(3, 0)
 
 
 def test_compose_rejects_mismatched_p():
     with pytest.raises(ValueError):
-        SignedIsometry.identity(3).compose(SignedIsometry.identity(5))
+        gen_linear(3, 0).compose(gen_linear(5, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -185,7 +187,7 @@ def test_compose_rejects_mismatched_p():
 
 def test_identity_kernel_entries():
     for p in (2, 3, 5):
-        kt = kernel_table(SignedIsometry.identity(p))
+        kt = kernel_table(gen_linear(p, 0))
         for m in range(p):
             for n in range(p):
                 expected = CycInt.from_int(p, p if (m + n) % p == 0 else 0)
@@ -196,7 +198,7 @@ def test_shift_kernel_scales_identity_rows():
     p, a = 5, 2
     shift = SignedIsometry(p, tuple((a + k) % p for k in range(p)), (1,) * p)
     kt = kernel_table(shift)
-    kt_id = kernel_table(SignedIsometry.identity(p))
+    kt_id = kernel_table(gen_linear(p, 0))
     for m in range(p):
         scale = zeta_pow(p, m * a)
         for n in range(p):
@@ -208,11 +210,11 @@ def test_kernel_table_coefficient_bound_is_checked(monkeypatch):
     real = isometry._zeta_sums
     monkeypatch.setattr(isometry, "_zeta_sums", lambda p, signs, *rest: real(p, [9 * s for s in signs], *rest))
     with pytest.raises(InternalError, match=r"kernel entry \(0, 0\) exceeds"):
-        kernel_table(SignedIsometry.identity(3))
+        kernel_table(gen_linear(3, 0))
 
 
 def test_negated_identity_kernel():
-    kt = kernel_table(-SignedIsometry.identity(3))
+    kt = kernel_table(gen_negid(3))
     assert kt.entries[0][0] == CycInt.from_int(3, -3)
 
 
@@ -310,7 +312,7 @@ def test_kernel_table_bound_is_checked_on_derived_entries(monkeypatch):
 
 def test_forward_transform_identity_kernel_is_identity_map():
     p = 3
-    kt = kernel_table(SignedIsometry.identity(p))
+    kt = kernel_table(gen_linear(p, 0))
     for k in range(p):
         chi = character(p, k)
         assert forward_transform(kt, chi) == chi
@@ -346,9 +348,8 @@ def test_adjoint_transform_inverts_forward():
 
 def test_adjoint_transform_sign_flip():
     p = 3
-    kt = kernel_table(-SignedIsometry.identity(p))
-    chi0 = character(p, 0)
-    assert adjoint_transform(kt, chi0) == -1 * chi0
+    kt = kernel_table(gen_negid(p))
+    assert adjoint_transform(kt, character(p, 0)) == generalized_character(p, [-1, 0, 0])
 
 
 def test_transform_raises_on_non_integral_values():
@@ -364,7 +365,7 @@ def test_transform_raises_on_non_integral_values():
 
 
 def test_forward_transform_rejects_mismatched_moduli():
-    kt = kernel_table(SignedIsometry.identity(3))
+    kt = kernel_table(gen_linear(3, 0))
     with pytest.raises(ValueError, match=r"^mismatched moduli: p=3 vs p=5$"):
         forward_transform(kt, character(5, 1))
 
@@ -400,7 +401,8 @@ def test_forward_sums_match_dense_oracle(p):
         for beta in betas:
             sums = forward_sums_dense(kt, beta)
             # p * beta makes every sum a multiple of p, and its quotient the sum itself
-            assert [v.coeffs for v in forward_transform(kt, p * beta).values] == sums
+            scaled = ClassFunction(p, [p * v for v in beta.values])
+            assert [v.coeffs for v in forward_transform(kt, scaled).values] == sums
             failing = [m for m, s in enumerate(sums) if not divisible_by_p_oracle(p, list(s))]
             if failing:
                 with pytest.raises(NonIntegralTransform) as info:
@@ -530,10 +532,10 @@ def test_adjointness_of_the_two_transforms(p):
 
 def test_identity_and_negation_are_perfect():
     for p in (2, 3, 5, 7):
-        assert is_perfect(SignedIsometry.identity(p)).status == PERFECT
-        assert is_perfect(-SignedIsometry.identity(p)).status == PERFECT
-        assert is_perfect_via_spaces(SignedIsometry.identity(p)).status == PERFECT
-        assert is_perfect_via_spaces(-SignedIsometry.identity(p)).status == PERFECT
+        assert is_perfect(gen_linear(p, 0)).status == PERFECT
+        assert is_perfect(gen_negid(p)).status == PERFECT
+        assert is_perfect_via_spaces(gen_linear(p, 0)).status == PERFECT
+        assert is_perfect_via_spaces(gen_negid(p)).status == PERFECT
 
 
 def test_all_shifts_are_perfect():
@@ -659,7 +661,7 @@ def test_signed_isometry_record():
     p, image_, signs_ = iso
     assert (p, image_, signs_) == (3, image, signs)
     assert iso == SignedIsometry(3, [2, 0, 1], [1, -1, 1]) == (3, image, signs)
-    assert iso != SignedIsometry(3, image, (1, 1, 1)) and iso != -iso
+    assert iso != SignedIsometry(3, image, (1, 1, 1)) and iso != SignedIsometry(3, image, (-1, 1, -1))
     assert hash(iso) == hash((3, image, signs)) == hash(SignedIsometry.from_literal(3, "+2,-0,+1"))
     assert len({iso, SignedIsometry.from_literal(3, "+2,-0,+1"), (3, image, signs)}) == 1
     assert repr(iso) == "SignedIsometry(p=3, image=(2, 0, 1), signs=(1, -1, 1))"
@@ -668,13 +670,13 @@ def test_signed_isometry_record():
 
 
 def test_kernel_table_record():
-    entries = kernel_table(SignedIsometry.identity(2)).entries
+    entries = kernel_table(gen_linear(2, 0)).entries
     kt = KernelTable(2, entries)
     assert (kt.p, kt.entries) == (2, entries)
     assert kt == KernelTable(2, entries) == (2, entries)
     assert kt != KernelTable(3, entries)
     assert hash(kt) == hash((2, entries))
-    assert kernel_table(SignedIsometry.identity(2)) == kt
+    assert kernel_table(gen_linear(2, 0)) == kt
     assert repr(kt) == f"KernelTable(p=2, entries={entries!r})"
 
 

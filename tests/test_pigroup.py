@@ -16,7 +16,6 @@ from perfiso import pigroup
 from perfiso import (
     AffineCoords,
     CHECK_KEYS,
-    ClassFunction,
     EXHAUSTIVE,
     FAILS_SEPARATION,
     KernelTable,
@@ -54,7 +53,7 @@ SEED = 20260809
 
 
 def test_gen_linear_examples():
-    assert gen_linear(5, 0) == SignedIsometry.identity(5)
+    assert gen_linear(5, 0).as_literal() == "+0,+1,+2,+3,+4"
     assert gen_linear(5, 2).as_literal() == "+2,+3,+4,+0,+1"
     with pytest.raises(ValueError):
         gen_linear(5, 5)
@@ -75,12 +74,22 @@ def test_gen_linear_is_injective_homomorphism(p):
 
 
 def test_gen_aut_examples():
-    assert gen_aut(5, 1) == SignedIsometry.identity(5)
+    assert gen_aut(5, 1) == gen_linear(5, 0)
     assert gen_aut(5, 2).as_literal() == "+0,+2,+4,+1,+3"
     with pytest.raises(ValueError):
         gen_aut(5, 0)
     with pytest.raises(ValueError):
         gen_aut(5, 10)
+
+
+@pytest.mark.parametrize("p", (2, 3, 5, 7))
+def test_generators_are_recompose_calls(p):
+    # recompose builds every generator; gen_aut reads u mod p
+    for a in range(p):
+        assert gen_linear(p, a) == recompose(p, AffineCoords(1, a, 1))
+    for u in range(1, p):
+        assert gen_aut(p, u) == gen_aut(p, u + p) == recompose(p, AffineCoords(1, 0, u))
+    assert gen_negid(p) == recompose(p, AffineCoords(-1, 0, 1))
 
 
 @pytest.mark.parametrize("p", (3, 5, 7))
@@ -100,7 +109,7 @@ def test_gen_negid():
     assert set(neg.signs) == {-1}
     # verify takes this involution for granted; it reads nothing of the enumerated set
     for p in (2, 3, 5, 7, 53):
-        neg, identity = gen_negid(p), SignedIsometry.identity(p)
+        neg, identity = gen_negid(p), gen_linear(p, 0)
         assert neg.compose(neg) == identity and neg != identity
 
 
@@ -112,8 +121,9 @@ def test_negation_commutes_with_every_signed_map(p):
     neg = gen_negid(p)
     maps = [random_isometry(rng, p) for _ in range(50)]
     assert any(len(set(iso.signs)) == 2 for iso in maps)
-    for iso in maps + [SignedIsometry.identity(p), neg]:
-        assert neg.compose(iso) == iso.compose(neg) == -iso
+    for iso in maps + [gen_linear(p, 0), neg]:
+        negated = SignedIsometry(p, iso.image, [-s for s in iso.signs])
+        assert neg.compose(iso) == iso.compose(neg) == negated
 
 
 @pytest.mark.parametrize("p", (2, 3, 5, 7))
@@ -315,10 +325,8 @@ def test_subtree_search_matches_full_search(p):
     # the prefix-(0, 1) subtree and its affine orbit give the whole tree's hits
     images = perfect_images_full_search(p)
     orbit = list(pigroup._orbit(p, pigroup._normal_forms(p)))
-    assert [iso.image for iso in orbit[::2]] == images
-    assert orbit[1::2] == [-iso for iso in orbit[::2]]
-    hits = [SignedIsometry(p, image, (1,) * p) for image in images]
-    walk = [iso for hit in hits for iso in (hit, -hit)]
+    walk = [SignedIsometry(p, image, (eps,) * p) for image in images for eps in (1, -1)]
+    assert orbit == walk
     for mode in MODES:
         assert list(iter_perfect(p, mode)) == walk
 
@@ -370,8 +378,8 @@ def test_reports_reject_non_prime(build, p):
 
 
 def test_decompose_examples():
-    assert decompose(SignedIsometry.identity(5)) == AffineCoords(1, 0, 1)
-    assert decompose(-SignedIsometry.identity(5)) == AffineCoords(-1, 0, 1)
+    assert decompose(SignedIsometry.from_literal(5, "+0,+1,+2,+3,+4")) == AffineCoords(1, 0, 1)
+    assert decompose(SignedIsometry.from_literal(5, "-0,-1,-2,-3,-4")) == AffineCoords(-1, 0, 1)
     iso = SignedIsometry.from_literal(5, "+1,+3,+0,+2,+4")
     assert decompose(iso) == AffineCoords(1, 1, 2)
 
@@ -560,7 +568,7 @@ def test_reports_build_no_map_when_the_checks_pass(monkeypatch):
     monkeypatch.setattr(SignedIsometry, "__new__", staticmethod(counted("new", new)))
     monkeypatch.setattr(SignedIsometry, "_unchecked", classmethod(counted("unchecked", unchecked)))
     monkeypatch.setattr(pigroup, "decompose", counted("decompose", decomposed))
-    identity = SignedIsometry.identity(3)
+    identity = gen_linear(3, 0)
     identity.compose(identity)
     assert calls == {"new": 1, "unchecked": 1}  # the counters see both constructors
     calls.clear()
@@ -656,7 +664,7 @@ def test_shifts_and_scalings_meet_only_in_the_identity():
         shifts = {gen_linear(p, a) for a in range(p)}
         scalings = {gen_aut(p, u) for u in range(1, p)}
         assert len(shifts) == p and len(scalings) == p - 1
-        assert shifts & scalings == {SignedIsometry.identity(p)}
+        assert shifts & scalings == {gen_linear(p, 0)}
 
 
 def test_report_json_dict_shape():
@@ -744,15 +752,12 @@ def test_records_copy_and_pickle(record):
 @pytest.mark.parametrize("record", RECORDS, ids=lambda record: type(record).__name__)
 def test_records_refuse_tuple_arithmetic(record):
     # a record is a value, not a sequence: it neither joins nor repeats like
-    # a tuple; an integer multiple of a class function is the one product
+    # a tuple
     with pytest.raises(TypeError):
         record + record
     with pytest.raises(TypeError):
         () + record
     with pytest.raises(TypeError):
         record * 2
-    if isinstance(record, ClassFunction):
-        assert 2 * record == ClassFunction(record.p, [2 * v for v in record.values])
-    else:
-        with pytest.raises(TypeError):
-            2 * record
+    with pytest.raises(TypeError):
+        2 * record

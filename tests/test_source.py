@@ -200,6 +200,19 @@ def test_pigroup_imports_isometry_late_and_no_cyclotomic():
     assert _imports(pigroup.__file__, "cyclotomic") == ([], [])
 
 
+def test_pigroup_builds_maps_only_in_recompose_and_orbit():
+    # recompose builds every group element, the generators included, and
+    # _orbit the search's hits; no other pigroup code names SignedIsometry
+    found = {
+        top.name if hasattr(top, "name") else ast.unparse(getattr(top, "test", top))
+        for top in ast.parse(Path(pigroup.__file__).read_text()).body
+        for node in ast.walk(top)
+        if (isinstance(node, ast.Name) and node.id == "SignedIsometry")
+        or (isinstance(node, ast.alias) and node.name == "SignedIsometry")
+    }
+    assert found == {"recompose", "_orbit", "TYPE_CHECKING"}
+
+
 def test_package_exports_match_modules():
     # each public name is listed once, where it is defined: in the root's
     # own tuple or in one layer's __all__, and the package exports each list
