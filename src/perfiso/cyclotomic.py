@@ -7,9 +7,13 @@ lets every vector be normalized so its last entry is zero, which makes the
 representation unique: two elements are equal exactly when their normalized
 vectors match.  Everything here is plain integer arithmetic; no floating
 point enters this module.
+
+isometry builds its kernel rows through two private primitives: _zeta_sums
+counts an entry from its terms, and _galois_images maps the nonzero entries
+of one row under one Galois automorphism.  Neither keeps state between
+calls.
 """
 
-from functools import lru_cache
 from operator import index as _as_int, itemgetter
 
 from . import require_prime
@@ -160,29 +164,27 @@ class CycInt:
         # c % p for each nonzero coefficient c, with no Python-level loop
         return not any(map(self._p.__rmod__, filter(None, self._coeffs)))
 
-    def galois(self, m: int) -> "CycInt":
-        """The image under sigma_m, the automorphism of Z[zeta] sending zeta to zeta^m.
-
-        m is read mod p and must be prime to p.  sigma_m sends zeta^k to
-        zeta^(mk), so coefficient k moves to position mk mod p, and the
-        result is renormalized.  It is a ring automorphism fixing Z, so it
-        maps p*Z[zeta] onto itself and only zero to zero.
-        """
-        p = self._p
-        m = _as_int(m) % p
-        if not m:
-            raise ValueError(f"galois exponent must be prime to p={p}")
-        return CycInt._trusted(p, _galois_gather(p, m)(self._coeffs))
-
     def __repr__(self) -> str:
         return f"CycInt(p={self._p}, coeffs={self._coeffs})"
 
 
-@lru_cache(maxsize=256)
-def _galois_gather(p: int, m: int) -> itemgetter:
-    """Reads position j of sigma_m's image from coefficient j/m (mod p)."""
+def _galois_images(p: int, m: int, entries: "Iterable[CycInt]") -> "list[CycInt]":
+    """The images of entries under sigma_m, the automorphism of Z[zeta]
+    sending zeta to zeta^m, through one gather built for this call.
+
+    m is read mod p and must be prime to p.  sigma_m sends zeta^k to
+    zeta^(mk), so coefficient k moves to position mk mod p: position j of
+    an image reads coefficient j/m (mod p), and each image is renormalized.
+    sigma_m is a ring automorphism fixing Z, so it maps p*Z[zeta] onto
+    itself and only zero to zero.  The entries must be elements of Z[zeta]
+    for this p.
+    """
+    m %= p
+    if not m:
+        raise ValueError(f"galois exponent must be prime to p={p}")
     inv = pow(m, -1, p)
-    return itemgetter(*[j * inv % p for j in range(p)])  # p >= 2: returns a tuple
+    gather = itemgetter(*[j * inv % p for j in range(p)])  # p >= 2: returns a tuple
+    return [CycInt._trusted(p, gather(x._coeffs)) for x in entries]
 
 
 def _zeta_sums(

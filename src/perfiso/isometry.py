@@ -28,7 +28,7 @@ from itertools import repeat
 from operator import index, itemgetter, mul
 
 from . import InternalError, Record, require_prime
-from .cyclotomic import CycInt, _zeta_sums
+from .cyclotomic import CycInt, _galois_images, _zeta_sums
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
@@ -172,14 +172,14 @@ def _counted_row(iso: SignedIsometry, m: int) -> "Iterator[tuple[int, CycInt]]":
     for, so a caller that stops at a column counts none after it.
     """
     p, image, signs = iso
-    entries = _zeta_sums(p, signs, [i * m % p for i in image], range(p))
+    entries = _zeta_sums(p, signs, [i * m for i in image], range(p))
     return ((n, _bounded(entry, m, n)) for n, entry in enumerate(entries) if entry)
 
 
 def _bounded(entry: CycInt, m: int, n: int) -> CycInt:
-    c, bound = entry.coeffs, 2 * entry.p
+    c, bound = entry.coeffs, entry.p
     if max(c) > bound or min(c) < -bound:
-        raise InternalError(f"kernel entry ({m}, {n}) exceeds the coefficient bound 2p")
+        raise InternalError(f"kernel entry ({m}, {n}) exceeds the coefficient bound p")
     return entry
 
 
@@ -196,21 +196,30 @@ def _kernel_rows(iso: SignedIsometry) -> "Iterator[list[tuple[int, CycInt]]]":
     is a ring automorphism, so it maps only zero to zero, and n -> n*m
     permutes the columns: row m holds sigma_m(entry (1, n)) at column n*m
     for each nonzero entry of row 1, in row 1's order, and nothing else.
-    A perfect map is affine, and its row 1 has one nonzero entry, so its
-    derived rows cost one Galois image each.  Entries are signed sums of p
-    roots of unity, so normalized coefficients stay within 2p in
-    magnitude; every entry a row holds is checked against that exactness
-    bound, which a zero entry meets, and InternalError is raised if one
-    ever leaves it.  Each row is made when it is asked for, so a caller
-    that drops a row before asking for the next holds one derived row at
-    a time.
+    Each derived row is one cyclotomic._galois_images call on the nonzero
+    entries of row 1, which builds one gather for the row; a perfect map
+    is affine, and its row 1 has one nonzero entry.
+
+    Every entry a row holds is checked against the exactness bound p, and
+    InternalError is raised if one ever leaves it.  The bound holds: a
+    counted entry is a signed count vector of p terms, one +-1 for each
+    source index k, and its normalized coefficient j is
+    count_j - count_(p-1).  Those two counts share the terms placed at j
+    and at p - 1, at most p of them, so the coefficient lies in -p..p.  A
+    derived entry is the same element as the counted entry (m, n*m), and
+    the normal form is unique, so it meets the same bound.  Real kernels
+    reach it: the identity's entry (0, 0) is p.  Each row is made when it
+    is asked for, so a caller that drops a row before asking for the next
+    holds one derived row at a time.
     """
     p = iso.p
     yield list(_counted_row(iso, 0))
     row1 = list(_counted_row(iso, 1))
     yield row1
+    entries = [e for _, e in row1]
     for m in range(2, p):
-        yield [(j, _bounded(e.galois(m), m, j)) for n, e in row1 for j in (n * m % p,)]
+        images = _galois_images(p, m, entries)
+        yield [(j, _bounded(e, m, j)) for (n, _), e in zip(row1, images) for j in (n * m % p,)]
 
 
 def kernel_table(iso: SignedIsometry) -> KernelTable:
@@ -256,9 +265,10 @@ def is_perfect(iso: SignedIsometry) -> Verdict:
     integrality first.  Those rows give only their nonzero entries, in
     column order, and a zero entry is divisible by p and fails no
     separation, so the scan loses nothing by skipping it.  For m >= 2,
-    entry (m, n) = sigma_m(entry (1, n/m)) (see _kernel_rows), and sigma_m
-    is a ring automorphism of Z[zeta] fixing Z: it maps p*Z[zeta] onto
-    itself and only zero to zero.  So an entry of row m is divisible by p,
+    entry (m, n) = sigma_m(entry (1, n/m)), as _kernel_rows derives it
+    through cyclotomic._galois_images, and sigma_m is a ring automorphism
+    of Z[zeta] fixing Z: it maps p*Z[zeta] onto itself and only zero to
+    zero.  So an entry of row m is divisible by p,
     or nonzero, exactly when its preimage in row 1 is, and row m fails
     integrality iff row 1 does.  A row m >= 1 can fail separation only at
     (m, 0), which is nonzero iff (1, 0) is, and (1, 0) never decides the

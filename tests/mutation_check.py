@@ -51,12 +51,20 @@ MUTATIONS = (
         "c = pow(m, -1, p)",
         ("tests/test_isometry.py",),
     ),
-    # the exactness bound on every counted and derived kernel entry
+    # the exactness bound p on every counted and derived kernel entry: a
+    # derived coefficient of exactly p + 1 must still be refused
     (
         "src/perfiso/isometry.py",
-        "c, bound = entry.coeffs, 2 * entry.p",
-        "c, bound = entry.coeffs, 2 * entry.p + 1",
+        "c, bound = entry.coeffs, entry.p",
+        "c, bound = entry.coeffs, entry.p + 1",
         ("tests/test_isometry.py", "tests/test_cli.py"),
+    ),
+    # sigma_m reads position j of an image from coefficient j/m, not j*m
+    (
+        "src/perfiso/cyclotomic.py",
+        "inv = pow(m, -1, p)",
+        "inv = m",
+        ("tests/test_cyclotomic.py", "tests/test_isometry.py"),
     ),
     # a separate value that starts with "-" goes to argparse, not the plain parser
     (
@@ -85,6 +93,13 @@ MUTATIONS = (
         'parts += [f"[{flag} {metavar}]"] if default is not None else [flag, metavar]',
         'parts += [f"[{flag} {metavar}]"] if default is not None else [f"{flag} {metavar}"]',
         ("tests/test_cli.py",),
+    ),
+    # recompose refuses u = 0 with its own message, before SignedIsometry sees a non-permutation
+    (
+        "src/perfiso/pigroup.py",
+        "if not 0 < u < p:",
+        "if not 0 <= u < p:",
+        ("tests/test_pigroup.py",),
     ),
     # negation is the eps = -1 coordinate of the identity; eps = 1 builds the identity
     (

@@ -120,27 +120,41 @@ def test_mu_json_includes_map(capsys):
     }
 
 
+def _triple(x):
+    return 3 * x
+
+
 @pytest.mark.parametrize(
-    "literal, scale, entry",
+    "literal, inject, entry",
     (
         # k -> 1 + 2k: row 1 is nonzero only at n = 3, so row 2 derives one
         # entry, at (2, 3 * 2 mod 5) = (2, 1)
-        ("+1,+3,+0,+2,+4", {2: 3, 3: 3, 4: 3}, "(2, 1)"),
+        ("+1,+3,+0,+2,+4", {2: _triple, 3: _triple, 4: _triple}, "(2, 1)"),
+        # the same entry, 5*z^2, plus 6: its coefficient 0 is p + 1, the
+        # least value out of bound, and every other coefficient is within it
+        ("+1,+3,+0,+2,+4", {2: lambda x: x + 6}, "(2, 1)"),
         # a random signed map, whose row 1 has no zero entry: only the images
-        # for m = 3 are scaled, so the first entry out of bound comes after
-        # the whole of row 2, at n = 5, (3, 5 * 3 mod 7) = (3, 1)
-        ("-5,+6,+4,+0,+3,-1,-2", {3: 5}, "(3, 1)"),
+        # for m = 3 are tripled, so the first entry out of bound comes after
+        # the whole of row 2, at n = 5, (3, 5 * 3 mod 7) = (3, 1), the first
+        # image of row 3 with a coefficient of magnitude 3
+        ("-5,+6,+4,+0,+3,-1,-2", {3: _triple}, "(3, 1)"),
     ),
-    ids=("affine", "dense"),
+    ids=("affine", "affine_p_plus_1", "dense"),
 )
-def test_mu_derived_entry_out_of_bound_exits_3(capsys, monkeypatch, literal, scale, entry):
-    real = cyclotomic.CycInt.galois
-    monkeypatch.setattr(cyclotomic.CycInt, "galois", lambda self, m: real(self, m) * scale.get(m, 1))
+def test_mu_derived_entry_out_of_bound_exits_3(capsys, monkeypatch, literal, inject, entry):
+    # the injection replaces the derived images of the rows in inject
+    real = isometry._galois_images
+
+    def injected(p, m, entries):
+        images = real(p, m, entries)
+        return [inject[m](x) for x in images] if m in inject else images
+
+    monkeypatch.setattr(isometry, "_galois_images", injected)
     p = str(literal.count(",") + 1)
     code, out, err = run_cli(capsys, "mu", "-p", p, f"--map={literal}")
     assert code == cli.EXIT_INTERNAL == 3
     assert out == ""
-    assert err == f"error: internal error: kernel entry {entry} exceeds the coefficient bound 2p\n"
+    assert err == f"error: internal error: kernel entry {entry} exceeds the coefficient bound p\n"
 
 
 @pytest.mark.parametrize("fmt", ("text", "json"))
@@ -170,8 +184,8 @@ def test_mu_renders_each_nonzero_entry_once(capsys, monkeypatch, fmt):
 )
 def test_mu_builds_no_validated_ring_value(capsys, monkeypatch, literal):
     # the zero columns show symbolic_str's zero text, written as "0", and
-    # every entry mu renders comes from _trusted or galois, so the validating
-    # constructor never runs
+    # every entry mu renders comes from _trusted, directly or through
+    # _galois_images, so the validating constructor never runs
     assert cyclotomic.symbolic_str(cyclotomic.CycInt.zero(23)) == "0"
     calls = []
     real = cyclotomic.CycInt.__init__
@@ -1450,6 +1464,14 @@ def test_calls_import_no_typing():
     # __future__ were loaded only for annotations and NamedTuple; without
     # site, nothing else loads them
     found = _loaded_after(PLAIN_CALLS + JSON_CALLS, {"typing", "__future__"})
+    assert found == f"{[0] * 12} []"
+
+
+def test_calls_import_no_functools():
+    # no command keeps a cache: each derived kernel row builds its own
+    # Galois gather, so functools, and the collections it loads, stay
+    # unloaded
+    found = _loaded_after(PLAIN_CALLS + JSON_CALLS, {"functools", "collections"})
     assert found == f"{[0] * 12} []"
 
 

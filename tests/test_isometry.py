@@ -239,14 +239,15 @@ def test_kernel_table_matches_dense_oracle(p):
 
 
 def _count_galois(monkeypatch):
+    """The (m, entries) of each call _kernel_rows makes to the Galois primitive."""
     calls = []
-    real = CycInt.galois
+    real = isometry._galois_images
 
-    def counting(self, m):
-        calls.append(m)
-        return real(self, m)
+    def counting(p, m, entries):
+        calls.append((m, list(entries)))
+        return real(p, m, entries)
 
-    monkeypatch.setattr(CycInt, "galois", counting)
+    monkeypatch.setattr(isometry, "_galois_images", counting)
     return calls
 
 
@@ -259,7 +260,7 @@ def test_affine_kernel_derives_one_entry_per_row(monkeypatch):
     iso = SignedIsometry(p, [(1 + 2 * k) % p for k in range(p)], (1,) * p)
     calls = _count_galois(monkeypatch)
     rows = list(isometry._kernel_rows(iso))
-    assert len(calls) == p - 2
+    assert calls == [(m, [p * zeta_pow(p, 1)]) for m in range(2, p)]
     assert [len(row) for row in rows] == [1] * p
     assert rows == [[(-2 * m % p, p * zeta_pow(p, m))] for m in range(p)]
     assert kernel_table(iso).entries == kernel_table_dense(iso).entries
@@ -285,14 +286,18 @@ def test_kernel_rows_hold_exactly_the_nonzero_entries(p):
 
 @pytest.mark.parametrize("p", (23, 53))
 def test_kernel_derives_each_nonzero_entry_of_row_one(monkeypatch, p):
-    # random signed maps (dense rows) and the swapped-affine map (zeros and nonzeros mixed)
+    # random signed maps (dense rows), the swapped-affine map (zeros and
+    # nonzeros mixed) and the affine map (one nonzero entry): one call per
+    # derived row, each mapping every nonzero entry of row 1 and no other
     rng = Random(SEED + 11 * p)
-    isos = [random_isometry(rng, p) for _ in range(2)] + affine_family(p, 1, 2)[2:]
+    affine, _, swapped = affine_family(p, 1, 2)
+    isos = [random_isometry(rng, p) for _ in range(2)] + [swapped, affine]
     calls = _count_galois(monkeypatch)
     for iso in isos:
         calls.clear()
         kt = kernel_table(iso)
-        assert len(calls) == (p - 2) * sum(1 for entry in kt.entries[1] if entry)
+        row1 = [entry for entry in kt.entries[1] if entry]
+        assert calls == [(m, row1) for m in range(2, p)], iso
         assert kt.entries == kernel_table_dense(iso).entries, iso
 
 
@@ -300,8 +305,10 @@ def test_kernel_table_bound_is_checked_on_derived_entries(monkeypatch):
     # the one nonzero entry of row 1, p*zeta at n = 21, lands at (2, 42 mod 23)
     p = 23
     iso = SignedIsometry(p, [(1 + 2 * k) % p for k in range(p)], (1,) * p)
-    real = CycInt.galois
-    monkeypatch.setattr(CycInt, "galois", lambda self, m: real(self, m) * 3)
+    real = isometry._galois_images
+    monkeypatch.setattr(
+        isometry, "_galois_images", lambda p, m, entries: [3 * x for x in real(p, m, entries)]
+    )
     with pytest.raises(InternalError, match=r"kernel entry \(2, 19\) exceeds"):
         kernel_table(iso)
 
@@ -474,9 +481,10 @@ def test_cross_check_counts_no_row_and_makes_no_ring_call(monkeypatch, p):
             return real(*args)
         return wrapper
 
-    for name in ("__init__", "_trusted", "__mul__", "galois"):
+    for name in ("__init__", "_trusted", "__mul__"):
         monkeypatch.setattr(CycInt, name, counting(name, getattr(CycInt, name)))
-    monkeypatch.setattr(isometry, "_counted_row", counting("_counted_row", isometry._counted_row))
+    for name in ("_counted_row", "_galois_images"):
+        monkeypatch.setattr(isometry, name, counting(name, getattr(isometry, name)))
     affine, _, swapped = affine_family(p, 1, 2)
     for iso in (swapped, _split_scaling(p), random_isometry(Random(p), p)):
         assert not is_perfect_via_spaces(iso).ok

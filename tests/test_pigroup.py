@@ -76,10 +76,10 @@ def test_gen_linear_is_injective_homomorphism(p):
 def test_gen_aut_examples():
     assert gen_aut(5, 1) == gen_linear(5, 0)
     assert gen_aut(5, 2).as_literal() == "+0,+2,+4,+1,+3"
-    with pytest.raises(ValueError):
-        gen_aut(5, 0)
-    with pytest.raises(ValueError):
-        gen_aut(5, 10)
+    # u is read mod p, so 0 and 10 both come to recompose as u = 0
+    for u in (0, 10):
+        with pytest.raises(ValueError, match=r"^u must lie in 1\.\.4, got 0$"):
+            gen_aut(5, u)
 
 
 @pytest.mark.parametrize("p", (2, 3, 5, 7))
@@ -413,8 +413,11 @@ def test_decompose_matches_closed_form_on_every_signed_map(p):
 def test_recompose_validation():
     with pytest.raises(ValueError):
         recompose(5, AffineCoords(0, 0, 1))
-    with pytest.raises(ValueError):
-        recompose(5, AffineCoords(1, 0, 0))
+    # u = 0 and u = p are refused by recompose's own range check, not later
+    # by SignedIsometry's permutation check
+    for u in (0, 5):
+        with pytest.raises(ValueError, match=rf"^u must lie in 1\.\.4, got {u}$"):
+            recompose(5, AffineCoords(1, 0, u))
     with pytest.raises(ValueError):
         recompose(5, AffineCoords(1, 5, 1))
     # u must lie in 1..p-1 like a in 0..p-1: reducing u = 6 to 1 would give
