@@ -268,12 +268,12 @@ def is_perfect(iso: SignedIsometry) -> Verdict:
     entry (m, n) = sigma_m(entry (1, n/m)), as _kernel_rows derives it
     through cyclotomic._galois_images, and sigma_m is a ring automorphism
     of Z[zeta] fixing Z: it maps p*Z[zeta] onto itself and only zero to
-    zero.  So an entry of row m is divisible by p,
-    or nonzero, exactly when its preimage in row 1 is, and row m fails
-    integrality iff row 1 does.  A row m >= 1 can fail separation only at
-    (m, 0), which is nonzero iff (1, 0) is, and (1, 0) never decides the
-    verdict.  With equal signs eps it is eps times the sum of all p-th
-    roots of unity, 0.  With mixed signs and p odd, (0, 0), the sum of the
+    zero.  So an entry of row m is divisible by p, or nonzero, exactly
+    when its preimage in row 1 is, and row m fails integrality iff row 1
+    does.  A row m >= 1 can fail separation only at (m, 0), which is
+    nonzero iff (1, 0) is, and (1, 0) never decides the verdict.  With
+    equal signs eps it is eps times the sum of all p-th roots of unity,
+    0.  With mixed signs and p odd, (0, 0), the sum of the
     signs, is odd and below p in size, so it fails integrality first.  With
     mixed signs and p = 2, zeta = -1, every entry is a sum of two terms +-1
     and even, and (0, 1) = sign[0] - sign[1] = +-2 fails separation first.
