@@ -71,7 +71,6 @@ if TYPE_CHECKING:
     import argparse
     from collections.abc import Iterable, Sequence
 
-    from .isometry import Verdict
     from .pigroup import PIGroupReport
 
     Args = argparse.Namespace | SimpleNamespace
@@ -254,13 +253,6 @@ def _coords_json(c: "tuple[int, int, int]") -> dict:
     return {"eps": c[0], "a": c[1], "u": c[2]}
 
 
-def _verdict_json(verdict: "Verdict") -> dict:
-    return {
-        "status": verdict.status,
-        "witness": list(verdict.witness) if verdict.witness else None,
-    }
-
-
 def cmd_chartab(args: "Args") -> _Result:
     # entry (a, b) is zeta^(a*b), so each row is made of the p texts of the
     # powers zeta^k, each rendered once; no ring value outlives its text
@@ -299,16 +291,16 @@ def cmd_check(args: "Args") -> _Result:
         raise InternalError(f"checkers disagree ({direct.status} vs {cross.status})")
     payload = {
         "map": iso.as_literal(),
-        "verdict": _verdict_json(direct),
-        "cross_check": _verdict_json(cross),
+        "verdict": {"status": direct.status, "witness": direct.witness},
+        "cross_check": {"status": cross.status, "witness": cross.witness},
         "agree": True,
     }
     lines = [f"verdict: {direct.status}"]
     if direct.witness:
-        lines.append(f"witness: ({direct.witness[0]}, {direct.witness[1]})")
+        lines.append(f"witness: {direct.witness}")
     lines.append(f"cross_check: {cross.status}")
     if cross.witness:
-        lines.append(f"cross_check_witness: ({cross.witness[0]}, {cross.witness[1]})")
+        lines.append(f"cross_check_witness: {cross.witness}")
     return direct.ok, payload, lines
 
 
@@ -344,7 +336,7 @@ def _report(report: "PIGroupReport", fmt: str) -> _Result:
             "checks": report.checks,
         }
         if report.failures:
-            payload["failures"] = list(report.failures)
+            payload["failures"] = report.failures
         return report.all_pass(), payload, ()
     shown = {None: "not_checked", True: "pass", False: "FAIL"}
     lines = [

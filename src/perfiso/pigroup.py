@@ -26,9 +26,12 @@ The rule is invariant under the value maps w -> u*w + a, so the search
 normal forms, and _orbit maps its hits through all p(p-1) of them
 (_orbit proves this complete).  It tests 17 values at p = 7, 68 at
 p = 13, 1,328 at p = 53 and 4,952 at p = 101, and finds one form, the
-identity, at each.  Both modes (MODES, defined in the package root, so
-that cli reads --mode's choices without loading this layer) run the same
-search:
+identity, at each.  Each placed value is tested against all p - 1 units
+c, and every other tested value is cut by c = -1 at its first mask, so
+the search makes p(p-1) + (p-2)(p-3)/2 mask operations: 52 at p = 7, 211
+at p = 13, 4,031 at p = 53 and 14,951 at p = 101.  Both modes (MODES,
+defined in the package root, so that cli reads --mode's choices without
+loading this layer) run the same search:
 
   * ``exhaustive`` assumes nothing about signs; the proof shows that mixed
     signs never pass, so no sign branch is needed.

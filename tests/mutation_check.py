@@ -87,12 +87,26 @@ MUTATIONS = (
         "if False:",
         ("tests/test_cli.py",),
     ),
+    # only "-p" and long flags lose a joined "--": "-h=--" stays whole, a usage error
+    (
+        "src/perfiso/cli.py",
+        'if value == "--" and (flag == "-p" or flag[:2] == "--" and flag != "--"):',
+        'if value == "--" and (flag == "-p" or flag[:2] == "--" or flag != "--"):',
+        ("tests/test_cli.py",),
+    ),
     # a required option is two parts of the usage line, which wraps between them
     (
         "src/perfiso/cli.py",
         'parts += [f"[{flag} {metavar}]"] if default is not None else [flag, metavar]',
         'parts += [f"[{flag} {metavar}]"] if default is not None else [f"{flag} {metavar}"]',
         ("tests/test_cli.py",),
+    ),
+    # the indicator of g^j reads j mod p, as character reads its index
+    (
+        "src/perfiso/characters.py",
+        "values[j % p] = CycInt.one(p)",
+        "values[j] = CycInt.one(p)",
+        ("tests/test_characters.py",),
     ),
     # recompose refuses u = 0 with its own message, before SignedIsometry sees a non-permutation
     (
@@ -106,6 +120,20 @@ MUTATIONS = (
         "src/perfiso/pigroup.py",
         "return recompose(p, AffineCoords(-1, 0, 1))",
         "return recompose(p, AffineCoords(1, 0, 1))",
+        ("tests/test_pigroup.py",),
+    ),
+    # the search tests every placed value against all p - 1 units c; the c = -1
+    # cut alone decides every value, so a dropped c shows only in the mask count
+    (
+        "src/perfiso/pigroup.py",
+        "level = [((), [0] * (p - 1), 0)]",
+        "level = [((), [0] * (p - 2), 0)]",
+        ("tests/test_pigroup.py",),
+    ),
+    (
+        "src/perfiso/pigroup.py",
+        "steps = [c * d % p for c in (-1, *range(1, p - 1))]",
+        "steps = [c * d % p for c in (-1, *range(1, p - 2))]",
         ("tests/test_pigroup.py",),
     ),
 )

@@ -5,7 +5,8 @@ arithmetic paths: multiplication expands plain integer polynomials,
 divisibility solves p*y = x by exact rational division over the reduced
 power basis, kernel entries are rebuilt from character-table values, the
 perfectness of a raw candidate is decided from plain integer count
-vectors, one candidate at a time, with no pruning, forward sums run over
+vectors, one candidate at a time, with no pruning (so is each normal form
+of the classification at p = 11 and 13), forward sums run over
 every element with plain integer products, the image of a character
 is written down one signed power of zeta at a time, roots of unity are
 recognized by comparing against each of +-zeta^k in turn, the dense
@@ -256,6 +257,51 @@ def perfect_candidates_walk(p: int) -> list[SignedIsometry]:
         for signs in itertools.product((1, -1), repeat=p)
         if candidate_is_perfect(p, image, signs)
     ]
+
+
+def perfect_forms_by_definition(p: int) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
+    """The classification at an odd prime p from the kernel's definition,
+    with no pruning rule: the sign patterns whose entry (0, 0) is divisible
+    by p, in ``product((1, -1))`` order, and the all-positive permutations
+    with prefix (0, 1) that candidate_is_perfect passes, in lexicographic
+    order.  It tests all 2^p patterns and all (p-2)! such permutations.
+
+    With E(m, n) = sum_k sign[k] * zeta^(image[k]*m + k*n), a signed map
+    is perfect when every entry is divisible by p and every entry with
+    exactly one of m, n zero is zero.  Three facts carry the verdicts
+    returned here to every signed map; none of them uses the rule of
+    pigroup.iter_perfect ("injective or constant").
+
+      * Value-affine invariance.  For a unit u and any a, the map with
+        image k -> u*image[k] + a (mod p) and the same signs has entry
+        E'(m, n) = zeta^(a*m) * sigma_u(E(m, n/u)): both are
+        sum_k sign[k] * zeta^(a*m + u*image[k]*m + k*n).  zeta^(a*m) is a
+        unit, and sigma_u is a ring automorphism of Z[zeta] fixing Z, so it
+        maps p*Z[zeta] onto itself and only zero to zero.  So E'(m, n) is
+        divisible by p, or zero, exactly when E(m, n/u) is.  As n runs over
+        Z/p so does n/u, and n/u = 0 exactly when n = 0, so both maps are
+        perfect or neither is.  Every permutation x is the image, under
+        u = x[1] - x[0] and a = x[0], of exactly one permutation with prefix
+        (0, 1), (x - x[0]) / (x[1] - x[0]), and distinct pairs (u, a) give
+        distinct images (a is the image of 0, u + a that of 1).
+      * Negation.  Negating every sign negates every entry, which keeps
+        divisibility by p and zero entries: an all-negative map is perfect
+        exactly when the all-positive map on its image is.
+      * Mixed signs.  Every exponent of E(0, 0) is 0, so E(0, 0) is
+        sum_k sign[k] whatever the image.  With p odd and mixed signs that
+        is a sum of p terms +-1, odd, so nonzero, and at most p - 2 in
+        size, so not divisible by p: the map fails integrality.  The first
+        list checks this for every pattern; it holds only the two equal
+        ones exactly when the fact holds at p.
+
+    So the perfect signed maps are the all-positive and all-negative maps
+    on the images of the returned permutations under all p(p-1) pairs
+    (u, a), each once.
+    """
+    signs = [s for s in itertools.product((1, -1), repeat=p) if sum(s) % p == 0]
+    ones = (1,) * p
+    images = ((0, 1, *rest) for rest in itertools.permutations(range(2, p)))
+    return signs, [image for image in images if candidate_is_perfect(p, image, ones)]
 
 
 def perfect_images_full_search(p: int) -> list[tuple[int, ...]]:

@@ -36,6 +36,7 @@ from oracles import (
     adjoint_transform,
     divisible_by_p_oracle,
     image_character,
+    perfect_forms_by_definition,
     random_generalized_character,
     random_isometry,
 )
@@ -71,6 +72,21 @@ def test_criterion_1_order_formula(exhaustive_found):
         assert report.order == EXPECTED_ORDERS[p] == 2 * p * (p - 1)
         assert report.all_pass() and not report.failures
     _announce(1, "order_formula", "orders 4/12/40/84/220/312 at p=2/3/5/7/11/13")
+
+
+def test_criterion_1_classification_from_definition_at_p11():
+    # the oracle decides every normal form by kernel counts, with no pruning
+    # rule; its docstring's three facts carry the verdicts to every signed map
+    p = 11
+    signs, forms = perfect_forms_by_definition(p)
+    assert signs == [(1,) * p, (-1,) * p]
+    assert forms == [tuple(range(p))]
+    images = sorted(
+        tuple((u * x + a) % p for x in form) for form in forms for u in range(1, p) for a in range(p)
+    )
+    orbit = [SignedIsometry(p, image, (eps,) * p) for image in images for eps in (1, -1)]
+    assert orbit == list(iter_perfect(p))
+    _announce(1, "order_formula", f"the {len(orbit)} maps at p=11 from the kernel's definition")
 
 
 def test_criterion_2_homogeneous_sign(exhaustive_found):

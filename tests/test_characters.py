@@ -31,6 +31,12 @@ def test_table_entry_wraps_exponent():
     assert char_table(3)[2][2] == zeta_pow(3, 1)
 
 
+def test_indicator_reads_its_index_mod_p():
+    # g^j depends on j mod p only; j = 5 or -6 would overrun the value list
+    for j in (-6, -1, 5, 12):
+        assert indicator(5, j) == indicator(5, j % 5)
+
+
 def test_table_builds_each_power_once(monkeypatch):
     # the table holds only the p values zeta^k: p constructions, not p*p
     p = 53

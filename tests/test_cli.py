@@ -1285,6 +1285,14 @@ def test_joined_double_dash_value_is_a_usage_error(capsys, argv):
     assert _in_process(capsys, list(argv)) == (2, "", _USAGE[argv[0]] + message)
 
 
+@pytest.mark.parametrize("argv", [["-h=--"], ["check", "-p", "5", "-h=--"]], ids=" ".join)
+def test_joined_double_dash_stays_on_a_short_flag_other_than_p(capsys, argv):
+    # only "-p" and long flags have a joined "--" split off; argparse reads
+    # "-h=--" whole and refuses it, where "-h" and "--" apart would print help
+    code, out, _ = _in_process(capsys, argv)
+    assert (code, out) == (2, "")
+
+
 def test_signed_int_values_keep_their_meaning(capsys):
     plus = _in_process(capsys, ["chartab", "-p", "+3"])
     assert plus == _in_process(capsys, ["chartab", "-p", "3"])

@@ -301,6 +301,18 @@ def test_search_tests_the_values_its_docstring_states():
     assert {p: _values_tested(p) for p in counts} == counts
 
 
+def test_search_makes_the_mask_operations_its_docstring_states():
+    # every placed value meets all p - 1 masks and every other tested value
+    # only the c = -1 mask that cuts it; a dropped c changes no verdict, so
+    # only this count sees it
+    counts = {7: 52, 13: 211, 53: 4031, 101: 14951}
+    stated = "52 at p = 7, 211 at p = 13, 4,031 at p = 53 and 14,951 at p = 101"
+    assert stated in " ".join(pigroup.__doc__.split())
+    assert all(p * (p - 1) + (p - 2) * (p - 3) // 2 == n for p, n in counts.items())
+    runs = {p: len(_line_runs(p, "mask |= bits[v + step]", lambda frame: None)) for p in counts}
+    assert runs == counts
+
+
 def test_search_holds_one_prefix_per_depth():
     # the c = -1 cut leaves at most one prefix at each of the p depths, so
     # the search holds the masks of one prefix at a time, O(p^2) bits
@@ -727,7 +739,7 @@ def test_pigroup_report_record():
     assert not failed.all_pass()
     ok, payload, _ = _report(failed, "json")
     assert not ok
-    assert payload["failures"] == ["! x"] and payload["failures"] is not failed.failures
+    assert payload["failures"] == ["! x"] and payload["failures"] is failed.failures
     assert list(payload) == ["order", "elements", "checks", "failures"]
     assert payload["elements"] == []
     assert list(payload["checks"]) == list(CHECK_KEYS)
