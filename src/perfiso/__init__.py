@@ -28,18 +28,12 @@ _ROOT_NAMES = (
 
 def is_prime(n: int) -> bool:
     """Trial-division primality test; every p used here is tiny."""
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
+    d = 2
     while d * d <= n:
         if n % d == 0:
             return False
-        d += 2
-    return True
+        d += 1
+    return n > 1
 
 
 def require_prime(p: int) -> int:

@@ -29,6 +29,12 @@ __all__ = [
 ]
 
 
+def _normal(coeffs: "Sequence[int]") -> "tuple[int, ...]":
+    """The normal form of a coefficient vector: its last entry subtracted from each."""
+    last = coeffs[-1]
+    return tuple([x - last for x in coeffs] if last else coeffs)
+
+
 class CycInt:
     """An element of Z[zeta] in normalized coefficient form (last entry zero)."""
 
@@ -39,25 +45,19 @@ class CycInt:
         c = [_as_int(x) for x in coeffs]
         if len(c) != p:
             raise ValueError(f"expected {p} coefficients, got {len(c)}")
-        last = c[-1]
-        if last:
-            c = [x - last for x in c]
         self._p = p
-        self._coeffs = tuple(c)
+        self._coeffs = _normal(c)
 
     @classmethod
     def _trusted(cls, p: int, coeffs: "Sequence[int]") -> "CycInt":
         """Build from p ints of a valid prime p, skipping validation.
 
-        Only for results of ring operations on valid elements; the last
-        entry is still normalized to zero.
+        Only for ints built here from valid elements or a checked p; the
+        result is still put in normal form.
         """
-        last = coeffs[-1]
-        if last:
-            coeffs = [x - last for x in coeffs]
         x = object.__new__(cls)
         x._p = p
-        x._coeffs = tuple(coeffs)
+        x._coeffs = _normal(coeffs)
         return x
 
     @property
@@ -70,9 +70,8 @@ class CycInt:
 
     @classmethod
     def from_int(cls, p: int, n: int) -> "CycInt":
-        coeffs = [0] * require_prime(p)
-        coeffs[0] = _as_int(n)
-        return cls(p, coeffs)
+        p = require_prime(p)
+        return cls._trusted(p, [_as_int(n)] + [0] * (p - 1))
 
     @classmethod
     def zero(cls, p: int) -> "CycInt":
@@ -136,7 +135,7 @@ class CycInt:
         if isinstance(other, CycInt):
             return self._p == other._p and self._coeffs == other._coeffs
         if isinstance(other, int):
-            return self == CycInt.from_int(self._p, other)
+            return self._coeffs[0] == other and not any(self._coeffs[1:])
         return NotImplemented
 
     def __hash__(self) -> int:

@@ -66,6 +66,34 @@ MUTATIONS = (
         "inv = m",
         ("tests/test_cyclotomic.py", "tests/test_isometry.py"),
     ),
+    # the normal form subtracts the last coefficient from every entry
+    (
+        "src/perfiso/cyclotomic.py",
+        "return tuple([x - last for x in coeffs] if last else coeffs)",
+        "return tuple([x + last for x in coeffs] if last else coeffs)",
+        ("tests/test_cyclotomic.py",),
+    ),
+    # an element equals an int only when it has no coefficient past the constant
+    (
+        "src/perfiso/cyclotomic.py",
+        "return self._coeffs[0] == other and not any(self._coeffs[1:])",
+        "return self._coeffs[0] == other",
+        ("tests/test_cyclotomic.py",),
+    ),
+    # trial division must reach d * d == n, or the square of a prime passes
+    (
+        "src/perfiso/__init__.py",
+        "while d * d <= n:",
+        "while d * d < n:",
+        ("tests/test_cyclotomic.py",),
+    ),
+    # 1 is not prime
+    (
+        "src/perfiso/__init__.py",
+        "return n > 1",
+        "return n > 0",
+        ("tests/test_cyclotomic.py",),
+    ),
     # a separate value that starts with "-" goes to argparse, not the plain parser
     (
         "src/perfiso/cli.py",

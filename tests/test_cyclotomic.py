@@ -29,11 +29,17 @@ def test_zeta_pow_reduces_exponent():
 
 
 def test_non_prime_rejected():
-    for bad in (0, 1, 4, 6, 9, 12, -3):
+    # 25, 49 and 101^2 are squares of primes: the trial division must reach d * d == n
+    for bad in (0, 1, 4, 6, 9, 12, -3, 25, 49, 10201):
         with pytest.raises(ValueError):
             zeta_pow(bad, 0)
         assert not is_prime(bad)
     assert require_prime(13) == 13
+
+
+def test_is_prime_matches_its_definition():
+    for n in range(-3, 2001):
+        assert is_prime(n) == (n > 1 and all(n % d for d in range(2, n))), n
 
 
 def test_wrong_coefficient_count_rejected():
@@ -223,6 +229,11 @@ def test_equality_and_hash_on_normal_forms():
     assert a == b
     assert hash(a) == hash(b)
     assert a == 1 and b == 1
+    # an element equals an int only when every coefficient past the constant is zero
+    assert CycInt(5, [3, 1, 0, 0, 0]) != 3
+    assert zeta_pow(5, 1) != 0
+    for p in (3, 53):
+        assert 1 + zeta_pow(p, 1) != 1
 
 
 @pytest.mark.parametrize("p", (2, 3, 53))
