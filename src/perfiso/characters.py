@@ -67,7 +67,6 @@ def character(p: int, a: int) -> ClassFunction:
 
 def indicator(p: int, j: int) -> ClassFunction:
     """The class function that is 1 at element g^j and 0 elsewhere."""
-    p = require_prime(p)
     values = [CycInt.zero(p)] * p
     values[j % p] = CycInt.one(p)
     return ClassFunction(p, tuple(values))

@@ -37,9 +37,15 @@ imported and built only for them.  Both parsers read an int option with
 ``_int``: an optional ASCII sign, then ASCII digits, so "٣", "1_1" and
 " 3" are usage errors on either path and "+3" and "-1" keep their values.
 The paths differ only in which token shapes they take, never in what a
-value means.  A reader that closes stdout early ends the output, not the
-verdict: the exit code is the command's own, and nothing is printed on
-stderr.  An error line goes to stderr or nowhere (_error), never to stdout.
+value means.
+
+One rule holds for both streams: a stream that refuses output is closed
+from then on, as one closed at start-up is.  When the reader of stdout has
+gone (BrokenPipeError) or stderr refuses the error line (OSError), main or
+_error sets sys.stdout or sys.stderr to None, so nothing writes or flushes
+it again, and run skips it.  So the output ends, not the verdict: under
+any buffering the exit code is the command's own, and nothing is printed
+on stderr.  An error line goes to stderr or nowhere, never to stdout.
 
 Each command imports the library functions it calls when it runs, and
 parsing imports none, so a call loads only the layers its command needs:
@@ -429,15 +435,17 @@ def _error(message: str) -> None:
     """Write "error: message" to stderr, or nowhere when stderr cannot take it.
 
     With stderr closed at start-up, sys.stderr is None, and print(file=None)
-    would write to stdout; a descriptor that refuses writes raises OSError.
-    Either way the line is dropped, so stdout stays empty and the exit code
-    is the command's own.
+    would write to stdout.  A stream that refuses the line (OSError) is
+    closed from then on: sys.stderr becomes None, so the line is dropped
+    with whatever the stream still buffers, and neither run nor the
+    interpreter flushes it again.  Either way stdout stays empty and the
+    exit code is the command's own, under any buffering.
     """
     if sys.stderr is not None:
         try:
             print(f"error: {message}", file=sys.stderr)
         except OSError:
-            pass
+            sys.stderr = None
 
 
 def main(argv: "Sequence[str] | None" = None) -> int:
@@ -465,12 +473,9 @@ def main(argv: "Sequence[str] | None" = None) -> int:
     try:
         print(text, flush=True)
     except BrokenPipeError:
-        # the reader stopped early, and the verdict stands; stdout now goes
-        # to devnull, so a later flush (run's or the interpreter's) does not
-        # fail again
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
+        # the reader stopped early, and the verdict stands: stdout is now
+        # closed, as at start-up, so nothing flushes what it refused again
+        sys.stdout = None
     return EXIT_OK if ok else EXIT_NEGATIVE
 
 
@@ -483,7 +488,8 @@ def run() -> None:
     every module, collect garbage and free memory, which takes longer than
     a small command itself.  No check of perfiso runs then, but atexit
     handlers that other tools register do not run either.  A stream that is
-    None (closed at start-up) is skipped.  When a flush raises OSError, or
+    None, closed at start-up or after it refused output (the one rule of
+    the module docstring), is skipped.  When a flush raises OSError, or
     under python -i (or PYTHONINSPECT), run ends with SystemExit instead,
     as a plain SystemExit(main()) would, and the interpreter finishes as
     usual.  SystemExit from argparse and any exception from main pass

@@ -90,7 +90,6 @@ class CycInt:
             return other
         if isinstance(other, int):
             return CycInt.from_int(self._p, other)
-        return None
 
     def __add__(self, other: "int | CycInt") -> "CycInt":
         o = self._coerce(other)

@@ -6,8 +6,10 @@ The script copies src/, tests/ and perfbench/, with README.md and
 pyproject.toml, which the tests read, into a temporary directory.  Each
 entry of MUTATIONS names a source file, one of its lines (compared with the
 indentation stripped), the line's replacement and the test files that must
-catch it.  First every entry's line must occur exactly once in its file;
-if one does not, the script exits 2 before it runs any test, so an entry
+catch it.  Where a line occurs more than once, the entry names it with the
+line that follows it, joined by a newline, and its replacement has as many
+lines.  First every entry's lines must occur exactly once in their file;
+if they do not, the script exits 2 before it runs any test, so an entry
 whose line was edited away fails loudly.  Then the named test files must
 pass on the unmutated copy.  Then, one entry at a time, the script
 replaces the line, runs
@@ -164,19 +166,86 @@ MUTATIONS = (
         "steps = [c * d % p for c in (-1, *range(1, p - 2))]",
         ("tests/test_pigroup.py",),
     ),
+    # the first read of a layer's name gets the name, once _export has bound it
+    (
+        "src/perfiso/__init__.py",
+        "return globals()[name]",
+        "pass",
+        ("tests/test_cli.py",),
+    ),
+    # a repeated option goes to argparse, which also judges the first value
+    (
+        "src/perfiso/cli.py",
+        "if name in values:",
+        "if False:",
+        ("tests/test_cli.py",),
+    ),
+    # usage= is the table's line; with None argparse wraps at the terminal width
+    (
+        "src/perfiso/cli.py",
+        'return "\\n".join([*lines, line]).removeprefix("usage: ")',
+        "return None",
+        ("tests/test_cli.py",),
+    ),
+    # a stream that refuses output is closed from then on, under any buffering:
+    # nothing flushes the refused text again, and the exit code is the command's
+    (
+        "src/perfiso/cli.py",
+        "sys.stdout = None",
+        "pass",
+        ("tests/test_cli.py",),
+    ),
+    (
+        "src/perfiso/cli.py",
+        "sys.stderr = None",
+        "pass",
+        ("tests/test_cli.py",),
+    ),
+    # each constructor checks p itself: four coefficients fit p = 4
+    (
+        "src/perfiso/cyclotomic.py",
+        "p = require_prime(p)\nc = [_as_int(x) for x in coeffs]",
+        "pass\nc = [_as_int(x) for x in coeffs]",
+        ("tests/test_cyclotomic.py",),
+    ),
+    # a p <= 0 would make an empty table
+    (
+        "src/perfiso/characters.py",
+        "p = require_prime(p)\npowers = [zeta_pow(p, k) for k in range(p)]",
+        "pass\npowers = [zeta_pow(p, k) for k in range(p)]",
+        ("tests/test_characters.py",),
+    ),
+    # p is checked before u is read mod p, which would divide by p = 0
+    (
+        "src/perfiso/pigroup.py",
+        "p = require_prime(p)\nreturn recompose(p, AffineCoords(1, 0, u % p))",
+        "pass\nreturn recompose(p, AffineCoords(1, 0, u % p))",
+        ("tests/test_pigroup.py",),
+    ),
+    # eps is a sign; SignedIsometry would word a bad one differently
+    (
+        "src/perfiso/pigroup.py",
+        "if eps not in (1, -1):",
+        "if False:",
+        ("tests/test_pigroup.py",),
+    ),
 )
 
 
 def _find(text: str, line: str) -> list[int]:
-    """The indices of the lines of text that equal line, indentation stripped."""
-    return [i for i, source in enumerate(text.splitlines()) if source.strip() == line]
+    """The indices at which the lines of text equal the lines of line, in
+    order, indentation stripped."""
+    wanted = line.split("\n")
+    found = [source.strip() for source in text.splitlines()]
+    return [i for i in range(len(found)) if found[i : i + len(wanted)] == wanted]
 
 
 def _mutate(text: str, line: str, replacement: str) -> str:
     lines = text.splitlines(keepends=True)
-    (i,) = _find(text, line)
-    indent = lines[i][: len(lines[i]) - len(lines[i].lstrip())]
-    lines[i] = indent + replacement + "\n"
+    (start,) = _find(text, line)
+    for i, new in enumerate(replacement.split("\n"), start):
+        indent = lines[i][: len(lines[i]) - len(lines[i].lstrip())]
+        lines[i] = indent + new + "\n"
     return "".join(lines)
 
 

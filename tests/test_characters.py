@@ -2,9 +2,11 @@
 
 from random import Random
 
+import re
+
 import pytest
 
-from perfiso import characters
+from perfiso import characters, require_prime
 from perfiso import (
     CycInt,
     ClassFunction,
@@ -107,8 +109,24 @@ def test_inner_product_rejects_non_integral_sum():
 
 
 def test_inner_product_rejects_mismatched_p():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^mismatched moduli: p=3 vs p=5$"):
         inner_product(character(3, 0), character(5, 0))
+
+
+@pytest.mark.parametrize("p", (0, -3))
+def test_char_table_rejects_non_positive_p(p):
+    # without the check, range(p) is empty and the table would be ()
+    with pytest.raises(ValueError, match=f"^p must be prime, got {p}$"):
+        char_table(p)
+
+
+@pytest.mark.parametrize("p", (0, -3, 1, 4, True, 5.0, "5"), ids=repr)
+def test_indicator_refuses_p_as_require_prime_does(p):
+    # its first ring value checks p, with require_prime's exception and message
+    with pytest.raises((TypeError, ValueError)) as expected:
+        require_prime(p)
+    with pytest.raises(type(expected.value), match=f"^{re.escape(str(expected.value))}$"):
+        indicator(p, 0)
 
 
 @pytest.mark.parametrize("p", PRIMES)
@@ -145,6 +163,9 @@ def test_generalized_character_coefficients_recovered(p):
 def test_generalized_character_rejects_wrong_coefficient_count():
     with pytest.raises(ValueError, match="^expected 3 coefficients, got 2$"):
         generalized_character(3, [1, 2])
+    # p is checked first
+    with pytest.raises(ValueError, match="^p must be prime, got 4$"):
+        generalized_character(4, [1, 2])
 
 
 def test_generalized_character_takes_only_integer_coefficients():

@@ -655,6 +655,13 @@ def test_decompose_non_perfect_exits_1(capsys):
 
 
 @pytest.mark.parametrize("command", ("mu", "check", "decompose"))
+def test_map_command_checks_p_before_the_literal(capsys, command):
+    # the literal's two entries would not fit p = 4 either
+    code, out, err = run_cli(capsys, command, "-p", "4", "--map=+0,+1")
+    assert (code, out, err) == (2, "", "error: p must be prime, got 4\n")
+
+
+@pytest.mark.parametrize("command", ("mu", "check", "decompose"))
 def test_map_parse_error_exits_2(capsys, command):
     code, out, err = run_cli(capsys, command, "-p", "5", "--map", "0,1,2,3,4")
     assert code == 2
@@ -697,9 +704,19 @@ def test_unknown_command_exits_2():
 
 def _child_env() -> dict:
     # a child imports the same perfiso as this test, also when only
-    # pytest's own pythonpath setting put it on sys.path
-    path = os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))
-    return {**os.environ, "PYTHONPATH": path}
+    # pytest's own pythonpath setting put it on sys.path.  It inherits no
+    # other PYTHON* variable, so it runs with the interpreter's default
+    # buffering whatever the runner exports (PYTHONUNBUFFERED among them)
+    env = {k: v for k, v in os.environ.items() if not k.startswith("PYTHON")}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))
+    return env
+
+
+# the stream tests run each child as the interpreter buffers by default,
+# and again with every stream unbuffered
+BUFFERING = pytest.mark.parametrize(
+    "buffering", ({}, {"PYTHONUNBUFFERED": "1"}), ids=("buffered", "unbuffered")
+)
 
 
 def test_module_entry_point_runs():
@@ -716,6 +733,7 @@ def test_module_entry_point_runs():
 IDENTITY_101 = ",".join(f"+{k}" for k in range(101))
 
 
+@BUFFERING
 @pytest.mark.parametrize(
     "argv, code",
     (
@@ -725,14 +743,14 @@ IDENTITY_101 = ",".join(f"+{k}" for k in range(101))
     ),
     ids=("chartab", "mu-json", "check-negative"),
 )
-def test_closed_stdout_keeps_the_exit_code_and_stderr_empty(argv, code):
+def test_closed_stdout_keeps_the_exit_code_and_stderr_empty(argv, code, buffering):
     # the reader is gone before the child writes: the verdict still sets the
     # exit code, and no traceback or "Exception ignored" line is printed
     proc = subprocess.Popen(
         [sys.executable, "-m", "perfiso", *argv],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
-        env=_child_env(),
+        env={**_child_env(), **buffering},
     )
     proc.stdout.close()
     err = proc.stderr.read()
@@ -918,16 +936,29 @@ def test_error_line_never_reaches_stdout(capsys, monkeypatch, stderr):
     assert capsys.readouterr().out == ""
 
 
-def _refuse_writes_on_fd_2():
-    fd = os.open(os.devnull, os.O_RDONLY)
-    os.dup2(fd, 2)
-    os.close(fd)
+def _fd_2_on(path, flags):
+    """A child's preexec_fn that reopens its fd 2 on path."""
+
+    def reopen():
+        fd = os.open(path, flags)
+        os.dup2(fd, 2)
+        os.close(fd)
+
+    return reopen
 
 
+@BUFFERING
 @pytest.mark.parametrize(
     "preexec",
-    (lambda: os.close(2), _refuse_writes_on_fd_2),
-    ids=("closed", "read-only"),
+    (
+        lambda: os.close(2),
+        _fd_2_on(os.devnull, os.O_RDONLY),  # a write fails with EBADF
+        pytest.param(  # a write fails with ENOSPC
+            _fd_2_on("/dev/full", os.O_WRONLY),
+            marks=pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full"),
+        ),
+    ),
+    ids=("closed", "read-only", "full"),
 )
 @pytest.mark.parametrize(
     "argv, code",
@@ -937,12 +968,13 @@ def _refuse_writes_on_fd_2():
     ),
     ids=("bad-p", "not-affine"),
 )
-def test_child_error_with_stderr_unusable(preexec, argv, code):
-    # the error line is dropped: stdout stays empty and the exit code is the command's
+def test_child_error_with_stderr_unusable(preexec, argv, code, buffering):
+    # the error line is dropped: stdout stays empty and the exit code is the
+    # command's, also when the refused line is still in stderr's buffer
     proc = subprocess.run(
         [sys.executable, "-m", "perfiso", *argv],
         stdout=subprocess.PIPE,
-        env=_child_env(),
+        env={**_child_env(), **buffering},
         preexec_fn=preexec,
         timeout=60,
     )
@@ -1043,16 +1075,24 @@ def cli_argvs(draw):
         drawn = draw(st.sampled_from((*choices, None)))
         return draw(st.sampled_from(EDITS)) if drawn is None else drawn
 
+    values = {
+        "-p": ("2", "3", "5", "101", "103", "4", "0"),
+        "--format": ("text", "json", "xml"),
+        "--seed": ("0", "7", "12345678901234567890"),
+        "--map": ("+0,+1,+2", "-0,-1,-2", "+1,+3,+0,+2,+4", "", "--"),
+        "--mode": (*MODES, "positive"),
+    }
     command = draw(st.sampled_from(COMMANDS))
-    pairs = [("-p", pick("2", "3", "5", "101", "103", "4", "0"))]
+    names = ["-p"]
     if draw(st.booleans()):
-        pairs.append(("--format", pick("text", "json", "xml")))
+        names.append("--format")
     if draw(st.booleans()):
-        pairs.append(("--seed", pick("0", "7", "12345678901234567890")))
+        names.append("--seed")
     if command in MAP_COMMANDS:
-        pairs.append(("--map", pick("+0,+1,+2", "-0,-1,-2", "+1,+3,+0,+2,+4", "", "--")))
+        names.append("--map")
     if command in REPORT_COMMANDS and draw(st.booleans()):
-        pairs.append(("--mode", pick(*MODES, "positive")))
+        names.append("--mode")
+    pairs = [(name, pick(*values[name])) for name in names]
     argv = [command]
     for name, value in draw(st.permutations(pairs)):
         argv += [f"{name}={value}"] if draw(st.booleans()) else [name, value]
@@ -1063,9 +1103,9 @@ def cli_argvs(draw):
             argv[at] = draw(st.sampled_from(EDITS))
         elif edit == "insert":
             argv.insert(at, draw(st.sampled_from(EDITS)))
-        elif edit == "repeat":
-            name, value = draw(st.sampled_from(pairs))
-            argv += [name, value]
+        elif edit == "repeat":  # an option again, its value drawn afresh
+            name = draw(st.sampled_from(names))
+            argv += [name, pick(*values[name])]
         elif edit == "extra":
             argv.insert(at, "extra")
         elif edit == "drop" and len(argv) > 1:
@@ -1076,6 +1116,7 @@ def cli_argvs(draw):
 @settings(max_examples=300, deadline=None)
 @given(cli_argvs())
 @example(["chartab", "-p=--"])
+@example(["chartab", "-p", "x", "-p", "3"])  # argparse refuses the first value
 def test_table_parser_agrees_with_argparse(argv):
     # wherever the table parser answers, argparse accepts the same argv and
     # builds the same namespace; everywhere else argparse alone answers.
@@ -1232,14 +1273,17 @@ def test_help_and_usage_output_is_pinned(capsys, monkeypatch, argv):
     assert _in_process(capsys, list(argv)) == HELP_AND_USAGE_PINS[argv]
 
 
-def test_usage_lines_are_the_same_on_every_interpreter():
+def test_usage_lines_are_the_same_on_every_interpreter(monkeypatch):
     # cli builds each command's usage line from its table, so no argparse
-    # version or terminal width wraps it; the rest of the help text is pinned
-    # under 3.11 alone, above
+    # version or terminal width wraps it (at 40 columns argparse's own line
+    # for decompose takes four); the rest of the help text is pinned under
+    # 3.11 alone, above
     (commands,) = [action for action in build_parser()._actions if action.dest == "command"]
     assert list(commands.choices) == list(_USAGE)
-    for name, parser in commands.choices.items():
-        assert parser.format_usage() == _USAGE[name], name
+    for columns in ("40", "80", "200"):
+        monkeypatch.setenv("COLUMNS", columns)
+        for name, parser in commands.choices.items():
+            assert parser.format_usage() == _USAGE[name], (name, columns)
 
 
 # an int option's value is an optional ASCII sign and ASCII digits, read by
@@ -1428,6 +1472,18 @@ def test_dir_lists_every_public_name():
         "print(sorted({*perfiso.__all__, 'cyclotomic', 'characters', 'isometry', 'pigroup'} - set(listed)))"
     )
     assert found == "[]"
+
+
+@pytest.mark.parametrize(
+    "name, layer", (("CycInt", "cyclotomic"), ("recompose", "pigroup"), ("PERFECT", "isometry"))
+)
+def test_layer_name_resolves_on_first_access(name, layer):
+    # the first read of a layer's name binds every layer's names, and gets this one
+    found = _fresh(
+        f"import perfiso\nvalue = perfiso.{name}\n"
+        f"from perfiso.{layer} import {name}\nprint(value is {name})"
+    )
+    assert found == "True"
 
 
 def test_unknown_name_raises_attribute_error():

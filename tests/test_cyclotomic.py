@@ -37,6 +37,14 @@ def test_non_prime_rejected():
     assert require_prime(13) == 13
 
 
+def test_constructors_check_p_themselves():
+    # before the coefficients: four of them would fit p = 4
+    with pytest.raises(ValueError, match="^p must be prime, got 4$"):
+        CycInt(4, [0, 0, 0, 0])
+    with pytest.raises(ValueError, match="^p must be prime, got 4$"):
+        CycInt.from_int(4, 1)
+
+
 def test_is_prime_matches_its_definition():
     for n in range(-3, 2001):
         assert is_prime(n) == (n > 1 and all(n % d for d in range(2, n))), n

@@ -371,6 +371,11 @@ def test_transform_raises_on_non_integral_values():
     assert not any(divisible_by_p_oracle(p, list(s)) for s in sums)
 
 
+def test_non_integral_transform_names_its_point():
+    error = NonIntegralTransform(7)
+    assert (error.point, str(error)) == (7, "transform value at element index 7 is not divisible by p")
+
+
 def test_forward_transform_rejects_mismatched_moduli():
     kt = kernel_table(gen_linear(3, 0))
     with pytest.raises(ValueError, match=r"^mismatched moduli: p=3 vs p=5$"):

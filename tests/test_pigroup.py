@@ -80,6 +80,9 @@ def test_gen_aut_examples():
     for u in (0, 10):
         with pytest.raises(ValueError, match=r"^u must lie in 1\.\.4, got 0$"):
             gen_aut(5, u)
+    # p is checked before u is read mod p
+    with pytest.raises(ValueError, match="^p must be prime, got 0$"):
+        gen_aut(0, 1)
 
 
 @pytest.mark.parametrize("p", (2, 3, 5, 7))
@@ -423,8 +426,12 @@ def test_decompose_matches_closed_form_on_every_signed_map(p):
 
 
 def test_recompose_validation():
-    with pytest.raises(ValueError):
-        recompose(5, AffineCoords(0, 0, 1))
+    for eps in (0, 2):
+        with pytest.raises(ValueError, match=f"^eps must be \\+1 or -1, got {eps}$"):
+            recompose(5, AffineCoords(eps, 0, 1))
+    # p is checked first: u = 5 is also out of range for p = 4
+    with pytest.raises(ValueError, match="^p must be prime, got 4$"):
+        recompose(4, AffineCoords(1, 0, 5))
     # u = 0 and u = p are refused by recompose's own range check, not later
     # by SignedIsometry's permutation check
     for u in (0, 5):
