@@ -4,20 +4,21 @@ Commands: chartab, mu, check, enumerate, decompose, verify.  Each command is
 a function of the parsed arguments that returns ``(ok, payload, lines)``:
 the positive verdict, the JSON keys that follow ``"schema"`` and ``"p"``,
 and the lines of the text output, an iterable that main reads only for
---format text.  ``main`` alone writes stdout, once, after the command
-has returned, so an error exit leaves stdout empty.  Output is byte-stable
-for identical invocations; JSON payloads carry a top-level "schema": 1
-version field.  JSON is written by ``_dumps``, byte for byte what
+--format text.  ``main`` alone hands output to ``_end``, once, after the
+command has returned, so an error exit leaves stdout empty.  Output is
+byte-stable for identical invocations; JSON payloads carry a top-level
+"schema": 1 version field.  JSON is written by ``_dumps``, byte for byte what
 ``json.dumps(..., indent=2)`` writes; it needs CPython's C module ``_json``,
 and json itself is not imported.  Exit codes: 0 for success / a perfect
 verdict, 1 for a negative verdict or failed check, 2 for usage, parse and
 bound errors (every command rejects p > MAX_P before the primality test), 3
-for an internal error, reported on stderr without a traceback.  ``check``
-exits 3 when its two perfectness checkers disagree: ``is_perfect``, which
-counts kernel rows 0 and 1 up to its witness, and ``is_perfect_via_spaces``,
-which reads the rule of pigroup.iter_perfect off the map with no ring
-arithmetic.  NotPerfect exits 1 and InternalError 3; both live in the
-package root, so main catches them by name and loads no layer to do so.
+for an internal error or lost output (the stream rule below), reported on
+stderr without a traceback.  ``check`` exits 3 when its two perfectness
+checkers disagree: ``is_perfect``, which counts kernel rows 0 and 1 up to
+its witness, and ``is_perfect_via_spaces``, which reads the rule of
+pigroup.iter_perfect off the map with no ring arithmetic.  NotPerfect
+exits 1 and InternalError 3; both live in the package root, so main
+catches them by name and loads no layer to do so.
 
 A ``--map`` literal that starts with "-" may be given as a separate
 argument (``--map -0,-1,-2``) or joined (``--map=-0,-1,-2``); both forms
@@ -39,13 +40,17 @@ imported and built only for them.  Both parsers read an int option with
 The paths differ only in which token shapes they take, never in what a
 value means.
 
-One rule holds for both streams: a stream that refuses output is closed
-from then on, as one closed at start-up is.  When the reader of stdout has
-gone (BrokenPipeError) or stderr refuses the error line (OSError), main or
-_error sets sys.stdout or sys.stderr to None, so nothing writes or flushes
-it again, and run skips it.  So the output ends, not the verdict: under
-any buffering the exit code is the command's own, and nothing is printed
-on stderr.  An error line goes to stderr or nowhere, never to stdout.
+One rule holds for both streams, and ``_end``, the one function that
+writes or flushes them, applies it: a stream that refuses output (OSError)
+is closed from then on, as one closed at start-up is, and a stdout that
+refuses it for any reason but a closed pipe lost the output, so the call
+exits 3 with "error: cannot write output: ..." on stderr.  A closed pipe
+(``| head``) or a refusing stderr ends the output, not the verdict: the
+exit code is the command's own, argparse's 2 for a usage error included,
+and nothing is printed on stderr.  Every call ends through ``_end``, so
+this holds under any buffering, for help and usage text too, and no
+refused stream ends a call in a traceback.  An error line goes to stderr
+or nowhere, never to stdout.
 
 Each command imports the library functions it calls when it runs, and
 parsing imports none, so a call loads only the layers its command needs:
@@ -62,8 +67,9 @@ alone turns a PIGroupReport into JSON keys or text lines, and builds only
 those its --format writes: a JSON call makes no line, a text call no dict.
 
 ``main`` returns the exit code.  ``run``, the entry of ``python -m perfiso``
-and of the ``perfiso`` script, calls it, flushes stdout and stderr and ends
-the process with ``os._exit``, skipping interpreter teardown (see run).
+and of the ``perfiso`` script, calls it, ends argparse's exit through
+``_end`` and ends the process with ``os._exit``, skipping interpreter
+teardown (see run).
 """
 
 import os
@@ -431,21 +437,29 @@ def _dumps(value: object) -> str:
     return write(value, "\n")
 
 
-def _error(message: str) -> None:
-    """Write "error: message" to stderr, or nowhere when stderr cannot take it.
+def _end(code: int, out: str = "", err: str = "") -> int:
+    """Write out to stdout and err to stderr, each as a line when not empty,
+    flush both and return the exit code, under the module docstring's rule.
 
-    With stderr closed at start-up, sys.stderr is None, and print(file=None)
-    would write to stdout.  A stream that refuses the line (OSError) is
-    closed from then on: sys.stderr becomes None, so the line is dropped
-    with whatever the stream still buffers, and neither run nor the
-    interpreter flushes it again.  Either way stdout stays empty and the
-    exit code is the command's own, under any buffering.
+    A stream whose write or flush raises OSError becomes None, so nothing
+    writes or flushes it again, what it still buffers included; one that is
+    None already is skipped.  When stdout raises anything but
+    BrokenPipeError, the code becomes 3 and err the line "error: cannot
+    write output: <the OSError>".
     """
-    if sys.stderr is not None:
+    for name in ("stdout", "stderr"):
+        stream, text = getattr(sys, name), out if name == "stdout" else err
+        if stream is None:
+            continue
         try:
-            print(f"error: {message}", file=sys.stderr)
-        except OSError:
-            sys.stderr = None
+            if text:
+                print(text, file=stream)
+            stream.flush()
+        except OSError as exc:
+            setattr(sys, name, None)
+            if name == "stdout" and not isinstance(exc, BrokenPipeError):
+                code, err = EXIT_INTERNAL, f"error: cannot write output: {exc}"
+    return code
 
 
 def main(argv: "Sequence[str] | None" = None) -> int:
@@ -458,50 +472,44 @@ def main(argv: "Sequence[str] | None" = None) -> int:
             raise ValueError(f"p={args.p} is out of range; the bound is p <= {MAX_P}")
         ok, payload, lines = args.func(args)
     except ValueError as exc:
-        _error(str(exc))
-        return EXIT_USAGE
+        return _end(EXIT_USAGE, err=f"error: {exc}")
     except NotPerfect as exc:
-        _error(str(exc))
-        return EXIT_NEGATIVE
+        return _end(EXIT_NEGATIVE, err=f"error: {exc}")
     except InternalError as exc:
-        _error(f"internal error: {exc}")
-        return EXIT_INTERNAL
+        return _end(EXIT_INTERNAL, err=f"error: internal error: {exc}")
     if args.format == "json":
-        text = _dumps({"schema": SCHEMA_VERSION, "p": args.p, **payload})
-    else:
-        text = "\n".join(lines)
-    try:
-        print(text, flush=True)
-    except BrokenPipeError:
-        # the reader stopped early, and the verdict stands: stdout is now
-        # closed, as at start-up, so nothing flushes what it refused again
-        sys.stdout = None
-    return EXIT_OK if ok else EXIT_NEGATIVE
+        lines = [_dumps({"schema": SCHEMA_VERSION, "p": args.p, **payload})]
+    return _end(EXIT_OK if ok else EXIT_NEGATIVE, out="\n".join(lines))
 
 
 def run() -> None:
     """The command-line entry (python -m perfiso, the perfiso script): main,
     then an exit without interpreter teardown.
 
-    Once main has returned, both streams are flushed and the process ends
-    with os._exit, so it skips what the interpreter would do next: clear
-    every module, collect garbage and free memory, which takes longer than
-    a small command itself.  No check of perfiso runs then, but atexit
-    handlers that other tools register do not run either.  A stream that is
-    None, closed at start-up or after it refused output (the one rule of
-    the module docstring), is skipped.  When a flush raises OSError, or
-    under python -i (or PYTHONINSPECT), run ends with SystemExit instead,
-    as a plain SystemExit(main()) would, and the interpreter finishes as
-    usual.  SystemExit from argparse and any exception from main pass
+    First a stream closed at start-up becomes os.devnull: argparse writes
+    usage meant for a closed stderr to stdout, and help meant for a closed
+    stdout to stderr.  Then neither stream buffers by line or writes
+    through, so a byte reaches its descriptor only when _end flushes it:
+    argparse's help and usage text too, which argparse writes itself and,
+    when the stream refuses it, drops (3.11 and later) or raises from
+    parse_args (3.10).  So _end sees every refusal.  main's returns end
+    through _end, and so does argparse's exit (SystemExit, after help or a
+    usage error), with argparse's code.  The process then ends with
+    os._exit, so it skips what the interpreter would do next: clear every
+    module, collect garbage and free memory, which takes longer than a
+    small command itself.  No check of perfiso runs then, but atexit
+    handlers that other tools register do not run either.  Under python -i
+    (or PYTHONINSPECT) run ends with SystemExit instead, and the
+    interpreter finishes as usual.  Any other exception from main passes
     through untouched.
     """
-    code = main()
+    for name in ("stdout", "stderr"):
+        setattr(sys, name, getattr(sys, name) or open(os.devnull, "w"))
+        getattr(sys, name).reconfigure(line_buffering=False, write_through=False)
     try:
-        for stream in (sys.stdout, sys.stderr):
-            if stream is not None:
-                stream.flush()
-    except OSError:
-        raise SystemExit(code)
+        code = main()
+    except SystemExit as exc:
+        code = _end(exc.code)
     if sys.flags.inspect:
         raise SystemExit(code)
     os._exit(code)

@@ -191,13 +191,36 @@ MUTATIONS = (
     # nothing flushes the refused text again, and the exit code is the command's
     (
         "src/perfiso/cli.py",
-        "sys.stdout = None",
+        "setattr(sys, name, None)",
         "pass",
         ("tests/test_cli.py",),
     ),
+    # a closed pipe keeps the command's code; any other refused stdout exits 3
     (
         "src/perfiso/cli.py",
-        "sys.stderr = None",
+        'if name == "stdout" and not isinstance(exc, BrokenPipeError):',
+        'if name == "stdout" and isinstance(exc, BrokenPipeError):',
+        ("tests/test_cli.py",),
+    ),
+    # argparse's exit, after help or a usage error, ends through _end
+    (
+        "src/perfiso/cli.py",
+        "code = _end(exc.code)",
+        "pass",
+        ("tests/test_cli.py",),
+    ),
+    # argparse's help reaches its descriptor only in _end's flush, also under
+    # PYTHONUNBUFFERED, so _end sees a stdout that refuses it
+    (
+        "src/perfiso/cli.py",
+        "getattr(sys, name).reconfigure(line_buffering=False, write_through=False)",
+        "pass",
+        ("tests/test_cli.py",),
+    ),
+    # a stream closed at start-up is a sink: argparse writes no usage to stdout
+    (
+        "src/perfiso/cli.py",
+        'setattr(sys, name, getattr(sys, name) or open(os.devnull, "w"))',
         "pass",
         ("tests/test_cli.py",),
     ),

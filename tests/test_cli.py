@@ -759,7 +759,7 @@ def test_closed_stdout_keeps_the_exit_code_and_stderr_empty(argv, code, bufferin
 
 
 # ---------------------------------------------------------------------------
-# the process exit: run() flushes, then ends without interpreter teardown
+# the process exit: every call ends through _end, then without interpreter teardown
 
 
 def _in_process(capsys, argv):
@@ -823,30 +823,34 @@ def test_child_with_stdout_closed_at_start_up(capsys, monkeypatch):
 
 
 class _Stream:
-    """A stand-in for sys.stdout or sys.stderr that logs its flushes."""
+    """A stand-in for sys.stdout or sys.stderr that logs its reconfigures and flushes."""
 
-    def __init__(self, name, log, error=None):
-        self.name, self.log, self.error = name, log, error
+    def __init__(self, name, log):
+        self.name, self.log = name, log
+
+    def reconfigure(self, **settings):
+        self.log.append((f"reconfigure {self.name}", settings))
 
     def write(self, text):
         return len(text)
 
     def flush(self):
         self.log.append(f"flush {self.name}")
-        if self.error:
-            raise self.error
 
 
 class _Exited(Exception):
     pass
 
 
-def _patch_exit(monkeypatch, log, code=3):
-    """main returns code; os._exit logs its argument and raises _Exited."""
+def _patch_exit(monkeypatch, log, ends):
+    """main returns ends, or raises it when it is an exception; os._exit logs
+    its argument and raises _Exited."""
 
     def fake_main():
         log.append("main")
-        return code
+        if isinstance(ends, BaseException):
+            raise ends
+        return ends
 
     def fake_exit(status):
         log.append(("os._exit", status))
@@ -856,79 +860,96 @@ def _patch_exit(monkeypatch, log, code=3):
     monkeypatch.setattr(os, "_exit", fake_exit)
 
 
-def test_run_exits_with_mains_code_after_both_flushes(monkeypatch):
-    log = []
-    _patch_exit(monkeypatch, log)
+RECONFIGURED = {"line_buffering": False, "write_through": False}
+
+
+def _patch_streams(monkeypatch, log):
     monkeypatch.setattr(sys, "stdout", _Stream("stdout", log))
     monkeypatch.setattr(sys, "stderr", _Stream("stderr", log))
+
+
+def test_run_ends_with_os_exit_and_mains_code(monkeypatch):
+    # main's returns have flushed through _end already: run flushes nothing
+    log = []
+    _patch_exit(monkeypatch, log, 3)
+    _patch_streams(monkeypatch, log)
     with pytest.raises(_Exited):
         cli.run()
-    assert log == ["main", "flush stdout", "flush stderr", ("os._exit", 3)]
+    assert log == [
+        ("reconfigure stdout", RECONFIGURED),
+        ("reconfigure stderr", RECONFIGURED),
+        "main",
+        ("os._exit", 3),
+    ]
 
 
-def test_run_skips_a_stream_that_is_none(monkeypatch):
+@pytest.mark.parametrize("code", (0, 2), ids=("help", "usage"))
+def test_run_ends_argparses_exit_through_the_flush_step(monkeypatch, code):
+    # argparse has written its help or usage text itself; _end flushes it,
+    # and argparse's code is the exit code
     log = []
-    _patch_exit(monkeypatch, log, code=0)
-    monkeypatch.setattr(sys, "stdout", None)
-    monkeypatch.setattr(sys, "stderr", _Stream("stderr", log))
+    _patch_exit(monkeypatch, log, SystemExit(code))
+    _patch_streams(monkeypatch, log)
     with pytest.raises(_Exited):
         cli.run()
-    assert log == ["main", "flush stderr", ("os._exit", 0)]
+    assert log[2:] == ["main", "flush stdout", "flush stderr", ("os._exit", code)]
 
 
-@pytest.mark.parametrize("failing", ("stdout", "stderr"))
-def test_run_falls_back_to_system_exit_when_a_flush_fails(monkeypatch, failing):
-    # the interpreter's own teardown then reports the stream as it always did
+@pytest.mark.parametrize("closed", ("stdout", "stderr"))
+def test_run_gives_a_stream_closed_at_start_up_a_sink(monkeypatch, closed):
+    # argparse writes usage meant for a closed stderr to stdout, and help
+    # meant for a closed stdout to stderr; os.devnull takes it instead
     log = []
-    _patch_exit(monkeypatch, log, code=1)
-    for name in ("stdout", "stderr"):
-        error = BrokenPipeError() if name == failing else None
-        monkeypatch.setattr(sys, name, _Stream(name, log, error))
-    with pytest.raises(SystemExit) as info:
+    _patch_exit(monkeypatch, log, 0)
+    _patch_streams(monkeypatch, log)
+    monkeypatch.setattr(sys, closed, None)
+    with pytest.raises(_Exited):
         cli.run()
-    assert info.value.code == 1
-    assert ("os._exit", 1) not in log
+    sink = getattr(sys, closed)
+    sink.close()
+    assert (sink.name, sink.line_buffering, sink.write_through) == (os.devnull, False, False)
+    other = "stderr" if closed == "stdout" else "stdout"
+    assert log == [(f"reconfigure {other}", RECONFIGURED), "main", ("os._exit", 0)]
 
 
 def test_run_falls_back_to_system_exit_under_inspect(monkeypatch):
     # python -i and PYTHONINSPECT open a prompt once the module is done
     log = []
-    _patch_exit(monkeypatch, log, code=2)
-    monkeypatch.setattr(sys, "stdout", _Stream("stdout", log))
-    monkeypatch.setattr(sys, "stderr", _Stream("stderr", log))
+    _patch_exit(monkeypatch, log, 2)
+    _patch_streams(monkeypatch, log)
     monkeypatch.setattr(sys, "flags", SimpleNamespace(inspect=1))
     with pytest.raises(SystemExit) as info:
         cli.run()
     assert info.value.code == 2
-    assert log == ["main", "flush stdout", "flush stderr"]
+    assert log[2:] == ["main"]
 
 
-@pytest.mark.parametrize("raised", (SystemExit(2), KeyboardInterrupt()), ids=repr)
-def test_run_lets_mains_exceptions_through(monkeypatch, raised):
-    log = []
-
-    def fake_main():
-        raise raised
-
-    monkeypatch.setattr(cli, "main", fake_main)
-    monkeypatch.setattr(os, "_exit", lambda status: log.append(status))
-    with pytest.raises(type(raised)) as info:
+def test_run_lets_mains_exceptions_through(monkeypatch):
+    raised, log = KeyboardInterrupt(), []
+    _patch_exit(monkeypatch, log, raised)
+    _patch_streams(monkeypatch, log)
+    with pytest.raises(KeyboardInterrupt) as info:
         cli.run()
     assert info.value is raised
-    assert log == []
+    assert log[2:] == ["main"]
 
 
 class _RefusingStream:
-    """A stderr whose descriptor refuses writes, like fd 2 opened read-only."""
+    """A stream whose every write raises error, like a descriptor opened read-only."""
+
+    def __init__(self, error):
+        self.error = error
 
     def write(self, text):
-        raise OSError(9, "Bad file descriptor")
+        raise self.error
 
     def flush(self):
         pass
 
 
-@pytest.mark.parametrize("stderr", (None, _RefusingStream()), ids=("none", "refusing"))
+@pytest.mark.parametrize(
+    "stderr", (None, _RefusingStream(OSError(9, "Bad file descriptor"))), ids=("none", "refusing")
+)
 def test_error_line_never_reaches_stdout(capsys, monkeypatch, stderr):
     # with stderr closed, print(file=None) would write the line to stdout
     monkeypatch.setattr(sys, "stderr", stderr)
@@ -936,15 +957,38 @@ def test_error_line_never_reaches_stdout(capsys, monkeypatch, stderr):
     assert capsys.readouterr().out == ""
 
 
-def _fd_2_on(path, flags):
-    """A child's preexec_fn that reopens its fd 2 on path."""
+def test_refused_stdout_exits_3_and_closes_it(capsys, monkeypatch):
+    # the output is lost, so the verdict cannot stand; stdout is closed from then on
+    monkeypatch.setattr(sys, "stdout", _RefusingStream(OSError(28, "No space left on device")))
+    assert main(["chartab", "-p", "3"]) == 3
+    assert sys.stdout is None
+    assert capsys.readouterr().err == "error: cannot write output: [Errno 28] No space left on device\n"
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    ((["chartab", "-p", "3"], 0), (["check", "-p", "5", "--map", "+0,+2,+1,+3,+4"], 1)),
+    ids=("chartab", "check-negative"),
+)
+def test_closed_pipe_keeps_the_commands_code(capsys, monkeypatch, argv, code):
+    monkeypatch.setattr(sys, "stdout", _RefusingStream(BrokenPipeError(32, "Broken pipe")))
+    assert main(argv) == code
+    assert sys.stdout is None
+    assert capsys.readouterr().err == ""
+
+
+def _fd_on(fd, path, flags):
+    """A child's preexec_fn that reopens its fd on path."""
 
     def reopen():
-        fd = os.open(path, flags)
-        os.dup2(fd, 2)
-        os.close(fd)
+        new = os.open(path, flags)
+        os.dup2(new, fd)
+        os.close(new)
 
     return reopen
+
+
+FULL = pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
 
 
 @BUFFERING
@@ -952,11 +996,8 @@ def _fd_2_on(path, flags):
     "preexec",
     (
         lambda: os.close(2),
-        _fd_2_on(os.devnull, os.O_RDONLY),  # a write fails with EBADF
-        pytest.param(  # a write fails with ENOSPC
-            _fd_2_on("/dev/full", os.O_WRONLY),
-            marks=pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full"),
-        ),
+        _fd_on(2, os.devnull, os.O_RDONLY),  # a write fails with EBADF
+        pytest.param(_fd_on(2, "/dev/full", os.O_WRONLY), marks=FULL),  # with ENOSPC
     ),
     ids=("closed", "read-only", "full"),
 )
@@ -965,12 +1006,15 @@ def _fd_2_on(path, flags):
     (
         (["chartab", "-p", "4"], 2),
         (["decompose", "-p", "5", "--map=+1,+0,+3,+2,+4"], 1),
+        (["chartab", "-p", "x"], 2),
+        (["chartab"], 2),
     ),
-    ids=("bad-p", "not-affine"),
+    ids=("bad-p", "not-affine", "usage-bad-int", "usage-missing-p"),
 )
 def test_child_error_with_stderr_unusable(preexec, argv, code, buffering):
     # the error line is dropped: stdout stays empty and the exit code is the
-    # command's, also when the refused line is still in stderr's buffer
+    # command's, also when the refused line is still in stderr's buffer; a
+    # usage error keeps argparse's 2 also where argparse raises the refusal
     proc = subprocess.run(
         [sys.executable, "-m", "perfiso", *argv],
         stdout=subprocess.PIPE,
@@ -979,6 +1023,54 @@ def test_child_error_with_stderr_unusable(preexec, argv, code, buffering):
         timeout=60,
     )
     assert (proc.returncode, proc.stdout) == (code, b"")
+
+
+REFUSED_OUTPUT = pytest.mark.parametrize(
+    "argv",
+    (["chartab", "-p", "3"], ["verify", "-p", "7", "--format", "json"], ["-h"]),
+    ids=("chartab", "verify-json", "help"),
+)
+
+
+@BUFFERING
+@pytest.mark.parametrize(
+    "preexec",
+    (
+        _fd_on(1, os.devnull, os.O_RDONLY),  # a write fails with EBADF
+        pytest.param(_fd_on(1, "/dev/full", os.O_WRONLY), marks=FULL),  # with ENOSPC
+    ),
+    ids=("read-only", "full"),
+)
+@REFUSED_OUTPUT
+def test_child_with_stdout_refused_exits_3(preexec, argv, buffering):
+    # the output, argparse's help included, is lost: one error line, no
+    # traceback, no "Exception ignored" line, under either buffering
+    proc = subprocess.run(
+        [sys.executable, "-m", "perfiso", *argv],
+        stderr=subprocess.PIPE,
+        env={**_child_env(), **buffering},
+        preexec_fn=preexec,
+        timeout=60,
+    )
+    assert proc.returncode == 3
+    assert re.fullmatch(rb"error: cannot write output: \[Errno \d+\] [^\n]+\n", proc.stderr)
+
+
+@FULL
+@BUFFERING
+@REFUSED_OUTPUT
+def test_child_with_both_streams_full_exits_3(argv, buffering):
+    def both_full():
+        _fd_on(1, "/dev/full", os.O_WRONLY)()
+        _fd_on(2, "/dev/full", os.O_WRONLY)()
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "perfiso", *argv],
+        env={**_child_env(), **buffering},
+        preexec_fn=both_full,
+        timeout=60,
+    )
+    assert proc.returncode == 3
 
 
 # ---------------------------------------------------------------------------

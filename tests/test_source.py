@@ -229,26 +229,28 @@ def test_package_exports_match_modules():
                 assert obj.__module__ == mod.__name__, name
 
 
-def test_cli_writes_stdout_only_in_main():
-    # commands return their output; main prints it once, so an error exit prints nothing
+def test_cli_writes_the_streams_only_in_end():
+    # _end alone writes or flushes stdout and stderr, so the stream rule of
+    # cli's docstring holds in one place; main alone hands it output, once
+    # the command has returned, so an error exit prints no partial output
     tree = ast.parse(Path(cli.__file__).read_text())
-    (main,) = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "main"]
-    inside_main = {id(node) for node in ast.walk(main)}
-    found = [
-        node.lineno
-        for node in ast.walk(tree)
-        if isinstance(node, ast.Call)
-        and isinstance(node.func, ast.Name)
-        and node.func.id == "print"
-        and id(node) not in inside_main
-        and not any(kw.arg == "file" for kw in node.keywords)
-    ]
-    assert found == []
+    writers, texts = set(), set()
+    for top in tree.body:
+        for node in ast.walk(top):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if name == "print" or isinstance(func, ast.Attribute) and name in ("write", "flush"):
+                writers.add(getattr(top, "name", None))
+            if name == "_end" and (node.args[1:] or node.keywords):
+                texts.add(getattr(top, "name", None))
+    assert (writers, texts) == ({"_end"}, {"main"})
 
 
 def test_process_exit_only_in_the_entry_function():
     # os._exit skips every finally block and atexit handler: only cli.run,
-    # after main has returned and both streams are flushed, may call it
+    # after main or argparse's exit has ended through _end, may call it
     found = {
         (path.name, getattr(top, "name", None))
         for path in SOURCES
