@@ -141,17 +141,25 @@ def _commands() -> tuple[tuple, dict[str, tuple]]:
 
 def _int(text: str) -> int:
     """The value of an int option: an optional ASCII "+" or "-", then ASCII
-    digits, as many as int() reads; anything else raises ValueError.
+    digits, at most 640 of them once leading zeros are stripped; anything
+    else raises ValueError.
 
     int() alone would also read other digits ("٣"), "_" between
-    digits and surrounding whitespace.  _parse_plain calls this, and each
-    subparser registers it as its int type, so argparse reads a value the
-    same way and still words its error "invalid int value".
+    digits and surrounding whitespace, and it refuses more digits, leading
+    zeros counted, than the int-string limit, an interpreter setting
+    (PYTHONINTMAXSTRDIGITS, -X int_max_str_digits) whose lowest value is
+    640.  So int() reads every stripped value let through here under any
+    setting, and an argv means the same under each.  _parse_plain calls
+    this, and each subparser registers it as its int type, so argparse
+    reads a value the same way and still words its error "invalid int
+    value".
     """
     digits = text[1:] if text[:1] in ("+", "-") else text
-    if not (digits.isascii() and digits.isdigit()):
+    significant = digits.lstrip("0")
+    if not (digits.isascii() and digits.isdigit()) or len(significant) > 640:
         raise ValueError(f"invalid int value: {text!r}")
-    return int(text)
+    value = int(significant or "0")
+    return -value if text[:1] == "-" else value
 
 
 def build_parser() -> "argparse.ArgumentParser":

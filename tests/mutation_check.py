@@ -106,8 +106,16 @@ MUTATIONS = (
     # an int option's value is ASCII: int() alone also reads "\u0663" and "\uff13"
     (
         "src/perfiso/cli.py",
-        "if not (digits.isascii() and digits.isdigit()):",
-        "if not digits.isdigit():",
+        "if not (digits.isascii() and digits.isdigit()) or len(significant) > 640:",
+        "if not digits.isdigit() or len(significant) > 640:",
+        ("tests/test_cli.py",),
+    ),
+    # an int option takes at most 640 digits, leading zeros stripped, so its
+    # value means the same under every int-string limit
+    (
+        "src/perfiso/cli.py",
+        "if not (digits.isascii() and digits.isdigit()) or len(significant) > 640:",
+        "if not (digits.isascii() and digits.isdigit()) or False:",
         ("tests/test_cli.py",),
     ),
     # a joined "--" value goes to argparse as a token of its own

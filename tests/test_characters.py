@@ -39,22 +39,16 @@ def test_indicator_reads_its_index_mod_p():
         assert indicator(5, j) == indicator(5, j % 5)
 
 
-def test_table_builds_each_power_once(monkeypatch):
+def test_table_builds_each_power_once(spy):
     # the table holds only the p values zeta^k: p constructions, not p*p
     p = 53
-    calls = []
-
-    def counting(q, k):
-        calls.append(k)
-        return zeta_pow(q, k)
-
-    monkeypatch.setattr(characters, "zeta_pow", counting)
+    calls = spy(characters, "zeta_pow")
     char_table.cache_clear()
     try:
         table = char_table(p)
     finally:
         char_table.cache_clear()
-    assert sorted(calls) == list(range(p))
+    assert sorted(k for _, k in calls) == list(range(p))
     assert len({id(entry) for row in table for entry in row}) == p
     assert all(table[a][b] == zeta_pow(p, a * b) for a in range(p) for b in range(p))
 

@@ -23,9 +23,12 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run_cli(capsys, *argv):
-    code = main(list(argv))
-    captured = capsys.readouterr()
-    return code, captured.out, captured.err
+    """(exit code, stdout, stderr) of main(argv), argparse's own exits included."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    return (code, *capsys.readouterr())
 
 
 # ---------------------------------------------------------------------------
@@ -158,23 +161,16 @@ def test_mu_derived_entry_out_of_bound_exits_3(capsys, monkeypatch, literal, inj
 
 
 @pytest.mark.parametrize("fmt", ("text", "json"))
-def test_mu_renders_each_nonzero_entry_once(capsys, monkeypatch, fmt):
+def test_mu_renders_each_nonzero_entry_once(capsys, spy, fmt):
     # an affine map's kernel has one nonzero entry per row: mu renders those
     # p entries, and fills every other column with "0", rendering no zero
     p = 23
-    calls = []
-    real = cyclotomic.symbolic_str
-
-    def counting(x):
-        calls.append(x)
-        return real(x)
-
-    monkeypatch.setattr(cyclotomic, "symbolic_str", counting)
+    calls = spy(cyclotomic, "symbolic_str")
     literal = ",".join(f"+{(1 + 2 * k) % p}" for k in range(p))
     code, out, _ = run_cli(capsys, "mu", "-p", str(p), f"--map={literal}", "--format", fmt)
     assert code == 0 and out
     assert len(calls) == p
-    assert sum(1 for x in calls if not x) == 0
+    assert sum(1 for (x,) in calls if not x) == 0
 
 
 @pytest.mark.parametrize(
@@ -182,19 +178,12 @@ def test_mu_renders_each_nonzero_entry_once(capsys, monkeypatch, fmt):
     (",".join(f"+{(1 + 2 * k) % 23}" for k in range(23)), RANDOM_SIGNED[23]),
     ids=("affine", "random_signed"),
 )
-def test_mu_builds_no_validated_ring_value(capsys, monkeypatch, literal):
+def test_mu_builds_no_validated_ring_value(capsys, spy, literal):
     # the zero columns show symbolic_str's zero text, written as "0", and
     # every entry mu renders comes from _trusted, directly or through
     # _galois_images, so the validating constructor never runs
     assert cyclotomic.symbolic_str(cyclotomic.CycInt.zero(23)) == "0"
-    calls = []
-    real = cyclotomic.CycInt.__init__
-
-    def counting(self, *args):
-        calls.append(args)
-        real(self, *args)
-
-    monkeypatch.setattr(cyclotomic.CycInt, "__init__", counting)
+    calls = spy(cyclotomic.CycInt, "__init__")
     code, out, _ = run_cli(capsys, "mu", "-p", "23", f"--map={literal}")
     assert code == 0 and out
     assert calls == []
@@ -204,33 +193,16 @@ def test_mu_builds_no_validated_ring_value(capsys, monkeypatch, literal):
 @pytest.mark.parametrize(
     "literal", ("+1,+3,+5,+7,+9,+0,+2,+4,+6,+8,+10", "+1,+5,+3,+7,+9,+0,+2,+4,+6,+8,+10")
 )
-def test_mu_and_chartab_build_no_table(capsys, monkeypatch, literal, fmt):
+def test_mu_and_chartab_build_no_table(capsys, spy, literal, fmt):
     # mu renders the kernel row by row, counting rows 0 and 1 once each, and
     # chartab renders the p powers of zeta: neither builds a p x p table
-    built, rows = [], []
-    real_kernel, real_table = isometry.kernel_table, characters.char_table
-    real_row = isometry._counted_row
-
-    def counting_kernel(iso):
-        built.append("kernel_table")
-        return real_kernel(iso)
-
-    def counting_table(p):
-        built.append("char_table")
-        return real_table(p)
-
-    def counting_row(iso, m):
-        rows.append(m)
-        return real_row(iso, m)
-
-    monkeypatch.setattr(isometry, "kernel_table", counting_kernel)
-    monkeypatch.setattr(characters, "char_table", counting_table)
-    monkeypatch.setattr(isometry, "_counted_row", counting_row)
+    kernels, tables = spy(isometry, "kernel_table"), spy(characters, "char_table")
+    rows = spy(isometry, "_counted_row")
     for argv in (("mu", f"--map={literal}"), ("chartab",)):
         code, out, _ = run_cli(capsys, *argv, "-p", "11", "--format", fmt)
         assert code == 0 and out
-    assert built == []
-    assert rows == [0, 1]
+    assert kernels == tables == []
+    assert [m for _, m in rows] == [0, 1]
 
 
 # ---------------------------------------------------------------------------
@@ -270,48 +242,24 @@ def test_check_checker_disagreement_exits_3(capsys, monkeypatch):
     "literal, expected",
     (("+1,+3,+5,+7,+9,+0,+2,+4,+6,+8,+10", 0), ("+1,+5,+3,+7,+9,+0,+2,+4,+6,+8,+10", 1)),
 )
-def test_check_builds_no_kernel_and_counts_two_rows(capsys, monkeypatch, literal, expected):
+def test_check_builds_no_kernel_and_counts_two_rows(capsys, spy, literal, expected):
     # is_perfect counts rows 0 and 1, and the cross-check reads the rule off
     # the map, counting no row; only mu builds the whole kernel
-    built, rows = [], []
-    real_kernel, real_forward = isometry.kernel_table, isometry.forward_transform
-    real_row = isometry._counted_row
-
-    def counting_kernel(iso):
-        built.append("kernel_table")
-        return real_kernel(iso)
-
-    def counting_forward(kt, beta):
-        built.append("forward_transform")
-        return real_forward(kt, beta)
-
-    def counting_row(iso, m):
-        rows.append(m)
-        return real_row(iso, m)
-
-    monkeypatch.setattr(isometry, "kernel_table", counting_kernel)
-    monkeypatch.setattr(isometry, "forward_transform", counting_forward)
-    monkeypatch.setattr(isometry, "_counted_row", counting_row)
+    kernels, transforms = spy(isometry, "kernel_table"), spy(isometry, "forward_transform")
+    rows = spy(isometry, "_counted_row")
     code, out, _ = run_cli(capsys, "check", "-p", "11", f"--map={literal}")
     assert code == expected and out.startswith("verdict: ")
-    assert built == []
-    assert rows == [0, 1]
+    assert kernels == transforms == []
+    assert [m for _, m in rows] == [0, 1]
 
 
-def test_check_of_mixed_signs_counts_row_0_only(capsys, monkeypatch):
+def test_check_of_mixed_signs_counts_row_0_only(capsys, spy):
     # a mixed-sign map fails integrality at (0, 0), which the row-major scan
     # reaches before any entry of row 1, so row 1 is never counted
-    rows = []
-    real_row = isometry._counted_row
-
-    def counting_row(iso, m):
-        rows.append(m)
-        return real_row(iso, m)
-
-    monkeypatch.setattr(isometry, "_counted_row", counting_row)
+    rows = spy(isometry, "_counted_row")
     code, out, _ = run_cli(capsys, "check", "-p", "11", "--map=-1,+3,+5,+7,+9,+0,+2,+4,+6,+8,+10")
     assert code == 1 and out.startswith("verdict: fails_integrality\nwitness: (0, 0)\n")
-    assert rows == [0]
+    assert [m for _, m in rows] == [0]
 
 
 def _signed_literal(image, signs):
@@ -397,12 +345,9 @@ def test_malformed_negative_literal_as_separate_argument(capsys, command, litera
 
 @pytest.mark.parametrize("argv", (("--map", "-p", "3"), ("-p", "3", "--map", "--format", "json")))
 def test_map_before_an_option_still_lacks_its_argument(capsys, argv):
-    with pytest.raises(SystemExit) as info:
-        main(["check", *argv])
-    assert info.value.code == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "argument --map: expected one argument" in captured.err
+    code, out, err = run_cli(capsys, "check", *argv)
+    assert (code, out) == (2, "")
+    assert "argument --map: expected one argument" in err
 
 
 def test_check_json_payload(capsys):
@@ -550,17 +495,10 @@ def test_verify_p7_json_all_pass(capsys):
     assert "failures" not in payload
 
 
-def test_report_lines_are_made_only_for_text(capsys, monkeypatch):
+def test_report_lines_are_made_only_for_text(capsys, spy):
     # the element lines are formatted only when main writes them, so a JSON
     # call formats none of the 2p(p-1) = 84 at p = 7
-    calls = []
-    real_text = cli._coords_text
-
-    def counting_text(c):
-        calls.append(c)
-        return real_text(c)
-
-    monkeypatch.setattr(cli, "_coords_text", counting_text)
+    calls = spy(cli, "_coords_text")
     for fmt, expected in (("json", 0), ("text", 84)):
         calls.clear()
         code, out, _ = run_cli(capsys, "verify", "-p", "7", "--format", fmt)
@@ -568,17 +506,10 @@ def test_report_lines_are_made_only_for_text(capsys, monkeypatch):
         assert len(calls) == expected
 
 
-def test_report_elements_are_made_only_for_json(capsys, monkeypatch):
+def test_report_elements_are_made_only_for_json(capsys, spy):
     # the JSON element dicts are built only for --format json, so a text
     # call builds none of the 2p(p-1) = 84 at p = 7
-    calls = []
-    real_json = cli._coords_json
-
-    def counting_json(c):
-        calls.append(c)
-        return real_json(c)
-
-    monkeypatch.setattr(cli, "_coords_json", counting_json)
+    calls = spy(cli, "_coords_json")
     for fmt, expected in (("json", 84), ("text", 0)):
         calls.clear()
         code, out, _ = run_cli(capsys, "verify", "-p", "7", "--format", fmt)
@@ -586,18 +517,11 @@ def test_report_elements_are_made_only_for_json(capsys, monkeypatch):
         assert len(calls) == expected
 
 
-def test_report_commands_build_no_affine_coords(capsys, monkeypatch):
+def test_report_commands_build_no_affine_coords(capsys, spy):
     # a report holds its count of identity forms, not its elements, so a
     # passing enumerate or verify builds none of the 2p(p-1) = 20,200
     # coordinate records at p = 101, in either format
-    calls = []
-    real_new = pigroup.AffineCoords.__new__
-
-    def counting_new(cls, *args):
-        calls.append(args)
-        return real_new(cls, *args)
-
-    monkeypatch.setattr(pigroup.AffineCoords, "__new__", counting_new)
+    calls = spy(pigroup.AffineCoords, "__new__")
     # the count is live: decompose builds the one record it prints
     code, out, _ = run_cli(capsys, "decompose", "-p", "5", "--map", "+1,+3,+0,+2,+4")
     assert code == 0 and out == "(+1, a=1, u=2)\n"
@@ -696,10 +620,8 @@ def test_malformed_literal_entries_exit_2(capsys, command, entry):
 # argparse-level behaviour
 
 
-def test_unknown_command_exits_2():
-    with pytest.raises(SystemExit) as info:
-        main(["frobnicate", "-p", "3"])
-    assert info.value.code == 2
+def test_unknown_command_exits_2(capsys):
+    assert run_cli(capsys, "frobnicate", "-p", "3")[0] == 2
 
 
 def _child_env() -> dict:
@@ -762,19 +684,10 @@ def test_closed_stdout_keeps_the_exit_code_and_stderr_empty(argv, code, bufferin
 # the process exit: every call ends through _end, then without interpreter teardown
 
 
-def _in_process(capsys, argv):
-    """(exit code, stdout, stderr) of main(argv), argparse's own exits included."""
-    try:
-        code = main(argv)
-    except SystemExit as exc:
-        code = exc.code
-    return (code, *capsys.readouterr())
-
-
-def _as_child(argv):
-    """(exit code, stdout, stderr) of python -m perfiso argv in a fresh process."""
+def _as_child(argv, *options):
+    """(exit code, stdout, stderr) of python [options] -m perfiso argv in a fresh process."""
     proc = subprocess.run(
-        [sys.executable, "-m", "perfiso", *argv],
+        [sys.executable, *options, "-m", "perfiso", *argv],
         capture_output=True,
         text=True,
         env={**_child_env(), "COLUMNS": "80"},
@@ -802,7 +715,7 @@ def test_child_exit_matches_main(capsys, monkeypatch, argv, code):
     # run() ends the child with os._exit after flushing: the output, all of
     # it through a pipe (megabytes for mu), and the exit code are main's own
     monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the same width
-    expected = _in_process(capsys, argv)
+    expected = run_cli(capsys, *argv)
     assert expected[0] == code
     assert _as_child(argv) == expected
 
@@ -1236,7 +1149,7 @@ LONG_NUMBER = "9" * 5000
         ["check", "-p", "3"],
         ["check", "--map", "-p", "3"],
         ["check", "-p", "3", "--map", "--format"],
-        # more digits than int() reads (sys.get_int_max_str_digits())
+        # more digits than an int option takes (640)
         ["chartab", "-p", LONG_NUMBER],
         ["verify", "-p", "3", "--seed", LONG_NUMBER],
     ),
@@ -1362,7 +1275,7 @@ options:
 @pytest.mark.parametrize("argv", HELP_AND_USAGE_PINS, ids=" ".join)
 def test_help_and_usage_output_is_pinned(capsys, monkeypatch, argv):
     monkeypatch.setenv("COLUMNS", "80")
-    assert _in_process(capsys, list(argv)) == HELP_AND_USAGE_PINS[argv]
+    assert run_cli(capsys, *argv) == HELP_AND_USAGE_PINS[argv]
 
 
 def test_usage_lines_are_the_same_on_every_interpreter(monkeypatch):
@@ -1399,7 +1312,7 @@ def _int_shapes():
 @pytest.mark.parametrize("flag, value, argv", _int_shapes())
 def test_int_options_take_ascii_digits_only(capsys, flag, value, argv):
     message = f"perfiso chartab: error: argument {flag}: invalid int value: {value!r}\n"
-    assert _in_process(capsys, argv) == (2, "", _USAGE["chartab"] + message)
+    assert run_cli(capsys, *argv) == (2, "", _USAGE["chartab"] + message)
 
 
 JOINED_DASHES = {
@@ -1418,23 +1331,53 @@ def test_joined_double_dash_value_is_a_usage_error(capsys, argv):
     # argparse before 3.13 reads a joined "--" as an empty list, and 3.13 as
     # "--"; cli hands it on as a token of its own, which every version refuses
     message = f"perfiso {argv[0]}: error: argument {JOINED_DASHES[argv]}: expected one argument\n"
-    assert _in_process(capsys, list(argv)) == (2, "", _USAGE[argv[0]] + message)
+    assert run_cli(capsys, *argv) == (2, "", _USAGE[argv[0]] + message)
 
 
 @pytest.mark.parametrize("argv", [["-h=--"], ["check", "-p", "5", "-h=--"]], ids=" ".join)
 def test_joined_double_dash_stays_on_a_short_flag_other_than_p(capsys, argv):
     # only "-p" and long flags have a joined "--" split off; argparse reads
     # "-h=--" whole and refuses it, where "-h" and "--" apart would print help
-    code, out, _ = _in_process(capsys, argv)
+    code, out, _ = run_cli(capsys, *argv)
     assert (code, out) == (2, "")
 
 
 def test_signed_int_values_keep_their_meaning(capsys):
-    plus = _in_process(capsys, ["chartab", "-p", "+3"])
-    assert plus == _in_process(capsys, ["chartab", "-p", "3"])
+    plus = run_cli(capsys, "chartab", "-p", "+3")
+    assert plus == run_cli(capsys, "chartab", "-p", "3")
     for seed in (["--seed", "-1"], ["--seed=-1"]):
-        code, out, err = _in_process(capsys, ["chartab", "-p", "3", *seed])
+        code, out, err = run_cli(capsys, "chartab", "-p", "3", *seed)
         assert (code, err) == (0, "") and out
+
+
+def _digits(n):
+    return "1" + "0" * (n - 1)
+
+
+def _not_an_int(flag, value):
+    return _USAGE["chartab"] + f"perfiso chartab: error: argument {flag}: invalid int value: {value!r}\n"
+
+
+@pytest.mark.parametrize(
+    "argv, code, err",
+    (
+        (["chartab", "-p", _digits(640)], 2, f"error: p={_digits(640)} is out of range; the bound is p <= 101\n"),
+        (["chartab", "-p", _digits(641)], 2, _not_an_int("-p", _digits(641))),
+        (["chartab", "-p", _digits(5000)], 2, _not_an_int("-p", _digits(5000))),
+        (["chartab", "-p", "0" * 5000 + "3"], 0, ""),
+        (["chartab", "-p", "3", "--seed", _digits(640)], 0, ""),
+        (["chartab", "-p", "3", "--seed", _digits(641)], 2, _not_an_int("--seed", _digits(641))),
+        (["chartab", "-p", "3", "--seed", _digits(5000)], 2, _not_an_int("--seed", _digits(5000))),
+    ),
+    ids=("p-640", "p-641", "p-5000", "p-zeros-5000", "seed-640", "seed-641", "seed-5000"),
+)
+def test_int_options_mean_the_same_under_every_int_string_limit(argv, code, err):
+    # more than 640 digits, leading zeros stripped, is a usage error: 640 is
+    # the lowest int-string limit an interpreter takes, so the default limit
+    # and the lowest one give an argv the same answer
+    default = _as_child(argv)
+    assert (default[0], default[2]) == (code, err)
+    assert _as_child(argv, "-X", "int_max_str_digits=640") == default
 
 
 PLAIN_CALLS = [

@@ -238,29 +238,16 @@ def test_kernel_table_matches_dense_oracle(p):
         assert kernel_table(iso).entries == kernel_table_dense(iso).entries, iso
 
 
-def _count_galois(monkeypatch):
-    """The (m, entries) of each call _kernel_rows makes to the Galois primitive."""
-    calls = []
-    real = isometry._galois_images
-
-    def counting(p, m, entries):
-        calls.append((m, list(entries)))
-        return real(p, m, entries)
-
-    monkeypatch.setattr(isometry, "_galois_images", counting)
-    return calls
-
-
-def test_affine_kernel_derives_one_entry_per_row(monkeypatch):
+def test_affine_kernel_derives_one_entry_per_row(spy):
     # sigma_m maps only 0 to 0: a derived row holds the images of row 1's
     # nonzero entries alone, and an affine map's row 1 has one.  For
     # k -> 1 + 2k, entry (m, n) is zeta^m * sum_k zeta^(k*(2m + n)), so row m
     # is the one pair (-2m, p*zeta^m)
     p = 23
     iso = SignedIsometry(p, [(1 + 2 * k) % p for k in range(p)], (1,) * p)
-    calls = _count_galois(monkeypatch)
+    calls = spy(isometry, "_galois_images")
     rows = list(isometry._kernel_rows(iso))
-    assert calls == [(m, [p * zeta_pow(p, 1)]) for m in range(2, p)]
+    assert calls == [(p, m, [p * zeta_pow(p, 1)]) for m in range(2, p)]
     assert [len(row) for row in rows] == [1] * p
     assert rows == [[(-2 * m % p, p * zeta_pow(p, m))] for m in range(p)]
     assert kernel_table(iso).entries == kernel_table_dense(iso).entries
@@ -285,19 +272,19 @@ def test_kernel_rows_hold_exactly_the_nonzero_entries(p):
 
 
 @pytest.mark.parametrize("p", (23, 53))
-def test_kernel_derives_each_nonzero_entry_of_row_one(monkeypatch, p):
+def test_kernel_derives_each_nonzero_entry_of_row_one(spy, p):
     # random signed maps (dense rows), the swapped-affine map (zeros and
     # nonzeros mixed) and the affine map (one nonzero entry): one call per
     # derived row, each mapping every nonzero entry of row 1 and no other
     rng = Random(SEED + 11 * p)
     affine, _, swapped = affine_family(p, 1, 2)
     isos = [random_isometry(rng, p) for _ in range(2)] + [swapped, affine]
-    calls = _count_galois(monkeypatch)
+    calls = spy(isometry, "_galois_images")
     for iso in isos:
         calls.clear()
         kt = kernel_table(iso)
         row1 = [entry for entry in kt.entries[1] if entry]
-        assert calls == [(m, row1) for m in range(2, p)], iso
+        assert calls == [(p, m, row1) for m in range(2, p)], iso
         assert kt.entries == kernel_table_dense(iso).entries, iso
 
 
@@ -475,27 +462,17 @@ def test_lazy_cross_check_matches_dense_oracle(p):
 
 
 @pytest.mark.parametrize("p", (7, 23, 101))
-def test_cross_check_counts_no_row_and_makes_no_ring_call(monkeypatch, p):
+def test_cross_check_counts_no_row_and_makes_no_ring_call(spy, p):
     # the cross-check reads the rule off the map, so it shares no code with
     # is_perfect, and a defect in the count or the ring cannot reach both
-    calls = []
-
-    def counting(name, real):
-        def wrapper(*args):
-            calls.append(name)
-            return real(*args)
-        return wrapper
-
-    for name in ("__init__", "_trusted", "__mul__"):
-        monkeypatch.setattr(CycInt, name, counting(name, getattr(CycInt, name)))
-    for name in ("_counted_row", "_galois_images"):
-        monkeypatch.setattr(isometry, name, counting(name, getattr(isometry, name)))
+    calls = {name: spy(CycInt, name) for name in ("__init__", "_trusted", "__mul__")}
+    calls.update((name, spy(isometry, name)) for name in ("_counted_row", "_galois_images"))
     affine, _, swapped = affine_family(p, 1, 2)
     for iso in (swapped, _split_scaling(p), random_isometry(Random(p), p)):
         assert not is_perfect_via_spaces(iso).ok
     assert is_perfect_via_spaces(affine).ok
-    assert calls == []
-    assert is_perfect(affine).ok and {"_counted_row", "_trusted"} <= set(calls)
+    assert not any(calls.values())
+    assert is_perfect(affine).ok and calls["_counted_row"] and calls["_trusted"]
 
 
 def test_is_perfect_counts_its_two_rows_on_every_call(monkeypatch):

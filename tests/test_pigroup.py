@@ -7,7 +7,6 @@ import pickle
 import sys
 import tracemalloc
 import traceback
-from collections import Counter
 from random import Random
 
 import pytest
@@ -574,61 +573,40 @@ def test_verify_structure_failure_diagnostics(monkeypatch, capsys, p, name):
     assert report.all_pass() is (name == "identity")
 
 
-def test_reports_build_no_map_when_the_checks_pass(monkeypatch):
+def test_reports_build_no_map_when_the_checks_pass(spy):
     # the checks are read off the one normal form, the identity: no map is
     # built, validated or not, and none is decomposed
-    calls = Counter()
-    new, decomposed = SignedIsometry.__new__, pigroup.decompose
-    unchecked = SignedIsometry.__dict__["_unchecked"].__func__
-
-    def counted(name, fn):
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-        return wrapper
-
-    monkeypatch.setattr(SignedIsometry, "__new__", staticmethod(counted("new", new)))
-    monkeypatch.setattr(SignedIsometry, "_unchecked", classmethod(counted("unchecked", unchecked)))
-    monkeypatch.setattr(pigroup, "decompose", counted("decompose", decomposed))
+    new, unchecked = spy(SignedIsometry, "__new__"), spy(SignedIsometry, "_unchecked")
+    decomposed = spy(pigroup, "decompose")
     identity = gen_linear(3, 0)
     identity.compose(identity)
-    assert calls == {"new": 1, "unchecked": 1}  # the counters see both constructors
-    calls.clear()
+    assert (len(new), len(unchecked)) == (1, 1)  # the counters see both constructors
+    del new[:], unchecked[:]
     p = 101
     assert verify_structure(p).all_pass()
     assert enumerate_perfect(p).all_pass()
-    assert calls == {}
+    assert new == unchecked == decomposed == []
 
 
-def test_verify_structure_composes_linearly_many_times(monkeypatch):
+def test_verify_structure_composes_linearly_many_times(spy):
     # the whole affine group holds the law on its coordinates: no map is composed
-    p = 13
-    compose = SignedIsometry.compose
-    calls = 0
-
-    def counting(self, other):
-        nonlocal calls
-        calls += 1
-        return compose(self, other)
-
-    monkeypatch.setattr(SignedIsometry, "compose", counting)
-    assert verify_structure(p).all_pass()
-    assert calls == 0
-
-
-def test_verify_structure_inverts_nothing_when_the_law_passes(monkeypatch):
-    # closure under composition already holds every inverse
-    invert = SignedIsometry.invert
-    calls = 0
-
-    def counting(self):
-        nonlocal calls
-        calls += 1
-        return invert(self)
-
-    monkeypatch.setattr(SignedIsometry, "invert", counting)
+    calls = spy(SignedIsometry, "compose")
+    identity = gen_linear(3, 0)
+    identity.compose(identity)
+    assert calls == [(identity,)]  # the counter is live
+    calls.clear()
     assert verify_structure(13).all_pass()
-    assert calls == 0
+    assert calls == []
+
+
+def test_verify_structure_inverts_nothing_when_the_law_passes(spy):
+    # closure under composition already holds every inverse
+    calls = spy(SignedIsometry, "invert")
+    gen_linear(3, 0).invert()
+    assert calls == [()]  # the counter is live
+    calls.clear()
+    assert verify_structure(13).all_pass()
+    assert calls == []
 
 
 def _all_coords(p):
