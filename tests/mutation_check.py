@@ -232,6 +232,14 @@ MUTATIONS = (
         "pass",
         ("tests/test_cli.py",),
     ),
+    # json.encoder has the same C escaper, so the output is unchanged, but
+    # importing it loads json's modules in every JSON child
+    (
+        "src/perfiso/cli.py",
+        "from _json import encode_basestring_ascii as quote  # only here: text runs do not pay for it",
+        "from json.encoder import encode_basestring_ascii as quote",
+        ("tests/test_cli.py",),
+    ),
     # each constructor checks p itself: four coefficients fit p = 4
     (
         "src/perfiso/cyclotomic.py",

@@ -634,6 +634,21 @@ def _child_env() -> dict:
     return env
 
 
+def _as_child(argv, *options, env=(), preexec=None):
+    """(exit code, stdout, stderr) of python [options] -m perfiso argv in a
+    fresh process, with env added to _child_env() and preexec run in the
+    child just before perfiso starts."""
+    proc = subprocess.run(
+        [sys.executable, *options, "-m", "perfiso", *argv],
+        capture_output=True,
+        text=True,
+        env={**_child_env(), "COLUMNS": "80", **dict(env)},
+        preexec_fn=preexec,
+        timeout=120,
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
 # the stream tests run each child as the interpreter buffers by default,
 # and again with every stream unbuffered
 BUFFERING = pytest.mark.parametrize(
@@ -642,14 +657,7 @@ BUFFERING = pytest.mark.parametrize(
 
 
 def test_module_entry_point_runs():
-    proc = subprocess.run(
-        [sys.executable, "-m", "perfiso", "chartab", "-p", "2"],
-        capture_output=True,
-        text=True,
-        env=_child_env(),
-    )
-    assert proc.returncode == 0
-    assert proc.stdout == "1 1\n1 -1\n"
+    assert _as_child(["chartab", "-p", "2"]) == (0, "1 1\n1 -1\n", "")
 
 
 IDENTITY_101 = ",".join(f"+{k}" for k in range(101))
@@ -675,25 +683,12 @@ def test_closed_stdout_keeps_the_exit_code_and_stderr_empty(argv, code, bufferin
         env={**_child_env(), **buffering},
     )
     proc.stdout.close()
-    err = proc.stderr.read()
-    proc.stderr.close()
-    assert (proc.wait(timeout=60), err) == (code, b"")
+    _, err = proc.communicate(timeout=60)
+    assert (proc.returncode, err) == (code, b"")
 
 
 # ---------------------------------------------------------------------------
 # the process exit: every call ends through _end, then without interpreter teardown
-
-
-def _as_child(argv, *options):
-    """(exit code, stdout, stderr) of python [options] -m perfiso argv in a fresh process."""
-    proc = subprocess.run(
-        [sys.executable, *options, "-m", "perfiso", *argv],
-        capture_output=True,
-        text=True,
-        env={**_child_env(), "COLUMNS": "80"},
-        timeout=120,
-    )
-    return proc.returncode, proc.stdout, proc.stderr
 
 
 @pytest.mark.parametrize(
@@ -724,15 +719,8 @@ def test_child_with_stdout_closed_at_start_up(capsys, monkeypatch):
     # >&-: sys.stdout is None, and run() skips it rather than fail on it
     monkeypatch.setattr(sys, "stdout", None)
     expected = main(["chartab", "-p", "3"]), capsys.readouterr().err
-    proc = subprocess.run(
-        [sys.executable, "-m", "perfiso", "chartab", "-p", "3"],
-        stderr=subprocess.PIPE,
-        env=_child_env(),
-        preexec_fn=lambda: os.close(1),
-        timeout=60,
-    )
     assert expected == (0, "")
-    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert _as_child(["chartab", "-p", "3"], preexec=lambda: os.close(1)) == (0, "", "")
 
 
 class _Stream:
@@ -928,14 +916,7 @@ def test_child_error_with_stderr_unusable(preexec, argv, code, buffering):
     # the error line is dropped: stdout stays empty and the exit code is the
     # command's, also when the refused line is still in stderr's buffer; a
     # usage error keeps argparse's 2 also where argparse raises the refusal
-    proc = subprocess.run(
-        [sys.executable, "-m", "perfiso", *argv],
-        stdout=subprocess.PIPE,
-        env={**_child_env(), **buffering},
-        preexec_fn=preexec,
-        timeout=60,
-    )
-    assert (proc.returncode, proc.stdout) == (code, b"")
+    assert _as_child(argv, env=buffering, preexec=preexec)[:2] == (code, "")
 
 
 REFUSED_OUTPUT = pytest.mark.parametrize(
@@ -958,15 +939,9 @@ REFUSED_OUTPUT = pytest.mark.parametrize(
 def test_child_with_stdout_refused_exits_3(preexec, argv, buffering):
     # the output, argparse's help included, is lost: one error line, no
     # traceback, no "Exception ignored" line, under either buffering
-    proc = subprocess.run(
-        [sys.executable, "-m", "perfiso", *argv],
-        stderr=subprocess.PIPE,
-        env={**_child_env(), **buffering},
-        preexec_fn=preexec,
-        timeout=60,
-    )
-    assert proc.returncode == 3
-    assert re.fullmatch(rb"error: cannot write output: \[Errno \d+\] [^\n]+\n", proc.stderr)
+    code, _, err = _as_child(argv, env=buffering, preexec=preexec)
+    assert code == 3
+    assert re.fullmatch(r"error: cannot write output: \[Errno \d+\] [^\n]+\n", err)
 
 
 @FULL
@@ -977,13 +952,7 @@ def test_child_with_both_streams_full_exits_3(argv, buffering):
         _fd_on(1, "/dev/full", os.O_WRONLY)()
         _fd_on(2, "/dev/full", os.O_WRONLY)()
 
-    proc = subprocess.run(
-        [sys.executable, "-m", "perfiso", *argv],
-        env={**_child_env(), **buffering},
-        preexec_fn=both_full,
-        timeout=60,
-    )
-    assert proc.returncode == 3
+    assert _as_child(argv, env=buffering, preexec=both_full)[0] == 3
 
 
 # ---------------------------------------------------------------------------
@@ -1398,7 +1367,9 @@ def _fresh_stdout(code):
     modules of its own.
     """
     code = f"import sys; sys.path.insert(0, {SRC!r})\n{code}"
-    proc = subprocess.run([sys.executable, "-I", "-S", "-c", code], capture_output=True, text=True)
+    proc = subprocess.run(
+        [sys.executable, "-I", "-S", "-c", code], capture_output=True, text=True, timeout=120
+    )
     assert proc.stderr == ""
     return proc.stdout
 
@@ -1406,15 +1377,6 @@ def _fresh_stdout(code):
 def _fresh(code):
     """The last line code prints in a fresh interpreter (_fresh_stdout)."""
     return _fresh_stdout(code).splitlines()[-1]
-
-
-def _loaded_after(calls, modules):
-    """The exit codes of main on calls in a fresh interpreter, and which of modules it loaded."""
-    return _fresh(
-        "from perfiso.cli import main\n"
-        f"codes = [main(argv) for argv in {calls!r}]\n"
-        f"print(codes, sorted({set(modules)!r} & set(sys.modules)))\n"
-    )
 
 
 # every module of the package that sys.modules holds
@@ -1431,6 +1393,22 @@ COMMAND_LAYERS = {
 }
 
 
+# the stdlib modules no call loads, each an import every child would pay for:
+# - argparse, with the gettext and locale its messages load, about 7 ms;
+#   plain calls never reach it
+# - typing (with the re, enum and functools machinery it loads) and
+#   __future__, once loaded only for annotations and NamedTuple; without
+#   site, nothing else loads them
+# - functools, with the collections it loads: no command keeps a cache, as
+#   each derived kernel row builds its own Galois gather
+# - json's modules, which compile regexes at import; _dumps needs only the C
+#   module _json, which a JSON call loads, so the check is live
+NOT_LOADED = (
+    "argparse", "gettext", "locale", "typing", "__future__", "functools", "collections",
+    "json", "json.encoder", "json.decoder", "json.scanner", "_json",
+)
+
+
 @pytest.mark.parametrize("argv", PLAIN_CALLS + JSON_CALLS, ids=" ".join)
 def test_each_command_loads_only_its_layers(argv):
     # neither the package nor cli imports a layer at module level, and
@@ -1439,9 +1417,11 @@ def test_each_command_loads_only_its_layers(argv):
     # most of what perfiso adds to a child
     layers = [f"perfiso.{layer}" for layer in COMMAND_LAYERS[argv[0]]]
     found = _fresh(
-        f"from perfiso.cli import main\ncode = main({argv!r})\nprint(code, {PERFISO_LOADED})"
+        f"from perfiso.cli import main\ncode = main({argv!r})\n"
+        f"print(code, {PERFISO_LOADED}, [m for m in {NOT_LOADED!r} if m in sys.modules])"
     )
-    assert found == f"0 {sorted(['perfiso', 'perfiso.cli', *layers])}"
+    stdlib = ["_json"] if "json" in argv else []
+    assert found == f"0 {sorted(['perfiso', 'perfiso.cli', *layers])} {stdlib}"
 
 
 @pytest.mark.parametrize("forms", ([], [(0, 1, 3, 2, 4)]), ids=("no_form", "non_affine_form"))
@@ -1549,42 +1529,6 @@ def test_from_perfiso_import_a_module_first(module, loads):
     found = _fresh(f"from perfiso import {module}\nprint({module}.__name__, {PERFISO_LOADED})")
     expected = sorted(["perfiso", *(f"perfiso.{name}" for name in (module, *loads))])
     assert found == f"perfiso.{module} {expected}"
-
-
-def test_plain_calls_import_no_argparse():
-    # argparse, and gettext and locale that its messages load, cost every
-    # child about 7 ms
-    found = _loaded_after(PLAIN_CALLS + JSON_CALLS, {"argparse", "gettext", "locale"})
-    assert found == f"{[0] * 12} []"
-
-
-def test_calls_import_no_typing():
-    # typing (with the re, enum and functools machinery it loads) and
-    # __future__ were loaded only for annotations and NamedTuple; without
-    # site, nothing else loads them
-    found = _loaded_after(PLAIN_CALLS + JSON_CALLS, {"typing", "__future__"})
-    assert found == f"{[0] * 12} []"
-
-
-def test_calls_import_no_functools():
-    # no command keeps a cache: each derived kernel row builds its own
-    # Galois gather, so functools, and the collections it loads, stay
-    # unloaded
-    found = _loaded_after(PLAIN_CALLS + JSON_CALLS, {"functools", "collections"})
-    assert found == f"{[0] * 12} []"
-
-
-def test_json_calls_import_no_json():
-    # json's modules compile regexes at import, a cost every JSON child
-    # would pay; _dumps needs only the C module _json, loaded here so the
-    # check is live
-    modules = {"json", "json.encoder", "json.decoder", "json.scanner", "_json"}
-    assert _loaded_after(JSON_CALLS, modules) == "[0, 0, 0, 0, 0, 0] ['_json']"
-
-
-def test_text_calls_import_no_json_module():
-    modules = {"json", "_json"}
-    assert _loaded_after(PLAIN_CALLS, modules) == "[0, 0, 0, 0, 0, 0] []"
 
 
 # ---------------------------------------------------------------------------

@@ -11,82 +11,78 @@ import perfiso
 from perfiso import characters, cli, cyclotomic, isometry, pigroup
 
 SOURCES = sorted(Path(perfiso.__file__).parent.glob("*.py"))
+TESTS = sorted(Path(__file__).parent.glob("*.py"))
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+@functools.cache
+def _tree(path):
+    """The module at path, parsed once however many guards read it."""
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def _nodes(paths=SOURCES):
+    """(file name, top-level name, node) for every node of each file in paths.
+
+    The top-level name is that of the def or class the node is in; for any
+    other top-level statement it is the statement's source, or an if
+    block's condition alone, as in "TYPE_CHECKING".
+    """
+    for path in paths:
+        for top in _tree(path).body:
+            name = getattr(top, "name", None) or ast.unparse(getattr(top, "test", top))
+            for node in ast.walk(top):
+                yield path.name, name, node
 
 
 def test_library_has_no_assert():
     # invariants are real checks that raise, so they survive python -O
-    found = [
-        f"{path.name}:{node.lineno}"
-        for path in SOURCES
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
-        if isinstance(node, ast.Assert)
-    ]
+    found = [f"{name}:{node.lineno}" for name, _, node in _nodes() if isinstance(node, ast.Assert)]
     assert len(SOURCES) >= 7
     assert found == []
 
 
 def test_trusted_constructor_stays_in_the_ring_module():
     # CycInt._trusted skips validation, so only ring operations may use it
-    tests = sorted(Path(__file__).parent.glob("*.py"))
-    found = [
-        path.name
-        for path in SOURCES + tests
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+    found = {
+        name
+        for name, _, node in _nodes(SOURCES + TESTS)
         if isinstance(node, ast.Attribute) and node.attr == "_trusted"
-    ]
-    assert set(found) == {"cyclotomic.py"}
+    }
+    assert found == {"cyclotomic.py"}
 
 
 def test_unchecked_constructor_stays_with_the_group_operations():
     # SignedIsometry._unchecked skips validation, so only the group operations
     # and _orbit, whose images are permutations by construction, may use it
-    tests = sorted(Path(__file__).parent.glob("*.py"))
     found = {
-        (path.name, getattr(top, "name", None))
-        for path in SOURCES + tests
-        for top in ast.parse(path.read_text(), filename=str(path)).body
-        for node in ast.walk(top)
+        (name, top)
+        for name, top, node in _nodes(SOURCES + TESTS)
         if isinstance(node, ast.Attribute) and node.attr == "_unchecked"
     }
     assert found == {("isometry.py", "SignedIsometry"), ("pigroup.py", "_orbit")}
 
 
-def test_library_imports_no_dataclasses():
-    # dataclasses imports inspect, a cost every CLI child would pay at startup
-    found = [
-        f"{path.name}:{node.lineno}"
-        for path in SOURCES
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
-        if (isinstance(node, ast.Import) and any(a.name == "dataclasses" for a in node.names))
-        or (isinstance(node, ast.ImportFrom) and node.module == "dataclasses")
-    ]
-    assert found == []
-
-
-def test_library_imports_no_json():
+@pytest.mark.parametrize(
+    "modules", (("dataclasses",), ("json",), ("typing", "__future__")), ids=lambda m: m[0]
+)
+def test_library_imports_none_of(modules):
+    # each costs every CLI child an import.  dataclasses imports inspect.
     # json's modules compile regexes at import; cli._dumps writes the same
-    # bytes with the C escaper of _json, and json stays the tests' oracle
+    # bytes with the C escaper of _json, and json stays the tests' oracle.
+    # Annotations that name what is not defined when the def runs are
+    # strings, so typing and __future__ are not needed, and the records are
+    # tuple subclasses, not typing.NamedTuple
     found = [
-        f"{path.name}:{node.lineno}"
-        for path in SOURCES
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
-        if (isinstance(node, ast.Import) and any(a.name.split(".")[0] == "json" for a in node.names))
-        or (isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "json")
-    ]
-    assert found == []
-
-
-def test_library_imports_no_typing():
-    # typing and __future__ cost every CLI child an import; annotations that
-    # name what is not defined when the def runs are strings, and the
-    # records are tuple subclasses, not typing.NamedTuple
-    found = [
-        f"{path.name}:{node.lineno}"
-        for path in SOURCES
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
-        if (isinstance(node, ast.Import) and any(a.name in ("typing", "__future__") for a in node.names))
-        or (isinstance(node, ast.ImportFrom) and node.module in ("typing", "__future__"))
-        or (isinstance(node, ast.ClassDef) and "NamedTuple" in map(ast.unparse, node.bases))
+        f"{name}:{node.lineno}"
+        for name, _, node in _nodes()
+        if (isinstance(node, ast.Import) and any(a.name.split(".")[0] in modules for a in node.names))
+        or (isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] in modules)
+        or (
+            "typing" in modules
+            and isinstance(node, ast.ClassDef)
+            and "NamedTuple" in map(ast.unparse, node.bases)
+        )
     ]
     assert found == []
 
@@ -122,12 +118,7 @@ def test_records_share_one_protocol():
         "PIGroupReport",
     }
     assert perfiso.Record in tuples and "Record" not in perfiso.__all__
-    bodies = {
-        node.name: node
-        for path in SOURCES
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
-        if isinstance(node, ast.ClassDef)
-    }
+    bodies = {node.name: node for _, _, node in _nodes() if isinstance(node, ast.ClassDef)}
     assert [name for name, node in bodies.items() if "tuple" in map(ast.unparse, node.bases)] == [
         "Record"
     ]
@@ -152,7 +143,7 @@ def _imports(source, module):
     """The lines of source that import module (as a package module, also as
     ``from . import module``), and those of them that run when source is
     imported: a function body or a TYPE_CHECKING block never runs then."""
-    tree = ast.parse(Path(source).read_text())
+    tree = _tree(Path(source))
     not_run = {
         id(node)
         for block in ast.walk(tree)
@@ -204,9 +195,8 @@ def test_pigroup_builds_maps_only_in_recompose_and_orbit():
     # recompose builds every group element, the generators included, and
     # _orbit the search's hits; no other pigroup code names SignedIsometry
     found = {
-        top.name if hasattr(top, "name") else ast.unparse(getattr(top, "test", top))
-        for top in ast.parse(Path(pigroup.__file__).read_text()).body
-        for node in ast.walk(top)
+        top
+        for _, top, node in _nodes([Path(pigroup.__file__)])
         if (isinstance(node, ast.Name) and node.id == "SignedIsometry")
         or (isinstance(node, ast.alias) and node.name == "SignedIsometry")
     }
@@ -233,18 +223,16 @@ def test_cli_writes_the_streams_only_in_end():
     # _end alone writes or flushes stdout and stderr, so the stream rule of
     # cli's docstring holds in one place; main alone hands it output, once
     # the command has returned, so an error exit prints no partial output
-    tree = ast.parse(Path(cli.__file__).read_text())
     writers, texts = set(), set()
-    for top in tree.body:
-        for node in ast.walk(top):
-            if not isinstance(node, ast.Call):
-                continue
-            func = node.func
-            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
-            if name == "print" or isinstance(func, ast.Attribute) and name in ("write", "flush"):
-                writers.add(getattr(top, "name", None))
-            if name == "_end" and (node.args[1:] or node.keywords):
-                texts.add(getattr(top, "name", None))
+    for _, top, node in _nodes([Path(cli.__file__)]):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+        if name == "print" or isinstance(func, ast.Attribute) and name in ("write", "flush"):
+            writers.add(top)
+        if name == "_end" and (node.args[1:] or node.keywords):
+            texts.add(top)
     assert (writers, texts) == ({"_end"}, {"main"})
 
 
@@ -252,10 +240,8 @@ def test_process_exit_only_in_the_entry_function():
     # os._exit skips every finally block and atexit handler: only cli.run,
     # after main or argparse's exit has ended through _end, may call it
     found = {
-        (path.name, getattr(top, "name", None))
-        for path in SOURCES
-        for top in ast.parse(path.read_text(), filename=str(path)).body
-        for node in ast.walk(top)
+        (name, top)
+        for name, top, node in _nodes()
         if (isinstance(node, ast.Attribute) and node.attr == "_exit")
         or (isinstance(node, ast.alias) and node.name == "_exit")
     }
@@ -266,17 +252,16 @@ def test_both_entry_points_call_run():
     # python -m perfiso and the perfiso script end the same way
     root = Path(__file__).resolve().parents[1]
     assert 'perfiso = "perfiso.cli:run"' in (root / "pyproject.toml").read_text()
-    tree = ast.parse(Path(perfiso.__file__).with_name("__main__.py").read_text())
-    calls = {ast.unparse(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)}
+    main = [Path(perfiso.__file__).with_name("__main__.py")]
+    calls = {ast.unparse(node.func) for _, _, node in _nodes(main) if isinstance(node, ast.Call)}
     assert calls == {"run"}
 
 
 def test_benchmark_trace_names_exist():
     # the benchmark's per-layer mode wraps these names; dropping one breaks it
-    spans = Path(__file__).parent.parent / "perfbench" / "spans.py"
     (leaf,) = [
         node.value
-        for node in ast.parse(spans.read_text()).body
+        for node in _tree(PERFBENCH / "spans.py").body
         if isinstance(node, ast.Assign)
         and any(isinstance(t, ast.Name) and t.id == "LEAF_METHODS" for t in node.targets)
     ]
@@ -291,7 +276,6 @@ def test_benchmark_trace_names_exist():
 
     # every name perfbench/layers.py reads through a module alias or CycInt
     # exists, one attribute deeper included, and each of its calls binds
-    layers = spans.with_name("layers.py")
     roots = {
         "cyc": cyclotomic,
         "chars": characters,
@@ -310,9 +294,8 @@ def test_benchmark_trace_names_exist():
             return [node.id, *names]
         return None
 
-    tree = ast.parse(layers.read_text())
     read, missing = set(), []
-    for node in ast.walk(tree):
+    for _, _, node in _nodes([PERFBENCH / "layers.py"]):
         path = path_of(node) if isinstance(node, ast.Attribute) else None
         if path:
             obj = roots[path[0]]
@@ -327,7 +310,7 @@ def test_benchmark_trace_names_exist():
     assert {"iso_m.forward_transform", "chars.indicator", "pig.enumerate_perfect"} <= read
 
     bound = set()
-    for node in ast.walk(tree):
+    for _, _, node in _nodes([PERFBENCH / "layers.py"]):
         path = path_of(node.func) if isinstance(node, ast.Call) else None
         if not path or any(isinstance(a, ast.Starred) for a in node.args):
             continue  # an unpacked call's arity is not in the source
