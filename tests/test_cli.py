@@ -1424,6 +1424,48 @@ def test_each_command_loads_only_its_layers(argv):
     assert found == f"0 {sorted(['perfiso', 'perfiso.cli', *layers])} {stdlib}"
 
 
+@pytest.fixture(scope="module")
+def loaded_in_turn():
+    """Which of NOT_LOADED one fresh interpreter holds after the plain calls,
+    and after the JSON calls that follow them, as sets.
+
+    The test above starts each call from a clean interpreter; here every
+    call runs in turn in one, as a script that calls main does, so no call
+    loads one of these because of what an earlier call left behind.
+    """
+    found = _fresh(
+        "from perfiso.cli import main\n"
+        f"loaded = lambda: ','.join(m for m in {NOT_LOADED!r} if m in sys.modules)\n"
+        f"codes = [main(argv) for argv in {PLAIN_CALLS!r}]\nplain = loaded()\n"
+        f"codes += [main(argv) for argv in {JSON_CALLS!r}]\n"
+        "print(codes, plain, loaded(), sep='|')"
+    )
+    codes, plain, after = found.split("|")
+    assert codes == str([0] * 12)
+    return set(filter(None, plain.split(","))), set(filter(None, after.split(",")))
+
+
+def test_plain_calls_import_no_argparse(loaded_in_turn):
+    assert loaded_in_turn[1] & {"argparse", "gettext", "locale"} == set()
+
+
+def test_calls_import_no_typing(loaded_in_turn):
+    assert loaded_in_turn[1] & {"typing", "__future__"} == set()
+
+
+def test_calls_import_no_functools(loaded_in_turn):
+    assert loaded_in_turn[1] & {"functools", "collections"} == set()
+
+
+def test_json_calls_import_no_json(loaded_in_turn):
+    modules = {"json", "json.encoder", "json.decoder", "json.scanner", "_json"}
+    assert loaded_in_turn[1] & modules == {"_json"}
+
+
+def test_text_calls_import_no_json_module(loaded_in_turn):
+    assert loaded_in_turn[0] & {"json", "_json"} == set()
+
+
 @pytest.mark.parametrize("forms", ([], [(0, 1, 3, 2, 4)]), ids=("no_form", "non_affine_form"))
 def test_failing_verify_loads_isometry_to_name_the_failures(monkeypatch, capsys, forms):
     # a report builds maps, and so imports isometry, only to name a failure:
