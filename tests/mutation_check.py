@@ -17,8 +17,10 @@ replaces the line, runs
     python -m pytest -q -x -p no:cacheprovider <test files>
 
 on the copy, requires a test failure (pytest's exit code 1), and restores
-the file.  It exits 1 if a mutation survives or a run errors, else 0.  A
-surviving mutation that changes behaviour is a missing test.
+the file.  Each run is stopped after TIMEOUT seconds (120): a mutant that
+makes the code loop for ever is reported as "ERROR (timed out)" and counted
+as not caught.  It exits 1 if a mutation survives or a run errors or times
+out, else 0.  A surviving mutation that changes behaviour is a missing test.
 
 Only the standard library is imported here; the runs need pytest and
 hypothesis, as tier-1 does.  pytest does not collect this file (its name
@@ -35,6 +37,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 COPIED = ("src", "tests", "perfbench", "README.md", "pyproject.toml")
+TIMEOUT = 120  # seconds per pytest run
 
 # (source file, line, replacement, test files that must catch it)
 MUTATIONS = (
@@ -288,7 +291,8 @@ def _mutate(text: str, line: str, replacement: str) -> str:
     return "".join(lines)
 
 
-def _pytest(copy: Path, files: tuple) -> tuple[int, float]:
+def _pytest(copy: Path, files: tuple) -> tuple[int | None, float]:
+    """pytest's exit code on files in the copy, None if it timed out, and the seconds taken."""
     path = os.pathsep.join(filter(None, (str(copy / "src"), os.environ.get("PYTHONPATH"))))
     env = {
         **os.environ,
@@ -296,14 +300,22 @@ def _pytest(copy: Path, files: tuple) -> tuple[int, float]:
         "PYTHONDONTWRITEBYTECODE": "1",  # a restored file must not meet a stale .pyc
     }
     start = time.perf_counter()
-    proc = subprocess.run(
-        [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *files],
-        cwd=copy,
-        env=env,
-        stdout=subprocess.DEVNULL,
-        stderr=subprocess.DEVNULL,
-    )
-    return proc.returncode, time.perf_counter() - start
+    try:
+        code = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *files],
+            cwd=copy,
+            env=env,
+            stdout=subprocess.DEVNULL,
+            stderr=subprocess.DEVNULL,
+            timeout=TIMEOUT,
+        ).returncode
+    except subprocess.TimeoutExpired:
+        code = None
+    return code, time.perf_counter() - start
+
+
+def _outcome(code: int | None) -> str:
+    return "timed out" if code is None else f"pytest exit {code}"
 
 
 def main() -> int:
@@ -328,7 +340,7 @@ def main() -> int:
 
         files = tuple(dict.fromkeys(f for *_, tests in MUTATIONS for f in tests))
         code, seconds = _pytest(copy, files)
-        print(f"unmutated  pytest exit {code}  {seconds:5.1f} s  {' '.join(files)}")
+        print(f"unmutated  {_outcome(code)}  {seconds:5.1f} s  {' '.join(files)}")
         if code != 0:
             print("mutation_check: the tests fail without a mutation", file=sys.stderr)
             return 1
@@ -341,7 +353,7 @@ def main() -> int:
                 code, seconds = _pytest(copy, tests)
             finally:
                 target.write_text(original)
-            verdict = {0: "SURVIVED", 1: "caught"}.get(code, f"ERROR (pytest exit {code})")
+            verdict = {0: "SURVIVED", 1: "caught"}.get(code, f"ERROR ({_outcome(code)})")
             failed += code != 1
             print(f"{verdict:<8}  {seconds:5.1f} s  {path}: {line!r} -> {replacement!r}")
 

@@ -304,14 +304,19 @@ def perfect_forms_by_definition(p: int) -> tuple[list[tuple[int, ...]], list[tup
     return signs, [image for image in images if candidate_is_perfect(p, image, ones)]
 
 
-def perfect_images_full_search(p: int) -> list[tuple[int, ...]]:
+def perfect_images_full_search(p: int, prefix: tuple[int, ...] = ()) -> list[tuple[int, ...]]:
     """The permutations whose maps k -> image[k] + c*k (mod p), c = 1..p-1,
     are each injective or constant, in lexicographic order, found by a
-    depth-first search over the whole permutation tree (no normal form).
+    depth-first search over the permutation tree (no normal form).
 
     Each c keeps the bitmask of the values image[k] + c*k over the placed k,
     and a branch is cut once some c is neither injective (d + 1 values on
     d + 1 points) nor constant (one value).
+
+    With a ``prefix``, depth d < len(prefix) tries only the value prefix[d],
+    so the search covers the subtree of the permutations that start with
+    it: ``(0, 1)[:p]`` gives the normal forms that pigroup._normal_forms
+    finds, in its order.
     """
     bits = [1 << w for w in range(p)] * 2
     steps = [[c * d % p for c in range(1, p)] for d in range(p)]
@@ -323,7 +328,7 @@ def perfect_images_full_search(p: int) -> list[tuple[int, ...]]:
         if d == p:
             found.append(tuple(image))
             return
-        for v in range(p):
+        for v in (prefix[d],) if d < len(prefix) else range(p):
             if used >> v & 1:
                 continue
             grown = []

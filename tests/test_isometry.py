@@ -461,6 +461,15 @@ def test_lazy_cross_check_matches_dense_oracle(p):
     assert rows == {0, 1, 2}  # witnesses in both counted rows and in a derived one
 
 
+@pytest.mark.parametrize("p", (2, 3, 5))
+def test_cross_check_matches_dense_oracle_on_every_signed_map(p):
+    # 8 + 48 + 3,840 = 3,896 maps: every verdict and witness at small p
+    for image in itertools.permutations(range(p)):
+        for signs in itertools.product((1, -1), repeat=p):
+            iso = SignedIsometry(p, image, signs)
+            assert is_perfect_via_spaces(iso) == cross_check_dense(iso), iso
+
+
 @pytest.mark.parametrize("p", (7, 23, 101))
 def test_cross_check_counts_no_row_and_makes_no_ring_call(spy, p):
     # the cross-check reads the rule off the map, so it shares no code with

@@ -218,42 +218,12 @@ def test_search_matches_brute_force_walk(p):
         assert list(iter_perfect(p, mode)) == walk
 
 
-def _recursive_normal_forms(p):
-    """The search of pigroup._normal_forms as it was first written, one
-    generator frame per depth: the reference for its order and leaves."""
-    bits = [1 << w for w in range(p)] * 2
-    steps = [[c * d % p for c in range(1, p)] for d in range(p)]
-    image = []
-
-    def extend(masks, used):
-        d = len(image)
-        if d == p:
-            yield tuple(image)
-            return
-        for v in (d,) if d < 2 else range(p):
-            if used >> v & 1:
-                continue
-            grown = []
-            for mask, step in zip(masks, steps[d]):
-                mask |= bits[v + step]
-                size = mask.bit_count()
-                if size != 1 and size != d + 1:
-                    break
-                grown.append(mask)
-            else:
-                image.append(v)
-                yield from extend(grown, used | bits[v])
-                image.pop()
-
-    return list(extend([0] * (p - 1), 0))
-
-
 PRIMES_TO_101 = tuple(n for n in range(2, 102) if all(n % d for d in range(2, n)))
 
 
 def test_search_keeps_the_recursive_order_and_leaves():
     for p in PRIMES_TO_101:
-        assert pigroup._normal_forms(p) == _recursive_normal_forms(p), p
+        assert pigroup._normal_forms(p) == perfect_images_full_search(p, (0, 1)[:p]), p
 
 
 def test_search_takes_no_frame_per_depth():
