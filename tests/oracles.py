@@ -3,20 +3,20 @@
 Everything here deliberately avoids the library's normalized-coefficient
 arithmetic paths: multiplication expands plain integer polynomials,
 divisibility solves p*y = x by exact rational division over the reduced
-power basis, kernel entries are rebuilt from character-table values, the
-perfectness of a raw candidate is decided from plain integer count
-vectors, one candidate at a time, with no pruning (so is each normal form
-of the classification at p = 11 and 13), forward sums run over
-every element with plain integer products, the image of a character
-is written down one signed power of zeta at a time, roots of unity are
-recognized by comparing against each of +-zeta^k in turn, the dense
-kernel counts every entry without the Galois action, the integrality
-and separation scans read every entry in row-major order, the
+power basis, the perfectness of a raw candidate is decided from plain
+integer count vectors, one candidate at a time, with no pruning (so is
+each normal form of the classification at p = 11 and 13), forward sums
+run over every element with plain integer products, the image of a
+character is written down one signed power of zeta at a time, roots of
+unity are recognized by comparing against each of +-zeta^k in turn, the
+dense kernel counts every entry without the Galois action, the
+integrality and separation scans read every entry in row-major order,
+the full-scan verdict runs those two scans over the dense kernel, the
 cross-check counts each indicator column the same way when its scan
-reaches it, the adjoint takes the dense forward sums of
-the transposed kernel, the perfect images come from a search of the
-whole permutation tree with no normal form, and the structure verdicts
-compose every pair of plain image/sign tuples.
+reaches it, the adjoint takes the dense forward sums of the transposed
+kernel, the perfect images come from a search of the whole permutation
+tree with no normal form, and the structure verdicts compose every pair
+of plain image/sign tuples.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ from perfiso import (
     KernelTable,
     SignedIsometry,
     Verdict,
-    char_table,
     generalized_character,
     zeta_pow,
 )
@@ -133,16 +132,6 @@ def adjoint_transform(kt: KernelTable, alpha: ClassFunction) -> ClassFunction:
     return ClassFunction(p, tuple(CycInt(p, [c // p for c in s]) for s in sums))
 
 
-def kernel_entry_oracle(iso: SignedIsometry, m: int, n: int) -> CycInt:
-    """Kernel entry (m, n) rebuilt from character-table values and ring products."""
-    p = iso.p
-    table = char_table(p)
-    acc = CycInt.zero(p)
-    for k in range(p):
-        acc = acc + iso.signs[k] * (table[iso.image[k]][m] * table[k][n])
-    return acc
-
-
 def _counted_entry(iso: SignedIsometry, m: int, n: int) -> CycInt:
     """Kernel entry (m, n) by its definition: sign[k] at power image[k]*m + k*n."""
     p = iso.p
@@ -202,6 +191,19 @@ def check_separation(kt: KernelTable) -> tuple[int, int] | None:
             if any(entry.coeffs) and ((m == 0) != (n == 0)):
                 return (m, n)
     return None
+
+
+def full_scan_verdict(iso: SignedIsometry) -> Verdict:
+    """The verdict of is_perfect, from the integrality scan and then the
+    separation scan of the kernel with every entry counted by its definition."""
+    kt = kernel_table_dense(iso)
+    witness = check_integrality(kt)
+    if witness is not None:
+        return Verdict(FAILS_INTEGRALITY, witness)
+    witness = check_separation(kt)
+    if witness is not None:
+        return Verdict(FAILS_SEPARATION, witness)
+    return Verdict(PERFECT)
 
 
 @lru_cache(maxsize=None)
@@ -427,6 +429,14 @@ def random_cycint(rng: Random, p: int, bound: int = 0) -> CycInt:
     """Random element with raw coefficients in [-bound, bound] (default 3p)."""
     bound = bound or 3 * p
     return CycInt(p, [rng.randint(-bound, bound) for _ in range(p)])
+
+
+def all_signed_isometries(p: int):
+    """Every signed map at p: images in lexicographic order and, within each,
+    the sign patterns in ``product((1, -1))`` order."""
+    for image in itertools.permutations(range(p)):
+        for signs in itertools.product((1, -1), repeat=p):
+            yield SignedIsometry(p, image, signs)
 
 
 def random_isometry(rng: Random, p: int) -> SignedIsometry:

