@@ -61,16 +61,15 @@ def _announce(number: int, name: str, detail: str = "") -> None:
     print(f"ACCEPTANCE {number} {name}: PASS{suffix}")
 
 
-def test_criterion_1_order_formula(exhaustive_found):
-    for p in PRIMES_EXHAUSTIVE:
+@pytest.mark.parametrize("p", PRIMES_EXHAUSTIVE + PRIMES_REPORTED)
+def test_criterion_1_order_formula(p, exhaustive_found):
+    report = enumerate_perfect(p)
+    assert report.order == EXPECTED_ORDERS[p] == 2 * p * (p - 1)
+    assert report.all_pass() and not report.failures
+    if p in exhaustive_found:
         found = exhaustive_found[p]
-        assert len(found) == EXPECTED_ORDERS[p] == 2 * p * (p - 1)
-        assert len(set(found)) == len(found)
-    for p in PRIMES_REPORTED:
-        report = enumerate_perfect(p)
-        assert report.order == EXPECTED_ORDERS[p] == 2 * p * (p - 1)
-        assert report.all_pass() and not report.failures
-    _announce(1, "order_formula", "orders 4/12/40/84/220/312 at p=2/3/5/7/11/13")
+        assert len(found) == len(set(found)) == report.order
+    _announce(1, "order_formula", f"order {report.order} at p={p}")
 
 
 def test_criterion_1_classification_from_definition_at_p11():
@@ -88,65 +87,65 @@ def test_criterion_1_classification_from_definition_at_p11():
     _announce(1, "order_formula", f"the {len(orbit)} maps at p=11 from the kernel's definition")
 
 
-def test_criterion_2_homogeneous_sign(exhaustive_found):
-    for p in PRIMES_EXHAUSTIVE:
-        mixed = [iso for iso in exhaustive_found[p] if len(set(iso.signs)) > 1]
-        assert mixed == []
-    _announce(2, "homogeneous_sign", "zero mixed-sign perfect isometries")
+@pytest.mark.parametrize("p", PRIMES_EXHAUSTIVE)
+def test_criterion_2_homogeneous_sign(p, exhaustive_found):
+    mixed = [iso for iso in exhaustive_found[p] if len(set(iso.signs)) > 1]
+    assert mixed == []
+    _announce(2, "homogeneous_sign", f"zero mixed-sign perfect isometries at p={p}")
 
 
-def test_criterion_3_affine_completeness(exhaustive_found):
-    for p in PRIMES_EXHAUSTIVE:
-        found = set(exhaustive_found[p])
-        affine = {
-            recompose(p, AffineCoords(eps, a, u))
-            for eps in (-1, 1)
-            for a in range(p)
-            for u in range(1, p)
-        }
-        assert affine <= found
-        assert found <= affine
-    _announce(3, "affine_completeness", "both inclusions at p=2,3,5,7")
+@pytest.mark.parametrize("p", PRIMES_EXHAUSTIVE)
+def test_criterion_3_affine_completeness(p, exhaustive_found):
+    found = set(exhaustive_found[p])
+    affine = {
+        recompose(p, AffineCoords(eps, a, u))
+        for eps in (-1, 1)
+        for a in range(p)
+        for u in range(1, p)
+    }
+    assert affine <= found
+    assert found <= affine
+    _announce(3, "affine_completeness", f"both inclusions at p={p}")
 
 
-def test_criterion_4_checker_equivalence():
+@pytest.mark.parametrize("p", (2, 3, 5))
+def test_criterion_4_checker_equivalence(p):
     # on every signed map at small p each checker gives the verdict and
     # witness of its own dense oracle, and the two give the same status
-    for p in (2, 3, 5):
-        for iso in all_signed_isometries(p):
-            verdict, cross = is_perfect(iso), is_perfect_via_spaces(iso)
-            assert verdict == full_scan_verdict(iso), iso
-            assert cross == cross_check_dense(iso), iso
-            assert verdict.status == cross.status, iso
+    for iso in all_signed_isometries(p):
+        verdict, cross = is_perfect(iso), is_perfect_via_spaces(iso)
+        assert verdict == full_scan_verdict(iso), iso
+        assert cross == cross_check_dense(iso), iso
+        assert verdict.status == cross.status, iso
+    _announce(4, "checker_equivalence", f"every signed map at p={p} against the dense oracles")
+
+
+def test_criterion_4_checker_equivalence_sampled_at_p7():
     rng = Random(SEED + 7)
     for _ in range(1000):
         iso = random_isometry(rng, 7)
         assert is_perfect(iso).status == is_perfect_via_spaces(iso).status, iso
-    _announce(
-        4,
-        "checker_equivalence",
-        "every signed map at p=2,3,5 against the dense oracles, plus 1000 seeded"
-        f" candidates at p=7; seed={SEED}+7",
-    )
+    _announce(4, "checker_equivalence", f"1000 seeded candidates at p=7; seed={SEED}+7")
 
 
-def test_criterion_5_reconstruction_and_inversion(exhaustive_found):
+@pytest.mark.parametrize("p", PRIMES_EXHAUSTIVE)
+def test_criterion_5_reconstruction_and_inversion(p, exhaustive_found):
     # the enumerated maps, then seeded random signed maps, most of them not perfect
-    for p in PRIMES_EXHAUSTIVE:
-        rng = Random(SEED + p)
-        for iso in exhaustive_found[p] + [random_isometry(rng, p) for _ in range(20)]:
-            kt = kernel_table(iso)
-            for k in range(p):
-                chi = character(p, k)
-                image = forward_transform(kt, chi)
-                assert image == image_character(iso, k)
-                assert adjoint_transform(kt, image) == chi
-            beta = random_generalized_character(rng, p)
-            assert adjoint_transform(kt, forward_transform(kt, beta)) == beta
+    rng = Random(SEED + p)
+    for iso in exhaustive_found[p] + [random_isometry(rng, p) for _ in range(20)]:
+        kt = kernel_table(iso)
+        for k in range(p):
+            chi = character(p, k)
+            image = forward_transform(kt, chi)
+            assert image == image_character(iso, k)
+            assert adjoint_transform(kt, image) == chi
+        beta = random_generalized_character(rng, p)
+        assert adjoint_transform(kt, forward_transform(kt, beta)) == beta
     _announce(
         5,
         "reconstruction_and_inversion",
-        f"all 140 enumerated isometries and 20 seeded signed maps per p=2,3,5,7; seed={SEED}+p",
+        f"all {len(exhaustive_found[p])} enumerated isometries and 20 seeded signed maps"
+        f" at p={p}; seed={SEED}+{p}",
     )
 
 
@@ -214,22 +213,22 @@ def _divisibility_cases(p):
         yield raw
 
 
-def test_criterion_8_cyclotomic_layer():
-    for p in (2, 3, 5, 7, 11, 13):
-        for raw in _divisibility_cases(p):
-            x = CycInt(p, raw)
-            quotient = x.divide_exact_by_p()
-            assert (quotient is not None) == x.is_multiple_of_p == divisible_by_p_oracle(p, raw)
-            if quotient is not None:
-                assert p * quotient == x
-        for m in range(1, 2 * p + 1):
-            total = CycInt.zero(p)
-            for k in range(1, p + 1):
-                total = total + zeta_pow(p, k * m)
-            expected = CycInt.from_int(p, p if m % p == 0 else 0)
-            assert total == expected
+@pytest.mark.parametrize("p", PRIMES_EXHAUSTIVE + PRIMES_REPORTED)
+def test_criterion_8_cyclotomic_layer(p):
+    for raw in _divisibility_cases(p):
+        x = CycInt(p, raw)
+        quotient = x.divide_exact_by_p()
+        assert (quotient is not None) == x.is_multiple_of_p == divisible_by_p_oracle(p, raw)
+        if quotient is not None:
+            assert p * quotient == x
+    for m in range(1, 2 * p + 1):
+        total = CycInt.zero(p)
+        for k in range(1, p + 1):
+            total = total + zeta_pow(p, k * m)
+        expected = CycInt.from_int(p, p if m % p == 0 else 0)
+        assert total == expected
     _announce(
         8,
         "cyclotomic_layer",
-        f"10 edge cases and 1000 oracle comparisons per prime up to 13; seed={SEED}+p",
+        f"10 edge cases and 1000 oracle comparisons at p={p}; seed={SEED}+{p}",
     )

@@ -649,7 +649,10 @@ RECORDS = (
 )
 
 
-@pytest.mark.parametrize("record,text", RECORDS, ids=[type(record).__name__ for record, _ in RECORDS])
+RECORD_IDS = [type(record).__name__ for record, _ in RECORDS]
+
+
+@pytest.mark.parametrize("record,text", RECORDS, ids=RECORD_IDS)
 def test_record_protocol(record, text):
     # a record is the plain tuple of its fields: it unpacks, compares and
     # hashes as that tuple, reads each field by the name its repr shows, and
@@ -665,9 +668,17 @@ def test_record_protocol(record, text):
         assert hash(record) == hash(plain) and len({record, plain}) == 1
     with pytest.raises(AttributeError):
         setattr(record, record._fields[0], None)
+
+
+@pytest.mark.parametrize("record", [record for record, _ in RECORDS], ids=RECORD_IDS)
+def test_records_copy_and_pickle(record):
     # copy and pickle rebuild a record from its fields, as positional arguments
     for twin in (copy.copy(record), copy.deepcopy(record), pickle.loads(pickle.dumps(record))):
         assert type(twin) is type(record) and twin == record
+
+
+@pytest.mark.parametrize("record", [record for record, _ in RECORDS], ids=RECORD_IDS)
+def test_records_refuse_tuple_arithmetic(record):
     # a record is a value, not a sequence: it neither joins nor repeats like a tuple
     for join in (lambda: record + record, lambda: () + record, lambda: record * 2, lambda: 2 * record):
         with pytest.raises(TypeError):
