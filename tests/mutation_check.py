@@ -271,6 +271,32 @@ MUTATIONS = (
         "if False:",
         ("tests/test_pigroup.py",),
     ),
+    # JSON key order and mu's entry text: the oracle sweep alone compares each
+    # object's keys in order, and each mu entry with its count, rendered
+    (
+        "src/perfiso/cli.py",
+        'return True, {"map": iso.as_literal(), "entries": grid}, map(" ".join, grid)',
+        'return True, {"entries": grid, "map": iso.as_literal()}, map(" ".join, grid)',
+        ("tests/test_oracle_sweep.py",),
+    ),
+    (
+        "src/perfiso/cli.py",
+        'return {"eps": c[0], "a": c[1], "u": c[2]}',
+        'return {"a": c[1], "eps": c[0], "u": c[2]}',
+        ("tests/test_oracle_sweep.py",),
+    ),
+    (
+        "src/perfiso/cli.py",
+        "texts[n] = symbolic_str(entry)",
+        'texts[n] = symbolic_str(entry).replace("z^", "z^0")',
+        ("tests/test_oracle_sweep.py",),
+    ),
+    (
+        "src/perfiso/cli.py",
+        '"verdict": {"status": direct.status, "witness": direct.witness},',
+        '"verdict": {"witness": direct.witness, "status": direct.status},',
+        ("tests/test_oracle_sweep.py",),
+    ),
 )
 
 

@@ -16,7 +16,8 @@ cross-check counts each indicator column the same way when its scan
 reaches it, the adjoint takes the dense forward sums of the transposed
 kernel, the perfect images come from a search of the whole permutation
 tree with no normal form, and the structure verdicts compose every pair
-of plain image/sign tuples.
+of plain image/sign tuples.  The primes up to 101 come from trial
+division, not from perfiso.is_prime.
 """
 
 from __future__ import annotations
@@ -38,6 +39,26 @@ from perfiso import (
     generalized_character,
     zeta_pow,
 )
+
+PRIMES_TO_101 = tuple(n for n in range(2, 102) if all(n % d for d in range(2, n)))
+# one random signed map per p, drawn once from random.Random(p): a shuffle,
+# then one sign per index
+RANDOM_SIGNED = {
+    23: "-14,-17,+1,+8,+5,-6,+19,+10,-16,-20,-7,-4,+3,-15,+21,-11,-12,+13,+22,+18,-0,+2,+9",
+    53: (
+        "+9,+19,+5,+21,+49,+0,-51,-15,-34,-43,+26,+47,-17,-18,+46,+41,+27,-38,-52,+42,"
+        "-12,+25,-35,-20,+24,-37,+11,-31,+4,-7,+6,-28,-14,+44,-36,+40,-3,+16,-8,+22,"
+        "-10,+2,+1,-50,-23,-33,+48,+30,+45,-32,+29,+13,-39"
+    ),
+    101: (
+        "+52,+90,-35,+3,+72,+44,-10,-91,-7,+98,+83,-49,-73,+78,+57,-39,-19,+97,-37,+66,"
+        "-43,-5,+15,-18,+81,-33,+40,+21,-12,+31,+75,+53,-67,-80,+61,-2,+94,-89,-16,+48,"
+        "-100,-23,+1,+22,-95,-34,-13,-29,-0,+70,+88,+47,+58,+4,+65,+93,-76,+50,-25,+17,"
+        "-79,+71,-63,+86,+14,-87,-38,-96,-55,-8,+26,-54,+51,-30,-41,+60,+82,+46,-68,"
+        "-85,-11,+20,-99,+32,+9,-56,+42,+92,-62,-36,-28,+77,-27,+64,+84,-6,+59,+45,-69,"
+        "-24,+74"
+    ),
+}
 
 
 def poly_mul_reduced(p: int, xs: list[int], ys: list[int]) -> tuple[int, ...]:

@@ -1,4 +1,4 @@
-"""Every command at every prime up to MAX_P, against the benchmark's oracle.
+"""Every command's output, byte for byte, against expectations that import no perfiso code.
 
 perfbench/oracle.py derives each command's expected output from closed
 forms, and recounts a failing check's witness from the kernel's definition,
@@ -6,22 +6,35 @@ without importing perfiso; perfbench/workloads.py draws the maps.  Both are
 read from the checkout that holds this file, also when the suite runs from
 another directory.
 
-At each prime, in text and JSON: chartab, enumerate and verify; mu, check
-and decompose of an affine map; check of a random signed map (+0,-1 at
-p = 2); and, for p > 3, check of an affine map with two images swapped.
+The calls come from two sources.  The sweep: at each prime up to 101, in
+text and JSON, chartab, enumerate and verify, and mu, check and decompose of
+an affine map, a random signed map (+0,-1 at p = 2) and, for p > 3, an
+affine map with two images swapped.  And _cases(), the calls whose stdout
+was once pinned by sha256: all six commands at p = 2, 3, 5, 7 in both modes,
+on the affine map k -> 1 + 2k, its negation and a non-perfect map, and calls
+at p = 13, 23, 53 and 101, on RANDOM_SIGNED too.
 
-The oracle's zeta_name writes zeta as "z" at every p, but at p = 2 zeta is
--1, and chartab rightly prints "-1" (test_cli's test_chartab_p2_text).  So
-chartab -p 2 is a strict xfail: once the oracle is mended it passes, which
-fails the suite until the mark is removed.
+Beyond the oracle, JSON must be json.dumps(..., indent=2) of itself, with
+the keys of each object in _key_orders' order and each scalar of its key's
+type (the oracle compares with ==, which takes True for 1); mu of any map
+must print each entry as counted from its definition by
+oracle.kernel_counts and rendered; and decompose must refuse a map that is
+not affine with exit 1, no stdout and the reason on stderr.
 
 The oracle reads chartab and mu text with splitlines, and check text as a
 set of lines, so it would accept a missing final newline or lines out of
 order.  At each prime the text of those calls must therefore also be their
 JSON twin's lines, in order, each ending in a newline.
+
+The oracle's zeta_name writes zeta as "z" at every p, but at p = 2 zeta is
+-1, and chartab rightly prints "-1".  So the sweep's chartab -p 2 is a strict
+xfail: once the oracle is mended it passes, which fails the suite until the
+mark is removed.  Meanwhile test_cli's two byte literals hold that output,
+and _cases() leaves it out.
 """
 
 import dataclasses
+import functools
 import json
 import sys
 from pathlib import Path
@@ -29,8 +42,8 @@ from random import Random
 
 import pytest
 
-from perfiso import is_prime
-from perfiso.cli import MAX_P, main
+from perfiso.cli import main
+from oracles import PRIMES_TO_101, RANDOM_SIGNED
 
 PERFBENCH = str(Path(__file__).resolve().parents[1] / "perfbench")
 sys.path.insert(0, PERFBENCH)  # workloads imports oracle by its bare name
@@ -40,36 +53,156 @@ try:
 finally:
     sys.path.remove(PERFBENCH)
 
-PRIMES = [p for p in range(2, MAX_P + 1) if is_prime(p)]
 ZETA_AT_P2 = pytest.mark.xfail(strict=True, reason="the oracle writes zeta as 'z' at p = 2, where zeta = -1")
-
-
-def _param(op, kind=None, marks=()):
-    name = f"{op.command}-{kind}" if kind else op.command
-    return pytest.param(op, id=f"{name}-p{op.p}-{op.fmt}", marks=marks)
+FORMATS = ("text", "json")
+MODES = ("positive_then_negate", "exhaustive")
+MAP_COMMANDS = ("mu", "check", "decompose")
+# the sweep's mu of a map that is not affine runs only up to here: its
+# expected grid counts p^3 terms, and _cases() has such maps at 23, 53, 101
+DENSE_MU_P = 13
+# the keys whose values are true, false or null; "map", "entries" and
+# "status" hold strings, and every other scalar is an int or null
+BOOL_KEYS = ("agree", *oracle.CHECK_KEYS)
+# p -> (perfect affine map k -> 1 + 2k, its negation, a non-perfect map); the
+# non-perfect map fails separation at p = 2, has one sign flipped at p = 3,
+# where every permutation is affine, and at p >= 5 is the affine map with the
+# images of 1 and 2 swapped, which fails integrality
+MAPS = {
+    2: ("+1,+0", "-1,-0", "+0,-1"),
+    3: ("+1,+0,+2", "-1,-0,-2", "+1,+0,-2"),
+    5: ("+1,+3,+0,+2,+4", "-1,-3,-0,-2,-4", "+1,+0,+3,+2,+4"),
+    7: ("+1,+3,+5,+0,+2,+4,+6", "-1,-3,-5,-0,-2,-4,-6", "+1,+5,+3,+0,+2,+4,+6"),
+}
 
 
 def _sweep():
-    for p in PRIMES:
+    for p in PRIMES_TO_101:
         rng = Random(f"sweep:{p}")
         maps = {"affine": affine(rng, p), "signed": random_signed(rng, p) if p > 2 else ((0, 1), (1, -1))}
         if p > 3:
             maps["swapped"] = swapped_affine(rng, p)
-        for fmt in ("text", "json"):
-            yield _param(Op("chartab", p, fmt), marks=ZETA_AT_P2 if p == 2 else ())
-            yield from (_param(Op(command, p, fmt)) for command in ("enumerate", "verify"))
-            calls = [(command, "affine") for command in ("mu", "check", "decompose")]
-            calls += [("check", kind) for kind in ("signed", "swapped") if kind in maps]
-            for command, kind in calls:
-                image, signs = maps[kind]
-                yield _param(Op(command, p, fmt, image=image, signs=signs), kind)
+        calls = [(command, None) for command in ("chartab", "enumerate", "verify")]
+        calls += [(command, kind) for command in MAP_COMMANDS for kind in maps]
+        for command, kind in calls:
+            if command == "mu" and kind != "affine" and p > DENSE_MU_P:
+                continue
+            image, signs = maps.get(kind, (None, None))
+            for fmt in FORMATS:
+                op = Op(command, p, fmt, image=image, signs=signs)
+                name = f"{command}-{kind}" if kind else command
+                marks = ZETA_AT_P2 if (command, p) == ("chartab", 2) else ()
+                yield pytest.param(op.argv(), op, id=f"{name}-p{p}-{fmt}", marks=marks)
 
 
-@pytest.mark.parametrize("op", _sweep())
-def test_command_output_matches_the_oracle(capsys, op):
-    code = main(op.argv())
-    out, err = capsys.readouterr()
-    assert (oracle.failure(op, code, out), err) == (None, "")
+def _pinned(command, p, mode=None, literal=None):
+    """The text and JSON calls of one pinned argv (the command, -p, --mode or
+    --map, then --format), each with its Op."""
+    middle, image, signs = (), None, None
+    if mode is not None:
+        middle = ("--mode", mode)
+    if literal is not None:
+        middle = (f"--map={literal}",)
+        terms = literal.split(",")
+        image, signs = tuple(int(t[1:]) for t in terms), tuple(-1 if t[0] == "-" else 1 for t in terms)
+    for fmt in FORMATS:
+        argv = (command, "-p", str(p), *middle, "--format", fmt)
+        yield pytest.param(list(argv), Op(command, p, fmt, mode, image, signs), id=" ".join(argv))
+
+
+def _scale_maps(p):
+    """Affine k -> 1 + 2k, its negation, it with the images of 1 and 2 swapped, a random map."""
+    image = [(1 + 2 * k) % p for k in range(p)]
+    swapped = list(image)
+    swapped[1], swapped[2] = swapped[2], swapped[1]
+    return (
+        ",".join(f"+{i}" for i in image),
+        ",".join(f"-{i}" for i in image),
+        ",".join(f"+{i}" for i in swapped),
+        RANDOM_SIGNED[p],
+    )
+
+
+def _cases():
+    for p in (*MAPS, 13):
+        for command in ("enumerate", "verify"):
+            for mode in MODES:
+                yield from _pinned(command, p, mode)
+    for mode in MODES:
+        yield from _pinned("verify", 53, mode)
+    yield from _pinned("enumerate", 53)
+    yield from _pinned("enumerate", 101)
+    yield from _pinned("verify", 101)
+    for p in (3, 5, 7, 23, 53, 101):
+        yield from _pinned("chartab", p)
+    for p, maps in {**MAPS, 23: _scale_maps(23), 53: _scale_maps(53)}.items():
+        for command in MAP_COMMANDS:
+            for literal in maps:
+                yield from _pinned(command, p, literal=literal)
+    affine_map, _, _, random_map = maps = _scale_maps(101)
+    for literal in maps:
+        yield from _pinned("check", 101, literal=literal)
+    for literal in (affine_map, random_map):
+        yield from _pinned("mu", 101, literal=literal)
+    yield from _pinned("decompose", 101, literal=affine_map)
+
+
+CASES = [*_sweep(), *_cases()]
+
+
+def _key_orders(op):
+    """The keys of each object in op's JSON output, in document order."""
+    coords = ("eps", "a", "u")
+    elements = [coords] * (2 * op.p * (op.p - 1))
+    report = [("schema", "p", "order", "elements", "checks"), *elements, oracle.CHECK_KEYS]
+    return {
+        "chartab": [("schema", "p", "entries")],
+        "mu": [("schema", "p", "map", "entries")],
+        "check": [("schema", "p", "map", "verdict", "cross_check", "agree"), *[("status", "witness")] * 2],
+        "decompose": [("schema", "p", "map", *coords)],
+        "enumerate": report,
+        "verify": report,
+    }[op.command]
+
+
+def _values(value, key=None):
+    """(key, value) of a JSON value and of every value inside it, in document
+    order; a list's items carry the list's key."""
+    yield key, value
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield from _values(item, key)
+    elif isinstance(value, list):
+        for item in value:
+            yield from _values(item, key)
+
+
+@functools.lru_cache(maxsize=1)  # a map's JSON call follows its text call
+def _mu_grid(image, signs):
+    """The texts mu prints for a map: each entry counted from its definition,
+    normalized (each count less the last), then rendered as
+    oracles.symbolic_str_scan renders it."""
+    p = len(image)
+    # +-zeta^k by name, scanned k = 0 first, + before -: the first name of a
+    # normal form is kept, so at p = 2, where zeta = -1, zeta is named "-1"
+    names = {}
+    for k in range(p):
+        power = tuple(int(i == k) - int(k == p - 1) for i in range(p))
+        names.setdefault(power, oracle.zeta_name(k))
+        names.setdefault(tuple(-c for c in power), "-" + oracle.zeta_name(k))
+    grid = [[""] * p for _ in range(p)]
+    for m in range(p):
+        for n in range(p):
+            counts = oracle.kernel_counts(image, signs, m, n)
+            entry = tuple(c - counts[-1] for c in counts)
+            terms = [(k, c) for k, c in enumerate(entry) if c] or [(0, 0)]
+            k, c = terms[0]
+            if entry in names:
+                grid[m][n] = names[entry]
+            elif len(terms) > 1:
+                grid[m][n] = "(" + ",".join(map(str, entry)) + ")"
+            else:
+                grid[m][n] = str(c) if k == 0 else f"{c}*{oracle.zeta_name(k)}"
+    return grid
 
 
 def _laid_out(command, doc):
@@ -84,32 +217,40 @@ def _laid_out(command, doc):
     return "".join(lines)
 
 
-@pytest.mark.parametrize("p", PRIMES, ids="p{}".format)
+@pytest.mark.parametrize("argv, op", CASES)
+def test_command_output_matches_the_oracle(capsys, argv, op):
+    code = main(argv)
+    out, err = capsys.readouterr()
+    if op.command == "decompose" and oracle.affine_coords(op.image, op.signs) is None:
+        reason = "mixed sign profile" if len(set(op.signs)) > 1 else "not an affine map"
+        assert (code, out, err) == (1, "", f"error: {reason}: {oracle.literal(op.image, op.signs)}\n")
+        return
+    assert err == ""
+    if op.command == "mu":
+        grid = _mu_grid(op.image, op.signs)
+        doc = {"schema": 1, "p": op.p, "map": oracle.literal(op.image, op.signs), "entries": grid}
+        assert (code, out) == (0, json.dumps(doc, indent=2) + "\n" if op.fmt == "json" else _laid_out("mu", doc))
+    else:
+        assert oracle.failure(op, code, out) is None
+    if op.fmt == "json":
+        doc = json.loads(out)
+        assert out == json.dumps(doc, indent=2) + "\n"
+        key_orders = []
+        for key, value in _values(doc):
+            if isinstance(value, dict):
+                key_orders.append(tuple(value))
+            elif not isinstance(value, list):
+                kind = bool if key in BOOL_KEYS else str if key in ("map", "entries", "status") else int
+                assert value is None or type(value) is kind, (key, value)
+        assert key_orders == _key_orders(op)
+
+
+@pytest.mark.parametrize("p", PRIMES_TO_101, ids="p{}".format)
 def test_text_is_its_json_twin_laid_out(capsys, p):
-    ops = [param.values[0] for param in _sweep()]
+    ops = [param.values[1] for param in CASES]
     ops = [op for op in ops if op.p == p and op.fmt == "json" and op.command in ("chartab", "mu", "check")]
     for op in ops:
         code = main(op.argv())
         doc = json.loads(capsys.readouterr().out)
         text_code = main(dataclasses.replace(op, fmt="text").argv())
         assert (text_code, *capsys.readouterr()) == (code, _laid_out(op.command, doc), "")
-
-
-def _counted(image, signs, m, n):
-    """Kernel entry (m, n) in the normal form parse_entry gives: each count less the last."""
-    counts = oracle.kernel_counts(image, signs, m, n)
-    return tuple(c - counts[-1] for c in counts)
-
-
-@pytest.mark.parametrize("fmt", ("text", "json"))
-@pytest.mark.parametrize("p", (5, 7, 11))
-def test_dense_mu_is_the_kernel_counted_from_its_definition(capsys, p, fmt):
-    # every entry of a random signed map's kernel is read back and compared
-    # with the oracle's own count; no perfiso code makes the expected grid
-    image, signs = random_signed(Random(f"dense:{p}"), p)
-    code = main(Op("mu", p, fmt, image=image, signs=signs).argv())
-    out, err = capsys.readouterr()
-    assert (code, err) == (0, "")
-    grid = json.loads(out)["entries"] if fmt == "json" else [line.split(" ") for line in out.splitlines()]
-    expected = [[_counted(image, signs, m, n) for n in range(p)] for m in range(p)]
-    assert [[oracle.parse_entry(entry, p) for entry in row] for row in grid] == expected

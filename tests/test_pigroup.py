@@ -37,6 +37,7 @@ from perfiso import (
 )
 from perfiso.cli import _report, main
 from oracles import (
+    PRIMES_TO_101,
     candidate_is_perfect,
     perfect_candidates_walk,
     perfect_images_full_search,
@@ -200,9 +201,6 @@ def test_search_matches_brute_force_walk(p):
     assert len(walk) == 2 * p * (p - 1)
     for mode in MODES:
         assert list(iter_perfect(p, mode)) == walk
-
-
-PRIMES_TO_101 = tuple(n for n in range(2, 102) if all(n % d for d in range(2, n)))
 
 
 def test_search_keeps_the_recursive_order_and_leaves():
