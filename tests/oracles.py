@@ -8,16 +8,16 @@ integer count vectors, one candidate at a time, with no pruning (so is
 each normal form of the classification at p = 11 and 13), forward sums
 run over every element with plain integer products, the image of a
 character is written down one signed power of zeta at a time, roots of
-unity are recognized by comparing against each of +-zeta^k in turn, the
-dense kernel counts every entry without the Galois action, the
-integrality and separation scans read every entry in row-major order,
-the full-scan verdict runs those two scans over the dense kernel, the
-cross-check counts each indicator column the same way when its scan
-reaches it, the adjoint takes the dense forward sums of the transposed
-kernel, the perfect images come from a search of the whole permutation
-tree with no normal form, and the structure verdicts compose every pair
-of plain image/sign tuples.  The primes up to 101 come from trial
-division, not from perfiso.is_prime.
+unity are recognized by the normal form of each of +-zeta^k, built on
+plain integers, the dense kernel counts every entry without the Galois
+action, the integrality and separation scans read every entry in
+row-major order, the full-scan verdict runs those two scans over the
+dense kernel, the cross-check counts each indicator column the same way
+when its scan reaches it, the adjoint takes the dense forward sums of the
+transposed kernel, the perfect images come from a search of the whole
+permutation tree with no normal form, and the structure verdicts compose
+every pair of plain image/sign tuples.  The primes up to 101 come from
+trial division, not from perfiso.is_prime.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ from perfiso import (
     SignedIsometry,
     Verdict,
     generalized_character,
-    zeta_pow,
 )
 
 PRIMES_TO_101 = tuple(n for n in range(2, 102) if all(n % d for d in range(2, n)))
@@ -85,16 +84,26 @@ def divisible_by_p_oracle(p: int, raw_coeffs: list[int]) -> bool:
     return all((r / p).denominator == 1 for r in reduced)
 
 
-def symbolic_str_scan(x: CycInt) -> str:
-    """The CLI rendering, found by comparing x with each of +-zeta^k, k = 0 first."""
-    p = x.p
+@lru_cache(maxsize=None)
+def _root_names(p: int) -> dict[tuple[int, ...], str]:
+    """The normal form of each of +-zeta^k -> its name, entered k = 0 first,
+    + before -; a form keeps its first name, so at p = 2 zeta is "-1"."""
+    names: dict[tuple[int, ...], str] = {}
     for k in range(p):
-        zk = zeta_pow(p, k)
-        if x == zk:
-            return "1" if k == 0 else ("z" if k == 1 else f"z^{k}")
-        if x == -zk:
-            return "-1" if k == 0 else ("-z" if k == 1 else f"-z^{k}")
-    nonzero = [(k, c) for k, c in enumerate(x.coeffs) if c]
+        power = tuple(int(i == k) - int(k == p - 1) for i in range(p))
+        name = "1" if k == 0 else ("z" if k == 1 else f"z^{k}")
+        names.setdefault(power, name)
+        names.setdefault(tuple(-c for c in power), "-" + name)
+    return names
+
+
+def symbolic_str_scan(coeffs: tuple[int, ...]) -> str:
+    """The CLI rendering of a normal form (each coefficient less the last):
+    +-zeta^k by name, else a single term as c or c*z^k, else the list."""
+    name = _root_names(len(coeffs)).get(coeffs)
+    if name is not None:
+        return name
+    nonzero = [(k, c) for k, c in enumerate(coeffs) if c]
     if not nonzero:
         return "0"
     if len(nonzero) == 1:
@@ -102,7 +111,7 @@ def symbolic_str_scan(x: CycInt) -> str:
         if k == 0:
             return str(c)
         return f"{c}*z" if k == 1 else f"{c}*z^{k}"
-    return "(" + ",".join(str(c) for c in x.coeffs) + ")"
+    return "(" + ",".join(str(c) for c in coeffs) + ")"
 
 
 def forward_sums_dense(kt, beta) -> list[tuple[int, ...]]:

@@ -306,6 +306,15 @@ def test_check_long_literal_indices(capsys, digits):
 # enumerate / verify
 
 
+def test_enumerate_modes_byte_identical(capsys):
+    code1, out1, _ = run_cli(capsys, "enumerate", "-p", "5", "--format", "json")
+    code2, out2, _ = run_cli(
+        capsys, "enumerate", "-p", "5", "--mode", "exhaustive", "--format", "json"
+    )
+    assert code1 == code2 == 0
+    assert out1 == out2
+
+
 @pytest.mark.parametrize("p", ("103", "100000000000000000039"))
 def test_p_above_cli_bound_exits_2_before_any_work(capsys, monkeypatch, p):
     # both are prime; the bound must reject them before the primality test,
@@ -380,7 +389,14 @@ def test_seed_flag_accepted_everywhere(capsys):
 
 
 # ---------------------------------------------------------------------------
-# map literal errors
+# decompose
+
+
+def test_decompose_non_perfect_exits_1(capsys):
+    code, out, err = run_cli(capsys, "decompose", "-p", "5", "--map", "+0,+2,+1,+3,+4")
+    assert code == 1
+    assert out == ""
+    assert "not an affine map" in err
 
 
 @pytest.mark.parametrize("command", MAP_COMMANDS)

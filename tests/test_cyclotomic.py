@@ -249,7 +249,7 @@ def _rendering_cases(p):
 @pytest.mark.parametrize("p", PRIMES_RENDER)
 def test_symbolic_rendering_matches_root_scan_oracle(p):
     for x in _rendering_cases(p):
-        assert symbolic_str(x) == symbolic_str_scan(x), x
+        assert symbolic_str(x) == symbolic_str_scan(x.coeffs), x
 
 
 def test_symbolic_rendering_scans_no_roots(monkeypatch):
