@@ -297,6 +297,14 @@ MUTATIONS = (
         '"verdict": {"witness": direct.witness, "status": direct.status},',
         ("tests/test_oracle_sweep.py",),
     ),
+    # is_perfect's witness is (row, column): the sweep's split-scaling maps are
+    # the ones whose first failing entry lies off the diagonal
+    (
+        "src/perfiso/isometry.py",
+        "return Verdict(FAILS_INTEGRALITY, (m, n))",
+        "return Verdict(FAILS_INTEGRALITY, (n, m))",
+        ("tests/test_oracle_sweep.py",),
+    ),
 )
 
 

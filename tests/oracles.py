@@ -1,23 +1,26 @@
 """Independent oracles and random generators shared by the test modules.
 
-Everything here deliberately avoids the library's normalized-coefficient
-arithmetic paths: multiplication expands plain integer polynomials,
-divisibility solves p*y = x by exact rational division over the reduced
-power basis, the perfectness of a raw candidate is decided from plain
-integer count vectors, one candidate at a time, with no pruning (so is
-each normal form of the classification at p = 11 and 13), forward sums
-run over every element with plain integer products, the image of a
+Nothing here imports perfiso: the oracles take and return plain values, so
+none runs the library's validation or normal form.  A map is (p, image,
+signs), so a SignedIsometry is accepted as it is; an entry of Z[zeta] is a
+normalized coefficient tuple, each raw coefficient less the last, as
+CycInt.coeffs holds it; a class function's values, and a kernel row, are a
+tuple of entries; a verdict is (status, witness), which a Verdict equals.
+Tests convert library values at the call.  Multiplication expands plain
+integer polynomials, divisibility solves p*y = x by exact rational division over
+the reduced power basis, the perfectness of a raw candidate is decided
+from plain integer count vectors, one candidate at a time, with no pruning
+(so is each normal form of the classification at p = 11 and 13), forward
+sums run over every element with plain integer products, the image of a
 character is written down one signed power of zeta at a time, roots of
-unity are recognized by the normal form of each of +-zeta^k, built on
-plain integers, the dense kernel counts every entry without the Galois
-action, the integrality and separation scans read every entry in
-row-major order, the full-scan verdict runs those two scans over the
-dense kernel, the cross-check counts each indicator column the same way
-when its scan reaches it, the adjoint takes the dense forward sums of the
-transposed kernel, the perfect images come from a search of the whole
-permutation tree with no normal form, and the structure verdicts compose
-every pair of plain image/sign tuples.  The primes up to 101 come from
-trial division, not from perfiso.is_prime.
+unity are recognized by the normal form of each of +-zeta^k, the dense
+kernel counts every entry without the Galois action, both dense checkers
+are one first-failure scan over entries counted when it reaches them, in
+row-major order for is_perfect and in column order for the cross-check,
+the adjoint takes the dense forward sums of the transposed kernel, the
+perfect images come from a search of the whole permutation tree with no
+normal form, and the structure verdicts compose every pair of plain
+image/sign tuples.  The primes up to 101 come from trial division.
 """
 
 from __future__ import annotations
@@ -27,17 +30,9 @@ from fractions import Fraction
 from functools import lru_cache
 from random import Random
 
-from perfiso import (
-    FAILS_INTEGRALITY,
-    FAILS_SEPARATION,
-    PERFECT,
-    ClassFunction,
-    CycInt,
-    KernelTable,
-    SignedIsometry,
-    Verdict,
-    generalized_character,
-)
+PERFECT = "perfect"
+FAILS_INTEGRALITY = "fails_integrality"
+FAILS_SEPARATION = "fails_separation"
 
 PRIMES_TO_101 = tuple(n for n in range(2, 102) if all(n % d for d in range(2, n)))
 # one random signed map per p, drawn once from random.Random(p): a shuffle,
@@ -60,18 +55,22 @@ RANDOM_SIGNED = {
 }
 
 
+def _normal(raw) -> tuple[int, ...]:
+    """The entry with raw coefficients raw: each less the last."""
+    last = raw[-1]
+    return tuple(c - last for c in raw)
+
+
 def poly_mul_reduced(p: int, xs: list[int], ys: list[int]) -> tuple[int, ...]:
     """Multiply in Z[X]/(X^p - 1), then normalize with the all-ones relation."""
     raw = [0] * (2 * p)
     for i, a in enumerate(xs):
         for j, b in enumerate(ys):
             raw[i + j] += a * b
-    folded = [raw[i] + raw[i + p] for i in range(p)]
-    last = folded[-1]
-    return tuple(c - last for c in folded)
+    return _normal([raw[i] + raw[i + p] for i in range(p)])
 
 
-def divisible_by_p_oracle(p: int, raw_coeffs: list[int]) -> bool:
+def divisible_by_p_oracle(p: int, raw_coeffs) -> bool:
     """Solve p*y = x for integer y over the basis 1, zeta, ..., zeta^(p-2).
 
     The raw coefficients are first rewritten in the reduced basis (the top
@@ -114,126 +113,102 @@ def symbolic_str_scan(coeffs: tuple[int, ...]) -> str:
     return "(" + ",".join(str(c) for c in coeffs) + ")"
 
 
-def forward_sums_dense(kt, beta) -> list[tuple[int, ...]]:
-    """Normalized coefficients of sum over every n of entry (m, -n) * beta(g^n).
+def forward_sums_dense(kernel, values) -> list[tuple[int, ...]]:
+    """Normalized coefficients of sum over every n of entry (m, -n) * values[n].
 
     Each product is expanded in Z[X]/(X^p - 1) on plain integers and the
-    sum is normalized once at the end; zero values of beta are not skipped.
+    sum is normalized once at the end; zero values are not skipped.
     """
-    p = kt.p
+    p = len(kernel)
     out = []
-    for row in kt.entries:
+    for row in kernel:
         raw = [0] * p
         for n in range(p):
-            a = row[(p - n) % p].coeffs
-            b = [(j, y) for j, y in enumerate(beta.values[n].coeffs) if y]
+            a = row[(p - n) % p]
+            b = [(j, y) for j, y in enumerate(values[n]) if y]
             for i, x in enumerate(a):
                 for j, y in b:
                     raw[(i + j) % p] += x * y
-        last = raw[-1]
-        out.append(tuple(c - last for c in raw))
+        out.append(_normal(raw))
     return out
 
 
-def image_character(iso: SignedIsometry, k: int) -> ClassFunction:
-    """The image of character k under iso: sign[k] times character image[k].
+def image_character(iso, k: int) -> tuple[tuple[int, ...], ...]:
+    """The values of the image of character k under iso: sign[k] times character image[k].
 
     Its value at g^b is the one signed power sign[k] * zeta^(image[k]*b),
     written down as a coefficient vector.
     """
-    p, sign, a = iso.p, iso.signs[k], iso.image[k]
-    return ClassFunction(
-        p, tuple(CycInt(p, [sign if j == a * b % p else 0 for j in range(p)]) for b in range(p))
-    )
+    p, image, signs = iso
+    sign, a = signs[k], image[k]
+    return tuple(_normal([sign if j == a * b % p else 0 for j in range(p)]) for b in range(p))
 
 
-def adjoint_transform(kt: KernelTable, alpha: ClassFunction) -> ClassFunction:
-    """The kernel applied to an image-side class function, exactly.
+def adjoint_transform(kernel, values) -> tuple[tuple[int, ...], ...]:
+    """The kernel applied to an image-side class function's values, exactly.
 
     Output index n is the sum over every m of entry (-m, n) times
-    alpha(g^m), divided by p: the dense forward sums of the transposed
+    values[m], divided by p: the dense forward sums of the transposed
     kernel.  Raises ArithmeticError when a sum is not divisible by p.
     """
-    p = kt.p
-    sums = forward_sums_dense(KernelTable(p, tuple(zip(*kt.entries))), alpha)
+    p = len(kernel)
+    sums = forward_sums_dense(tuple(zip(*kernel)), values)
     for n, s in enumerate(sums):
-        if not divisible_by_p_oracle(p, list(s)):
+        if not divisible_by_p_oracle(p, s):
             raise ArithmeticError(f"adjoint sum at index {n} is not divisible by p")
-    return ClassFunction(p, tuple(CycInt(p, [c // p for c in s]) for s in sums))
+    return tuple(tuple(c // p for c in s) for s in sums)
 
 
-def _counted_entry(iso: SignedIsometry, m: int, n: int) -> CycInt:
+def counted_entry(iso, m: int, n: int) -> tuple[int, ...]:
     """Kernel entry (m, n) by its definition: sign[k] at power image[k]*m + k*n."""
-    p = iso.p
+    p, image, signs = iso
     counts = [0] * p
     for k in range(p):
-        counts[(iso.image[k] * m + k * n) % p] += iso.signs[k]
-    return CycInt(p, counts)
+        counts[(image[k] * m + k * n) % p] += signs[k]
+    return _normal(counts)
 
 
-def kernel_table_dense(iso: SignedIsometry) -> KernelTable:
+def kernel_table_dense(iso) -> tuple[tuple[tuple[int, ...], ...], ...]:
     """The kernel with every entry counted by its definition."""
-    p = iso.p
-    return KernelTable(
-        p, tuple(tuple(_counted_entry(iso, m, n) for n in range(p)) for m in range(p))
-    )
+    p = iso[0]
+    return tuple(tuple(counted_entry(iso, m, n) for n in range(p)) for m in range(p))
 
 
-def cross_check_dense(iso: SignedIsometry) -> Verdict:
-    """The verdict of is_perfect_via_spaces, from entries counted by their definition.
+def first_failure(iso, cells, separation) -> tuple[str, tuple[int, int] | None]:
+    """The first of cells whose entry p does not divide, else the first of
+    separation (cells among cells) whose entry is not zero, else perfect.
+    Each entry is counted when the scan reaches it; a zero entry is
+    divisible, so the rational division oracle reads only nonzero ones."""
+    p = iso[0]
+    nonzero = {}
+    for cell in cells:
+        entry = counted_entry(iso, *cell)
+        nonzero[cell] = any(entry)
+        if nonzero[cell] and not divisible_by_p_oracle(p, entry):
+            return FAILS_INTEGRALITY, cell
+    cell = next((cell for cell in separation if nonzero[cell]), None)
+    return (PERFECT, None) if cell is None else (FAILS_SEPARATION, cell)
+
+
+def full_scan_verdict(iso) -> tuple[str, tuple[int, int] | None]:
+    """The verdict of is_perfect: integrality over every entry in row-major
+    order, then separation over the entries that pair the identity with
+    another element, in the same order."""
+    p = iso[0]
+    rows = [(m, n) for m in range(p) for n in range(p)]
+    return first_failure(iso, rows, [(m, n) for m, n in rows if (m == 0) != (n == 0)])
+
+
+def cross_check_dense(iso) -> tuple[str, tuple[int, int] | None]:
+    """The verdict of is_perfect_via_spaces.
 
     The forward sums of indicator(p, j) are column -j of the kernel.  The
-    scan is the cross-check's: columns j = 0, 1, ... in turn, entries in row
-    order, integrality on every column by the rational division oracle
-    (zero entries are divisible), then separation on column 0.  Each entry
-    is counted when the scan reaches it, and the scan returns at the first
-    failing entry, which is where a scan of the whole kernel, built first,
-    would stop too.
+    scan is the cross-check's: integrality over columns j = 0, 1, ... in
+    turn, entries in row order, then separation on column 0.
     """
-    p = iso.p
-    column0 = []
-    for j in range(p):
-        for m in range(p):
-            entry = _counted_entry(iso, m, -j % p)
-            if j == 0:
-                column0.append(entry)
-            if any(entry.coeffs) and not divisible_by_p_oracle(p, list(entry.coeffs)):
-                return Verdict(FAILS_INTEGRALITY, (m, -j % p))
-    for m in range(1, p):
-        if any(column0[m].coeffs):
-            return Verdict(FAILS_SEPARATION, (m, 0))
-    return Verdict(PERFECT)
-
-
-def check_integrality(kt: KernelTable) -> tuple[int, int] | None:
-    """First kernel entry (row-major) not divisible by p, or None if all pass."""
-    for m, row in enumerate(kt.entries):
-        for n, entry in enumerate(row):
-            if not divisible_by_p_oracle(kt.p, list(entry.coeffs)):
-                return (m, n)
-    return None
-
-
-def check_separation(kt: KernelTable) -> tuple[int, int] | None:
-    """First nonzero entry (row-major) pairing identity with non-identity, or None."""
-    for m, row in enumerate(kt.entries):
-        for n, entry in enumerate(row):
-            if any(entry.coeffs) and ((m == 0) != (n == 0)):
-                return (m, n)
-    return None
-
-
-def full_scan_verdict(iso: SignedIsometry) -> Verdict:
-    """The verdict of is_perfect, from the integrality scan and then the
-    separation scan of the kernel with every entry counted by its definition."""
-    kt = kernel_table_dense(iso)
-    witness = check_integrality(kt)
-    if witness is not None:
-        return Verdict(FAILS_INTEGRALITY, witness)
-    witness = check_separation(kt)
-    if witness is not None:
-        return Verdict(FAILS_SEPARATION, witness)
-    return Verdict(PERFECT)
+    p = iso[0]
+    columns = [(m, -j % p) for j in range(p) for m in range(p)]
+    return first_failure(iso, columns, [(m, 0) for m in range(1, p)])
 
 
 @lru_cache(maxsize=None)
@@ -277,18 +252,13 @@ def candidate_is_perfect(p: int, image: tuple[int, ...], signs: tuple[int, ...])
     return True
 
 
-def perfect_candidates_walk(p: int) -> list[SignedIsometry]:
+def perfect_candidates_walk(p: int) -> list[tuple[int, tuple[int, ...], tuple[int, ...]]]:
     """Every perfect signed candidate, found by testing all 2^p * p! of them.
 
     Permutations are walked in lexicographic order and, within each, the
     sign patterns in ``product((1, -1))`` order.
     """
-    return [
-        SignedIsometry(p, image, signs)
-        for image in itertools.permutations(range(p))
-        for signs in itertools.product((1, -1), repeat=p)
-        if candidate_is_perfect(p, image, signs)
-    ]
+    return [iso for iso in all_signed_isometries(p) if candidate_is_perfect(*iso)]
 
 
 def perfect_forms_by_definition(p: int) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
@@ -394,7 +364,7 @@ def _closed_form_coords(p: int, elem) -> tuple[int, int, int] | None:
     return None
 
 
-def structure_verdicts(p: int, found: list[SignedIsometry]) -> tuple[bool, bool]:
+def structure_verdicts(p: int, found) -> tuple[bool, bool]:
     """The semidirect_law and negid_central verdicts of verify, from every pair.
 
     semidirect_law: every inverse lies in the set, every element has affine
@@ -410,7 +380,7 @@ def structure_verdicts(p: int, found: list[SignedIsometry]) -> tuple[bool, bool]
     never fail and is left to the tests.  Elements are plain (image, signs)
     tuples throughout.
     """
-    elems = [(iso.image, iso.signs) for iso in found]
+    elems = [(image, signs) for _, image, signs in found]
     members = set(elems)
     ones = (1,) * p
     identity = (tuple(range(p)), ones)
@@ -455,26 +425,42 @@ def structure_verdicts(p: int, found: list[SignedIsometry]) -> tuple[bool, bool]
     return semidirect, negid_central
 
 
-def random_cycint(rng: Random, p: int, bound: int = 0) -> CycInt:
-    """Random element with raw coefficients in [-bound, bound] (default 3p)."""
-    bound = bound or 3 * p
-    return CycInt(p, [rng.randint(-bound, bound) for _ in range(p)])
-
-
 def all_signed_isometries(p: int):
     """Every signed map at p: images in lexicographic order and, within each,
     the sign patterns in ``product((1, -1))`` order."""
     for image in itertools.permutations(range(p)):
         for signs in itertools.product((1, -1), repeat=p):
-            yield SignedIsometry(p, image, signs)
+            yield p, image, signs
 
 
-def random_isometry(rng: Random, p: int) -> SignedIsometry:
+def random_isometry(rng: Random, p: int) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
+    """A shuffle, then one sign per index."""
     image = list(range(p))
     rng.shuffle(image)
     signs = [rng.choice((1, -1)) for _ in range(p)]
-    return SignedIsometry(p, image, signs)
+    return p, tuple(image), tuple(signs)
 
 
-def random_generalized_character(rng: Random, p: int, bound: int = 3):
-    return generalized_character(p, [rng.randint(-bound, bound) for _ in range(p)])
+def random_coeffs(rng: Random, p: int, bound: int) -> list[int]:
+    """p coefficients drawn from [-bound, bound]."""
+    return [rng.randint(-bound, bound) for _ in range(p)]
+
+
+def split_scaling(p: int) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
+    """k -> a*k on the nonzero squares, b*k on the rest, for the first a < b
+    with chi(a) = chi(b) and chi(a - 1) = chi(b - 1) != 0 (chi the quadratic
+    character), all signs +1; it exists for p >= 7.  It is a permutation and
+    not affine.  k -> image[k] + c*k is the same kind of map with a + c and
+    b + c, so it passes at c = 0 and c = -1 and fails at some other c: the
+    cross-check passes column 0 and entry (1, -1), and its witness lies in a
+    derived row of column -1."""
+    def chi(x):
+        return pow(x, (p - 1) // 2, p)
+
+    a, b = next(
+        (a, b)
+        for a in range(2, p)
+        for b in range(a + 1, p)
+        if chi(a) == chi(b) and chi(a - 1) == chi(b - 1) != 0
+    )
+    return p, tuple((a if chi(k) == 1 else b) * k % p for k in range(p)), (1,) * p

@@ -9,18 +9,21 @@ so every run exercises identical samples; the seed is echoed in the pass
 line.
 """
 
+from itertools import starmap
 from random import Random
 
 import pytest
 
 from perfiso import (
     AffineCoords,
+    ClassFunction,
     EXHAUSTIVE,
     SignedIsometry,
     character,
     decompose,
     enumerate_perfect,
     forward_transform,
+    generalized_character,
     inner_product,
     is_perfect,
     is_perfect_via_spaces,
@@ -39,7 +42,7 @@ from oracles import (
     full_scan_verdict,
     image_character,
     perfect_forms_by_definition,
-    random_generalized_character,
+    random_coeffs,
     random_isometry,
 )
 
@@ -54,6 +57,11 @@ EXPECTED_ORDERS = {2: 4, 3: 12, 5: 40, 7: 84, 11: 220, 13: 312}
 def exhaustive_found():
     """One exhaustive enumeration per prime, shared by criteria 1, 2, 3, 5."""
     return {p: list(iter_perfect(p, EXHAUSTIVE)) for p in PRIMES_EXHAUSTIVE}
+
+
+def _coeffs(values):
+    """The plain entries of a class function's values or of a kernel row."""
+    return tuple(value.coeffs for value in values)
 
 
 def _announce(number: int, name: str, detail: str = "") -> None:
@@ -112,7 +120,7 @@ def test_criterion_3_affine_completeness(p, exhaustive_found):
 def test_criterion_4_checker_equivalence(p):
     # on every signed map at small p each checker gives the verdict and
     # witness of its own dense oracle, and the two give the same status
-    for iso in all_signed_isometries(p):
+    for iso in starmap(SignedIsometry, all_signed_isometries(p)):
         verdict, cross = is_perfect(iso), is_perfect_via_spaces(iso)
         assert verdict == full_scan_verdict(iso), iso
         assert cross == cross_check_dense(iso), iso
@@ -123,7 +131,7 @@ def test_criterion_4_checker_equivalence(p):
 def test_criterion_4_checker_equivalence_sampled_at_p7():
     rng = Random(SEED + 7)
     for _ in range(1000):
-        iso = random_isometry(rng, 7)
+        iso = SignedIsometry(*random_isometry(rng, 7))
         assert is_perfect(iso).status == is_perfect_via_spaces(iso).status, iso
     _announce(4, "checker_equivalence", f"1000 seeded candidates at p=7; seed={SEED}+7")
 
@@ -132,15 +140,17 @@ def test_criterion_4_checker_equivalence_sampled_at_p7():
 def test_criterion_5_reconstruction_and_inversion(p, exhaustive_found):
     # the enumerated maps, then seeded random signed maps, most of them not perfect
     rng = Random(SEED + p)
-    for iso in exhaustive_found[p] + [random_isometry(rng, p) for _ in range(20)]:
+    for iso in exhaustive_found[p] + [SignedIsometry(*random_isometry(rng, p)) for _ in range(20)]:
         kt = kernel_table(iso)
+        kernel = tuple(map(_coeffs, kt.entries))
         for k in range(p):
             chi = character(p, k)
             image = forward_transform(kt, chi)
-            assert image == image_character(iso, k)
-            assert adjoint_transform(kt, image) == chi
-        beta = random_generalized_character(rng, p)
-        assert adjoint_transform(kt, forward_transform(kt, beta)) == beta
+            assert image.p == p and _coeffs(image.values) == image_character(iso, k)
+            assert adjoint_transform(kernel, _coeffs(image.values)) == _coeffs(chi.values)
+        beta = generalized_character(p, random_coeffs(rng, p, 3))
+        image = _coeffs(forward_transform(kt, beta).values)
+        assert adjoint_transform(kernel, image) == _coeffs(beta.values)
     _announce(
         5,
         "reconstruction_and_inversion",
@@ -153,12 +163,12 @@ def test_criterion_5_reconstruction_and_inversion(p, exhaustive_found):
 def test_criterion_6_adjointness(p):
     rng = Random(SEED + p)
     for _ in range(100):
-        iso = random_isometry(rng, p)
-        kt = kernel_table(iso)
-        alpha = random_generalized_character(rng, p)
-        beta = random_generalized_character(rng, p)
+        kt = kernel_table(SignedIsometry(*random_isometry(rng, p)))
+        alpha = generalized_character(p, random_coeffs(rng, p, 3))
+        beta = generalized_character(p, random_coeffs(rng, p, 3))
+        adjoint = adjoint_transform(tuple(map(_coeffs, kt.entries)), _coeffs(alpha.values))
         lhs = inner_product(forward_transform(kt, beta), alpha)
-        rhs = inner_product(beta, adjoint_transform(kt, alpha))
+        rhs = inner_product(beta, ClassFunction(p, [CycInt(p, value) for value in adjoint]))
         assert lhs == rhs
     _announce(6, "adjointness", f"100 pairs at p={p}; seed={SEED}+{p}")
 

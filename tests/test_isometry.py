@@ -1,5 +1,6 @@
 """Tests for signed isometries, kernels, transforms and perfectness checks."""
 
+from itertools import starmap
 from operator import itemgetter
 from random import Random
 
@@ -31,19 +32,28 @@ from perfiso.isometry import InternalError
 from oracles import (
     adjoint_transform,
     all_signed_isometries,
-    check_integrality,
-    check_separation,
     cross_check_dense,
     divisible_by_p_oracle,
     forward_sums_dense,
     full_scan_verdict,
     kernel_table_dense,
-    random_cycint,
+    random_coeffs,
     random_isometry,
+    split_scaling,
 )
 
 SEED = 20260809
 DENSE_PRIMES = (2, 3, 5, 7, 11, 13, 23)
+
+
+def _coeffs(values):
+    """The plain entries of a class function's values or of a kernel row."""
+    return tuple(value.coeffs for value in values)
+
+
+def _kernel(kt):
+    """The plain entries of a kernel table, row by row."""
+    return tuple(map(_coeffs, kt.entries))
 
 
 def affine_family(p, a, u):
@@ -127,8 +137,8 @@ def test_group_operations_return_valid_isometries():
     for p in (2, 3, 5, 7):
         identity = gen_linear(p, 0)
         for _ in range(25):
-            iso = random_isometry(rng, p)
-            other = random_isometry(rng, p)
+            iso = SignedIsometry(*random_isometry(rng, p))
+            other = SignedIsometry(*random_isometry(rng, p))
             combined = iso.compose(other)
             inverse = iso.invert()
             assert iso.compose(inverse) == identity == inverse.compose(iso)
@@ -197,9 +207,9 @@ def test_negated_identity_kernel():
 def test_kernel_table_matches_dense_oracle(p):
     # 12 random signed maps per prime (84 in all), then the affine family
     rng = Random(SEED + 7 * p)
-    isos = [random_isometry(rng, p) for _ in range(12)] + affine_family(p, 1, p - 1)
+    isos = [SignedIsometry(*random_isometry(rng, p)) for _ in range(12)] + affine_family(p, 1, p - 1)
     for iso in isos:
-        assert kernel_table(iso).entries == kernel_table_dense(iso).entries, iso
+        assert _kernel(kernel_table(iso)) == kernel_table_dense(iso), iso
 
 
 def test_affine_kernel_derives_one_entry_per_row(spy):
@@ -214,7 +224,7 @@ def test_affine_kernel_derives_one_entry_per_row(spy):
     assert calls == [(p, m, [p * zeta_pow(p, 1)]) for m in range(2, p)]
     assert [len(row) for row in rows] == [1] * p
     assert rows == [[(-2 * m % p, p * zeta_pow(p, m))] for m in range(p)]
-    assert kernel_table(iso).entries == kernel_table_dense(iso).entries
+    assert _kernel(kernel_table(iso)) == kernel_table_dense(iso)
 
 
 @pytest.mark.parametrize("p", (2, 3, 5, 23, 53))
@@ -225,12 +235,14 @@ def test_kernel_rows_hold_exactly_the_nonzero_entries(p):
     # missing column fails.  For p <= 3 every map is affine, so the family
     # has no swapped-affine map there
     rng = Random(SEED + 13 * p)
-    isos = affine_family(p, 1, 2 if p > 2 else 1) + [random_isometry(rng, p) for _ in range(2)]
+    isos = affine_family(p, 1, 2 if p > 2 else 1)
+    isos += [SignedIsometry(*random_isometry(rng, p)) for _ in range(2)]
     for iso in isos:
-        dense = kernel_table_dense(iso).entries
-        expected = [[(n, entry) for n, entry in enumerate(row) if entry] for row in dense]
+        dense = kernel_table_dense(iso)
+        expected = [[(n, entry) for n, entry in enumerate(row) if any(entry)] for row in dense]
         rows = list(isometry._kernel_rows(iso))
         assert all(type(row) is list for row in rows), iso
+        rows = [[(n, entry.coeffs) for n, entry in row] for row in rows]
         assert rows[:2] == expected[:2], iso
         assert [sorted(row, key=itemgetter(0)) for row in rows] == expected, iso
 
@@ -242,14 +254,14 @@ def test_kernel_derives_each_nonzero_entry_of_row_one(spy, p):
     # derived row, each mapping every nonzero entry of row 1 and no other
     rng = Random(SEED + 11 * p)
     affine, _, swapped = affine_family(p, 1, 2)
-    isos = [random_isometry(rng, p) for _ in range(2)] + [swapped, affine]
+    isos = [SignedIsometry(*random_isometry(rng, p)) for _ in range(2)] + [swapped, affine]
     calls = spy(isometry, "_galois_images")
     for iso in isos:
         calls.clear()
         kt = kernel_table(iso)
         row1 = [entry for entry in kt.entries[1] if entry]
         assert calls == [(p, m, row1) for m in range(2, p)], iso
-        assert kt.entries == kernel_table_dense(iso).entries, iso
+        assert _kernel(kt) == kernel_table_dense(iso), iso
 
 
 def test_kernel_table_bound_is_checked_on_derived_entries(monkeypatch):
@@ -281,7 +293,8 @@ def test_forward_transform_identity_kernel_is_identity_map():
 def test_adjoint_transform_sign_flip():
     p = 3
     kt = kernel_table(gen_negid(p))
-    assert adjoint_transform(kt, character(p, 0)) == generalized_character(p, [-1, 0, 0])
+    expected = generalized_character(p, [-1, 0, 0]).values
+    assert adjoint_transform(_kernel(kt), _coeffs(character(p, 0).values)) == _coeffs(expected)
 
 
 def test_transform_raises_on_non_integral_values():
@@ -291,9 +304,9 @@ def test_transform_raises_on_non_integral_values():
     with pytest.raises(NonIntegralTransform) as info:
         forward_transform(kt, indicator(p, 0))
     assert info.value.point == 0
-    sums = forward_sums_dense(kt, indicator(p, 0))
+    sums = forward_sums_dense(_kernel(kt), _coeffs(indicator(p, 0).values))
     assert sums == [CycInt.one(p).coeffs] * p
-    assert not any(divisible_by_p_oracle(p, list(s)) for s in sums)
+    assert not any(divisible_by_p_oracle(p, s) for s in sums)
 
 
 def test_non_integral_transform_names_its_point():
@@ -322,25 +335,30 @@ def _random_class_function(rng, p):
     pool = (CycInt.zero(p), CycInt.one(p), -CycInt.one(p))
     return ClassFunction(
         p,
-        tuple(rng.choice(pool) if rng.random() < 0.6 else random_cycint(rng, p) for _ in range(p)),
+        tuple(
+            rng.choice(pool) if rng.random() < 0.6 else CycInt(p, random_coeffs(rng, p, 3 * p))
+            for _ in range(p)
+        ),
     )
 
 
 @pytest.mark.parametrize("p", (2, 3, 5, 23))
 def test_forward_sums_match_dense_oracle(p):
     rng = Random(SEED + p)
-    isos = [random_isometry(rng, p), SignedIsometry(p, [(1 - k) % p for k in range(p)], (1,) * p)]
+    reflection = SignedIsometry(p, [(1 - k) % p for k in range(p)], (1,) * p)
+    isos = [SignedIsometry(*random_isometry(rng, p)), reflection]
     for iso in isos:
         kt = kernel_table(iso)
+        kernel = _kernel(kt)
         betas = [indicator(p, j) for j in range(p)]
         betas += [_random_class_function(rng, p) for _ in range(4)]
         betas.append(ClassFunction(p, (CycInt.zero(p),) * p))
         for beta in betas:
-            sums = forward_sums_dense(kt, beta)
+            sums = forward_sums_dense(kernel, _coeffs(beta.values))
             # p * beta makes every sum a multiple of p, and its quotient the sum itself
             scaled = ClassFunction(p, [p * v for v in beta.values])
             assert [v.coeffs for v in forward_transform(kt, scaled).values] == sums
-            failing = [m for m, s in enumerate(sums) if not divisible_by_p_oracle(p, list(s))]
+            failing = [m for m, s in enumerate(sums) if not divisible_by_p_oracle(p, s)]
             if failing:
                 with pytest.raises(NonIntegralTransform) as info:
                     forward_transform(kt, beta)
@@ -348,25 +366,6 @@ def test_forward_sums_match_dense_oracle(p):
             else:
                 got = [v.coeffs for v in forward_transform(kt, beta).values]
                 assert got == [tuple(c // p for c in s) for s in sums]
-
-
-def _split_scaling(p):
-    """k -> a*k on the nonzero squares, b*k on the rest, for the first a < b
-    with chi(a) = chi(b) and chi(a - 1) = chi(b - 1) != 0 (chi the quadratic
-    character).  It is a permutation and not affine.  k -> image[k] + c*k is
-    the same kind of map with a + c and b + c, so it passes at c = 0 and
-    c = -1 and fails at some other c: the cross-check passes column 0 and
-    entry (1, -1), and its witness lies in a derived row of column -1."""
-    def chi(x):
-        return pow(x, (p - 1) // 2, p)
-
-    a, b = next(
-        (a, b)
-        for a in range(2, p)
-        for b in range(a + 1, p)
-        if chi(a) == chi(b) and chi(a - 1) == chi(b - 1) != 0
-    )
-    return SignedIsometry(p, [(a if chi(k) == 1 else b) * k % p for k in range(p)], (1,) * p)
 
 
 def _cross_check_maps(p):
@@ -377,10 +376,10 @@ def _cross_check_maps(p):
     isos = affine_family(p, 1, 2)
     mixed = list(isos[0].signs)
     mixed[rng.randrange(p)] = -1
-    isos += [SignedIsometry(p, isos[0].image, mixed), _split_scaling(p)]
+    isos += [SignedIsometry(p, isos[0].image, mixed), SignedIsometry(*split_scaling(p))]
     for i in range(20):
-        iso = random_isometry(rng, p)
-        isos.append(iso if i % 2 else SignedIsometry(p, iso.image, (iso.signs[0],) * p))
+        _, image, signs = random_isometry(rng, p)
+        isos.append(SignedIsometry(p, image, signs if i % 2 else (signs[0],) * p))
     return isos
 
 
@@ -406,7 +405,7 @@ def test_cross_check_counts_no_row_and_makes_no_ring_call(spy, p):
     calls = {name: spy(CycInt, name) for name in ("__init__", "_trusted", "__mul__")}
     calls.update((name, spy(isometry, name)) for name in ("_counted_row", "_galois_images"))
     affine, _, swapped = affine_family(p, 1, 2)
-    for iso in (swapped, _split_scaling(p), random_isometry(Random(p), p)):
+    for iso in starmap(SignedIsometry, (swapped, split_scaling(p), random_isometry(Random(p), p))):
         assert not is_perfect_via_spaces(iso).ok
     assert is_perfect_via_spaces(affine).ok
     assert not any(calls.values())
@@ -467,7 +466,7 @@ def test_transposition_fails_integrality_with_oracle_confirmed_witness():
     m, n = verdict.witness
     entry = kernel_table(iso).entries[m][n]
     assert entry.divide_exact_by_p() is None
-    assert not divisible_by_p_oracle(5, list(entry.coeffs))
+    assert not divisible_by_p_oracle(5, entry.coeffs)
     # row-major minimality of the witness
     for mm in range(m + 1):
         for nn in range(5):
@@ -476,26 +475,12 @@ def test_transposition_fails_integrality_with_oracle_confirmed_witness():
             assert kernel_table(iso).entries[mm][nn].is_multiple_of_p
 
 
-def test_separation_witness_on_handcrafted_kernel():
-    p = 3
-    zero = CycInt.zero(p)
-    three = CycInt.from_int(p, 3)
-    entries = (
-        (three, three, zero),
-        (zero, three, zero),
-        (zero, zero, three),
-    )
-    kt = KernelTable(p, entries)
-    assert check_integrality(kt) is None
-    assert check_separation(kt) == (0, 1)
-
-
 @pytest.mark.parametrize("p", (2, 3, 5, 7, 11, 13))
 def test_two_row_verdict_and_witness_match_full_row_major_scan(p):
     rng = Random(SEED + 11 * p)
-    isos = list(all_signed_isometries(2)) if p == 2 else []
+    isos = list(starmap(SignedIsometry, all_signed_isometries(2))) if p == 2 else []
     for _ in range(30):
-        isos.append(random_isometry(rng, p))
+        isos.append(SignedIsometry(*random_isometry(rng, p)))
         image = list(range(p))
         rng.shuffle(image)
         isos.append(SignedIsometry(p, image, (rng.choice((1, -1)),) * p))
@@ -529,7 +514,7 @@ def test_mixed_sign_fails(p):
     rng = Random(SEED + p)
     maps = [SignedIsometry(p, range(p), (1,) * (p - 1) + (-1,))]
     while len(maps) < 6:
-        iso = random_isometry(rng, p)
+        iso = SignedIsometry(*random_isometry(rng, p))
         if len(set(iso.signs)) == 2:
             maps.append(iso)
     for iso in maps:
@@ -543,7 +528,7 @@ def test_mixed_sign_fails(p):
 
 def test_perfect_kernels_have_sign_matching_degree_entry():
     for p in (3, 5):
-        for iso in all_signed_isometries(p):
+        for iso in starmap(SignedIsometry, all_signed_isometries(p)):
             verdict = is_perfect(iso)
             if verdict.status != PERFECT:
                 continue

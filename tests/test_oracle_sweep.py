@@ -5,14 +5,17 @@ forms without importing perfiso, and perfbench/workloads.py draws the maps;
 both are read from the checkout that holds this file.  The sweep runs, at
 each prime up to 101 and in text and JSON, chartab, enumerate and verify,
 and mu, check and decompose of an affine map, a random signed map (+0,-1 at
-p = 2) and, for p > 3, an affine map with two images swapped; then come the
-calls whose stdout was once pinned by sha256 (_pins).
+p = 2), for p > 3 an affine map with two images swapped and, for p >= 7,
+oracles.split_scaling, whose is_perfect witness lies off the diagonal at 12
+of the 19 primes above 13; then come the calls whose stdout was once pinned
+by sha256 (_pins).
 
 Beyond the oracle, JSON must be exactly json.dumps(..., indent=2) of
 _document(op), whose keys come in order and whose scalars have their types
 (the oracle compares with ==, which takes True for 1).  Its mu entries are
-rendered by oracles.symbolic_str_scan, and a failing check names the first
-failing entry in each checker's scan order, where the oracle takes any.
+rendered by oracles.symbolic_str_scan from oracles.kernel_table_dense, and a
+failing check names the witness of oracles.full_scan_verdict and of
+oracles.cross_check_dense, where the oracle takes any failing entry.
 decompose must refuse a map that is not affine with exit 1, no stdout and
 the reason on stderr.  The oracle reads text grids with splitlines and check
 text as a set of lines, so at each prime the text of chartab, mu and check
@@ -34,7 +37,8 @@ from random import Random
 import pytest
 
 from perfiso.cli import main
-from oracles import PRIMES_TO_101, RANDOM_SIGNED, symbolic_str_scan
+from oracles import PRIMES_TO_101, RANDOM_SIGNED, split_scaling, symbolic_str_scan
+from oracles import cross_check_dense, full_scan_verdict, kernel_table_dense
 
 PERFBENCH = str(Path(__file__).resolve().parents[1] / "perfbench")
 sys.path.insert(0, PERFBENCH)  # workloads imports oracle by its bare name
@@ -70,6 +74,8 @@ def _sweep():
         maps = {"affine": affine(rng, p), "signed": random_signed(rng, p) if p > 2 else ((0, 1), (1, -1))}
         if p > 3:
             maps["swapped"] = swapped_affine(rng, p)
+        if p >= 7:
+            maps["split"] = split_scaling(p)[1:]
         calls = [(command, None) for command in ("chartab", "enumerate", "verify")]
         calls += [(command, kind) for command in MAP_COMMANDS for kind in maps]
         for command, kind in calls:
@@ -167,7 +173,7 @@ def _mu_grid(image, signs):
     p = len(image)
     coords = oracle.affine_coords(image, signs)
     if coords is None:
-        return [[symbolic_str_scan(_entry(image, signs, m, n)) for n in range(p)] for m in range(p)]
+        return [list(map(symbolic_str_scan, row)) for row in kernel_table_dense((p, image, signs))]
     eps, a, u = coords
     grid = [[symbolic_str_scan((0,) * p)] * p for _ in range(p)]
     for m in range(p):
@@ -177,33 +183,15 @@ def _mu_grid(image, signs):
     return grid
 
 
-def _entry(image, signs, m, n):
-    """Kernel entry (m, n) counted from its definition, each count less the last."""
-    counts = oracle.kernel_counts(image, signs, m, n)
-    return tuple(c - counts[-1] for c in counts)
-
-
-def _first_failure(op, scan, separation):
-    """The first cell of scan whose entry p does not divide, else of separation whose entry is not 0."""
-    cell = next((cell for cell in scan if any(c % op.p for c in _entry(op.image, op.signs, *cell))), None)
-    if cell is not None:
-        return {"status": "fails_integrality", "witness": list(cell)}
-    cell = next(cell for cell in separation if any(_entry(op.image, op.signs, *cell)))
-    return {"status": "fails_separation", "witness": list(cell)}
-
-
 def _verdicts(op):
-    """check's verdicts: on a map that is not perfect the verdict reads rows, separation too;
-    the cross-check reads columns 0, -1, -2, ... each top to bottom, and separation on column 0."""
+    """check's verdicts: on an affine map both perfect, else those of the two
+    scans of acceptance criterion 4, the verdict's in row-major order and the
+    cross-check's by columns 0, -1, -2, ..."""
     if oracle.affine_coords(op.image, op.signs) is not None:
         return dict.fromkeys(("verdict", "cross_check"), {"status": "perfect", "witness": None})
-    p = op.p
-    rows = [(m, n) for m in range(p) for n in range(p)]
-    columns = [(m, -j % p) for j in range(p) for m in range(p)]
-    return {
-        "verdict": _first_failure(op, rows, [(m, n) for m, n in rows if (m == 0) != (n == 0)]),
-        "cross_check": _first_failure(op, columns, [(m, 0) for m in range(1, p)]),
-    }
+    iso = (op.p, op.image, op.signs)
+    verdicts = {"verdict": full_scan_verdict(iso), "cross_check": cross_check_dense(iso)}
+    return {key: {"status": status, "witness": witness} for key, (status, witness) in verdicts.items()}
 
 
 def _laid_out(command, doc):

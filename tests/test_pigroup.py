@@ -122,7 +122,7 @@ def test_negation_commutes_with_every_signed_map(p):
     # negate every sign, whatever the map and its signs
     rng = Random(SEED + 3 * p)
     neg = gen_negid(p)
-    maps = [random_isometry(rng, p) for _ in range(50)]
+    maps = [SignedIsometry(*random_isometry(rng, p)) for _ in range(50)]
     assert any(len(set(iso.signs)) == 2 for iso in maps)
     for iso in maps + [gen_linear(p, 0), neg]:
         negated = SignedIsometry(p, iso.image, [-s for s in iso.signs])

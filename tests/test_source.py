@@ -63,6 +63,13 @@ def test_unchecked_constructor_stays_with_the_group_operations():
     assert found == {("isometry.py", "SignedIsometry"), ("pigroup.py", "_orbit")}
 
 
+def _imports_one_of(node, modules):
+    """Whether node imports one of the top-level modules, or a module or name in one."""
+    if isinstance(node, ast.Import):
+        return any(alias.name.split(".")[0] in modules for alias in node.names)
+    return isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] in modules
+
+
 @pytest.mark.parametrize(
     "modules", (("dataclasses",), ("json",), ("typing", "__future__")), ids=lambda m: m[0]
 )
@@ -76,8 +83,7 @@ def test_library_imports_none_of(modules):
     found = [
         f"{name}:{node.lineno}"
         for name, _, node in _nodes()
-        if (isinstance(node, ast.Import) and any(a.name.split(".")[0] in modules for a in node.names))
-        or (isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] in modules)
+        if _imports_one_of(node, modules)
         or (
             "typing" in modules
             and isinstance(node, ast.ClassDef)
@@ -85,6 +91,14 @@ def test_library_imports_none_of(modules):
         )
     ]
     assert found == []
+
+
+@pytest.mark.parametrize(
+    "path", (Path(__file__).with_name("oracles.py"), PERFBENCH / "oracle.py"), ids=lambda path: path.name
+)
+def test_oracles_import_no_perfiso(path):
+    # an oracle that ran library code could share a defect with what it checks
+    assert [node.lineno for _, _, node in _nodes([path]) if _imports_one_of(node, ("perfiso",))] == []
 
 
 def test_records_share_one_protocol():
