@@ -80,7 +80,7 @@ def generalized_character(p: int, coeffs: "Sequence[int]") -> ClassFunction:
     # the value at g^b is the sum of coeffs[k] * zeta^(k*b); the sums take
     # ints unchecked, so a non-integer coefficient raises TypeError here
     weights = [index(c) for c in coeffs]
-    return ClassFunction(p, _zeta_sums(p, weights, (0,) * p, range(p)))
+    return ClassFunction(p, [CycInt(p, v) for v in _zeta_sums(p, weights, (0,) * p, range(p))])
 
 
 def inner_product(x: ClassFunction, y: ClassFunction) -> CycInt:

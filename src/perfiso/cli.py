@@ -60,8 +60,10 @@ isometry too only to name a failure.
 
 chartab and mu render their grids row by row and hold no p x p table of
 ring values: chartab renders the p powers of zeta once and builds each row
-from their texts, and mu fills each row with "0", symbolic_str's zero
-text, and renders, as _kernel_rows makes each row, only its nonzero entries.
+from their texts, and mu fills each row with "0", the zero text of
+cyclotomic._render, and renders, as _kernel_rows makes each row, only its
+nonzero entries, each a normalized coefficient tuple: mu and check build no
+CycInt.
 The grids' joined lines are made only when main writes them.  _report
 alone turns a PIGroupReport into JSON keys or text lines, and builds only
 those its --format writes: a JSON call makes no line, a text call no dict.
@@ -285,19 +287,17 @@ def cmd_chartab(args: "Args") -> _Result:
 
 
 def cmd_mu(args: "Args") -> _Result:
-    from .cyclotomic import symbolic_str
+    from .cyclotomic import _render
     from .isometry import SignedIsometry, _kernel_rows
 
     iso = SignedIsometry.from_literal(args.p, args.map)
     p = iso.p
     # a row holds only its nonzero entries, each rendered as the row arrives
-    # and freed with it; every other column shows "0", symbolic_str's zero text
-    grid = []
-    for row in _kernel_rows(iso):
-        texts = ["0"] * p
+    # and freed with it; every other column shows "0", _render's zero text
+    grid = [["0"] * p for _ in range(p)]
+    for texts, row in zip(grid, _kernel_rows(iso)):
         for n, entry in row:
-            texts[n] = symbolic_str(entry)
-        grid.append(texts)
+            texts[n] = _render(entry)
     return True, {"map": iso.as_literal(), "entries": grid}, map(" ".join, grid)
 
 
@@ -405,10 +405,11 @@ def _dumps(value: object) -> str:
     Those are dicts with str keys, lists, tuples, str, int, bool and None;
     anything else, a float or a non-str key included, raises TypeError.
     Strings go through _json.encode_basestring_ascii, the C escaper that
-    json.dumps itself calls, so the output is the same byte for byte
-    without importing json, whose modules compile regexes at import.  Each
-    container is one join of its chunks, so a long string is copied once
-    per level it is nested in.
+    json.dumps itself calls, so the output is the same byte for byte without
+    importing json, whose modules compile regexes at import.  Each container
+    is one join of its items.  A list of strings, such as a row of entry
+    texts, is quoted in one map pass; the escaper raises TypeError at the
+    first item that is not a str, and the list is then written item by item.
     """
     from _json import encode_basestring_ascii as quote  # only here: text runs do not pay for it
 
@@ -424,23 +425,23 @@ def _dumps(value: object) -> str:
         if isinstance(value, int):
             return int.__repr__(value)
         inner = pad + "  "
-        sep = "," + inner
-        chunks: list[str] = []
         if isinstance(value, (list, tuple)):
-            for item in value:
-                chunks += (sep, write(item, inner))
+            try:
+                items = list(map(quote, value))
+            except TypeError:
+                items = [write(item, inner) for item in value]
             brackets = "[]"
-        elif isinstance(value, dict):
-            for key, item in value.items():  # quote raises TypeError on a non-str key
-                chunks += (sep, quote(key), ": ", write(item, inner))
+        elif isinstance(value, dict):  # quote raises TypeError on a non-str key
+            items = [f"{quote(key)}: {write(item, inner)}" for key, item in value.items()]
             brackets = "{}"
         else:
             raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-        if not chunks:
+        if not items:
             return brackets
-        chunks[0] = brackets[0] + inner  # the first item has no comma before it
-        chunks.append(pad + brackets[1])
-        return "".join(chunks)
+        # the brackets go on the end items, so the join is the one copy of the whole
+        items[0] = brackets[0] + inner + items[0]
+        items[-1] += pad + brackets[1]
+        return ("," + inner).join(items)
 
     return write(value, "\n")
 

@@ -10,8 +10,9 @@ point enters this module.
 
 isometry builds its kernel rows through two private primitives: _zeta_sums
 counts an entry from its terms, and _galois_images maps the nonzero entries
-of one row under one Galois automorphism.  Neither keeps state between
-calls.
+of one row under one Galois automorphism.  Both take and give kernel
+entries as normalized coefficient tuples, and _render writes one; no CycInt
+is made on the way.  None of them keeps state between calls.
 """
 
 from operator import index as _as_int, itemgetter
@@ -166,7 +167,7 @@ class CycInt:
         return f"CycInt(p={self._p}, coeffs={self._coeffs})"
 
 
-def _galois_images(p: int, m: int, entries: "Iterable[CycInt]") -> "list[CycInt]":
+def _galois_images(p: int, m: int, entries: "Iterable[tuple[int, ...]]") -> "list[tuple[int, ...]]":
     """The images of entries under sigma_m, the automorphism of Z[zeta]
     sending zeta to zeta^m, through one gather built for this call.
 
@@ -174,41 +175,49 @@ def _galois_images(p: int, m: int, entries: "Iterable[CycInt]") -> "list[CycInt]
     zeta^(mk), so coefficient k moves to position mk mod p: position j of
     an image reads coefficient j/m (mod p), and each image is renormalized.
     sigma_m is a ring automorphism fixing Z, so it maps p*Z[zeta] onto
-    itself and only zero to zero.  The entries must be elements of Z[zeta]
-    for this p.
+    itself and only zero to zero.  Each entry is the coefficient tuple of an
+    element of Z[zeta] for this p, p ints, and so is each image, in normal
+    form.
     """
     m %= p
     if not m:
         raise ValueError(f"galois exponent must be prime to p={p}")
     inv = pow(m, -1, p)
     gather = itemgetter(*[j * inv % p for j in range(p)])  # p >= 2: returns a tuple
-    return [CycInt._trusted(p, gather(x._coeffs)) for x in entries]
+    return [_normal(gather(x)) for x in entries]
 
 
 def _zeta_sums(
     p: int, weights: "Sequence[int]", exponents: "Sequence[int]", steps: "Iterable[int]"
-) -> "Iterator[CycInt]":
-    """For each s in steps, the sum over k of weights[k] * zeta^(exponents[k] + k*s).
+) -> "Iterator[tuple[int, ...]]":
+    """For each s in steps, the sum over k of weights[k] * zeta^(exponents[k] + k*s),
+    as its normalized coefficient tuple.
 
     Each sum is counted exactly: term k adds weights[k] to the coefficient
     at its power mod p, with no ring multiplication.  A sum is counted only
     when it is asked for, so a caller that stops early counts no more.  p
-    must be prime and the weights ints: the sums are built unvalidated.
+    must be prime and the weights ints: the sums are not validated.
     """
     for step in steps:
         counts = [0] * p
         for k in range(len(weights)):
             counts[(exponents[k] + k * step) % p] += weights[k]
-        yield CycInt._trusted(p, counts)
+        yield _normal(counts)
 
 
 def zeta_pow(p: int, k: int) -> CycInt:
     """zeta^k as a normalized element; the exponent is reduced mod p."""
-    return next(_zeta_sums(require_prime(p), (1,), (k,), (0,)))
+    p = require_prime(p)
+    return CycInt._trusted(p, next(_zeta_sums(p, (1,), (k,), (0,))))
 
 
 def symbolic_str(x: CycInt) -> str:
-    """Compact rendering used by the CLI, in O(p) from the normalized coefficients.
+    """Compact rendering used by the CLI: _render of x's coefficients."""
+    return _render(x.coeffs)
+
+
+def _render(c: "tuple[int, ...]") -> str:
+    """The text of a normalized coefficient tuple, in O(p).
 
     Plain integers print bare, single roots print as "z^k" (optionally
     signed), single-term multiples as "c*z^k", and anything else falls back
@@ -225,7 +234,6 @@ def symbolic_str(x: CycInt) -> str:
     Every scan runs in C on the coefficient tuple: with one nonzero entry,
     the sum of the entries is that entry, and its first index is its place.
     """
-    c = x._coeffs
     p = len(c)
     zeros = c.count(0)
     if zeros == p:

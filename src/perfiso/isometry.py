@@ -163,35 +163,38 @@ class Verdict(Record):
         return self.status == PERFECT
 
 
-def _counted_row(iso: SignedIsometry, m: int) -> "Iterator[tuple[int, CycInt]]":
+def _counted_row(iso: SignedIsometry, m: int) -> "Iterator[tuple[int, tuple[int, ...]]]":
     """Row m of the kernel by count: its nonzero entries as (n, entry) pairs,
     in column order.
 
-    Entry (m, n) is the sum of sign[k] * zeta^(image[k]*m + k*n).  Each
-    entry is counted, and checked against the bound, only when it is asked
-    for, so a caller that stops at a column counts none after it.
+    Entry (m, n) is the sum of sign[k] * zeta^(image[k]*m + k*n), as its
+    normalized coefficient tuple, which is zero when all its coefficients
+    are; a tuple of zeros is truthy, so the test is any(entry).  Each entry
+    is counted, and checked against the bound, only when it is asked for,
+    so a caller that stops at a column counts none after it.
     """
     p, image, signs = iso
     entries = _zeta_sums(p, signs, [i * m for i in image], range(p))
-    return ((n, _bounded(entry, m, n)) for n, entry in enumerate(entries) if entry)
+    return ((n, _bounded(entry, m, n)) for n, entry in enumerate(entries) if any(entry))
 
 
-def _bounded(entry: CycInt, m: int, n: int) -> CycInt:
-    c, bound = entry.coeffs, entry.p
-    if max(c) > bound or min(c) < -bound:
+def _bounded(entry: "tuple[int, ...]", m: int, n: int) -> "tuple[int, ...]":
+    bound = len(entry)
+    if max(entry) > bound or min(entry) < -bound:
         raise InternalError(f"kernel entry ({m}, {n}) exceeds the coefficient bound p")
     return entry
 
 
-def _kernel_rows(iso: SignedIsometry) -> "Iterator[list[tuple[int, CycInt]]]":
+def _kernel_rows(iso: SignedIsometry) -> "Iterator[list[tuple[int, tuple[int, ...]]]]":
     """The rows of the kernel attached to a signed isometry, in order.
 
     Each row is a list of (column, entry) pairs, one for each of the row's
-    nonzero entries.  Entry (m, n) accumulates sign[k] at the power
-    image[k]*m + k*n (mod p) over all source indices k.  Rows 0 and 1 are
-    counted that way (_counted_row), their pairs in column order; every
-    other row comes from row 1 by the Galois action of Aut(C_p).  For m
-    prime to p, sigma_m (zeta -> zeta^m) sends entry (1, n) to the sum of
+    nonzero entries, each entry a normalized coefficient tuple.  Entry
+    (m, n) accumulates sign[k] at the power image[k]*m + k*n (mod p) over
+    all source indices k.  Rows 0 and 1 are counted that way
+    (_counted_row), their pairs in column order; every other row comes
+    from row 1 by the Galois action of Aut(C_p).  For m prime to p,
+    sigma_m (zeta -> zeta^m) sends entry (1, n) to the sum of
     sign[k] * zeta^(image[k]*m + k*n*m), which is entry (m, n*m).  sigma_m
     is a ring automorphism, so it maps only zero to zero, and n -> n*m
     permutes the columns: row m holds sigma_m(entry (1, n)) at column n*m
@@ -200,10 +203,10 @@ def _kernel_rows(iso: SignedIsometry) -> "Iterator[list[tuple[int, CycInt]]]":
     entries of row 1, which builds one gather for the row; a perfect map
     is affine, and its row 1 has one nonzero entry.
 
-    Every entry a row holds is checked against the exactness bound p, and
-    InternalError is raised if one ever leaves it.  The bound holds: a
-    counted entry is a signed count vector of p terms, one +-1 for each
-    source index k, and its normalized coefficient j is
+    Every entry a row holds is checked against the exactness bound p, its
+    length, and InternalError is raised if one ever leaves it.  The bound
+    holds: a counted entry is a signed count vector of p terms, one +-1
+    for each source index k, and its normalized coefficient j is
     count_j - count_(p-1).  Those two counts share the terms placed at j
     and at p - 1, at most p of them, so the coefficient lies in -p..p.  A
     derived entry is the same element as the counted entry (m, n*m), and
@@ -225,12 +228,13 @@ def _kernel_rows(iso: SignedIsometry) -> "Iterator[list[tuple[int, CycInt]]]":
 def kernel_table(iso: SignedIsometry) -> KernelTable:
     """The kernel attached to a signed isometry: the rows of _kernel_rows, held whole.
 
-    Its one zero object fills every column a row does not hold.
+    Each entry a row holds becomes a CycInt, and one zero object fills
+    every column a row does not hold.
     """
     p = iso.p
     zero = CycInt.zero(p)
-    rows = _kernel_rows(iso)
-    return KernelTable(p, tuple(tuple(map(dict(row).get, range(p), repeat(zero))) for row in rows))
+    rows = ({n: CycInt(p, entry) for n, entry in row} for row in _kernel_rows(iso))
+    return KernelTable(p, tuple(tuple(map(row.get, range(p), repeat(zero))) for row in rows))
 
 
 def forward_transform(kt: KernelTable, beta: "ClassFunction") -> "ClassFunction":
@@ -263,8 +267,10 @@ def is_perfect(iso: SignedIsometry) -> Verdict:
     Only rows 0 and 1 are scanned, as _counted_row counts them, and the
     verdict and witness are those of a row-major scan of the whole kernel,
     integrality first.  Those rows give only their nonzero entries, in
-    column order, and a zero entry is divisible by p and fails no
-    separation, so the scan loses nothing by skipping it.  For m >= 2,
+    column order, each a normalized coefficient tuple, which is divisible
+    by p exactly when each of its coefficients is (CycInt.divide_exact_by_p
+    proves it).  A zero entry is divisible by p and fails no separation, so
+    the scan loses nothing by skipping it.  For m >= 2,
     entry (m, n) = sigma_m(entry (1, n/m)), as _kernel_rows derives it
     through cyclotomic._galois_images, and sigma_m is a ring automorphism
     of Z[zeta] fixing Z: it maps p*Z[zeta] onto itself and only zero to
@@ -283,10 +289,11 @@ def is_perfect(iso: SignedIsometry) -> Verdict:
     0 or row 1, is counted or checked against the bound, as none of them
     can change the verdict.  Every entry that is counted is bounded.
     """
+    p = iso.p
     separation = None  # the first separation failure, reported if integrality holds
     for m in (0, 1):
         for n, entry in _counted_row(iso, m):
-            if not entry.is_multiple_of_p:
+            if any(map(p.__rmod__, entry)):  # a coefficient that p does not divide
                 return Verdict(FAILS_INTEGRALITY, (m, n))
             if separation is None and m == 0 and n:
                 separation = (m, n)

@@ -13,19 +13,15 @@ identity form are all that it returns.  The script exits 0 then, else 1.
 The same check at p = 11 runs in tier-1
 (tests/test_acceptance.py::test_criterion_1_classification_from_definition_at_p11).
 
-It imports only the standard library, tests/oracles.py and perfiso, from
-this checkout's src/.  pytest does not collect this file (its name does not start with
+It imports only the standard library and tests/oracles.py, which imports
+no perfiso.  pytest does not collect this file (its name does not start with
 test_), so it is not part of tier-1: it takes two to three minutes.
 """
 
 import sys
 import time
-from pathlib import Path
 
-ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(ROOT / "src"))
-
-from oracles import perfect_forms_by_definition  # noqa: E402
+from oracles import perfect_forms_by_definition
 
 P = 13
 

@@ -60,8 +60,17 @@ MUTATIONS = (
     # derived coefficient of exactly p + 1 must still be refused
     (
         "src/perfiso/isometry.py",
-        "c, bound = entry.coeffs, entry.p",
-        "c, bound = entry.coeffs, entry.p + 1",
+        "bound = len(entry)",
+        "bound = len(entry) + 1",
+        ("tests/test_isometry.py", "tests/test_cli.py"),
+    ),
+    # a counted entry is a coefficient tuple, truthy even when all its
+    # coefficients are 0: a row that holds a zero entry breaks the
+    # separation scan and renders a zero
+    (
+        "src/perfiso/isometry.py",
+        "return ((n, _bounded(entry, m, n)) for n, entry in enumerate(entries) if any(entry))",
+        "return ((n, _bounded(entry, m, n)) for n, entry in enumerate(entries) if entry)",
         ("tests/test_isometry.py", "tests/test_cli.py"),
     ),
     # sigma_m reads position j of an image from coefficient j/m, not j*m
@@ -287,8 +296,8 @@ MUTATIONS = (
     ),
     (
         "src/perfiso/cli.py",
-        "texts[n] = symbolic_str(entry)",
-        'texts[n] = symbolic_str(entry).replace("z^", "z^0")',
+        "texts[n] = _render(entry)",
+        'texts[n] = _render(entry).replace("z^", "z^0")',
         ("tests/test_oracle_sweep.py",),
     ),
     (

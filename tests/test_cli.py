@@ -72,7 +72,7 @@ def test_chartab_p2_json_golden_bytes(capsys):
 
 
 def _triple(x):
-    return 3 * x
+    return tuple(3 * c for c in x)
 
 
 @pytest.mark.parametrize(
@@ -83,7 +83,7 @@ def _triple(x):
         ("+1,+3,+0,+2,+4", {2: _triple, 3: _triple, 4: _triple}, "(2, 1)"),
         # the same entry, 5*z^2, plus 6: its coefficient 0 is p + 1, the
         # least value out of bound, and every other coefficient is within it
-        ("+1,+3,+0,+2,+4", {2: lambda x: x + 6}, "(2, 1)"),
+        ("+1,+3,+0,+2,+4", {2: lambda x: (x[0] + 6, *x[1:])}, "(2, 1)"),
         # a random signed map, whose row 1 has no zero entry: only the images
         # for m = 3 are tripled, so the first entry out of bound comes after
         # the whole of row 2, at n = 5, (3, 5 * 3 mod 7) = (3, 1), the first
@@ -93,7 +93,8 @@ def _triple(x):
     ids=("affine", "affine_p_plus_1", "dense"),
 )
 def test_mu_derived_entry_out_of_bound_exits_3(capsys, monkeypatch, literal, inject, entry):
-    # the injection replaces the derived images of the rows in inject
+    # the injection replaces the derived images of the rows in inject, each a
+    # normalized coefficient tuple, coefficient by coefficient
     real = isometry._galois_images
 
     def injected(p, m, entries):
@@ -113,28 +114,31 @@ def test_mu_renders_each_nonzero_entry_once(capsys, spy, fmt):
     # an affine map's kernel has one nonzero entry per row: mu renders those
     # p entries, and fills every other column with "0", rendering no zero
     p = 23
-    calls = spy(cyclotomic, "symbolic_str")
+    calls = spy(cyclotomic, "_render")
     literal = ",".join(f"+{(1 + 2 * k) % p}" for k in range(p))
     code, out, _ = run_cli(capsys, "mu", "-p", str(p), f"--map={literal}", "--format", fmt)
     assert code == 0 and out
     assert len(calls) == p
-    assert sum(1 for (x,) in calls if not x) == 0
+    assert sum(1 for (x,) in calls if not any(x)) == 0
 
 
+@pytest.mark.parametrize("fmt", ("text", "json"))
+@pytest.mark.parametrize("command", ("mu", "check"))
 @pytest.mark.parametrize(
     "literal",
     (",".join(f"+{(1 + 2 * k) % 23}" for k in range(23)), RANDOM_SIGNED[23]),
     ids=("affine", "random_signed"),
 )
-def test_mu_builds_no_validated_ring_value(capsys, spy, literal):
-    # the zero columns show symbolic_str's zero text, written as "0", and
-    # every entry mu renders comes from _trusted, directly or through
-    # _galois_images, so the validating constructor never runs
-    assert cyclotomic.symbolic_str(cyclotomic.CycInt.zero(23)) == "0"
-    calls = spy(cyclotomic.CycInt, "__init__")
-    code, out, _ = run_cli(capsys, "mu", "-p", "23", f"--map={literal}")
-    assert code == 0 and out
-    assert calls == []
+def test_mu_and_check_build_no_ring_value(capsys, spy, literal, command, fmt):
+    # kernel entries travel as normalized coefficient tuples, from the count
+    # or the Galois action to the renderer or the divisibility test, and mu's
+    # zero columns show the renderer's zero text, written as "0": neither
+    # the validating nor the trusted constructor of CycInt runs
+    assert cyclotomic._render((0,) * 23) == "0"
+    calls = [spy(cyclotomic.CycInt, name) for name in ("__init__", "_trusted")]
+    code, out, _ = run_cli(capsys, command, "-p", "23", f"--map={literal}", "--format", fmt)
+    assert code == (command == "check" and literal == RANDOM_SIGNED[23]) and out
+    assert calls == [[], []]
 
 
 @pytest.mark.parametrize("fmt", ("text", "json"))
@@ -244,9 +248,9 @@ def test_check_row_count_defect_exits_3(capsys, monkeypatch):
         if m != 1:
             return row
         ((n, entry),) = row
-        coeffs = list(entry.coeffs)
+        coeffs = list(entry)
         coeffs[0] += 1
-        return [(n, cyclotomic.CycInt(iso.p, coeffs))]
+        return [(n, tuple(coeffs))]
 
     monkeypatch.setattr(isometry, "_counted_row", corrupted_row)
     code, out, err = run_cli(capsys, "check", "-p", "5", "--map=+1,+3,+0,+2,+4")
@@ -1408,13 +1412,18 @@ JSON_VALUES = st.recursive(
 @given(JSON_VALUES)
 @example("\ud800")
 @example({"": [[], {}, ()], "\ud800": [[[{}]]], "n": [-1, 2**64, True, None]})
+# a list of strings is quoted in one pass; a non-string item, first or later,
+# sends the list item by item
+@example(["a", 1, None, ["b"], {"c": "d"}])
+@example([1, "a"])
+@example(("x", "y"))
 def test_dumps_is_json_dumps_indent_2(value):
     assert cli._dumps(value) == json.dumps(value, indent=2)
 
 
 @pytest.mark.parametrize(
     "value",
-    (1.5, b"1", {1}, {1: 2}, [0, [1.0]], {"a": {None: 1}}, {"a": (b"",)}),
+    (1.5, b"1", {1}, {1: 2}, [0, [1.0]], {"a": {None: 1}}, {"a": (b"",)}, ["a", 1.5], ["a", b"1"]),
     ids=repr,
 )
 def test_dumps_refuses_what_it_does_not_write(value):

@@ -6,7 +6,7 @@ from random import Random
 
 import pytest
 
-from perfiso import isometry
+from perfiso import cyclotomic, isometry
 from perfiso import (
     ClassFunction,
     CycInt,
@@ -221,9 +221,9 @@ def test_affine_kernel_derives_one_entry_per_row(spy):
     iso = SignedIsometry(p, [(1 + 2 * k) % p for k in range(p)], (1,) * p)
     calls = spy(isometry, "_galois_images")
     rows = list(isometry._kernel_rows(iso))
-    assert calls == [(p, m, [p * zeta_pow(p, 1)]) for m in range(2, p)]
+    assert calls == [(p, m, [(p * zeta_pow(p, 1)).coeffs]) for m in range(2, p)]
     assert [len(row) for row in rows] == [1] * p
-    assert rows == [[(-2 * m % p, p * zeta_pow(p, m))] for m in range(p)]
+    assert rows == [[(-2 * m % p, (p * zeta_pow(p, m)).coeffs)] for m in range(p)]
     assert _kernel(kernel_table(iso)) == kernel_table_dense(iso)
 
 
@@ -242,7 +242,6 @@ def test_kernel_rows_hold_exactly_the_nonzero_entries(p):
         expected = [[(n, entry) for n, entry in enumerate(row) if any(entry)] for row in dense]
         rows = list(isometry._kernel_rows(iso))
         assert all(type(row) is list for row in rows), iso
-        rows = [[(n, entry.coeffs) for n, entry in row] for row in rows]
         assert rows[:2] == expected[:2], iso
         assert [sorted(row, key=itemgetter(0)) for row in rows] == expected, iso
 
@@ -259,7 +258,7 @@ def test_kernel_derives_each_nonzero_entry_of_row_one(spy, p):
     for iso in isos:
         calls.clear()
         kt = kernel_table(iso)
-        row1 = [entry for entry in kt.entries[1] if entry]
+        row1 = [entry.coeffs for entry in kt.entries[1] if entry]
         assert calls == [(p, m, row1) for m in range(2, p)], iso
         assert _kernel(kt) == kernel_table_dense(iso), iso
 
@@ -270,7 +269,9 @@ def test_kernel_table_bound_is_checked_on_derived_entries(monkeypatch):
     iso = SignedIsometry(p, [(1 + 2 * k) % p for k in range(p)], (1,) * p)
     real = isometry._galois_images
     monkeypatch.setattr(
-        isometry, "_galois_images", lambda p, m, entries: [3 * x for x in real(p, m, entries)]
+        isometry,
+        "_galois_images",
+        lambda p, m, entries: [tuple(3 * c for c in x) for x in real(p, m, entries)],
     )
     with pytest.raises(InternalError, match=r"kernel entry \(2, 19\) exceeds"):
         kernel_table(iso)
@@ -401,15 +402,17 @@ def test_lazy_cross_check_matches_dense_oracle(p):
 @pytest.mark.parametrize("p", (7, 23, 101))
 def test_cross_check_counts_no_row_and_makes_no_ring_call(spy, p):
     # the cross-check reads the rule off the map, so it shares no code with
-    # is_perfect, and a defect in the count or the ring cannot reach both
+    # is_perfect, and a defect in the count or the ring cannot reach both;
+    # the count normalizes each entry it makes, so _normal is its control
     calls = {name: spy(CycInt, name) for name in ("__init__", "_trusted", "__mul__")}
     calls.update((name, spy(isometry, name)) for name in ("_counted_row", "_galois_images"))
+    calls["_normal"] = spy(cyclotomic, "_normal")
     affine, _, swapped = affine_family(p, 1, 2)
     for iso in starmap(SignedIsometry, (swapped, split_scaling(p), random_isometry(Random(p), p))):
         assert not is_perfect_via_spaces(iso).ok
     assert is_perfect_via_spaces(affine).ok
     assert not any(calls.values())
-    assert is_perfect(affine).ok and calls["_counted_row"] and calls["_trusted"]
+    assert is_perfect(affine).ok and calls["_counted_row"] and calls["_normal"]
 
 
 def test_is_perfect_counts_its_two_rows_on_every_call(monkeypatch):
@@ -427,9 +430,9 @@ def test_is_perfect_counts_its_two_rows_on_every_call(monkeypatch):
         row = list(real_row(iso, m))
         if corrupt and m == 0:
             ((n, entry),) = row
-            coeffs = list(entry.coeffs)
+            coeffs = list(entry)
             coeffs[0] += 1
-            return [(n, CycInt(p, coeffs))]
+            return [(n, tuple(coeffs))]
         return row
 
     monkeypatch.setattr(isometry, "_counted_row", counting_row)

@@ -94,10 +94,17 @@ def test_library_imports_none_of(modules):
 
 
 @pytest.mark.parametrize(
-    "path", (Path(__file__).with_name("oracles.py"), PERFBENCH / "oracle.py"), ids=lambda path: path.name
+    "path",
+    (
+        Path(__file__).with_name("oracles.py"),
+        PERFBENCH / "oracle.py",
+        Path(__file__).with_name("classification_check.py"),
+    ),
+    ids=lambda path: path.name,
 )
 def test_oracles_import_no_perfiso(path):
-    # an oracle that ran library code could share a defect with what it checks
+    # an oracle that ran library code could share a defect with what it
+    # checks; the classification check at p = 13 runs on the oracles alone
     assert [node.lineno for _, _, node in _nodes([path]) if _imports_one_of(node, ("perfiso",))] == []
 
 
