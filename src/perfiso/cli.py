@@ -59,10 +59,11 @@ decompose those two and pigroup; enumerate and verify pigroup alone, and
 isometry too only to name a failure.
 
 chartab and mu render their grids row by row and hold no p x p table of
-ring values: chartab renders the p powers of zeta once and builds each row
-from their texts, and mu fills each row with "0", the zero text of
+ring values: chartab renders the p powers of zeta once, each the
+normalized coefficient tuple cyclotomic._zeta_sums counts, and builds each
+row from their texts, and mu fills each row with "0", the zero text of
 cyclotomic._render, and renders, as _kernel_rows makes each row, only its
-nonzero entries, each a normalized coefficient tuple: mu and check build no
+nonzero entries, each a normalized coefficient tuple: no command builds a
 CycInt.
 The grids' joined lines are made only when main writes them.  _report
 alone turns a PIGroupReport into JSON keys or text lines, and builds only
@@ -277,11 +278,11 @@ def _coords_json(c: "tuple[int, int, int]") -> dict:
 
 def cmd_chartab(args: "Args") -> _Result:
     # entry (a, b) is zeta^(a*b), so each row is made of the p texts of the
-    # powers zeta^k, each rendered once; no ring value outlives its text
-    from .cyclotomic import symbolic_str, zeta_pow
+    # powers zeta^k, each counted as a coefficient tuple and rendered once
+    from .cyclotomic import _render, _zeta_sums
 
     p = require_prime(args.p)
-    powers = [symbolic_str(zeta_pow(p, k)) for k in range(p)]
+    powers = [_render(next(_zeta_sums(p, (1,), (k,), (0,)))) for k in range(p)]
     grid = [[powers[a * b % p] for b in range(p)] for a in range(p)]
     return True, {"entries": grid}, map(" ".join, grid)
 

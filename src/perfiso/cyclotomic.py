@@ -6,13 +6,15 @@ is held as a length-p integer coefficient vector over the powers
 lets every vector be normalized so its last entry is zero, which makes the
 representation unique: two elements are equal exactly when their normalized
 vectors match.  Everything here is plain integer arithmetic; no floating
-point enters this module.
+point enters this module.  A CycInt has one constructor, and it validates:
+every ring operation, from_int and zeta_pow build their results through it.
 
 isometry builds its kernel rows through two private primitives: _zeta_sums
 counts an entry from its terms, and _galois_images maps the nonzero entries
 of one row under one Galois automorphism.  Both take and give kernel
 entries as normalized coefficient tuples, and _render writes one; no CycInt
-is made on the way.  None of them keeps state between calls.
+is made on the way, so the commands, which render entries and the powers of
+zeta from these tuples, build none.  None of them keeps state between calls.
 """
 
 from operator import index as _as_int, itemgetter
@@ -49,18 +51,6 @@ class CycInt:
         self._p = p
         self._coeffs = _normal(c)
 
-    @classmethod
-    def _trusted(cls, p: int, coeffs: "Sequence[int]") -> "CycInt":
-        """Build from p ints of a valid prime p, skipping validation.
-
-        Only for ints built here from valid elements or a checked p; the
-        result is still put in normal form.
-        """
-        x = object.__new__(cls)
-        x._p = p
-        x._coeffs = _normal(coeffs)
-        return x
-
     @property
     def p(self) -> int:
         return self._p
@@ -72,7 +62,7 @@ class CycInt:
     @classmethod
     def from_int(cls, p: int, n: int) -> "CycInt":
         p = require_prime(p)
-        return cls._trusted(p, [_as_int(n)] + [0] * (p - 1))
+        return cls(p, [n] + [0] * (p - 1))
 
     @classmethod
     def zero(cls, p: int) -> "CycInt":
@@ -96,7 +86,7 @@ class CycInt:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return CycInt._trusted(self._p, [a + b for a, b in zip(self._coeffs, o._coeffs)])
+        return CycInt(self._p, [a + b for a, b in zip(self._coeffs, o._coeffs)])
 
     __radd__ = __add__
 
@@ -104,7 +94,7 @@ class CycInt:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return CycInt._trusted(self._p, [a - b for a, b in zip(self._coeffs, o._coeffs)])
+        return CycInt(self._p, [a - b for a, b in zip(self._coeffs, o._coeffs)])
 
     def __rsub__(self, other: "int | CycInt") -> "CycInt":
         o = self._coerce(other)
@@ -113,7 +103,7 @@ class CycInt:
         return o - self
 
     def __neg__(self) -> "CycInt":
-        return CycInt._trusted(self._p, [-a for a in self._coeffs])
+        return CycInt(self._p, [-a for a in self._coeffs])
 
     def __mul__(self, other: "int | CycInt") -> "CycInt":
         o = self._coerce(other)
@@ -127,7 +117,7 @@ class CycInt:
             for j, yj in enumerate(o._coeffs):
                 if yj:
                     out[(i + j) % p] += xi * yj
-        return CycInt._trusted(p, out)
+        return CycInt(p, out)
 
     __rmul__ = __mul__
 
@@ -156,7 +146,7 @@ class CycInt:
         if not self.is_multiple_of_p:
             return None
         p = self._p
-        return CycInt._trusted(p, [c // p for c in self._coeffs])
+        return CycInt(p, [c // p for c in self._coeffs])
 
     @property
     def is_multiple_of_p(self) -> bool:
@@ -206,9 +196,10 @@ def _zeta_sums(
 
 
 def zeta_pow(p: int, k: int) -> CycInt:
-    """zeta^k as a normalized element; the exponent is reduced mod p."""
+    """zeta^k as a CycInt, built by the validating constructor from the
+    one-term _zeta_sums tuple; the exponent is reduced mod p."""
     p = require_prime(p)
-    return CycInt._trusted(p, next(_zeta_sums(p, (1,), (k,), (0,))))
+    return CycInt(p, next(_zeta_sums(p, (1,), (k,), (0,))))
 
 
 def symbolic_str(x: CycInt) -> str:

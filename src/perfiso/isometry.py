@@ -81,16 +81,6 @@ class SignedIsometry(Record):
         return tuple.__new__(cls, (p, image, signs))
 
     @classmethod
-    def _unchecked(cls, p: int, image: tuple[int, ...], signs: tuple[int, ...]) -> "SignedIsometry":
-        """Build from tuples already known to be valid, skipping validation.
-
-        Only for results of group operations on valid isometries, and for
-        the orbit images of pigroup._orbit, which its docstring proves are
-        permutations.
-        """
-        return tuple.__new__(cls, (p, image, signs))
-
-    @classmethod
     def from_literal(cls, p: int, text: str) -> "SignedIsometry":
         """Parse a literal like "+2,+0,+1".
 
@@ -130,7 +120,7 @@ class SignedIsometry(Record):
             raise ValueError(f"mismatched moduli: p={self.p} vs p={other.p}")
         through = itemgetter(*other.image)  # p >= 2, so it returns a tuple
         signs = tuple(map(mul, other.signs, through(self.signs)))
-        return SignedIsometry._unchecked(self.p, through(self.image), signs)
+        return SignedIsometry(self.p, through(self.image), signs)
 
     def invert(self) -> "SignedIsometry":
         image = [0] * self.p
@@ -138,7 +128,7 @@ class SignedIsometry(Record):
         for k, i in enumerate(self.image):
             image[i] = k
             signs[i] = self.signs[k]
-        return SignedIsometry._unchecked(self.p, tuple(image), tuple(signs))
+        return SignedIsometry(self.p, image, signs)
 
 
 class KernelTable(Record):

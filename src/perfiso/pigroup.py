@@ -286,24 +286,22 @@ def _orbit(p: int, forms: list[tuple[int, ...]]) -> "Iterator[SignedIsometry]":
         (eps, a, u).  So the orbit of the identity is every affine map,
         once each.
 
-    Each map is built without validation, sharing one all-positive and one
-    all-negative sign tuple.  Each image is a permutation: a form is one (a
-    form of the search places every value of 0..p-1 exactly once, as a
-    value is placed only when its bit is clear in ``used`` and the form has
-    length p), and w -> u*w + a is a bijection of Z/p for a unit u, so it
-    maps a permutation to a permutation.
+    Each map passes SignedIsometry's validation, as each image is a
+    permutation: a form is one (a form of the search places every value of
+    0..p-1 exactly once, as a value is placed only when its bit is clear in
+    ``used`` and the form has length p), and w -> u*w + a is a bijection of
+    Z/p for a unit u, so it maps a permutation to a permutation.
     """
     from .isometry import SignedIsometry
 
-    positive, negative = (1,) * p, (-1,) * p
     for image in sorted(
         tuple((u * x + a) % p for x in form)
         for form in forms
         for u in range(1, p)
         for a in range(p)
     ):
-        yield SignedIsometry._unchecked(p, image, positive)
-        yield SignedIsometry._unchecked(p, image, negative)
+        for eps in (1, -1):
+            yield SignedIsometry(p, image, (eps,) * p)
 
 
 def iter_perfect(p: int, mode: str = POSITIVE_THEN_NEGATE) -> "Iterator[SignedIsometry]":

@@ -280,6 +280,14 @@ MUTATIONS = (
         "if False:",
         ("tests/test_pigroup.py",),
     ),
+    # chartab counts each power zeta^k from its one-term sum, exponent k: the
+    # p = 2 table pins the exponent, as zeta^1 = -1 there
+    (
+        "src/perfiso/cli.py",
+        "powers = [_render(next(_zeta_sums(p, (1,), (k,), (0,)))) for k in range(p)]",
+        "powers = [_render(next(_zeta_sums(p, (1,), (k + 1,), (0,)))) for k in range(p)]",
+        ("tests/test_cli.py",),
+    ),
     # JSON key order and mu's entry text: the oracle sweep alone compares each
     # object's keys in order, and each mu entry with its count, rendered
     (

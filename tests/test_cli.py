@@ -122,23 +122,31 @@ def test_mu_renders_each_nonzero_entry_once(capsys, spy, fmt):
     assert sum(1 for (x,) in calls if not any(x)) == 0
 
 
+_AFFINE_23 = "--map=" + ",".join(f"+{(1 + 2 * k) % 23}" for k in range(23))
+
+
 @pytest.mark.parametrize("fmt", ("text", "json"))
-@pytest.mark.parametrize("command", ("mu", "check"))
 @pytest.mark.parametrize(
-    "literal",
-    (",".join(f"+{(1 + 2 * k) % 23}" for k in range(23)), RANDOM_SIGNED[23]),
-    ids=("affine", "random_signed"),
+    "argv, expected",
+    (
+        (("chartab",), 0),
+        (("mu", _AFFINE_23), 0),
+        (("check", _AFFINE_23), 0),
+        (("mu", f"--map={RANDOM_SIGNED[23]}"), 0),
+        (("check", f"--map={RANDOM_SIGNED[23]}"), 1),
+    ),
+    ids=("chartab", "affine-mu", "affine-check", "random_signed-mu", "random_signed-check"),
 )
-def test_mu_and_check_build_no_ring_value(capsys, spy, literal, command, fmt):
-    # kernel entries travel as normalized coefficient tuples, from the count
-    # or the Galois action to the renderer or the divisibility test, and mu's
-    # zero columns show the renderer's zero text, written as "0": neither
-    # the validating nor the trusted constructor of CycInt runs
+def test_mu_and_check_build_no_ring_value(capsys, spy, argv, expected, fmt):
+    # kernel entries and chartab's powers of zeta travel as normalized
+    # coefficient tuples, from the count or the Galois action to the renderer
+    # or the divisibility test, and mu's zero columns show the renderer's
+    # zero text, written as "0": CycInt's one constructor never runs
     assert cyclotomic._render((0,) * 23) == "0"
-    calls = [spy(cyclotomic.CycInt, name) for name in ("__init__", "_trusted")]
-    code, out, _ = run_cli(capsys, command, "-p", "23", f"--map={literal}", "--format", fmt)
-    assert code == (command == "check" and literal == RANDOM_SIGNED[23]) and out
-    assert calls == [[], []]
+    calls = spy(cyclotomic.CycInt, "__init__")
+    code, out, _ = run_cli(capsys, *argv, "-p", "23", "--format", fmt)
+    assert code == expected and out
+    assert calls == []
 
 
 @pytest.mark.parametrize("fmt", ("text", "json"))

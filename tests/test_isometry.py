@@ -404,7 +404,7 @@ def test_cross_check_counts_no_row_and_makes_no_ring_call(spy, p):
     # the cross-check reads the rule off the map, so it shares no code with
     # is_perfect, and a defect in the count or the ring cannot reach both;
     # the count normalizes each entry it makes, so _normal is its control
-    calls = {name: spy(CycInt, name) for name in ("__init__", "_trusted", "__mul__")}
+    calls = {name: spy(CycInt, name) for name in ("__init__", "__mul__")}
     calls.update((name, spy(isometry, name)) for name in ("_counted_row", "_galois_images"))
     calls["_normal"] = spy(cyclotomic, "_normal")
     affine, _, swapped = affine_family(p, 1, 2)

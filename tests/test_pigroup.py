@@ -527,17 +527,17 @@ def test_verify_structure_failure_diagnostics(monkeypatch, capsys, p, name):
 
 def test_reports_build_no_map_when_the_checks_pass(spy):
     # the checks are read off the one normal form, the identity: no map is
-    # built, validated or not, and none is decomposed
-    new, unchecked = spy(SignedIsometry, "__new__"), spy(SignedIsometry, "_unchecked")
+    # built through SignedIsometry's one constructor, and none is decomposed
+    new = spy(SignedIsometry, "__new__")
     decomposed = spy(pigroup, "decompose")
     identity = gen_linear(3, 0)
     identity.compose(identity)
-    assert (len(new), len(unchecked)) == (1, 1)  # the counters see both constructors
-    del new[:], unchecked[:]
+    assert len(new) == 2  # the counter sees the generator and the composite
+    del new[:]
     p = 101
     assert verify_structure(p).all_pass()
     assert enumerate_perfect(p).all_pass()
-    assert new == unchecked == decomposed == []
+    assert new == decomposed == []
 
 
 def test_verify_structure_composes_linearly_many_times(spy):

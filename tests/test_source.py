@@ -42,25 +42,34 @@ def test_library_has_no_assert():
     assert found == []
 
 
-def test_trusted_constructor_stays_in_the_ring_module():
-    # CycInt._trusted skips validation, so only ring operations may use it
-    found = {
-        name
-        for name, _, node in _nodes(SOURCES + TESTS)
-        if isinstance(node, ast.Attribute) and node.attr == "_trusted"
-    }
-    assert found == {"cyclotomic.py"}
+def test_each_value_type_has_one_constructor():
+    # each value type is built by one constructor, and it validates: a
+    # record by its own __new__, the one place tuple.__new__ runs, and a
+    # CycInt by __init__, so object.__new__ runs nowhere
+    def sites(nodes, owners):
+        return {
+            (name, node.lineno)
+            for name, node in nodes
+            if isinstance(node, ast.Attribute)
+            and node.attr == "__new__"
+            and ast.unparse(node.value) in owners
+        }
 
-
-def test_unchecked_constructor_stays_with_the_group_operations():
-    # SignedIsometry._unchecked skips validation, so only the group operations
-    # and _orbit, whose images are permutations by construction, may use it
-    found = {
-        (name, top)
-        for name, top, node in _nodes(SOURCES + TESTS)
-        if isinstance(node, ast.Attribute) and node.attr == "_unchecked"
-    }
-    assert found == {("isometry.py", "SignedIsometry"), ("pigroup.py", "_orbit")}
+    found = sites(((name, node) for name, _, node in _nodes()), ("tuple", "object"))
+    own = sites(
+        (
+            (path.name, node)
+            for path in SOURCES
+            for cls in _tree(path).body
+            if isinstance(cls, ast.ClassDef) and "Record" in map(ast.unparse, cls.bases)
+            for new in cls.body
+            if isinstance(new, ast.FunctionDef) and new.name == "__new__"
+            for node in ast.walk(new)
+        ),
+        ("tuple",),
+    )
+    assert len(own) >= 6
+    assert found == own
 
 
 def _imports_one_of(node, modules):
